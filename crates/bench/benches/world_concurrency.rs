@@ -1,33 +1,28 @@
 //! Concurrency benchmark matrix for the world layer.
 //!
-//! Three storage designs run the same tick-shaped actor workload:
+//! Two storage designs run the same tick-shaped actor workload:
 //!
 //! * **mutex** — the seed's single-map design (one `Mutex` around one
 //!   `World`, accessed through its per-block API), the continuity baseline;
-//! * **rwlock** — `ShardedWorld` over its default [`RwLockStore`] backend
-//!   (one `RwLock<HashMap>` per shard);
-//! * **lockfree_scc** — `ShardedWorld` over [`LockFreeStore`], the
-//!   cell-locked scc-style map (lock-free lookups, per-chunk entry locks).
+//! * **rwlock** — `ShardedWorld` (one `RwLock<HashMap>` per shard).
 //!
-//! The sharded backends sweep a full matrix: thread count (1/2/4/8) ×
+//! The sharded world sweeps a full matrix: thread count (1/2/4/8) ×
 //! read/write mix (100%/90%/50% scans) × key skew (uniform vs zipf-1.1
 //! hotspot over the chunk grid, sampled through
-//! `servo_workload::KeySkew` so every backend replays byte-identical
+//! `servo_workload::KeySkew` so both designs replay byte-identical
 //! schedules). Workload shape per operation: a *scan* reads a 32-block
 //! chunk-local region (avatar view / construct neighbourhood), an *edit*
 //! writes an 8-block column (player build action).
 //!
 //! Baseline locking model: the single-lock server releases the global lock
 //! between individual block calls — what a game loop serving many
-//! concurrent actors must do for fairness. The sharded backends instead
-//! hold one chunk/shard handle per batch (`read_chunk` / `set_blocks`),
-//! which is the design delta the matrix quantifies.
+//! concurrent actors must do for fairness. The sharded world instead
+//! holds one shard lock per batch (`read_chunk` / `set_blocks`), which is
+//! the design delta the matrix quantifies.
 //!
-//! Results land in `BENCH_world_shard.json` at the workspace root:
-//! the mutex baseline rows, every matrix cell, and a hardware-aware
-//! acceptance block (full parallel-speedup targets engage when the host
-//! has >= 8 cores; on smaller hosts the same metrics are gated against
-//! honest serial floors, and the JSON records which mode was used).
+//! Results land in `BENCH_world_shard.json` at the workspace root: the
+//! mutex baseline rows, every matrix cell, the host's core count, and an
+//! acceptance block comparing the two designs at the top thread count.
 //!
 //! Run with `cargo bench -p servo-bench --bench world_concurrency`; set
 //! `SERVO_BENCH_FAST=1` (or pass `--fast`) for a smoke-test-sized run.
@@ -39,8 +34,7 @@ use std::time::Instant;
 use servo_simkit::SimRng;
 use servo_types::{BlockPos, ChunkPos};
 use servo_workload::{KeySkew, SkewKind};
-use servo_world::store::ChunkStore;
-use servo_world::{Block, LockFreeStore, RwLockStore, ShardedWorld, World};
+use servo_world::{Block, ShardedWorld, World};
 
 /// Side length of the pre-loaded chunk grid.
 const GRID_CHUNKS: i32 = 16;
@@ -61,6 +55,12 @@ const MIXES: [u64; 3] = [10, 9, 5];
 const ACCEPT_MIX: u64 = 9;
 
 const SKEWS: [SkewKind; 2] = [SkewKind::Uniform, SkewKind::Zipf { exponent: 1.1 }];
+
+/// The sharded world must beat the global mutex by at least this factor at
+/// the top thread count. The win is per-operation efficiency (one lock per
+/// batch, not per block), so the floor holds even where the threads
+/// time-slice a single core.
+const MUTEX_SPEEDUP_TARGET: f64 = 1.5;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -83,8 +83,8 @@ struct ActorOp {
 /// Pre-generates one thread's operation schedule so RNG cost stays out of
 /// the measured loop. The *chunk* is drawn from the configured skew through
 /// a dedicated `SimRng` sub-stream (deterministic per `(mix, skew,
-/// thread)`), the in-chunk coordinates from a splitmix counter — every
-/// backend replays the exact same schedule.
+/// thread)`), the in-chunk coordinates from a splitmix counter — both
+/// designs replay the exact same schedule.
 fn schedule(thread_id: usize, ops: u64, scan_tenths: u64, skew: SkewKind) -> Vec<ActorOp> {
     let rng = SimRng::seed(0x5eed)
         .substream(&format!("world-bench-{scan_tenths}-{}", skew.label()))
@@ -185,16 +185,10 @@ fn run_mutex(threads: usize, ops_per_thread: u64, scan_tenths: u64, skew: SkewKi
     total as f64 / elapsed
 }
 
-/// The same actor schedule against a sharded world over backend `B`, using
-/// its per-chunk batch accessors; returns aggregate block operations per
-/// second.
-fn run_sharded<B: ChunkStore>(
-    threads: usize,
-    ops_per_thread: u64,
-    scan_tenths: u64,
-    skew: SkewKind,
-) -> f64 {
-    let world = ShardedWorld::<B>::from_world(populated_world());
+/// The same actor schedule against a sharded world, using its per-chunk
+/// batch accessors; returns aggregate block operations per second.
+fn run_sharded(threads: usize, ops_per_thread: u64, scan_tenths: u64, skew: SkewKind) -> f64 {
+    let world = ShardedWorld::from(populated_world());
     let sink = AtomicU64::new(0);
     let schedules: Vec<Vec<ActorOp>> = (0..threads)
         .map(|t| schedule(t, ops_per_thread, scan_tenths, skew))
@@ -211,8 +205,8 @@ fn run_sharded<B: ChunkStore>(
                 for op in ops {
                     if op.scan {
                         let anchor = op.anchor;
-                        // One chunk/shard read handle for the whole
-                        // chunk-local scan.
+                        // One shard read lock for the whole chunk-local
+                        // scan.
                         let sum = world
                             .read_chunk(ChunkPos::from(anchor), |chunk| {
                                 let mut sum = 0u64;
@@ -226,7 +220,7 @@ fn run_sharded<B: ChunkStore>(
                             .unwrap_or(0);
                         acc ^= sum;
                     } else {
-                        // One batch writer for the whole edit.
+                        // One shard write lock for the whole edit.
                         edits.clear();
                         edits.extend(edit_span(op.anchor).map(|p| (p, Block::Stone)));
                         let _ = world.set_blocks(edits.iter().copied());
@@ -243,24 +237,10 @@ fn run_sharded<B: ChunkStore>(
 
 /// One measured matrix cell.
 struct Cell {
-    backend: &'static str,
     threads: usize,
     scan_tenths: u64,
     skew: SkewKind,
     blocks_per_sec: f64,
-}
-
-fn find(cells: &[Cell], backend: &str, threads: usize, scan_tenths: u64, skew: SkewKind) -> f64 {
-    cells
-        .iter()
-        .find(|c| {
-            c.backend == backend
-                && c.threads == threads
-                && c.scan_tenths == scan_tenths
-                && c.skew == skew
-        })
-        .map(|c| c.blocks_per_sec)
-        .expect("matrix cell was measured")
 }
 
 fn main() {
@@ -272,18 +252,10 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    // Full parallel-speedup targets only make sense when the host can run
-    // the 8-thread configurations in parallel; on smaller hosts the same
-    // metrics are gated against serial floors (threads time-slice one
-    // core, so cross-thread speedups are physically capped at ~1.0 and
-    // the gate instead asserts that nothing collapses under
-    // oversubscription).
-    let parallel_targets = cores >= 8;
 
     // Warm up allocator and page cache so the first configuration is not
     // penalised.
-    run_sharded::<RwLockStore>(1, ops_per_thread / 10, ACCEPT_MIX, SkewKind::Uniform);
-    run_sharded::<LockFreeStore>(1, ops_per_thread / 10, ACCEPT_MIX, SkewKind::Uniform);
+    run_sharded(1, ops_per_thread / 10, ACCEPT_MIX, SkewKind::Uniform);
     run_mutex(1, ops_per_thread / 10, ACCEPT_MIX, SkewKind::Uniform);
 
     println!(
@@ -302,84 +274,51 @@ fn main() {
         baseline.push((threads, bps));
     }
 
-    // The backend x threads x mix x skew matrix.
+    // The threads x mix x skew matrix.
     let mut cells: Vec<Cell> = Vec::new();
     println!(
-        "{:>13} {:>8} {:>6} {:>9} {:>20}",
-        "backend", "threads", "scan%", "skew", "blocks/s"
+        "{:>8} {:>6} {:>9} {:>20}",
+        "threads", "scan%", "skew", "sharded blocks/s"
     );
     for &scan_tenths in &MIXES {
         for &skew in &SKEWS {
             for &threads in &THREAD_COUNTS {
-                let rwlock = run_sharded::<RwLockStore>(threads, ops_per_thread, scan_tenths, skew);
-                let lockfree =
-                    run_sharded::<LockFreeStore>(threads, ops_per_thread, scan_tenths, skew);
-                for (backend, bps) in [(RwLockStore::NAME, rwlock), (LockFreeStore::NAME, lockfree)]
-                {
-                    println!(
-                        "{backend:>13} {threads:>8} {:>6} {:>9} {bps:>20.0}",
-                        scan_tenths * 10,
-                        skew.label()
-                    );
-                    cells.push(Cell {
-                        backend,
-                        threads,
-                        scan_tenths,
-                        skew,
-                        blocks_per_sec: bps,
-                    });
-                }
+                let bps = run_sharded(threads, ops_per_thread, scan_tenths, skew);
+                println!(
+                    "{threads:>8} {:>6} {:>9} {bps:>20.0}",
+                    scan_tenths * 10,
+                    skew.label()
+                );
+                cells.push(Cell {
+                    threads,
+                    scan_tenths,
+                    skew,
+                    blocks_per_sec: bps,
+                });
             }
         }
     }
 
+    // Headline metrics (90% scans, uniform).
     let max_threads = *THREAD_COUNTS.last().unwrap();
-    let uniform = SkewKind::Uniform;
-    let hot = SKEWS[1];
-
-    // Headline metrics (90% scans, uniform unless stated).
-    let rwlock_at_max = find(&cells, RwLockStore::NAME, max_threads, ACCEPT_MIX, uniform);
-    let lockfree_at_max = find(
-        &cells,
-        LockFreeStore::NAME,
-        max_threads,
-        ACCEPT_MIX,
-        uniform,
-    );
-    let lockfree_vs_rwlock = lockfree_at_max / rwlock_at_max;
-    let read_scaling = find(&cells, LockFreeStore::NAME, max_threads, 10, uniform)
-        / find(&cells, LockFreeStore::NAME, 2, 10, uniform);
+    let rwlock_at_max = cells
+        .iter()
+        .find(|c| {
+            c.threads == max_threads && c.scan_tenths == ACCEPT_MIX && c.skew == SkewKind::Uniform
+        })
+        .map(|c| c.blocks_per_sec)
+        .expect("matrix cell was measured");
     let mutex_at_max = baseline
         .iter()
         .find(|(t, _)| *t == max_threads)
         .map(|(_, bps)| *bps)
         .unwrap();
     let sharded_vs_mutex = rwlock_at_max / mutex_at_max;
-    let lockfree_hot_vs_rwlock_hot =
-        find(&cells, LockFreeStore::NAME, max_threads, ACCEPT_MIX, hot)
-            / find(&cells, RwLockStore::NAME, max_threads, ACCEPT_MIX, hot);
-
-    // Hardware-aware targets: the full tentpole targets on a parallel
-    // host, honest non-collapse floors on a serial one.
-    let (lockfree_target, scaling_target) = if parallel_targets {
-        (1.5, 1.5)
-    } else {
-        (0.5, 0.4)
-    };
-    // The mutex comparison is also hardware-sensitive: on a parallel host
-    // the sharded backend must win big (3x), while on a serial host the
-    // win is per-op efficiency only (no cross-thread parallelism) and
-    // short fast-mode runs add noise, so the floor asserts a clear but
-    // modest advantage over the global mutex.
-    let mutex_speedup_target = if parallel_targets { 3.0 } else { 1.5 };
-    let met = lockfree_vs_rwlock >= lockfree_target
-        && read_scaling >= scaling_target
-        && sharded_vs_mutex >= mutex_speedup_target;
+    let met = sharded_vs_mutex >= MUTEX_SPEEDUP_TARGET;
 
     println!(
-        "lockfree/rwlock @{max_threads}t 90% scans: {lockfree_vs_rwlock:.2}x (target {lockfree_target}); \
-         lockfree read scaling 2->{max_threads}t: {read_scaling:.2}x (target {scaling_target}); \
-         rwlock/mutex @{max_threads}t: {sharded_vs_mutex:.2}x (target {mutex_speedup_target}); met: {met}"
+        "sharded/mutex @{max_threads}t 90% scans: {sharded_vs_mutex:.2}x \
+         (target {MUTEX_SPEEDUP_TARGET}); met: {met}"
     );
 
     let mut json = String::from("{\n");
@@ -389,9 +328,7 @@ fn main() {
     json.push_str(&format!("  \"edit_blocks\": {EDIT_BLOCKS},\n"));
     json.push_str(&format!("  \"actor_ops_per_thread\": {ops_per_thread},\n"));
     json.push_str(&format!("  \"fast_mode\": {fast},\n"));
-    json.push_str(&format!(
-        "  \"hardware\": {{\"cores\": {cores}, \"parallel_targets\": {parallel_targets}}},\n"
-    ));
+    json.push_str(&format!("  \"hardware\": {{\"cores\": {cores}}},\n"));
     json.push_str("  \"baseline\": [\n");
     for (i, (threads, bps)) in baseline.iter().enumerate() {
         json.push_str(&format!(
@@ -404,8 +341,7 @@ fn main() {
     json.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"threads\": {}, \"scan_pct\": {}, \"skew\": \"{}\", \"blocks_per_sec\": {:.0}}}{}\n",
-            cell.backend,
+            "    {{\"backend\": \"rwlock\", \"threads\": {}, \"scan_pct\": {}, \"skew\": \"{}\", \"blocks_per_sec\": {:.0}}}{}\n",
             cell.threads,
             cell.scan_tenths * 10,
             cell.skew.label(),
@@ -419,26 +355,12 @@ fn main() {
         "    \"rwlock_blocks_per_sec_at_max\": {rwlock_at_max:.0},\n"
     ));
     json.push_str(&format!(
-        "    \"lockfree_blocks_per_sec_at_max\": {lockfree_at_max:.0},\n"
-    ));
-    json.push_str(&format!(
-        "    \"lockfree_vs_rwlock_at_max\": {lockfree_vs_rwlock:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"lockfree_hot_vs_rwlock_hot_at_max\": {lockfree_hot_vs_rwlock_hot:.3},\n"
-    ));
-    json.push_str(&format!(
-        "    \"lockfree_read_scaling_2_to_max\": {read_scaling:.3},\n"
-    ));
-    json.push_str(&format!(
         "    \"sharded_vs_mutex_speedup_at_max\": {sharded_vs_mutex:.3}\n"
     ));
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"acceptance\": {{\"threads\": {max_threads}, \"speedup\": {sharded_vs_mutex:.3}, \"target\": {mutex_speedup_target}, \
-         \"lockfree_vs_rwlock\": {lockfree_vs_rwlock:.3}, \"lockfree_target\": {lockfree_target}, \
-         \"read_scaling\": {read_scaling:.3}, \"scaling_target\": {scaling_target}, \
-         \"parallel_targets\": {parallel_targets}, \"met\": {met}}}\n"
+        "  \"acceptance\": {{\"threads\": {max_threads}, \"speedup\": {sharded_vs_mutex:.3}, \
+         \"target\": {MUTEX_SPEEDUP_TARGET}, \"met\": {met}}}\n"
     ));
     json.push_str("}\n");
     // `cargo bench` runs with the package directory as CWD; anchor the

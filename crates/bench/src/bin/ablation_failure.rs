@@ -25,7 +25,7 @@ use servo_bench::{emit, experiment_scale, scaled_secs};
 use servo_metrics::{qos_satisfied_default, Summary, Table};
 use servo_redstone::generators;
 use servo_server::cluster::{zone_hotspot_sites, ShardedGameCluster};
-use servo_server::{RecoveryStats, ServerConfig};
+use servo_server::{PersistenceBinding, RecoveryStats, ServerConfig};
 use servo_simkit::SimRng;
 use servo_storage::{BlobStore, BlobTier};
 use servo_types::{BlockPos, SimDuration};
@@ -61,11 +61,13 @@ fn run_arm(wal: bool, cadence: u64) -> Arm {
     let config = ServerConfig::opencraft().with_view_distance(32);
     let mut cluster = ShardedGameCluster::baseline(config, ZONES, SEED);
     for zone in 0..ZONES {
-        cluster.attach_persistence(
+        cluster.bind_persistence(
             zone,
-            BlobStore::new(BlobTier::Standard, SimRng::seed(900 + zone as u64)),
-            SimRng::seed(950 + zone as u64),
-            cadence,
+            PersistenceBinding::new(
+                BlobStore::new(BlobTier::Standard, SimRng::seed(900 + zone as u64)),
+                SimRng::seed(950 + zone as u64),
+            )
+            .write_back_interval(cadence),
         );
         cluster.set_wal_enabled(zone, wal);
     }

@@ -10,8 +10,7 @@ use servo_server::cluster::{border_construct_sites, place_across_east_seam};
 use servo_simkit::SimRng;
 use servo_storage::{BlobStore, BlobTier, ObjectStore};
 use servo_types::{BlockPos, ChunkPos, SimDuration, SimTime};
-use servo_workload::{BehaviorKind, KeySkew, PlayerFleet, SkewKind};
-use servo_world::{Block, ChunkStore, LockFreeStore, RwLockStore, ShardedWorld, World};
+use servo_workload::{BehaviorKind, PlayerFleet};
 
 fn main() {
     let mut table = Table::new(vec![
@@ -116,123 +115,6 @@ fn main() {
     emit_cache_effectiveness();
     emit_hybrid_overview();
     emit_platform_overview();
-    emit_world_backend_overview();
-}
-
-/// Chunk grid side length for the world-backend rows (64 chunks — enough
-/// for the zipf head to be a strict subset of the universe).
-const BACKEND_GRID: i32 = 8;
-
-/// What one backend run reports. The counters (not just the throughput)
-/// are in the table so a backend that silently drops writes is visible in
-/// the committed CSV, not only in the differential test suite.
-struct BackendOutcome {
-    block_ops_per_sec: f64,
-    modifications: u64,
-    loaded_chunks: usize,
-}
-
-/// Replays a deterministic 90%-scan / 10%-edit actor schedule (the
-/// `world_concurrency` headline mix) against a sharded world over backend
-/// `B`. The chunk sequence comes from a [`KeySkew`] sub-stream keyed only
-/// by the skew label, so both backends see byte-identical schedules and
-/// must end with identical counters.
-fn run_world_backend<B: ChunkStore>(skew: SkewKind, ops: u64) -> BackendOutcome {
-    let mut base = World::flat(4);
-    for cx in 0..BACKEND_GRID {
-        for cz in 0..BACKEND_GRID {
-            base.ensure_chunk_at(ChunkPos::new(cx, cz));
-        }
-    }
-    let world = ShardedWorld::<B>::from_world(base);
-    let mut keys = KeySkew::new(
-        skew,
-        (BACKEND_GRID * BACKEND_GRID) as usize,
-        SimRng::seed(0x7ab1e).substream(&format!("table01-backend-{}", skew.label())),
-    );
-    let mut coords = SimRng::seed(0x7ab1e).substream(&format!("table01-coords-{}", skew.label()));
-    let mut sink = 0u64;
-    let mut block_ops = 0u64;
-    let start = std::time::Instant::now();
-    for op in 0..ops {
-        let key = keys.sample() as i32;
-        let chunk = ChunkPos::new(key % BACKEND_GRID, key / BACKEND_GRID);
-        let lx = (coords.unit() * 14.0) as i32 + 1;
-        let lz = (coords.unit() * 14.0) as i32 + 1;
-        let y = (coords.unit() * 64.0) as i32 + 1;
-        if op % 10 < 9 {
-            // Scan: one read handle over a 32-block chunk-local span.
-            sink ^= world
-                .read_chunk(chunk, |c| {
-                    (0..32)
-                        .map(|dy| c.local(lx, y + dy, lz).map(|b| b.id()).unwrap_or(0) as u64)
-                        .fold(0u64, |acc, id| acc ^ id)
-                })
-                .unwrap_or(0);
-            block_ops += 32;
-        } else {
-            // Edit: one batch writer over an 8-block column.
-            let base_x = chunk.x * 16 + lx;
-            let base_z = chunk.z * 16 + lz;
-            world
-                .set_blocks((0..8).map(|dy| (BlockPos::new(base_x, y + dy, base_z), Block::Stone)))
-                .expect("edit targets a loaded chunk");
-            block_ops += 8;
-        }
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    std::hint::black_box(sink);
-    BackendOutcome {
-        block_ops_per_sec: block_ops as f64 / elapsed,
-        modifications: world.total_modifications(),
-        loaded_chunks: world.loaded_chunks(),
-    }
-}
-
-/// The world-backend row(s): a compact serial slice of the
-/// `world_concurrency` backend × skew matrix, replayed in-process so the
-/// overview table carries the backend-equivalence evidence (identical
-/// modification counters and loaded-chunk counts under identical
-/// schedules) next to the throughput numbers. The full thread × mix ×
-/// skew matrix with hardware-aware acceptance lives in
-/// `BENCH_world_shard.json`.
-fn emit_world_backend_overview() {
-    let ops = (4_000.0 * servo_bench::experiment_scale()).max(500.0) as u64;
-    let mut table = Table::new(vec![
-        "Backend",
-        "Skew",
-        "block ops/s",
-        "modifications",
-        "loaded chunks",
-        "matches rwlock",
-    ]);
-    for skew in [SkewKind::Uniform, SkewKind::Zipf { exponent: 1.1 }] {
-        let rwlock = run_world_backend::<RwLockStore>(skew, ops);
-        let lockfree = run_world_backend::<LockFreeStore>(skew, ops);
-        let agrees = lockfree.modifications == rwlock.modifications
-            && lockfree.loaded_chunks == rwlock.loaded_chunks;
-        table.row(vec![
-            RwLockStore::NAME.to_string(),
-            skew.label(),
-            format!("{:.0}", rwlock.block_ops_per_sec),
-            rwlock.modifications.to_string(),
-            rwlock.loaded_chunks.to_string(),
-            "-".to_string(),
-        ]);
-        table.row(vec![
-            LockFreeStore::NAME.to_string(),
-            skew.label(),
-            format!("{:.0}", lockfree.block_ops_per_sec),
-            lockfree.modifications.to_string(),
-            lockfree.loaded_chunks.to_string(),
-            if agrees { "yes" } else { "NO" }.to_string(),
-        ]);
-    }
-    servo_bench::emit(
-        "table01_world_backend",
-        "World backends: serial slice of the backend x skew matrix (full matrix in BENCH_world_shard.json)",
-        &table,
-    );
 }
 
 /// The serverless-platform row(s): cold-start rate, queue wait, and the

@@ -210,11 +210,16 @@ impl ServoBuilder {
         ServoDeployment::from_config(self.config)
     }
 
-    /// Builds a *zoned* cluster instead of a single Servo instance: the
-    /// classic scale-out alternative the ablation compares against. See
-    /// [`ServoDeployment::zoned`].
+    /// Builds a *zoned* cluster instead of a single Servo instance:
+    /// `zones` real game servers sharing the configured cost model, view
+    /// distance and world kind, each wired its own per-zone
+    /// [`ChunkService`] generation backend and restricted to its own slice
+    /// of world shards. Constructs are simulated locally per zone (every
+    /// other tick, as the production baselines do) — zoning is the classic
+    /// alternative to Servo's offloading, which is exactly the comparison
+    /// the multiserver ablation runs on [`ShardedGameCluster::baseline`].
     pub fn zoned(self, zones: usize) -> ShardedGameCluster {
-        ServoDeployment::zoned_cluster(self.config, zones)
+        ShardedGameCluster::baseline(self.config.server.clone(), zones, self.config.seed)
     }
 
     /// Builds a *hybrid* zoned+offloading cluster: zoning for players and
@@ -312,28 +317,6 @@ impl ServoDeployment {
             persistence,
             persistence_stats: PersistenceStats::default(),
         }
-    }
-
-    /// Builds a *zoned* cluster from this configuration: `zones` real game
-    /// servers sharing the configured cost model, view distance and world
-    /// kind, each wired its own per-zone [`ChunkService`] generation
-    /// backend and restricted to its own slice of world shards. Constructs
-    /// are simulated locally per zone (every other tick, as the production
-    /// baselines do) — zoning is the classic alternative to Servo's
-    /// offloading, which is exactly the comparison the multiserver
-    /// ablation runs on [`ShardedGameCluster::baseline`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `ServoDeployment::builder().zoned(n)`; the free-standing \
-                constructor will be removed next release"
-    )]
-    pub fn zoned(config: ServoConfig, zones: usize) -> ShardedGameCluster {
-        Self::zoned_cluster(config, zones)
-    }
-
-    /// The builder's zoned construction path ([`ServoBuilder::zoned`]).
-    fn zoned_cluster(config: ServoConfig, zones: usize) -> ShardedGameCluster {
-        ShardedGameCluster::baseline(config.server.clone(), zones, config.seed)
     }
 
     /// Counters of the persistence pipeline (all zero when persistence is

@@ -135,8 +135,7 @@ pub struct ZonePersistenceStats {
 }
 
 /// Builder-style description of one zone's persistence attachment,
-/// consumed by [`ShardedGameCluster::bind_persistence`]. Replaces the
-/// free-standing `attach_persistence_with_scaler` constructor.
+/// consumed by [`ShardedGameCluster::bind_persistence`].
 ///
 /// ```
 /// use servo_server::PersistenceBinding;
@@ -576,7 +575,7 @@ pub struct ShardedGameCluster {
     details: Vec<ClusterTickDetail>,
     stats: ClusterStats,
     /// Per-zone persistence pipelines (attached via
-    /// [`ShardedGameCluster::attach_persistence`]).
+    /// [`ShardedGameCluster::bind_persistence`]).
     persistence: Vec<Option<ZonePersistence>>,
     /// Opt-in dynamic rebalancing (see
     /// [`ShardedGameCluster::enable_rebalancing`]).
@@ -761,62 +760,19 @@ impl ShardedGameCluster {
         self.registry.get(index).map(|entry| (entry.zone, entry.id))
     }
 
-    /// Attaches a persistence pipeline to `zone`: a
-    /// [`PipelinedChunkService`] in front of `remote`, staging exactly the
-    /// owned dirty deltas the cluster tick drains (one zone never flushes
-    /// another zone's chunks). Every `write_back_interval` cluster ticks
-    /// the zone prefetches the owned terrain its players need and flushes
-    /// its dirty shards — the per-zone equivalent of `ServoDeployment`'s
-    /// persistence path, fed by the same `drain_owned_dirty` deltas the
-    /// border protocol consumes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `zone` is out of range.
-    pub fn attach_persistence(
-        &mut self,
-        zone: usize,
-        remote: BlobStore,
-        rng: SimRng,
-        write_back_interval: u64,
-    ) {
-        self.bind_persistence(
-            zone,
-            PersistenceBinding::new(remote, rng).write_back_interval(write_back_interval),
-        );
-    }
-
-    /// [`Self::bind_persistence`] with positional arguments.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a `PersistenceBinding` and call `bind_persistence` (or configure \
-                persistence through `ServoDeployment::builder()`); the free-standing \
-                constructor will be removed next release"
-    )]
-    pub fn attach_persistence_with_scaler(
-        &mut self,
-        zone: usize,
-        remote: BlobStore,
-        rng: SimRng,
-        write_back_interval: u64,
-        elastic: Option<AutoscalerConfig>,
-    ) {
-        let mut binding =
-            PersistenceBinding::new(remote, rng).write_back_interval(write_back_interval);
-        if let Some(scaler) = elastic {
-            binding = binding.elastic(scaler);
-        }
-        self.bind_persistence(zone, binding);
-    }
-
-    /// Attaches `zone`'s persistence pipeline from a [`PersistenceBinding`]
-    /// — the builder-style path [`Self::attach_persistence`] and the
-    /// deployment builder both route through. When the binding carries an
-    /// autoscaler, the pipeline's disk workers scale with the submission
-    /// backlog instead of staying at the zone's static parallelism;
-    /// elasticity only changes wall-clock throughput — the simulated
-    /// outcomes are identical — so the static default keeps committed
-    /// baselines byte-stable.
+    /// Attaches `zone`'s persistence pipeline from a [`PersistenceBinding`]:
+    /// a [`PipelinedChunkService`] in front of the binding's remote store,
+    /// staging exactly the owned dirty deltas the cluster tick drains (one
+    /// zone never flushes another zone's chunks). Every
+    /// `write_back_interval` cluster ticks the zone prefetches the owned
+    /// terrain its players need and flushes its dirty shards — the per-zone
+    /// equivalent of `ServoDeployment`'s persistence path, fed by the same
+    /// `drain_owned_dirty` deltas the border protocol consumes. When the
+    /// binding carries an autoscaler, the pipeline's disk workers scale
+    /// with the submission backlog instead of staying at the zone's static
+    /// parallelism; elasticity only changes wall-clock throughput — the
+    /// simulated outcomes are identical — so the static default keeps
+    /// committed baselines byte-stable.
     ///
     /// # Panics
     ///
@@ -2635,11 +2591,13 @@ mod tests {
 
         let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, 21);
         for zone in 0..4 {
-            cluster.attach_persistence(
+            cluster.bind_persistence(
                 zone,
-                BlobStore::new(BlobTier::Standard, SimRng::seed(100 + zone as u64)),
-                SimRng::seed(200 + zone as u64),
-                20,
+                PersistenceBinding::new(
+                    BlobStore::new(BlobTier::Standard, SimRng::seed(100 + zone as u64)),
+                    SimRng::seed(200 + zone as u64),
+                )
+                .write_back_interval(20),
             );
         }
         let mut fleet = bounded_fleet(2, 22);

@@ -11,20 +11,20 @@ use servo_types::id::IdAllocator;
 use servo_types::{BlockPos, ChunkPos, ConstructId, PlayerId, SimDuration, SimTime, Tick};
 use servo_workload::{PlayerEvent, PlayerFleet};
 use servo_world::{
-    nearest_missing_distance_blocks, required_chunks, ChunkIndex, ChunkStore, RwLockStore,
-    ShardDelta, ShardMap, ShardedWorld, WorldKind,
+    nearest_missing_distance_blocks, required_chunks, ChunkIndex, ShardDelta, ShardMap,
+    ShardedWorld, WorldKind,
 };
 
 /// The terrain a zone-restricted server answers for: its own loaded chunks,
 /// with foreign chunks counting as present because the zone owning them
 /// serves them to clients directly.
-struct OwnedTerrainView<'a, B: ChunkStore> {
-    world: &'a ShardedWorld<B>,
+struct OwnedTerrainView<'a> {
+    world: &'a ShardedWorld,
     map: &'a ShardMap,
     zone: usize,
 }
 
-impl<B: ChunkStore> ChunkIndex for OwnedTerrainView<'_, B> {
+impl ChunkIndex for OwnedTerrainView<'_> {
     fn contains_chunk(&self, pos: ChunkPos) -> bool {
         self.map.zone_of_chunk(pos) != self.zone || self.world.is_loaded(pos)
     }
@@ -180,15 +180,14 @@ pub struct TickReport {
     pub view_range_blocks: f64,
 }
 
-/// A modifiable-virtual-environment game server, generic over the world's
-/// [`ChunkStore`] backend (default: the seed's [`RwLockStore`]).
+/// A modifiable-virtual-environment game server over one [`ShardedWorld`].
 ///
 /// See the crate-level documentation for the role this type plays; the
 /// baselines and Servo are all instances of it with different backends and
 /// cost models.
-pub struct GameServer<B: ChunkStore = RwLockStore> {
+pub struct GameServer {
     config: ServerConfig,
-    world: Arc<ShardedWorld<B>>,
+    world: Arc<ShardedWorld>,
     /// When set, this instance is one zone of a sharded cluster: it ticks
     /// constructs, requests terrain, and drains dirty state only for the
     /// world shards its zone owns. `None` means the server owns the whole
@@ -221,7 +220,7 @@ pub struct GameServer<B: ChunkStore = RwLockStore> {
     pending_integration: std::collections::VecDeque<servo_world::Chunk>,
 }
 
-impl<B: ChunkStore> std::fmt::Debug for GameServer<B> {
+impl std::fmt::Debug for GameServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GameServer")
             .field("name", &self.config.name)
@@ -234,30 +233,16 @@ impl<B: ChunkStore> std::fmt::Debug for GameServer<B> {
 
 impl GameServer {
     /// Creates a server instance with the given construct backend and
-    /// terrain chunk service, over the default world backend.
+    /// terrain chunk service.
     pub fn new(
         config: ServerConfig,
         sc_backend: Box<dyn ScBackend>,
         chunks: Box<dyn ChunkService>,
         rng: SimRng,
     ) -> Self {
-        Self::new_in(config, sc_backend, chunks, rng)
-    }
-}
-
-impl<B: ChunkStore> GameServer<B> {
-    /// Creates a server instance with the given construct backend and
-    /// terrain chunk service, over world backend `B` (e.g.
-    /// `GameServer::<LockFreeStore>::new_in(..)`).
-    pub fn new_in(
-        config: ServerConfig,
-        sc_backend: Box<dyn ScBackend>,
-        chunks: Box<dyn ChunkService>,
-        rng: SimRng,
-    ) -> Self {
         let world = match config.world_kind {
-            WorldKind::Flat => ShardedWorld::<B>::flat_in(4),
-            WorldKind::Default => ShardedWorld::<B>::new_in(),
+            WorldKind::Flat => ShardedWorld::flat(4),
+            WorldKind::Default => ShardedWorld::new(),
         };
         GameServer {
             config,
@@ -283,7 +268,7 @@ impl<B: ChunkStore> GameServer<B> {
     }
 
     /// The server's world.
-    pub fn world(&self) -> &ShardedWorld<B> {
+    pub fn world(&self) -> &ShardedWorld {
         &self.world
     }
 
@@ -292,7 +277,7 @@ impl<B: ChunkStore> GameServer<B> {
     /// (`PipelinedChunkService::with_world`) or a cluster's border
     /// protocol. All [`ShardedWorld`] mutation goes through `&self`, so the
     /// handle is safe to hold alongside the running server.
-    pub fn world_handle(&self) -> Arc<ShardedWorld<B>> {
+    pub fn world_handle(&self) -> Arc<ShardedWorld> {
         Arc::clone(&self.world)
     }
 
@@ -1101,40 +1086,6 @@ mod tests {
         assert_eq!(stats_a, stats_b);
         assert_eq!(durations_a, durations_b);
         assert_eq!(mods_a, mods_b);
-    }
-
-    #[test]
-    fn lockfree_world_backend_runs_identically() {
-        use servo_world::LockFreeStore;
-        fn run<B: ChunkStore>() -> (ServerStats, Vec<SimDuration>, u64, usize) {
-            let mut server = GameServer::<B>::new_in(
-                ServerConfig::opencraft().with_view_distance(32),
-                Box::new(LocalScBackend::every_other_tick()),
-                Box::new(LocalGenerationBackend::new(
-                    Box::new(FlatGenerator::default()),
-                    8,
-                )),
-                SimRng::seed(7),
-            );
-            server.add_constructs(6, |_| generators::wire_line(8));
-            let mut fleet = bounded_fleet(8, 11);
-            let events = vec![(
-                PlayerId::new(0),
-                PlayerEvent::BlockPlaced(BlockPos::new(2, 5, 2)),
-            )];
-            server.run_with_fleet(&mut fleet, SimDuration::from_secs(3));
-            let positions = fleet.positions();
-            server.run_tick(&positions, &events);
-            (
-                server.stats(),
-                server.tick_durations(),
-                server.world().total_modifications(),
-                server.world().loaded_chunks(),
-            )
-        }
-        // The backend is invisible to the game loop: the same seed produces
-        // identical stats, tick durations, and world counters.
-        assert_eq!(run::<RwLockStore>(), run::<LockFreeStore>());
     }
 
     #[test]

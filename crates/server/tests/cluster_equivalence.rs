@@ -12,7 +12,9 @@ use proptest::prelude::*;
 use servo_pcg::FlatGenerator;
 use servo_redstone::generators;
 use servo_server::cluster::{border_construct_sites, place_across_east_seam, ShardedGameCluster};
-use servo_server::{GameServer, LocalGenerationBackend, LocalScBackend, ServerConfig};
+use servo_server::{
+    GameServer, LocalGenerationBackend, LocalScBackend, PersistenceBinding, ServerConfig,
+};
 use servo_simkit::SimRng;
 use servo_types::{ConstructId, SimDuration};
 use servo_workload::{BehaviorKind, PlayerFleet};
@@ -207,11 +209,13 @@ fn persistent_cluster(
 
     let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, seed);
     for zone in 0..4 {
-        cluster.attach_persistence(
+        cluster.bind_persistence(
             zone,
-            BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
-            SimRng::seed(600 + zone as u64),
-            10,
+            PersistenceBinding::new(
+                BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
+                SimRng::seed(600 + zone as u64),
+            )
+            .write_back_interval(10),
         );
     }
     if let Some(policy) = policy {
@@ -429,11 +433,14 @@ fn migrating_to_a_pipelineless_zone_flushes_the_source_staging() {
     // source must flush the shard's dirty set before the chunks leave its
     // world — nothing staged may ever be silently dropped.
     let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, 131);
-    cluster.attach_persistence(
+    cluster.bind_persistence(
         0,
-        BlobStore::new(BlobTier::Standard, SimRng::seed(700)),
-        SimRng::seed(701),
-        1_000_000, // never reaches a cadence pass: dirt stays staged
+        PersistenceBinding::new(
+            BlobStore::new(BlobTier::Standard, SimRng::seed(700)),
+            SimRng::seed(701),
+        )
+        // never reaches a cadence pass: dirt stays staged
+        .write_back_interval(1_000_000),
     );
     cluster.enable_rebalancing(RebalancePolicy::new(RebalanceConfig {
         warmup_ticks: 5,

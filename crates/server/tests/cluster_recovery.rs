@@ -6,7 +6,7 @@
 //! with no failure plan at all.
 
 use servo_server::cluster::ShardedGameCluster;
-use servo_server::{RecoveryStats, ServerConfig};
+use servo_server::{PersistenceBinding, RecoveryStats, ServerConfig};
 use servo_simkit::SimRng;
 use servo_storage::{BlobStore, BlobTier, ObjectStore};
 use servo_types::{BlockPos, ChunkPos, SimDuration};
@@ -27,11 +27,13 @@ fn random_fleet(players: usize, seed: u64) -> PlayerFleet {
 fn persistent_cluster(seed: u64) -> ShardedGameCluster {
     let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, seed);
     for zone in 0..4 {
-        cluster.attach_persistence(
+        cluster.bind_persistence(
             zone,
-            BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
-            SimRng::seed(600 + zone as u64),
-            10,
+            PersistenceBinding::new(
+                BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
+                SimRng::seed(600 + zone as u64),
+            )
+            .write_back_interval(10),
         );
     }
     cluster
@@ -264,11 +266,14 @@ fn wal_replay_recovers_staged_edits_and_disabling_it_loses_them() {
     // the zone's memory and are counted as lost.
     let run = |wal_enabled: bool| {
         let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, 171);
-        cluster.attach_persistence(
+        cluster.bind_persistence(
             0,
-            BlobStore::new(BlobTier::Standard, SimRng::seed(700)),
-            SimRng::seed(701),
-            1_000_000, // no cadence pass ever: the dirt stays staged
+            PersistenceBinding::new(
+                BlobStore::new(BlobTier::Standard, SimRng::seed(700)),
+                SimRng::seed(701),
+            )
+            // no cadence pass ever: the dirt stays staged
+            .write_back_interval(1_000_000),
         );
         cluster.set_wal_enabled(0, wal_enabled);
         let sites = zone_hotspot_sites(cluster.shard_map(), 0, 2);

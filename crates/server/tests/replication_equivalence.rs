@@ -10,7 +10,7 @@
 use servo_redstone::generators;
 use servo_replication::{Interest, ReplicationConfig};
 use servo_server::cluster::{border_construct_sites, place_across_east_seam, ShardedGameCluster};
-use servo_server::ServerConfig;
+use servo_server::{PersistenceBinding, ServerConfig};
 use servo_simkit::SimRng;
 use servo_storage::{BlobStore, BlobTier};
 use servo_types::{ChunkPos, SimDuration};
@@ -35,11 +35,13 @@ fn run_arm(
 ) -> ShardedGameCluster {
     let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, seed);
     for zone in 0..4 {
-        cluster.attach_persistence(
+        cluster.bind_persistence(
             zone,
-            BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
-            SimRng::seed(600 + zone as u64),
-            10,
+            PersistenceBinding::new(
+                BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
+                SimRng::seed(600 + zone as u64),
+            )
+            .write_back_interval(10),
         );
     }
     configure(&mut cluster);
@@ -120,11 +122,13 @@ fn border_via_subscription_survives_shard_migrations() {
     let run = |via_subscription: bool| {
         let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, seed);
         for zone in 0..4 {
-            cluster.attach_persistence(
+            cluster.bind_persistence(
                 zone,
-                BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
-                SimRng::seed(600 + zone as u64),
-                10,
+                PersistenceBinding::new(
+                    BlobStore::new(BlobTier::Standard, SimRng::seed(500 + zone as u64)),
+                    SimRng::seed(600 + zone as u64),
+                )
+                .write_back_interval(10),
             );
         }
         cluster.enable_rebalancing(RebalancePolicy::new(RebalanceConfig {

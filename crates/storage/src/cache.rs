@@ -16,7 +16,6 @@ use std::collections::{HashMap, HashSet};
 
 use servo_types::consts::TICK_BUDGET;
 use servo_types::{ChunkPos, ServoError, SimDuration, SimTime};
-use servo_world::ChunkStore;
 use servo_world::{shard_index, ChunkSnapshot, ShardDelta, ShardedWorld, DEFAULT_SHARDS};
 
 use crate::backend::{LocalDiskStore, ObjectStore, ReadResult, WriteResult};
@@ -778,9 +777,9 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     ///
     /// Returns [`ServoError::CorruptData`] if an arrived snapshot cannot be
     /// decoded (all arrivals stay resident in the cache either way).
-    pub fn integrate_arrived<B: ChunkStore>(
+    pub fn integrate_arrived(
         &mut self,
-        world: &ShardedWorld<B>,
+        world: &ShardedWorld,
         now: SimTime,
     ) -> Result<usize, ServoError> {
         let arrived = self.poll_arrived(now);

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use servo_faas::{Autoscaler, AutoscalerConfig, AutoscalerStats};
 use servo_types::{ChunkPos, ServoError, SimDuration, SimTime};
-use servo_world::{shard_index, Chunk, ChunkSnapshot, ShardDelta, WorldSink};
+use servo_world::{shard_index, Chunk, ChunkSnapshot, ShardDelta, ShardedWorld};
 
 use crate::backend::ObjectStore;
 use crate::cache::{CacheStats, CachedChunkStore, ChunkLocation, RetryPolicy, TryRead};
@@ -350,7 +350,7 @@ impl<R: ObjectStore> ObjectStore for SharedRemote<R> {
 #[derive(Debug)]
 struct ServiceCore<R: ObjectStore> {
     cache: CachedChunkStore<R>,
-    world: Option<Arc<dyn WorldSink>>,
+    world: Option<Arc<ShardedWorld>>,
     /// When set, dirty state is pulled from the bound world only for these
     /// shards: each segment of a sharded pipeline pulls its own shard, and
     /// a zone-restricted persistence service pulls only owned shards so one
@@ -407,7 +407,7 @@ impl<R: ObjectStore> ServiceCore<R> {
     /// holds are skipped — there are no bytes left to make durable.
     fn log_staged(&mut self, pos: ChunkPos) {
         if let (Some(wal), Some(world)) = (&self.wal, &self.world) {
-            if let Some(bytes) = world.chunk_bytes(pos) {
+            if let Some(bytes) = world.read_chunk(pos, Chunk::to_bytes) {
                 wal.append(pos, bytes);
             }
         }
@@ -596,7 +596,7 @@ impl<R: ObjectStore> ServiceCore<R> {
             // snapshot in the cache: refresh from the world first.
             if let Some(world) = self.world.clone() {
                 for &pos in &positions {
-                    if let Some(snapshot) = world.chunk_snapshot(pos) {
+                    if let Some(snapshot) = world.read_chunk(pos, Chunk::snapshot) {
                         let _ = self.cache.put(snapshot, now);
                     }
                 }
@@ -718,7 +718,7 @@ impl<R: ObjectStore> SyncChunkService<R> {
     /// Binds the world whose per-shard dirty deltas feed
     /// [`ChunkService::drain_dirty`] and write-back, aligning the service's
     /// shard grouping with the world's shard count.
-    pub fn with_world<W: WorldSink + 'static>(mut self, world: Arc<W>) -> Self {
+    pub fn with_world(mut self, world: Arc<ShardedWorld>) -> Self {
         self.core.set_shard_count(world.shard_count());
         self.core.world = Some(world);
         self
@@ -1259,7 +1259,7 @@ impl<R: ObjectStore + Send + 'static> PipelinedChunkService<R> {
         remote: &Arc<Mutex<R>>,
         rng: &servo_simkit::SimRng,
         shard_count: usize,
-        world: Option<&Arc<dyn WorldSink>>,
+        world: Option<&Arc<ShardedWorld>>,
         owned: Option<&[usize]>,
     ) -> Vec<Mutex<ServiceCore<SharedRemote<R>>>> {
         (0..shard_count)
@@ -1285,7 +1285,7 @@ impl<R: ObjectStore + Send + 'static> PipelinedChunkService<R> {
     /// Rebuilds the segments for a newly bound world. Only legal before the
     /// workers have spawned (i.e. before the first submit/poll), which is
     /// when the builder-style `with_world*` calls run.
-    fn rebind(&mut self, world: Arc<dyn WorldSink>, owned: Option<Vec<usize>>) {
+    fn rebind(&mut self, world: Arc<ShardedWorld>, owned: Option<Vec<usize>>) {
         assert!(
             self.workers.is_empty(),
             "bind the world before submitting work to the service"
@@ -1315,7 +1315,7 @@ impl<R: ObjectStore + Send + 'static> PipelinedChunkService<R> {
     /// Binds the world whose per-shard dirty deltas feed
     /// [`ChunkService::drain_dirty`] and write-back, aligning the service's
     /// shard segmentation with the world's shard count.
-    pub fn with_world<W: WorldSink + 'static>(mut self, world: Arc<W>) -> Self {
+    pub fn with_world(mut self, world: Arc<ShardedWorld>) -> Self {
         self.rebind(world, None);
         self
     }
@@ -1324,11 +1324,7 @@ impl<R: ObjectStore + Send + 'static> PipelinedChunkService<R> {
     /// only for the given world shards — the persistence view of one zone
     /// of a sharded cluster, which must never flush chunks another zone
     /// owns.
-    pub fn with_world_shards<W: WorldSink + 'static>(
-        mut self,
-        world: Arc<W>,
-        owned: &[usize],
-    ) -> Self {
+    pub fn with_world_shards(mut self, world: Arc<ShardedWorld>, owned: &[usize]) -> Self {
         self.rebind(world, Some(owned.to_vec()));
         self
     }
@@ -1839,33 +1835,6 @@ mod tests {
         assert!(completions
             .iter()
             .any(|c| matches!(c.outcome, ChunkOutcome::WroteBack { chunks: 0 })));
-    }
-
-    #[test]
-    fn lockfree_backend_world_binds_and_writes_back_identically() {
-        use servo_world::LockFreeStore;
-        // The service only sees the dyn WorldSink face, so a lock-free
-        // backend world binds and persists exactly like the default one.
-        let world = Arc::new(ShardedWorld::<LockFreeStore>::flat_in(4));
-        for x in 0..4 {
-            for z in 0..4 {
-                world.ensure_chunk_at(ChunkPos::new(x, z));
-            }
-        }
-        let mut service =
-            SyncChunkService::new(seeded_remote(0), SimRng::seed(2)).with_world(Arc::clone(&world));
-        world
-            .set_block(BlockPos::new(1, 9, 1), Block::Stone)
-            .unwrap();
-        let deltas = service.drain_dirty();
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].chunks, vec![ChunkPos::new(0, 0)]);
-        service.submit(ChunkRequest::write_back());
-        let completions = service.poll(SimTime::ZERO);
-        assert!(completions
-            .iter()
-            .any(|c| matches!(c.outcome, ChunkOutcome::WroteBack { chunks: 1 })));
-        assert!(service.remote_mut().contains("terrain/0/0"));
     }
 
     #[test]

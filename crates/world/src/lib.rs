@@ -26,7 +26,6 @@ pub mod chunk;
 pub mod partition;
 pub mod rebalance;
 pub mod sharded;
-pub mod store;
 pub mod view;
 pub mod world;
 
@@ -38,9 +37,7 @@ pub use rebalance::{
     ZoneLoadSample,
 };
 pub use sharded::{
-    chunk_hash, shard_index, FxBuildHasher, FxHasher, ShardDelta, ShardedWorld, WorldSink,
-    DEFAULT_SHARDS,
+    chunk_hash, shard_index, FxBuildHasher, FxHasher, ShardDelta, ShardedWorld, DEFAULT_SHARDS,
 };
-pub use store::{ChunkStore, ChunkWriter, LockFreeStore, RwLockStore};
 pub use view::{missing_chunks, nearest_missing_distance_blocks, required_chunks, ChunkIndex};
 pub use world::{World, WorldKind};

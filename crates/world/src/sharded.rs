@@ -5,56 +5,44 @@
 //! [`crate::World`] mirrors that constraint: one `HashMap` behind one
 //! `&mut` borrow. [`ShardedWorld`] removes it for the in-memory layer:
 //! chunks are distributed over `N` power-of-two shards by a fast
-//! FxHash-style hash of their [`ChunkPos`], and each shard stores its
-//! chunks in a pluggable [`ChunkStore`] backend. The backend is a type
-//! parameter (defaulting to [`RwLockStore`], the seed's
-//! one-`RwLock<HashMap>`-per-shard design), so the same world policy —
-//! sharding, dirty tracking, epochs, batch routing — runs unchanged over
-//! the lock-free cell-locked [`LockFreeStore`](crate::LockFreeStore) or
-//! any future backend; see [`crate::store`] for the trait contract. Cheap
-//! global counters (loaded chunks, total modifications) are lock-free
-//! atomics regardless of backend.
+//! FxHash-style hash of their [`ChunkPos`], and each shard keeps its chunks
+//! in one `RwLock<HashMap>`. How a shard stores its chunks is decided here
+//! and nowhere else. Cheap global counters (loaded chunks, total
+//! modifications) are lock-free atomics.
 //!
 //! Concurrency model (also documented in `ARCHITECTURE.md`):
 //!
-//! * readers of different chunks never contend unless the *backend*
-//!   serializes them: under [`RwLockStore`] readers of one shard share
-//!   that shard's read lock, under
-//!   [`LockFreeStore`](crate::LockFreeStore) readers contend only on the
-//!   same chunk;
-//! * writers contend at most within one shard (and on the lock-free
-//!   backend, only within one chunk);
-//! * no operation ever holds two shards' batch handles at once, so lock
-//!   ordering is trivial and deadlock-free — multi-chunk operations
-//!   ([`set_blocks`], [`fill_region`], [`insert_chunks`]) visit shards
-//!   one at a time through one [`ChunkWriter`] each;
-//! * the counters are updated after the backend access ends; they are
+//! * readers of different shards never contend; readers of one shard share
+//!   that shard's read lock;
+//! * writers contend at most within one shard;
+//! * no operation ever holds two shards' locks at once, so lock ordering is
+//!   trivial and deadlock-free — multi-chunk operations ([`set_blocks`],
+//!   [`fill_region`], [`insert_chunks`]) visit shards one at a time, taking
+//!   each involved shard's write guard once per batch;
+//! * the counters are updated after the shard lock is released; they are
 //!   eventually consistent with in-flight writers but exact once all
 //!   writers have returned;
 //! * every block modification also lands in the owning shard's *dirty set*
-//!   (guarded by its own small mutex, never held together with a backend
-//!   handle) and bumps that shard's *epoch*; this bookkeeping lives in
-//!   [`ShardedWorld`] itself, outside the backend, so dirty tracking and
-//!   epochs stay exact — byte-for-byte identical write-back — no matter
-//!   which backend stores the chunks. [`ShardedWorld::drain_dirty`] hands
-//!   the per-shard deltas to the storage write-back pipeline, which
+//!   (guarded by its own small mutex, never held together with the chunk
+//!   lock) and bumps that shard's *epoch*. [`ShardedWorld::drain_dirty`]
+//!   hands the per-shard deltas to the storage write-back pipeline, which
 //!   therefore skips clean shards entirely.
 //!
 //! [`set_blocks`]: ShardedWorld::set_blocks
 //! [`fill_region`]: ShardedWorld::fill_region
 //! [`insert_chunks`]: ShardedWorld::insert_chunks
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::{BlockPos, ChunkPos, ServoError};
 
 use crate::block::Block;
-use crate::chunk::{Chunk, ChunkSnapshot};
-use crate::store::{ChunkStore, ChunkWriter, RwLockStore};
+use crate::chunk::Chunk;
 use crate::world::{split_pos, World, WorldKind};
 
 /// A fast, non-cryptographic hasher in the style of rustc's FxHash
@@ -146,19 +134,31 @@ pub fn shard_index(pos: ChunkPos, shard_count: usize) -> usize {
     (chunk_hash(pos) >> (64 - bits)) as usize
 }
 
-/// One shard: an independently stored chunk map (the pluggable backend)
-/// plus its dirty tracking, which is backend-independent by design.
+/// One shard's chunk map.
+type ChunkMap = HashMap<ChunkPos, Chunk, FxBuildHasher>;
+
+/// One shard: an independently locked chunk map plus its dirty tracking.
 #[derive(Debug, Default)]
-struct Shard<B> {
-    chunks: B,
+struct Shard {
+    chunks: RwLock<ChunkMap>,
     /// Chunks modified since the last [`ShardedWorld::drain_dirty`]. Guarded
-    /// by its own mutex so writers never hold it together with a backend
-    /// access.
+    /// by its own mutex so writers never hold it together with the chunk
+    /// lock.
     dirty: Mutex<HashSet<ChunkPos, FxBuildHasher>>,
     /// Monotone per-shard modification counter: the number of block
     /// modifications this shard has absorbed over its lifetime. Storage
     /// consumers use it to order and deduplicate [`ShardDelta`]s.
     epoch: AtomicU64,
+}
+
+impl Shard {
+    fn read(&self) -> RwLockReadGuard<'_, ChunkMap> {
+        self.chunks.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, ChunkMap> {
+        self.chunks.write().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The set of chunks one world shard dirtied between two
@@ -199,21 +199,13 @@ pub struct ShardDelta {
 /// small maps of overhead.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// A sharded, concurrently accessible game world, generic over the
-/// [`ChunkStore`] backend that holds each shard's chunks.
+/// A sharded, concurrently accessible game world.
 ///
 /// Exposes the same block/chunk API as [`World`] plus closure-based
 /// accessors ([`ShardedWorld::read_chunk`], [`ShardedWorld::with_chunk_mut`])
-/// and batch operations that pin each involved shard's
-/// [`ChunkWriter`] once per batch instead of once per block. All methods
-/// take `&self`; the type is `Send + Sync` and safe to share across
-/// `std::thread::scope` workers.
-///
-/// The default backend is [`RwLockStore`]; `ShardedWorld` written without
-/// parameters is exactly the seed design. Use
-/// [`ShardedWorld::<B>::new_in`] / [`flat_in`](ShardedWorld::flat_in) to
-/// pick another backend, e.g.
-/// `ShardedWorld::<LockFreeStore>::flat_in(4)`.
+/// and batch operations that take each involved shard's write lock once per
+/// batch instead of once per block. All methods take `&self`; the type is
+/// `Send + Sync` and safe to share across `std::thread::scope` workers.
 ///
 /// # Example
 ///
@@ -230,81 +222,48 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// assert_eq!(world.block(BlockPos::new(1, 10, 1)), Some(Block::Lamp));
 /// ```
 #[derive(Debug)]
-pub struct ShardedWorld<B: ChunkStore = RwLockStore> {
+pub struct ShardedWorld {
     kind: WorldKind,
     flat_ground_height: i32,
-    shards: Box<[Shard<B>]>,
-    /// Number of loaded chunks, maintained outside the shard backends.
+    shards: Box<[Shard]>,
+    /// Number of loaded chunks, maintained outside the shard locks.
     loaded: AtomicUsize,
-    /// Total block modifications, maintained outside the shard backends.
+    /// Total block modifications, maintained outside the shard locks.
     modifications: AtomicU64,
 }
 
-impl<B: ChunkStore> Default for ShardedWorld<B> {
+impl Default for ShardedWorld {
     fn default() -> Self {
-        ShardedWorld::new_in()
+        ShardedWorld::new()
     }
 }
 
 impl ShardedWorld {
-    /// Creates an empty world of the default (procedural) kind with
-    /// [`DEFAULT_SHARDS`] shards over the default [`RwLockStore`] backend.
-    pub fn new() -> Self {
-        Self::new_in()
-    }
-
-    /// Creates a flat world whose ground surface sits at `ground_height`,
-    /// with [`DEFAULT_SHARDS`] shards over the default [`RwLockStore`]
-    /// backend.
-    pub fn flat(ground_height: i32) -> Self {
-        Self::flat_in(ground_height)
-    }
-}
-
-impl<B: ChunkStore> ShardedWorld<B> {
     fn with_layout(kind: WorldKind, flat_ground_height: i32, shard_count: usize) -> Self {
         let shard_count = shard_count.clamp(1, 1 << 10).next_power_of_two();
         ShardedWorld {
             kind,
             flat_ground_height,
-            shards: (0..shard_count)
-                .map(|_| Shard {
-                    chunks: B::new(),
-                    dirty: Mutex::default(),
-                    epoch: AtomicU64::new(0),
-                })
-                .collect(),
+            shards: (0..shard_count).map(|_| Shard::default()).collect(),
             loaded: AtomicUsize::new(0),
             modifications: AtomicU64::new(0),
         }
     }
 
     /// Creates an empty world of the default (procedural) kind with
-    /// [`DEFAULT_SHARDS`] shards over backend `B`.
-    pub fn new_in() -> Self {
+    /// [`DEFAULT_SHARDS`] shards.
+    pub fn new() -> Self {
         Self::with_layout(WorldKind::Default, 4, DEFAULT_SHARDS)
     }
 
     /// Creates a flat world whose ground surface sits at `ground_height`,
-    /// with [`DEFAULT_SHARDS`] shards over backend `B`.
-    pub fn flat_in(ground_height: i32) -> Self {
+    /// with [`DEFAULT_SHARDS`] shards.
+    pub fn flat(ground_height: i32) -> Self {
         Self::with_layout(
             WorldKind::Flat,
             ground_height.clamp(1, CHUNK_HEIGHT - 1),
             DEFAULT_SHARDS,
         )
-    }
-
-    /// Moves a single-threaded [`World`] into a sharded world over backend
-    /// `B` (the generic form of the `From<World>` conversion).
-    pub fn from_world(mut world: World) -> Self {
-        let sharded = Self::with_layout(world.kind(), world.flat_ground(), DEFAULT_SHARDS);
-        sharded
-            .modifications
-            .store(world.total_modifications(), Ordering::Relaxed);
-        let positions: Vec<ChunkPos> = world.loaded_positions().collect();
-        sharded.insert_chunks(positions.into_iter().filter_map(|p| world.remove_chunk(p)));
-        sharded
     }
 
     /// Returns this world re-created with `shard_count` shards (rounded up
@@ -329,7 +288,8 @@ impl<B: ChunkStore> ShardedWorld<B> {
             }
         }
         for shard in self.shards.iter_mut() {
-            rebuilt.insert_chunks(shard.chunks.drain_all());
+            let chunks = shard.chunks.get_mut().unwrap_or_else(|e| e.into_inner());
+            rebuilt.insert_chunks(chunks.drain().map(|(_, chunk)| chunk));
         }
         rebuilt
     }
@@ -352,7 +312,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
     }
 
     #[inline]
-    fn shard(&self, pos: ChunkPos) -> &Shard<B> {
+    fn shard(&self, pos: ChunkPos) -> &Shard {
         &self.shards[self.shard_of(pos)]
     }
 
@@ -449,10 +409,10 @@ impl<B: ChunkStore> ShardedWorld<B> {
         });
     }
 
-    /// Whether the chunk at `pos` is loaded. On the lock-free backend this
-    /// is an optimistic membership check that takes no lock at all.
+    /// Whether the chunk at `pos` is loaded, checked under the owning
+    /// shard's read lock.
     pub fn is_loaded(&self, pos: ChunkPos) -> bool {
-        self.shard(pos).chunks.contains(pos)
+        self.shard(pos).read().contains_key(&pos)
     }
 
     /// A snapshot of the positions of the chunks loaded in one shard,
@@ -463,7 +423,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
         let Some(shard) = self.shards.get(shard) else {
             return Vec::new();
         };
-        let mut positions = shard.chunks.keys();
+        let mut positions: Vec<ChunkPos> = shard.read().keys().copied().collect();
         positions.sort_by_key(|p| (p.x, p.z));
         positions
     }
@@ -472,7 +432,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
     pub fn loaded_positions(&self) -> Vec<ChunkPos> {
         let mut positions = Vec::with_capacity(self.loaded_chunks());
         for shard in self.shards.iter() {
-            positions.extend(shard.chunks.keys());
+            positions.extend(shard.read().keys().copied());
         }
         positions
     }
@@ -480,14 +440,14 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// Inserts a fully-built chunk, replacing any chunk already there.
     pub fn insert_chunk(&self, chunk: Chunk) {
         let pos = chunk.pos();
-        let replaced = self.shard(pos).chunks.insert(chunk).is_some();
+        let replaced = self.shard(pos).write().insert(pos, chunk).is_some();
         if !replaced {
             self.loaded.fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// Inserts a batch of chunks, grouping them so each involved shard's
-    /// batch handle is pinned once.
+    /// write lock is taken once.
     pub fn insert_chunks<I: IntoIterator<Item = Chunk>>(&self, chunks: I) {
         let mut by_shard: Vec<Vec<Chunk>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for chunk in chunks {
@@ -499,9 +459,9 @@ impl<B: ChunkStore> ShardedWorld<B> {
             }
             let mut added = 0usize;
             {
-                let mut writer = shard.chunks.writer();
+                let mut chunks = shard.write();
                 for chunk in batch {
-                    if writer.insert(chunk).is_none() {
+                    if chunks.insert(chunk.pos(), chunk).is_none() {
                         added += 1;
                     }
                 }
@@ -516,7 +476,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// shard's dirty set: an unloaded chunk has nothing left to write back.
     pub fn remove_chunk(&self, pos: ChunkPos) -> Option<Chunk> {
         let shard = self.shard(pos);
-        let removed = shard.chunks.remove(pos);
+        let removed = shard.write().remove(&pos);
         if removed.is_some() {
             shard
                 .dirty
@@ -563,23 +523,30 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// as [`World::ensure_chunk_at`]).
     pub fn ensure_chunk_at(&self, pos: ChunkPos) {
         let shard = self.shard(pos);
-        if shard.chunks.contains(pos) {
+        if shard.read().contains_key(&pos) {
             return;
         }
         // Build outside any lock; racing creators build identical chunks
-        // and the atomic insert-if-absent keeps the first one.
+        // and the vacancy check under the write lock keeps the first one.
         let chunk = self.build_chunk(pos);
-        if shard.chunks.insert_if_absent(chunk) {
+        let created = match shard.write().entry(pos) {
+            Entry::Vacant(slot) => {
+                slot.insert(chunk);
+                true
+            }
+            Entry::Occupied(_) => false,
+        };
+        if created {
             self.loaded.fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// Runs `f` with shared access to the chunk at `pos`, or returns `None`
-    /// if the chunk is not loaded. Other readers proceed concurrently (all
-    /// readers of the shard under [`RwLockStore`]; all readers of *other
-    /// chunks* — plus same-chunk readers — under the lock-free backend).
+    /// if the chunk is not loaded. `f` runs under the owning shard's read
+    /// lock: other readers of the shard proceed concurrently, writers of
+    /// that shard wait until `f` returns.
     pub fn read_chunk<R>(&self, pos: ChunkPos, f: impl FnOnce(&Chunk) -> R) -> Option<R> {
-        self.shard(pos).chunks.read(pos, f)
+        self.shard(pos).read().get(&pos).map(f)
     }
 
     /// Runs `f` with exclusive access to the chunk at `pos`, or returns
@@ -587,11 +554,13 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// into [`ShardedWorld::total_modifications`].
     pub fn with_chunk_mut<R>(&self, pos: ChunkPos, f: impl FnOnce(&mut Chunk) -> R) -> Option<R> {
         let shard = self.shard_of(pos);
-        let (result, delta) = self.shards[shard].chunks.update(pos, |chunk| {
+        let (result, delta) = {
+            let mut chunks = self.shards[shard].write();
+            let chunk = chunks.get_mut(&pos)?;
             let before = chunk.modifications();
             let result = f(chunk);
             (result, chunk.modifications() - before)
-        })?;
+        };
         self.note_modified(shard, pos, delta);
         Some(result)
     }
@@ -600,9 +569,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// chunk is not loaded or `y` is out of range.
     pub fn block(&self, pos: BlockPos) -> Option<Block> {
         let (chunk_pos, lx, ly, lz) = split_pos(pos);
-        self.shard(chunk_pos)
-            .chunks
-            .read(chunk_pos, |chunk| chunk.local(lx, ly, lz))?
+        self.read_chunk(chunk_pos, |chunk| chunk.local(lx, ly, lz))?
     }
 
     /// Writes the block at a world position.
@@ -615,17 +582,18 @@ impl<B: ChunkStore> ShardedWorld<B> {
         let (chunk_pos, lx, ly, lz) = split_pos(pos);
         let shard = self.shard_of(chunk_pos);
         self.shards[shard]
-            .chunks
-            .update(chunk_pos, |chunk| chunk.set_local(lx, ly, lz, block))
+            .write()
+            .get_mut(&chunk_pos)
             .ok_or(ServoError::ChunkNotLoaded {
                 x: chunk_pos.x,
                 z: chunk_pos.z,
-            })??;
+            })?
+            .set_local(lx, ly, lz, block)?;
         self.note_modified(shard, chunk_pos, 1);
         Ok(())
     }
 
-    /// Writes a batch of blocks, pinning each involved shard's batch handle
+    /// Writes a batch of blocks, taking each involved shard's write lock
     /// once per batch (and resolving each chunk once per run of same-chunk
     /// positions within it) instead of locking per block. Returns the number
     /// of blocks written.
@@ -656,11 +624,11 @@ impl<B: ChunkStore> ShardedWorld<B> {
             if batch.is_empty() {
                 continue;
             }
-            // Per-chunk runs written under this shard's batch handle,
-            // flushed into the dirty tracking after the handle is released.
+            // Per-chunk runs written under this shard's write lock, flushed
+            // into the dirty tracking after the lock is released.
             let mut runs: Vec<(ChunkPos, u64)> = Vec::new();
             {
-                let mut writer = self.shards[shard_index].chunks.writer();
+                let mut chunks = self.shards[shard_index].write();
                 let mut i = 0;
                 while i < batch.len() {
                     let chunk_pos = batch[i].0;
@@ -670,7 +638,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
                         end += 1;
                     }
                     let run = &batch[i..end];
-                    let outcome = writer.update(chunk_pos, |chunk| {
+                    let outcome = chunks.get_mut(&chunk_pos).map(|chunk| {
                         let mut run_written = 0u64;
                         for &(_, lx, ly, lz, block) in run {
                             if let Err(e) = chunk.set_local(lx, ly, lz, block) {
@@ -713,7 +681,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
     }
 
     /// Fills the axis-aligned region spanning `min..=max` (inclusive world
-    /// coordinates) with `block`, pinning each involved shard's batch handle
+    /// coordinates) with `block`, taking each involved shard's write lock
     /// once and filling each chunk with one bulk box write. Returns the
     /// number of blocks whose value actually changed.
     ///
@@ -722,10 +690,11 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// Returns [`ServoError::ChunkNotLoaded`] if any overlapped chunk is not
     /// loaded, or [`ServoError::OutOfBounds`] if the `y` range leaves the
     /// world or the region is inverted. Nothing is written until the whole
-    /// region has been validated as loaded (validation and filling release
-    /// the backend in between: a concurrent `remove_chunk` can still surface
-    /// as an error mid-fill, in which case the already filled chunks keep
-    /// their contents).
+    /// region has been validated as loaded. Validation takes shard read
+    /// locks and filling then takes one write guard per shard, with no lock
+    /// held in between: a concurrent `remove_chunk` can still surface as an
+    /// error mid-fill, in which case the already filled chunks keep their
+    /// contents.
     pub fn fill_region(
         &self,
         min: BlockPos,
@@ -761,7 +730,7 @@ impl<B: ChunkStore> ShardedWorld<B> {
             }
             let mut runs: Vec<(ChunkPos, u64)> = Vec::new();
             {
-                let mut writer = self.shards[shard_index].chunks.writer();
+                let mut chunks = self.shards[shard_index].write();
                 for &chunk_pos in batch {
                     let base = chunk_pos.min_block();
                     let lo = ((min.x - base.x).max(0), min.y, (min.z - base.z).max(0));
@@ -770,16 +739,14 @@ impl<B: ChunkStore> ShardedWorld<B> {
                         max.y,
                         (max.z - base.z).min(CHUNK_SIZE - 1),
                     );
-                    let Some(filled) =
-                        writer.update(chunk_pos, |chunk| chunk.fill_box(lo, hi, block))
-                    else {
+                    let Some(chunk) = chunks.get_mut(&chunk_pos) else {
                         result = Err(ServoError::ChunkNotLoaded {
                             x: chunk_pos.x,
                             z: chunk_pos.z,
                         });
                         break;
                     };
-                    match filled {
+                    match chunk.fill_box(lo, hi, block) {
                         Ok(n) => {
                             changed += n;
                             if n > 0 {
@@ -810,21 +777,19 @@ impl<B: ChunkStore> ShardedWorld<B> {
     /// chunk is loaded.
     pub fn height_at(&self, x: i32, z: i32) -> Option<i32> {
         let (chunk_pos, lx, _, lz) = split_pos(BlockPos::new(x, 0, z));
-        self.shard(chunk_pos)
-            .chunks
-            .read(chunk_pos, |chunk| chunk.height_at(lx, lz))?
+        self.read_chunk(chunk_pos, |chunk| chunk.height_at(lx, lz))?
     }
 
     /// Total number of stateful (simulated-construct) blocks across all
     /// loaded chunks.
     pub fn stateful_blocks(&self) -> usize {
-        let mut total = 0usize;
-        for shard in self.shards.iter() {
-            shard
-                .chunks
-                .for_each(|chunk| total += chunk.stateful_blocks());
-        }
-        total
+        self.shards
+            .iter()
+            .map(|shard| {
+                let chunks = shard.read();
+                chunks.values().map(Chunk::stateful_blocks).sum::<usize>()
+            })
+            .sum()
     }
 
     /// Copies the world into a single-threaded [`World`] snapshot.
@@ -834,70 +799,26 @@ impl<B: ChunkStore> ShardedWorld<B> {
             WorldKind::Default => World::new(),
         };
         for shard in self.shards.iter() {
-            shard
-                .chunks
-                .for_each(|chunk| world.insert_chunk(chunk.clone()));
+            for chunk in shard.read().values() {
+                world.insert_chunk(chunk.clone());
+            }
         }
         world
     }
 }
 
 impl From<World> for ShardedWorld {
-    fn from(world: World) -> ShardedWorld {
-        ShardedWorld::from_world(world)
+    fn from(mut world: World) -> ShardedWorld {
+        let sharded = ShardedWorld::with_layout(world.kind(), world.flat_ground(), DEFAULT_SHARDS);
+        sharded
+            .modifications
+            .store(world.total_modifications(), Ordering::Relaxed);
+        let positions: Vec<ChunkPos> = world.loaded_positions().collect();
+        sharded.insert_chunks(positions.into_iter().filter_map(|p| world.remove_chunk(p)));
+        sharded
     }
 }
 
-/// The object-safe face a [`ShardedWorld`] shows the storage pipeline:
-/// everything write-back and snapshot persistence need, without the
-/// closure-generic accessors, so services can hold an
-/// `Arc<dyn WorldSink>` and serve any backend through one pointer.
-pub trait WorldSink: Send + Sync + std::fmt::Debug {
-    /// Number of shards (the write-back batching granularity).
-    fn shard_count(&self) -> usize;
-
-    /// The shard owning the chunk at `pos`.
-    fn shard_of(&self, pos: ChunkPos) -> usize;
-
-    /// The serialized bytes of the chunk at `pos`, if loaded.
-    fn chunk_bytes(&self, pos: ChunkPos) -> Option<Vec<u8>>;
-
-    /// A compressed snapshot of the chunk at `pos`, if loaded.
-    fn chunk_snapshot(&self, pos: ChunkPos) -> Option<ChunkSnapshot>;
-
-    /// Takes every shard's dirty set (see [`ShardedWorld::drain_dirty`]).
-    fn drain_dirty(&self) -> Vec<ShardDelta>;
-
-    /// Takes the dirty sets of the given shards only (see
-    /// [`ShardedWorld::drain_dirty_shards`]).
-    fn drain_dirty_shards(&self, shards: &[usize]) -> Vec<ShardDelta>;
-}
-
-impl<B: ChunkStore> WorldSink for ShardedWorld<B> {
-    fn shard_count(&self) -> usize {
-        ShardedWorld::shard_count(self)
-    }
-
-    fn shard_of(&self, pos: ChunkPos) -> usize {
-        ShardedWorld::shard_of(self, pos)
-    }
-
-    fn chunk_bytes(&self, pos: ChunkPos) -> Option<Vec<u8>> {
-        self.read_chunk(pos, |chunk| chunk.to_bytes())
-    }
-
-    fn chunk_snapshot(&self, pos: ChunkPos) -> Option<ChunkSnapshot> {
-        self.read_chunk(pos, |chunk| chunk.snapshot())
-    }
-
-    fn drain_dirty(&self) -> Vec<ShardDelta> {
-        ShardedWorld::drain_dirty(self)
-    }
-
-    fn drain_dirty_shards(&self, shards: &[usize]) -> Vec<ShardDelta> {
-        ShardedWorld::drain_dirty_shards(self, shards)
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1197,10 +1118,9 @@ mod tests {
         );
     }
 
-    /// The whole block/chunk/dirty surface exercised over an arbitrary
-    /// backend — the same sequence every backend must agree on.
-    fn exercise_backend<B: ChunkStore>() {
-        let world = ShardedWorld::<B>::flat_in(4);
+    #[test]
+    fn block_chunk_and_dirty_surface_end_to_end() {
+        let world = ShardedWorld::flat(4);
         for cx in -2..=2 {
             for cz in -2..=2 {
                 world.ensure_chunk_at(ChunkPos::new(cx, cz));
@@ -1244,86 +1164,22 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_backend_passes_the_exercise() {
-        exercise_backend::<RwLockStore>();
-    }
-
-    #[test]
-    fn lockfree_backend_passes_the_exercise() {
-        exercise_backend::<crate::store::LockFreeStore>();
-    }
-
-    #[test]
-    fn backends_agree_on_final_bytes() {
-        fn run<B: ChunkStore>() -> Vec<Vec<u8>> {
-            let world = ShardedWorld::<B>::flat_in(5);
-            for cx in 0..3 {
-                for cz in 0..3 {
-                    world.ensure_chunk_at(ChunkPos::new(cx, cz));
-                }
-            }
-            world
-                .set_blocks((0..128).map(|i| {
-                    (
-                        BlockPos::new(i % 48, 6 + (i * 3) % 20, (i * 7) % 48),
-                        if i % 3 == 0 { Block::Wood } else { Block::Lamp },
-                    )
-                }))
-                .unwrap();
-            let mut positions = world.loaded_positions();
-            positions.sort_by_key(|p| (p.x, p.z));
-            positions
-                .into_iter()
-                .map(|p| world.read_chunk(p, |c| c.to_bytes()).unwrap())
-                .collect()
-        }
-        assert_eq!(run::<RwLockStore>(), run::<crate::store::LockFreeStore>());
-    }
-
-    #[test]
-    fn world_sink_is_object_safe_and_delegates() {
+    fn racing_ensure_chunk_at_elects_one_winner() {
         let world = ShardedWorld::flat(4);
-        world.ensure_chunk_at(ChunkPos::ORIGIN);
-        world
-            .set_block(BlockPos::new(1, 9, 1), Block::Stone)
-            .unwrap();
-        let sink: std::sync::Arc<dyn WorldSink> = std::sync::Arc::new(world);
-        assert_eq!(sink.shard_count(), DEFAULT_SHARDS);
-        assert!(sink.chunk_bytes(ChunkPos::ORIGIN).is_some());
-        assert!(sink.chunk_snapshot(ChunkPos::ORIGIN).is_some());
-        assert!(sink.chunk_bytes(ChunkPos::new(9, 9)).is_none());
-        let deltas = sink.drain_dirty();
-        assert_eq!(deltas.len(), 1);
-        assert!(sink
-            .drain_dirty_shards(&[sink.shard_of(ChunkPos::ORIGIN)])
-            .is_empty());
-    }
-
-    #[test]
-    fn concurrent_mixed_load_over_lockfree_backend() {
-        let world = ShardedWorld::<crate::store::LockFreeStore>::flat_in(4);
-        for cx in 0..4 {
-            for cz in 0..4 {
-                world.ensure_chunk_at(ChunkPos::new(cx, cz));
-            }
-        }
+        let pos = ChunkPos::new(5, 5);
+        let barrier = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
-            for t in 0..4 {
-                let world = &world;
-                scope.spawn(move || {
-                    for i in 0..200 {
-                        let pos = BlockPos::new((t * 16 + i) % 64, 10 + t, (i * 3) % 64);
-                        if i % 4 == 0 {
-                            world.set_block(pos, Block::Stone).unwrap();
-                        } else {
-                            let _ = world.block(pos);
-                            let _ = world.is_loaded(ChunkPos::from(pos));
-                        }
-                    }
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    world.ensure_chunk_at(pos);
                 });
             }
         });
-        assert_eq!(world.total_modifications(), 4 * 50);
-        assert_eq!(world.loaded_chunks(), 16);
+        // Exactly one racer's chunk was kept and counted.
+        assert_eq!(world.loaded_chunks(), 1);
+        assert_eq!(world.loaded_positions(), vec![pos]);
+        assert_eq!(world.shard_positions(world.shard_of(pos)), vec![pos]);
+        assert_eq!(world.block(BlockPos::new(81, 4, 81)), Some(Block::Grass));
     }
 }

@@ -28,7 +28,7 @@ impl ChunkIndex for World {
     }
 }
 
-impl<B: crate::store::ChunkStore> ChunkIndex for ShardedWorld<B> {
+impl ChunkIndex for ShardedWorld {
     fn contains_chunk(&self, pos: ChunkPos) -> bool {
         self.is_loaded(pos)
     }

@@ -1,19 +1,23 @@
-//! Differential suite for the pluggable world backends.
+//! Differential suite for the sharded world.
 //!
 //! Every property here runs the *same* arbitrary operation sequence against
-//! three worlds — the single-threaded [`World`], [`ShardedWorld`] over the
-//! default [`RwLockStore`], and [`ShardedWorld`] over the lock-free
-//! [`LockFreeStore`] — and demands they agree on everything observable:
-//! final chunk bytes, loaded-chunk counts, modification counters, and (for
-//! the two sharded worlds, which are the only ones that track them) the
-//! drained dirty sets and shard epochs. This is the proof obligation behind
-//! swapping a backend: any divergence a storage pipeline or a persistence
-//! drain could observe shows up here as a shrunk counterexample.
+//! the single-threaded [`World`] and a [`ShardedWorld`] and demands they
+//! agree on everything observable: per-op outcomes, final chunk bytes,
+//! loaded-chunk sets, modification counters and stateful-block counts. The
+//! plain world has no dirty tracking, so the drained dirty sets and shard
+//! epochs are checked against a small model kept beside it, derived from
+//! the documented contract (every applied block modification dirties its
+//! chunk and bumps the owning shard's epoch; loads do neither; a removed
+//! chunk leaves the dirty set). Any divergence a storage pipeline or a
+//! persistence drain could observe shows up here as a shrunk
+//! counterexample.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use servo_types::consts::CHUNK_HEIGHT;
 use servo_types::{BlockPos, ChunkPos};
-use servo_world::{Block, ChunkStore, LockFreeStore, RwLockStore, ShardDelta, ShardedWorld, World};
+use servo_world::{shard_index, Block, ShardDelta, ShardedWorld, World};
 
 /// One operation in a generated differential schedule. Coordinates are kept
 /// small so sequences revisit chunks (revisits are where dirty-set and
@@ -46,9 +50,8 @@ enum Op {
     Ensure { cx: i32, cz: i32 },
     /// Unload a chunk (possibly absent).
     Remove { cx: i32, cz: i32 },
-    /// Drain the dirty sets mid-sequence; the two sharded worlds must
-    /// produce identical deltas, and draining must not disturb any other
-    /// observable state.
+    /// Drain the dirty sets mid-sequence; the deltas must match the model,
+    /// and draining must not disturb any other observable state.
     Drain,
 }
 
@@ -73,65 +76,105 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The three worlds under differential test, stepped in lockstep.
-struct Trio {
-    plain: World,
-    rwlock: ShardedWorld<RwLockStore>,
-    lockfree: ShardedWorld<LockFreeStore>,
+fn to_batch(writes: &[((i32, i32, i32), Block)]) -> Vec<(BlockPos, Block)> {
+    writes
+        .iter()
+        .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
+        .collect()
 }
 
-impl Trio {
-    fn new() -> Self {
+/// The two worlds under differential test, stepped in lockstep, plus the
+/// dirty-tracking model of the sharded one.
+struct Pair {
+    plain: World,
+    sharded: ShardedWorld,
+    /// Expected undrained dirty chunks, `(x, z)`-ordered per shard.
+    dirty: Vec<BTreeSet<(i32, i32)>>,
+    /// Expected per-shard modification epochs.
+    epochs: Vec<u64>,
+}
+
+impl Pair {
+    /// Both worlds flat, with the chunk square `-half..half` loaded.
+    fn new(half: i32) -> Self {
         let mut plain = World::flat(4);
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
-        for cx in -3..3 {
-            for cz in -3..3 {
+        let sharded = ShardedWorld::flat(4);
+        for cx in -half..half {
+            for cz in -half..half {
                 let pos = ChunkPos::new(cx, cz);
                 plain.ensure_chunk_at(pos);
-                rwlock.ensure_chunk_at(pos);
-                lockfree.ensure_chunk_at(pos);
+                sharded.ensure_chunk_at(pos);
             }
         }
-        Trio {
+        let shards = sharded.shard_count();
+        Pair {
             plain,
-            rwlock,
-            lockfree,
+            sharded,
+            dirty: vec![BTreeSet::new(); shards],
+            epochs: vec![0; shards],
         }
     }
 
-    /// Applies one op to all three worlds, checking that outcome-level
-    /// results (ok-ness, written counts, removed-chunk bytes) agree.
+    /// Records `mods` applied block modifications against `chunk`.
+    fn note(&mut self, chunk: ChunkPos, mods: u64) {
+        if mods > 0 {
+            let shard = shard_index(chunk, self.epochs.len());
+            self.epochs[shard] += mods;
+            self.dirty[shard].insert((chunk.x, chunk.z));
+        }
+    }
+
+    /// The deltas a full drain must return now, clearing the model.
+    fn expected_drain(&mut self) -> Vec<ShardDelta> {
+        let mut deltas = Vec::new();
+        for (shard, dirty) in self.dirty.iter_mut().enumerate() {
+            if dirty.is_empty() {
+                continue;
+            }
+            deltas.push(ShardDelta {
+                shard,
+                epoch: self.epochs[shard],
+                chunks: std::mem::take(dirty)
+                    .into_iter()
+                    .map(|(x, z)| ChunkPos::new(x, z))
+                    .collect(),
+            });
+        }
+        deltas
+    }
+
+    /// Applies one op to both worlds, checking that outcome-level results
+    /// (ok-ness, written counts, removed-chunk bytes) agree.
     fn apply(&mut self, op: &Op) {
         match op {
             Op::Set { x, y, z, block } => {
                 let pos = BlockPos::new(*x, *y, *z);
                 let a = self.plain.set_block(pos, *block).is_ok();
-                let b = self.rwlock.set_block(pos, *block).is_ok();
-                let c = self.lockfree.set_block(pos, *block).is_ok();
+                let b = self.sharded.set_block(pos, *block).is_ok();
                 prop_assert_eq!(a, b, "set_block ok-ness at {}", pos);
-                prop_assert_eq!(a, c, "set_block ok-ness at {}", pos);
+                if a {
+                    self.note(ChunkPos::from(pos), 1);
+                }
             }
             Op::Batch { writes } => {
                 // A *failed* batch leaves a documented, intentionally
                 // different partial state: the plain world stops at the
-                // failing write in input order, the sharded worlds complete
-                // whole shards before the failing one. The plain-vs-sharded
-                // property therefore only covers batches that succeed, so
-                // writes to unloaded chunks are filtered out here (the
-                // loaded sets are identical across the trio by the other
-                // assertions). Failing batches are differenced
-                // backend-vs-backend in a dedicated property below.
-                let batch: Vec<(BlockPos, Block)> = writes
-                    .iter()
-                    .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
+                // failing write in input order, the sharded world completes
+                // whole shards before the failing one. This property
+                // therefore only covers batches that succeed, so writes to
+                // unloaded chunks are filtered out here (the loaded sets
+                // are identical by the other assertions). Failing batches
+                // have a dedicated property below.
+                let batch: Vec<(BlockPos, Block)> = to_batch(writes)
+                    .into_iter()
                     .filter(|(pos, _)| self.plain.is_loaded(ChunkPos::from(*pos)))
                     .collect();
                 let a = self.plain.set_blocks(batch.clone()).unwrap();
-                let b = self.rwlock.set_blocks(batch.clone()).unwrap();
-                let c = self.lockfree.set_blocks(batch).unwrap();
+                let b = self.sharded.set_blocks(batch.clone()).unwrap();
                 prop_assert_eq!(a, b, "batch written count");
-                prop_assert_eq!(a, c, "batch written count");
+                for (pos, _) in batch {
+                    self.note(ChunkPos::from(pos), 1);
+                }
             }
             Op::Fill {
                 x0,
@@ -144,204 +187,152 @@ impl Trio {
             } => {
                 let min = BlockPos::new(*x0, *y0, *z0);
                 let max = BlockPos::new(x0 + dx, y0 + dy, z0 + dz);
+                let (lo, hi) = (ChunkPos::from(min), ChunkPos::from(max));
+                let overlapped: Vec<ChunkPos> = (lo.x..=hi.x)
+                    .flat_map(|cx| (lo.z..=hi.z).map(move |cz| ChunkPos::new(cx, cz)))
+                    .collect();
+                let mods_of = |world: &World| -> Vec<u64> {
+                    overlapped
+                        .iter()
+                        .map(|&pos| world.chunk(pos).map_or(0, |c| c.modifications()))
+                        .collect()
+                };
+                let before = mods_of(&self.plain);
                 let a = self.plain.fill_region(min, max, *block);
-                let b = self.rwlock.fill_region(min, max, *block);
-                let c = self.lockfree.fill_region(min, max, *block);
+                let b = self.sharded.fill_region(min, max, *block);
                 prop_assert_eq!(a.is_ok(), b.is_ok());
-                prop_assert_eq!(a.is_ok(), c.is_ok());
-                if let (Ok(a), Ok(b), Ok(c)) = (a, b, c) {
+                if let (Ok(a), Ok(b)) = (a, b) {
                     prop_assert_eq!(a, b, "fill changed count");
-                    prop_assert_eq!(a, c, "fill changed count");
+                }
+                // A chunk is dirtied by exactly the blocks the fill changed
+                // in it (a failed fill changes nothing).
+                let after = mods_of(&self.plain);
+                for (i, &pos) in overlapped.iter().enumerate() {
+                    self.note(pos, after[i] - before[i]);
                 }
             }
             Op::Ensure { cx, cz } => {
                 let pos = ChunkPos::new(*cx, *cz);
                 self.plain.ensure_chunk_at(pos);
-                self.rwlock.ensure_chunk_at(pos);
-                self.lockfree.ensure_chunk_at(pos);
+                self.sharded.ensure_chunk_at(pos);
             }
             Op::Remove { cx, cz } => {
                 let pos = ChunkPos::new(*cx, *cz);
                 let a = self.plain.remove_chunk(pos);
-                let b = self.rwlock.remove_chunk(pos);
-                let c = self.lockfree.remove_chunk(pos);
+                let b = self.sharded.remove_chunk(pos);
                 prop_assert_eq!(a.is_some(), b.is_some(), "remove at {}", pos);
-                prop_assert_eq!(a.is_some(), c.is_some(), "remove at {}", pos);
-                if let (Some(a), Some(b), Some(c)) = (a, b, c) {
+                if let (Some(a), Some(b)) = (a, b) {
                     prop_assert_eq!(a.to_bytes(), b.to_bytes(), "removed bytes at {}", pos);
-                    prop_assert_eq!(a.to_bytes(), c.to_bytes(), "removed bytes at {}", pos);
+                    let shard = shard_index(pos, self.epochs.len());
+                    self.dirty[shard].remove(&(pos.x, pos.z));
                 }
             }
             Op::Drain => {
-                let b = self.rwlock.drain_dirty();
-                let c = self.lockfree.drain_dirty();
-                prop_assert_eq!(b, c, "mid-sequence dirty deltas");
+                let expected = self.expected_drain();
+                prop_assert_eq!(
+                    self.sharded.drain_dirty(),
+                    expected,
+                    "mid-sequence dirty deltas"
+                );
             }
         }
     }
 
     /// The full end-state comparison: bytes, loaded sets, counters, dirty
     /// deltas, epochs.
-    fn assert_converged(&self) {
-        prop_assert_eq!(self.plain.loaded_chunks(), self.rwlock.loaded_chunks());
-        prop_assert_eq!(self.plain.loaded_chunks(), self.lockfree.loaded_chunks());
+    fn assert_converged(&mut self) {
+        prop_assert_eq!(self.plain.loaded_chunks(), self.sharded.loaded_chunks());
         prop_assert_eq!(
             self.plain.total_modifications(),
-            self.rwlock.total_modifications()
+            self.sharded.total_modifications()
         );
-        prop_assert_eq!(
-            self.plain.total_modifications(),
-            self.lockfree.total_modifications()
-        );
-        prop_assert_eq!(self.plain.stateful_blocks(), self.rwlock.stateful_blocks());
-        prop_assert_eq!(
-            self.plain.stateful_blocks(),
-            self.lockfree.stateful_blocks()
-        );
+        prop_assert_eq!(self.plain.stateful_blocks(), self.sharded.stateful_blocks());
 
         // Loaded position sets are identical...
         let mut plain_positions: Vec<ChunkPos> = self.plain.loaded_positions().collect();
-        let mut rw_positions = self.rwlock.loaded_positions();
-        let mut lf_positions = self.lockfree.loaded_positions();
+        let mut sharded_positions = self.sharded.loaded_positions();
         let key = |p: &ChunkPos| (p.x, p.z);
         plain_positions.sort_unstable_by_key(key);
-        rw_positions.sort_unstable_by_key(key);
-        lf_positions.sort_unstable_by_key(key);
-        prop_assert_eq!(&plain_positions, &rw_positions);
-        prop_assert_eq!(&plain_positions, &lf_positions);
+        sharded_positions.sort_unstable_by_key(key);
+        prop_assert_eq!(&plain_positions, &sharded_positions);
 
-        // ...and every loaded chunk is byte-identical across all three.
+        // ...and every loaded chunk is byte-identical.
         for pos in plain_positions {
             let reference = self.plain.chunk(pos).expect("listed as loaded").to_bytes();
-            let rw = self.rwlock.read_chunk(pos, |c| c.to_bytes());
-            let lf = self.lockfree.read_chunk(pos, |c| c.to_bytes());
-            prop_assert_eq!(Some(&reference), rw.as_ref(), "rwlock bytes at {}", pos);
-            prop_assert_eq!(Some(&reference), lf.as_ref(), "lockfree bytes at {}", pos);
+            let sharded = self.sharded.read_chunk(pos, |c| c.to_bytes());
+            prop_assert_eq!(Some(&reference), sharded.as_ref(), "bytes at {}", pos);
         }
 
-        // The sharded pair agrees on shard layout, dirty sets and epochs
-        // (the plain world has no dirty tracking to compare against).
-        prop_assert_eq!(self.rwlock.shard_count(), self.lockfree.shard_count());
-        let rw_deltas: Vec<ShardDelta> = self.rwlock.drain_dirty();
-        let lf_deltas: Vec<ShardDelta> = self.lockfree.drain_dirty();
-        prop_assert_eq!(rw_deltas, lf_deltas, "final dirty deltas");
-        for shard in 0..self.rwlock.shard_count() {
+        // Dirty sets and epochs match the model.
+        for shard in 0..self.sharded.shard_count() {
             prop_assert_eq!(
-                self.rwlock.shard_epoch(shard),
-                self.lockfree.shard_epoch(shard),
+                self.sharded.shard_epoch(shard),
+                self.epochs[shard],
                 "epoch of shard {}",
                 shard
             );
         }
-        // Draining is complete: a second drain is empty on both.
-        prop_assert!(self.rwlock.drain_dirty().is_empty());
-        prop_assert!(self.lockfree.drain_dirty().is_empty());
+        let expected = self.expected_drain();
+        prop_assert_eq!(self.sharded.drain_dirty(), expected, "final dirty deltas");
+        // Draining is complete: a second drain is empty.
+        prop_assert!(self.sharded.drain_dirty().is_empty());
     }
 }
 
 proptest! {
     /// The headline differential property: arbitrary operation sequences
-    /// leave all three worlds observationally identical.
+    /// leave both worlds observationally identical.
     #[test]
-    fn backends_agree_on_arbitrary_sequences(
+    fn sharded_world_matches_plain_on_arbitrary_sequences(
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
-        let mut trio = Trio::new();
+        let mut pair = Pair::new(3);
         for op in &ops {
-            trio.apply(op);
+            pair.apply(op);
         }
-        trio.assert_converged();
+        pair.assert_converged();
     }
 
-    /// Write-back equivalence: after the same edits, the dirty deltas the
-    /// persistence layer would drain name the same chunks with the same
-    /// epochs, and snapshotting those chunks yields the same bytes from
-    /// either backend.
+    /// A failing batch follows the shard-ordered partial-application
+    /// contract: writes land shard by shard in ascending shard order, in
+    /// input order within a shard, and stop at the first failing write with
+    /// everything applied so far kept. Replaying that order write by write
+    /// on the plain world must reproduce the sharded world's bytes,
+    /// counters and dirty deltas exactly.
     #[test]
-    fn drained_deltas_snapshot_identically(
-        writes in prop::collection::vec(
-            ((-40i32..40, 1i32..80, -40i32..40), arb_block()),
-            1..80,
-        ),
-    ) {
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
-        for cx in -3..3 {
-            for cz in -3..3 {
-                rwlock.ensure_chunk_at(ChunkPos::new(cx, cz));
-                lockfree.ensure_chunk_at(ChunkPos::new(cx, cz));
-            }
-        }
-        let batch: Vec<(BlockPos, Block)> = writes
-            .iter()
-            .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
-            .collect();
-        prop_assert_eq!(
-            rwlock.set_blocks(batch.clone()).unwrap(),
-            lockfree.set_blocks(batch).unwrap()
-        );
-        let rw_deltas = rwlock.drain_dirty();
-        let lf_deltas = lockfree.drain_dirty();
-        prop_assert_eq!(&rw_deltas, &lf_deltas);
-        for delta in &rw_deltas {
-            for &pos in &delta.chunks {
-                prop_assert_eq!(
-                    rwlock.read_chunk(pos, |c| c.to_bytes()),
-                    lockfree.read_chunk(pos, |c| c.to_bytes()),
-                    "snapshot at {}",
-                    pos
-                );
-            }
-        }
-    }
-
-    /// The two sharded backends agree *exactly* even on failing batches:
-    /// they share the shard-ordered partial-application contract (whole
-    /// shards before the failing one), so final bytes, counters, and dirty
-    /// deltas must match although the plain world would diverge here.
-    #[test]
-    fn sharded_backends_agree_on_failing_batches(
+    fn failing_batches_apply_whole_shards_in_shard_order(
         writes in prop::collection::vec(
             ((-80i32..80, 1i32..80, -80i32..80), arb_block()),
             1..60,
         ),
     ) {
-        let rwlock = ShardedWorld::<RwLockStore>::flat_in(4);
-        let lockfree = ShardedWorld::<LockFreeStore>::flat_in(4);
         // Load only a partial grid so batches regularly hit unloaded
         // chunks and fail partway through.
-        for cx in -2..2 {
-            for cz in -2..2 {
-                rwlock.ensure_chunk_at(ChunkPos::new(cx, cz));
-                lockfree.ensure_chunk_at(ChunkPos::new(cx, cz));
+        let mut pair = Pair::new(2);
+        let batch = to_batch(&writes);
+        let mut ordered = batch.clone();
+        let shards = pair.sharded.shard_count();
+        // Stable: input order survives within a shard.
+        ordered.sort_by_key(|(pos, _)| shard_index(ChunkPos::from(*pos), shards));
+        let mut expected = Ok(0usize);
+        for (pos, block) in ordered {
+            match pair.plain.set_block(pos, block) {
+                Ok(()) => {
+                    pair.note(ChunkPos::from(pos), 1);
+                    expected = expected.map(|n| n + 1);
+                }
+                Err(e) => {
+                    expected = Err(e);
+                    break;
+                }
             }
         }
-        let batch: Vec<(BlockPos, Block)> = writes
-            .iter()
-            .map(|((x, y, z), b)| (BlockPos::new(*x, *y, *z), *b))
-            .collect();
-        let b = rwlock.set_blocks(batch.clone());
-        let c = lockfree.set_blocks(batch);
-        prop_assert_eq!(b.is_ok(), c.is_ok());
-        if let (Ok(b), Ok(c)) = (&b, &c) {
-            prop_assert_eq!(b, c, "written count");
-        }
-        prop_assert_eq!(rwlock.total_modifications(), lockfree.total_modifications());
-        prop_assert_eq!(rwlock.drain_dirty(), lockfree.drain_dirty());
-        let mut positions = rwlock.loaded_positions();
-        positions.sort_unstable_by_key(|p| (p.x, p.z));
-        for pos in positions {
-            prop_assert_eq!(
-                rwlock.read_chunk(pos, |chunk| chunk.to_bytes()),
-                lockfree.read_chunk(pos, |chunk| chunk.to_bytes()),
-                "bytes at {}",
-                pos
-            );
-        }
+        prop_assert_eq!(pair.sharded.set_blocks(batch), expected);
+        pair.assert_converged();
     }
 
-    /// Round-trip equivalence: converting either sharded world back to a
-    /// plain `World` reproduces the plain world byte for byte.
+    /// Round-trip equivalence: converting the sharded world back to a plain
+    /// `World` reproduces the plain world byte for byte.
     #[test]
     fn to_world_round_trips_identically(
         writes in prop::collection::vec(
@@ -349,60 +340,31 @@ proptest! {
             1..50,
         ),
     ) {
-        let mut trio = Trio::new();
+        let mut pair = Pair::new(3);
         for ((x, y, z), block) in &writes {
-            trio.apply(&Op::Set { x: *x, y: *y, z: *z, block: *block });
+            pair.apply(&Op::Set { x: *x, y: *y, z: *z, block: *block });
         }
-        let rw_world = trio.rwlock.to_world();
-        let lf_world = trio.lockfree.to_world();
-        prop_assert_eq!(rw_world.loaded_chunks(), trio.plain.loaded_chunks());
-        prop_assert_eq!(lf_world.loaded_chunks(), trio.plain.loaded_chunks());
-        for pos in trio.plain.loaded_positions() {
-            let reference = trio.plain.chunk(pos).unwrap().to_bytes();
-            prop_assert_eq!(&rw_world.chunk(pos).unwrap().to_bytes(), &reference);
-            prop_assert_eq!(&lf_world.chunk(pos).unwrap().to_bytes(), &reference);
+        let round_trip = pair.sharded.to_world();
+        prop_assert_eq!(round_trip.loaded_chunks(), pair.plain.loaded_chunks());
+        for pos in pair.plain.loaded_positions() {
+            let reference = pair.plain.chunk(pos).unwrap().to_bytes();
+            prop_assert_eq!(&round_trip.chunk(pos).unwrap().to_bytes(), &reference);
         }
     }
 }
 
-/// The generic exercise also holds for any *future* backend wired through
-/// the trait: this free function is the reusable differential core, and a
-/// plain `#[test]` pins it for both current backends so a failure names the
-/// backend directly rather than a proptest seed.
-fn exercise_against_plain<B: ChunkStore>() {
-    let mut plain = World::flat(4);
-    let sharded = ShardedWorld::<B>::flat_in(4);
-    for cx in -2..2 {
-        for cz in -2..2 {
-            plain.ensure_chunk_at(ChunkPos::new(cx, cz));
-            sharded.ensure_chunk_at(ChunkPos::new(cx, cz));
-        }
-    }
+/// A fixed schedule pinned as a plain `#[test]`, so a failure names the
+/// divergence directly rather than a proptest seed.
+#[test]
+fn sharded_world_matches_plain_world_on_a_fixed_schedule() {
+    let mut pair = Pair::new(2);
     for i in 0..500i32 {
-        let pos = BlockPos::new((i * 7) % 32 - 16, (i % 60) + 1, (i * 13) % 32 - 16);
-        let block = Block::ALL[(i as usize) % Block::ALL.len()];
-        assert_eq!(
-            plain.set_block(pos, block).is_ok(),
-            sharded.set_block(pos, block).is_ok()
-        );
+        pair.apply(&Op::Set {
+            x: (i * 7) % 32 - 16,
+            y: (i % 60) + 1,
+            z: (i * 13) % 32 - 16,
+            block: Block::ALL[(i as usize) % Block::ALL.len()],
+        });
     }
-    assert_eq!(plain.total_modifications(), sharded.total_modifications());
-    for pos in plain.loaded_positions() {
-        assert_eq!(
-            Some(plain.chunk(pos).unwrap().to_bytes()),
-            sharded.read_chunk(pos, |c| c.to_bytes()),
-            "bytes at {pos} over {}",
-            B::NAME
-        );
-    }
-}
-
-#[test]
-fn rwlock_backend_matches_plain_world() {
-    exercise_against_plain::<RwLockStore>();
-}
-
-#[test]
-fn lockfree_backend_matches_plain_world() {
-    exercise_against_plain::<LockFreeStore>();
+    pair.assert_converged();
 }

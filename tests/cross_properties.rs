@@ -11,6 +11,7 @@ use servo::server::ScBackend;
 use servo::simkit::SimRng;
 use servo::storage::{BlobStore, BlobTier, CachedChunkStore};
 use servo::types::{BlockPos, ChunkPos, ConstructId, MemoryMb, SimTime, Tick};
+use servo::world::{Block, ShardedWorld, World};
 
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     prop::collection::vec(
@@ -143,4 +144,134 @@ proptest! {
         prop_assert!(platform.stats().cold_starts >= 1);
         prop_assert!(platform.stats().cold_starts <= issued);
     }
+}
+
+/// One fixed-seed mixed schedule (single writes, batches, fills, loads,
+/// unloads) leaves the sharded world and the plain `World` with the same
+/// outcomes, counters, loaded set and chunk bytes.
+#[test]
+fn sharded_world_matches_plain_world_on_a_fixed_seed() {
+    let mut rng = SimRng::seed(0x5ead);
+    let mut draw = |lo: i32, hi: i32| lo + (rng.unit() * (hi - lo) as f64) as i32;
+    let mut plain = World::flat(4);
+    let sharded = ShardedWorld::flat(4);
+    for cx in -3..3 {
+        for cz in -3..3 {
+            plain.ensure_chunk_at(ChunkPos::new(cx, cz));
+            sharded.ensure_chunk_at(ChunkPos::new(cx, cz));
+        }
+    }
+    for step in 0..400 {
+        let block = Block::ALL[draw(0, Block::ALL.len() as i32) as usize];
+        match step % 8 {
+            0 => {
+                let writes: Vec<(BlockPos, Block)> = (0..12)
+                    .map(|_| {
+                        (
+                            BlockPos::new(draw(-48, 48), draw(1, 90), draw(-48, 48)),
+                            block,
+                        )
+                    })
+                    .filter(|(pos, _)| plain.is_loaded(ChunkPos::from(*pos)))
+                    .collect();
+                assert_eq!(plain.set_blocks(writes.clone()), sharded.set_blocks(writes));
+            }
+            1 => {
+                let min = BlockPos::new(draw(-40, 30), draw(1, 60), draw(-40, 30));
+                let max = min + BlockPos::new(draw(0, 20), draw(0, 5), draw(0, 20));
+                assert_eq!(
+                    plain.fill_region(min, max, block),
+                    sharded.fill_region(min, max, block)
+                );
+            }
+            2 => {
+                let pos = ChunkPos::new(draw(-4, 4), draw(-4, 4));
+                if step % 16 == 2 {
+                    let (a, b) = (plain.remove_chunk(pos), sharded.remove_chunk(pos));
+                    assert_eq!(a.map(|c| c.to_bytes()), b.map(|c| c.to_bytes()));
+                } else {
+                    plain.ensure_chunk_at(pos);
+                    sharded.ensure_chunk_at(pos);
+                }
+            }
+            _ => {
+                let pos = BlockPos::new(draw(-64, 64), draw(0, 256), draw(-64, 64));
+                assert_eq!(
+                    plain.set_block(pos, block),
+                    sharded.set_block(pos, block),
+                    "at {pos}"
+                );
+            }
+        }
+    }
+    assert_eq!(plain.total_modifications(), sharded.total_modifications());
+    assert_eq!(plain.stateful_blocks(), sharded.stateful_blocks());
+    let key = |p: &ChunkPos| (p.x, p.z);
+    let mut expected: Vec<ChunkPos> = plain.loaded_positions().collect();
+    let mut loaded = sharded.loaded_positions();
+    expected.sort_unstable_by_key(key);
+    loaded.sort_unstable_by_key(key);
+    assert_eq!(expected, loaded);
+    for pos in expected {
+        assert_eq!(
+            Some(plain.chunk(pos).unwrap().to_bytes()),
+            sharded.read_chunk(pos, |c| c.to_bytes()),
+            "bytes at {pos}"
+        );
+    }
+    // Every undrained dirty chunk is still loaded, and one drain empties it.
+    for delta in sharded.drain_dirty() {
+        assert!(delta.chunks.iter().all(|&pos| plain.is_loaded(pos)));
+    }
+    assert!(sharded.drain_dirty().is_empty());
+}
+
+/// Eight writers on disjoint layers race eight readers over one shared
+/// grid (the `sharded_world` stress at reduced size): no write is lost and
+/// the counters come out exact once every thread has joined.
+#[test]
+fn sharded_world_keeps_every_write_under_eight_threads() {
+    const THREADS: usize = 8;
+    const WRITES: i32 = 400;
+    const SIDE: i32 = 4 * 16;
+    let world = ShardedWorld::flat(4);
+    for cx in 0..4 {
+        for cz in 0..4 {
+            world.ensure_chunk_at(ChunkPos::new(cx, cz));
+        }
+    }
+    let barrier = std::sync::Barrier::new(2 * THREADS);
+    std::thread::scope(|scope| {
+        for thread_id in 0..THREADS {
+            let (world, barrier) = (&world, &barrier);
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..WRITES {
+                    let pos = BlockPos::new(i % SIDE, 20 + thread_id as i32, (i * 7) % SIDE);
+                    world.set_block(pos, Block::Lamp).expect("chunk is loaded");
+                }
+            });
+            scope.spawn(move || {
+                barrier.wait();
+                for i in 0..WRITES {
+                    // The ground layer is never written: always grass.
+                    let pos = BlockPos::new(i % SIDE, 4, (i * 11) % SIDE);
+                    assert_eq!(world.block(pos), Some(Block::Grass));
+                }
+            });
+        }
+    });
+    assert_eq!(
+        world.total_modifications(),
+        (THREADS as i32 * WRITES) as u64
+    );
+    assert_eq!(world.loaded_chunks(), 16);
+    for thread_id in 0..THREADS {
+        for i in 0..WRITES {
+            let pos = BlockPos::new(i % SIDE, 20 + thread_id as i32, (i * 7) % SIDE);
+            assert_eq!(world.block(pos), Some(Block::Lamp), "at {pos}");
+        }
+    }
+    let epochs: u64 = (0..world.shard_count()).map(|s| world.shard_epoch(s)).sum();
+    assert_eq!(epochs, world.total_modifications());
 }
