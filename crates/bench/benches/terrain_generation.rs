@@ -42,6 +42,9 @@ fn bench_serialization(c: &mut Criterion) {
     let bytes = chunk.to_bytes();
     let mut group = c.benchmark_group("chunk_serialization");
     group.bench_function("to_bytes", |b| b.iter(|| chunk.to_bytes()));
+    group.bench_function("serialized_size", |b| {
+        b.iter(|| std::hint::black_box(&chunk).serialized_size())
+    });
     group.bench_function("from_bytes", |b| {
         b.iter(|| servo_world::Chunk::from_bytes(&bytes).unwrap())
     });

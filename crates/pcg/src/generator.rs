@@ -127,29 +127,29 @@ impl TerrainGenerator for DefaultGenerator {
             .expect("layer 0 in range");
         for lx in 0..CHUNK_SIZE {
             for lz in 0..CHUNK_SIZE {
-                let wx = base.x + lx;
-                let wz = base.z + lz;
-                let surface = self.surface_height(wx, wz);
-                for y in 1..=surface {
-                    let block = if y == surface {
-                        if surface <= self.sea_level + 1 {
-                            Block::Sand
-                        } else if surface > self.sea_level + 38 {
-                            Block::Snow
-                        } else {
-                            Block::Grass
-                        }
-                    } else if y > surface - 4 {
-                        Block::Dirt
-                    } else {
-                        Block::Stone
-                    };
-                    chunk.set_local(lx, y, lz, block).expect("in range");
-                }
-                // Fill water up to sea level.
-                for y in (surface + 1)..=self.sea_level {
-                    chunk.set_local(lx, y, lz, Block::Water).expect("in range");
-                }
+                let surface = self.surface_height(base.x + lx, base.z + lz);
+                let top = if surface <= self.sea_level + 1 {
+                    Block::Sand
+                } else if surface > self.sea_level + 38 {
+                    Block::Snow
+                } else {
+                    Block::Grass
+                };
+                // One `fill_box` per material instead of one `set_local` per
+                // block: the chunk then updates its run count per segment,
+                // not per block. From the bottom: stone, three blocks of
+                // dirt, the surface block, water up to sea level.
+                let mut segment = |y0: i32, y1: i32, block| {
+                    if y0 <= y1 {
+                        chunk
+                            .fill_box((lx, y0, lz), (lx, y1, lz), block)
+                            .expect("in range");
+                    }
+                };
+                segment(1, surface - 4, Block::Stone);
+                segment((surface - 3).max(1), surface - 1, Block::Dirt);
+                segment(surface, surface, top);
+                segment(surface + 1, self.sea_level, Block::Water);
             }
         }
         chunk
@@ -199,6 +199,81 @@ mod tests {
         let b = DefaultGenerator::new(2);
         let pos = ChunkPos::new(0, 0);
         assert_ne!(a.generate(pos).to_bytes(), b.generate(pos).to_bytes());
+    }
+
+    /// `DefaultGenerator::generate` as it was before it wrote column
+    /// segments: one `set_local` per block. Kept as the reference.
+    fn generate_per_block(g: &DefaultGenerator, pos: ChunkPos) -> Chunk {
+        let mut chunk = Chunk::empty(pos);
+        let base = pos.min_block();
+        chunk
+            .fill_layer(0, Block::Bedrock)
+            .expect("layer 0 in range");
+        for lx in 0..CHUNK_SIZE {
+            for lz in 0..CHUNK_SIZE {
+                let wx = base.x + lx;
+                let wz = base.z + lz;
+                let surface = g.surface_height(wx, wz);
+                for y in 1..=surface {
+                    let block = if y == surface {
+                        if surface <= g.sea_level + 1 {
+                            Block::Sand
+                        } else if surface > g.sea_level + 38 {
+                            Block::Snow
+                        } else {
+                            Block::Grass
+                        }
+                    } else if y > surface - 4 {
+                        Block::Dirt
+                    } else {
+                        Block::Stone
+                    };
+                    chunk.set_local(lx, y, lz, block).expect("in range");
+                }
+                // Fill water up to sea level.
+                for y in (surface + 1)..=g.sea_level {
+                    chunk.set_local(lx, y, lz, Block::Water).expect("in range");
+                }
+            }
+        }
+        chunk
+    }
+
+    #[test]
+    fn column_segments_match_the_per_block_generator() {
+        // The noise moves the surface some 17 blocks around sea level, so
+        // other sea levels than the default are what reaches the remaining
+        // column shapes: no room for stone or dirt, the clamps at both ends
+        // of the chunk, and (far below the chunk) a surface above the snow
+        // line.
+        let (mut shallow, mut snow, mut underwater, mut clamped) = (false, false, false, false);
+        for (seed, sea_level) in [(7, 62), (3, 62), (11, 2), (5, 30), (9, 250), (13, -40)] {
+            let g = DefaultGenerator {
+                sea_level,
+                ..DefaultGenerator::new(seed)
+            };
+            for cx in -2..2 {
+                for cz in -2..2 {
+                    let pos = ChunkPos::new(cx * 9, cz * 9);
+                    let chunk = g.generate(pos);
+                    let reference = generate_per_block(&g, pos);
+                    assert_eq!(chunk.to_bytes(), reference.to_bytes(), "{pos:?}");
+                    assert_eq!(chunk.modifications(), reference.modifications());
+                    assert_eq!(chunk, reference);
+                    let base = pos.min_block();
+                    for lx in 0..CHUNK_SIZE {
+                        for lz in 0..CHUNK_SIZE {
+                            let surface = g.surface_height(base.x + lx, base.z + lz);
+                            shallow |= surface < 4;
+                            snow |= surface > sea_level + 38;
+                            underwater |= surface < sea_level;
+                            clamped |= surface == CHUNK_HEIGHT - 2;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(shallow && snow && underwater && clamped);
     }
 
     #[test]

@@ -497,7 +497,10 @@ impl ReplicationHub {
                 retained.push(id);
                 continue;
             }
-            let Some(state) = self.subs[id as usize].as_mut() else {
+            // An entry whose subscriber is not queued is stale: its
+            // subscriber left, and the id may since have been reused and
+            // queued (or flushed) under its own entry.
+            let Some(state) = self.subs[id as usize].as_mut().filter(|s| s.queued) else {
                 continue;
             };
             state.queued = false;

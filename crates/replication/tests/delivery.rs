@@ -368,3 +368,18 @@ fn unsubscribe_stops_delivery_and_frees_the_cell_index() {
     assert_eq!(frames.len(), 1);
     assert_eq!(frames[0].subscriber, b);
 }
+
+/// An id unsubscribed while still queued and then reused is flushed once:
+/// the keyframe of the new subscriber, no empty delta for the stale entry.
+#[test]
+fn reused_id_of_a_queued_subscriber_gets_one_frame() {
+    let mut hub = ReplicationHub::new(Arc::new(ShardMap::contiguous(SHARDS, 1)));
+    let a = hub.subscribe(Interest::new(ChunkPos::new(0, 0), 1));
+    hub.unsubscribe(a);
+    let b = hub.subscribe(Interest::new(ChunkPos::new(3, 3), 1));
+    assert_eq!(a, b);
+    let frames = hub.flush(1, |_| Some(40));
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].kind, FrameKind::Keyframe);
+    assert_eq!(hub.stats().delta_frames, 0);
+}

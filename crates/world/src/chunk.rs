@@ -40,6 +40,11 @@ pub struct Chunk {
     blocks: Vec<u16>,
     /// Number of modifications since the chunk was created or loaded.
     modifications: u64,
+    /// Number of maximal equal-id runs in `blocks`, taken in linear order
+    /// (so a run may continue from `y = 255` of one column into `y = 0` of
+    /// the next). Every writer of `blocks` keeps it exact; it is what makes
+    /// [`Chunk::serialized_size`] O(1).
+    runs: u32,
 }
 
 impl Chunk {
@@ -49,6 +54,7 @@ impl Chunk {
             pos,
             blocks: vec![Block::Air.id(); BLOCKS_PER_CHUNK],
             modifications: 0,
+            runs: 1,
         }
     }
 
@@ -83,6 +89,16 @@ impl Chunk {
         }
     }
 
+    /// Number of run boundaries (adjacent blocks that differ) inside
+    /// `lo..=hi` and on its two outer edges. A write to `lo..=hi` can change
+    /// no other boundary, so the difference of this count across the write
+    /// is the difference of `runs`.
+    #[inline]
+    fn boundaries(&self, lo: usize, hi: usize) -> u32 {
+        let window = &self.blocks[lo.saturating_sub(1)..=(hi + 1).min(BLOCKS_PER_CHUNK - 1)];
+        window.windows(2).filter(|pair| pair[0] != pair[1]).count() as u32
+    }
+
     /// Reads the block at chunk-local coordinates, or `None` if out of range.
     pub fn local(&self, x: i32, y: i32, z: i32) -> Option<Block> {
         let idx = Self::index(x, y, z)?;
@@ -99,8 +115,11 @@ impl Chunk {
         let idx = Self::index(x, y, z).ok_or_else(|| ServoError::OutOfBounds {
             what: format!("chunk-local ({x}, {y}, {z})"),
         })?;
-        if self.blocks[idx] != block.id() {
-            self.blocks[idx] = block.id();
+        let id = block.id();
+        if self.blocks[idx] != id {
+            let before = self.boundaries(idx, idx);
+            self.blocks[idx] = id;
+            self.runs = self.runs - before + self.boundaries(idx, idx);
             self.modifications += 1;
         }
         Ok(())
@@ -159,12 +178,15 @@ impl Chunk {
             for z in z0..=z1 {
                 let base =
                     ((x as usize) << (SIZE_BITS + HEIGHT_BITS)) | ((z as usize) << HEIGHT_BITS);
-                for slot in &mut self.blocks[base + y0 as usize..=base + y1 as usize] {
+                let (lo, hi) = (base + y0 as usize, base + y1 as usize);
+                let before = self.boundaries(lo, hi);
+                for slot in &mut self.blocks[lo..=hi] {
                     if *slot != id {
                         *slot = id;
                         changed += 1;
                     }
                 }
+                self.runs = self.runs - before + self.boundaries(lo, hi);
             }
         }
         self.modifications += changed as u64;
@@ -201,21 +223,26 @@ impl Chunk {
     /// Layout: chunk x (i32 LE), chunk z (i32 LE), number of runs (u32 LE),
     /// then `(count: u32 LE, block id: u16 LE)` per run.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(self.serialized_size());
         out.extend_from_slice(&self.pos.x.to_le_bytes());
         out.extend_from_slice(&self.pos.z.to_le_bytes());
-        let mut runs: Vec<(u32, u16)> = Vec::new();
-        for &b in &self.blocks {
-            match runs.last_mut() {
-                Some((count, id)) if *id == b => *count += 1,
-                _ => runs.push((1, b)),
-            }
-        }
-        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-        for (count, id) in runs {
+        out.extend_from_slice(&self.runs.to_le_bytes());
+        let mut run = |count: u32, id: u16| {
             out.extend_from_slice(&count.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
+        };
+        let mut id = self.blocks[0];
+        let mut count = 0u32;
+        for &b in &self.blocks {
+            if b != id {
+                run(count, id);
+                id = b;
+                count = 0;
+            }
+            count += 1;
         }
+        run(count, id);
+        debug_assert_eq!(out.len(), self.serialized_size(), "run count out of date");
         out
     }
 
@@ -223,8 +250,9 @@ impl Chunk {
     ///
     /// # Errors
     ///
-    /// Returns [`ServoError::CorruptData`] if the buffer is truncated, the
-    /// run lengths do not add up to a full chunk, or a block id is unknown.
+    /// Returns [`ServoError::CorruptData`] if the buffer is truncated or
+    /// longer than its runs, the run lengths do not add up to a full chunk,
+    /// or a block id is unknown.
     pub fn from_bytes(bytes: &[u8]) -> Result<Chunk, ServoError> {
         fn corrupt(reason: &str) -> ServoError {
             ServoError::CorruptData {
@@ -238,6 +266,9 @@ impl Chunk {
         let z = i32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let run_count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
         let mut blocks = Vec::with_capacity(BLOCKS_PER_CHUNK);
+        // Counted from the decoded blocks, not copied from the header: a
+        // buffer may carry zero-length runs or split one run in two.
+        let mut runs = 0u32;
         let mut offset = 12;
         for _ in 0..run_count {
             if offset + 6 > bytes.len() {
@@ -251,8 +282,14 @@ impl Chunk {
             if blocks.len() + count > BLOCKS_PER_CHUNK {
                 return Err(corrupt("run overflows chunk"));
             }
+            if count > 0 && blocks.last() != Some(&id) {
+                runs += 1;
+            }
             blocks.extend(std::iter::repeat_n(id, count));
             offset += 6;
+        }
+        if offset != bytes.len() {
+            return Err(corrupt("trailing bytes after last run"));
         }
         if blocks.len() != BLOCKS_PER_CHUNK {
             return Err(corrupt("runs do not cover full chunk"));
@@ -261,13 +298,15 @@ impl Chunk {
             pos: ChunkPos::new(x, z),
             blocks,
             modifications: 0,
+            runs,
         })
     }
 
-    /// The serialized size of this chunk in bytes, used by the storage model
-    /// to account for transfer volume.
+    /// The length of [`Chunk::to_bytes`] in bytes, in O(1) from the
+    /// maintained run count. The storage model accounts transfer volume
+    /// with it and the replication hub prices keyframes with it.
     pub fn serialized_size(&self) -> usize {
-        self.to_bytes().len()
+        12 + 6 * self.runs as usize
     }
 
     /// Takes an immutable snapshot of the chunk suitable for handing to a
@@ -422,6 +461,23 @@ mod tests {
         let c = Chunk::empty(ChunkPos::ORIGIN);
         // A uniform chunk serializes to the 12-byte header plus one run.
         assert_eq!(c.to_bytes().len(), 18);
+        assert_eq!(c.serialized_size(), 18);
+    }
+
+    #[test]
+    fn runs_continue_across_column_ends() {
+        // The top of column (0, 0) and the bottom of column (0, 1) are
+        // neighbours in the encoding: air, two stone, air.
+        let mut c = Chunk::empty(ChunkPos::ORIGIN);
+        c.set_local(0, 255, 0, Block::Stone).unwrap();
+        c.set_local(0, 0, 1, Block::Stone).unwrap();
+        assert_eq!(c.serialized_size(), 12 + 3 * 6);
+        assert_eq!(c.to_bytes().len(), c.serialized_size());
+        // The chunk's first and last block have one neighbour each.
+        c.set_local(0, 0, 0, Block::Dirt).unwrap();
+        c.set_local(15, 255, 15, Block::Dirt).unwrap();
+        assert_eq!(c.serialized_size(), 12 + 5 * 6);
+        assert_eq!(c.to_bytes().len(), c.serialized_size());
     }
 
     #[test]
@@ -444,6 +500,49 @@ mod tests {
         bytes.extend_from_slice(&(BLOCKS_PER_CHUNK as u32).to_le_bytes());
         bytes.extend_from_slice(&999u16.to_le_bytes());
         assert!(Chunk::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        // A valid chunk followed by a byte no run accounts for.
+        let mut bytes = Chunk::empty(ChunkPos::ORIGIN).to_bytes();
+        bytes.push(0);
+        match Chunk::from_bytes(&bytes) {
+            Err(ServoError::CorruptData { reason }) => assert!(reason.contains("trailing bytes")),
+            other => panic!("trailing byte accepted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_canonical_runs_decode_and_re_encode_canonically() {
+        // Air split into two adjacent runs, a zero-length stone run, then
+        // the rest: five runs in the header, two in the blocks.
+        let air = Block::Air.id();
+        let stone = Block::Stone.id();
+        let rest = BLOCKS_PER_CHUNK as u32 - 10;
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&4i32.to_le_bytes());
+        bytes.extend_from_slice(&(-2i32).to_le_bytes());
+        bytes.extend_from_slice(&5u32.to_le_bytes());
+        for (count, id) in [
+            (3u32, air),
+            (7, air),
+            (0, stone),
+            (rest - 1, stone),
+            (1, stone),
+        ] {
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes.extend_from_slice(&id.to_le_bytes());
+        }
+        let decoded = Chunk::from_bytes(&bytes).unwrap();
+        let mut expected = Chunk::empty(ChunkPos::new(4, -2));
+        expected
+            .fill_box((0, 0, 0), (15, 255, 15), Block::Stone)
+            .unwrap();
+        expected.fill_box((0, 0, 0), (0, 9, 0), Block::Air).unwrap();
+        assert_eq!(decoded.to_bytes(), expected.to_bytes());
+        assert_eq!(decoded.serialized_size(), 12 + 2 * 6);
+        assert_eq!(decoded.serialized_size(), decoded.to_bytes().len());
     }
 
     #[test]

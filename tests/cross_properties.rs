@@ -11,7 +11,7 @@ use servo::server::ScBackend;
 use servo::simkit::SimRng;
 use servo::storage::{BlobStore, BlobTier, CachedChunkStore};
 use servo::types::{BlockPos, ChunkPos, ConstructId, MemoryMb, SimTime, Tick};
-use servo::world::{Block, ShardedWorld, World};
+use servo::world::{Block, Chunk, ShardedWorld, World};
 
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     prop::collection::vec(
@@ -224,6 +224,67 @@ fn sharded_world_matches_plain_world_on_a_fixed_seed() {
         assert!(delta.chunks.iter().all(|&pos| plain.is_loaded(pos)));
     }
     assert!(sharded.drain_dirty().is_empty());
+}
+
+/// One fixed-seed case of `servo-world`'s `run_count_survives_every_kind_of_write`
+/// property: after every step of a mixed write sequence that favours the
+/// ends of columns and of the chunk, the O(1) `serialized_size` is the
+/// encoded length and `to_bytes` is what the two-pass encoder it replaced
+/// (collect the runs, then write them) produces.
+#[test]
+fn chunk_run_count_survives_a_fixed_seed_write_sequence() {
+    fn reference_to_bytes(chunk: &Chunk) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        out.extend_from_slice(&chunk.pos().x.to_le_bytes());
+        out.extend_from_slice(&chunk.pos().z.to_le_bytes());
+        let mut runs: Vec<(u32, u16)> = Vec::new();
+        for x in 0..16 {
+            for z in 0..16 {
+                for y in 0..256 {
+                    let b = chunk.local(x, y, z).unwrap().id();
+                    match runs.last_mut() {
+                        Some((count, id)) if *id == b => *count += 1,
+                        _ => runs.push((1, b)),
+                    }
+                }
+            }
+        }
+        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for (count, id) in runs {
+            out.extend_from_slice(&count.to_le_bytes());
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        out
+    }
+
+    let mut rng = SimRng::seed(0xc0dec);
+    let mut draw = |hi: i32| (rng.unit() * hi as f64) as i32;
+    // `0..max`, half of the time one of its two ends.
+    let mut edge = |max: i32| match draw(4) {
+        0 => 0,
+        1 => max - 1,
+        _ => draw(max),
+    };
+    let mut chunk = Chunk::empty(ChunkPos::new(-5, 9));
+    for step in 0..300 {
+        // Three ids only, so that writes often change nothing or join runs.
+        let block = [Block::Air, Block::Stone, Block::Dirt][step % 3];
+        let a = (edge(16), edge(256), edge(16));
+        match step % 8 {
+            0 | 1 => {
+                let b = (edge(16), edge(256), edge(16));
+                let lo = (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2));
+                let hi = (a.0.max(b.0), a.1.max(b.1), a.2.max(b.2));
+                chunk.fill_box(lo, hi, block).unwrap();
+            }
+            2 => chunk.fill_layer(a.1, block).unwrap(),
+            3 => chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap(),
+            _ => chunk.set_local(a.0, a.1, a.2, block).unwrap(),
+        }
+        let bytes = chunk.to_bytes();
+        assert_eq!(chunk.serialized_size(), bytes.len(), "step {step}");
+        assert_eq!(bytes, reference_to_bytes(&chunk), "step {step}");
+    }
 }
 
 /// Eight writers on disjoint layers race eight readers over one shared
