@@ -1,9 +1,15 @@
 //! Real-CPU benchmark of procedural chunk generation (the work a terrain
-//! generation function performs per invocation, Figure 11).
+//! generation function performs per invocation, Figure 11) and of the game
+//! loop's per-tick bookkeeping of which terrain is missing.
+
+use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use servo_pcg::{DefaultGenerator, FlatGenerator, Perlin, TerrainGenerator};
-use servo_types::ChunkPos;
+use servo_types::{BlockPos, ChunkPos};
+use servo_world::{
+    missing_chunks, nearest_missing_distance_blocks, required_chunks, ShardedWorld, ViewTracker,
+};
 
 fn bench_generators(c: &mut Criterion) {
     let default_gen = DefaultGenerator::new(7);
@@ -51,5 +57,95 @@ fn bench_serialization(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_generators, bench_noise, bench_serialization);
+/// The list of missing terrain per tick, tracker against the from-scratch
+/// reference `missing_chunks`, for the two single-server shapes of the
+/// canonical benchmark: five explorers at view 128 + margin 48, and a
+/// hundred players at view 32 + margin 48.
+fn bench_view_tracking(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view_tracking");
+    const MARGIN: i32 = 48;
+    for (players, horizon) in [(5i32, 176i32), (100, 80)] {
+        let view = horizon - MARGIN;
+        // A loose grid, every avatar mid-chunk.
+        let avatars: Vec<BlockPos> = (0..players)
+            .map(|i| BlockPos::new((i % 10) * 48 + 8, 5, (i / 10) * 48 + 8))
+            .collect();
+        // The same fleet with the first avatar one chunk further east.
+        let mut crossed = avatars.clone();
+        crossed[0] = crossed[0] + BlockPos::new(16, 0, 0);
+        let loaded = ShardedWorld::flat(4);
+        for fleet in [&avatars, &crossed] {
+            for pos in required_chunks(fleet, horizon) {
+                loaded.ensure_chunk_at(pos);
+            }
+        }
+        // Only the chunks the avatars stand in: no avatar is at distance
+        // zero, so the view range has to look at every avatar.
+        let spawn_only = ShardedWorld::flat(4);
+        for &avatar in &avatars {
+            spawn_only.ensure_chunk_at(ChunkPos::from(avatar));
+        }
+        let shape = format!("{players}_avatars_horizon_{horizon}");
+
+        // Nobody crosses a chunk border and nothing is missing: the median
+        // tick of both workloads.
+        let mut tracker = ViewTracker::new(view, MARGIN);
+        tracker.refresh(&loaded, None, &avatars);
+        group.bench_function(format!("steady/tracker/{shape}"), |b| {
+            b.iter(|| tracker.refresh(&loaded, None, black_box(&avatars)).len())
+        });
+        group.bench_function(format!("steady/reference/{shape}"), |b| {
+            b.iter(|| missing_chunks(&loaded, black_box(&avatars), horizon).len())
+        });
+
+        // One avatar crosses a border every tick (back and forth), into
+        // loaded terrain: a rebuild that ends with an empty list.
+        let mut east = false;
+        group.bench_function(format!("one_crosses/tracker/{shape}"), |b| {
+            b.iter(|| {
+                east = !east;
+                let fleet = if east { &crossed } else { &avatars };
+                tracker.refresh(&loaded, None, black_box(fleet)).len()
+            })
+        });
+        group.bench_function(format!("one_crosses/reference/{shape}"), |b| {
+            b.iter(|| {
+                east = !east;
+                let fleet = if east { &crossed } else { &avatars };
+                missing_chunks(&loaded, black_box(fleet), horizon).len()
+            })
+        });
+
+        // A server's first ticks: nearly everything listed, and the view
+        // range taken over that full list (it stays long while the
+        // loads-per-tick cap drains it).
+        group.bench_function(format!("cold_rebuild/tracker/{shape}"), |b| {
+            b.iter(|| {
+                tracker.invalidate();
+                let listed = tracker
+                    .refresh(&spawn_only, None, black_box(&avatars))
+                    .len();
+                (listed, tracker.view_range_blocks(&spawn_only, &avatars))
+            })
+        });
+        group.bench_function(format!("cold_rebuild/reference/{shape}"), |b| {
+            b.iter(|| {
+                let listed = missing_chunks(&spawn_only, black_box(&avatars), horizon).len();
+                (
+                    listed,
+                    nearest_missing_distance_blocks(&spawn_only, &avatars, view),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_generators,
+    bench_noise,
+    bench_serialization,
+    bench_view_tracking
+);
 criterion_main!(benches);

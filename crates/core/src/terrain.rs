@@ -1,6 +1,5 @@
 //! Serverless terrain generation (paper Section III-D).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -70,7 +69,6 @@ struct Shared {
 pub struct FaasTerrainBackend {
     generator: Box<dyn TerrainGenerator>,
     shared: Arc<Mutex<Shared>>,
-    requested: HashSet<ChunkPos>,
     in_flight: Vec<(ChunkPos, SimTime)>,
     /// Shared submit/complete bookkeeping of generation-style services.
     clock: GenerationClock,
@@ -94,7 +92,6 @@ impl FaasTerrainBackend {
                 platform,
                 stats: TerrainOffloadStats::default(),
             })),
-            requested: HashSet::new(),
             in_flight: Vec::new(),
             clock: GenerationClock::default(),
         }
@@ -111,11 +108,8 @@ impl FaasTerrainBackend {
 
 impl FaasTerrainBackend {
     /// Invokes the generation function for `pos` at virtual time `now`
-    /// (duplicates are ignored; failed invocations may be retried later).
+    /// (failed invocations may be retried later).
     fn request(&mut self, pos: ChunkPos, now: SimTime) {
-        if !self.requested.insert(pos) {
-            return;
-        }
         let mut shared = self.shared.lock();
         let work = self.generator.cost().work_units;
         match shared.platform.invoke(now, work) {
@@ -130,7 +124,6 @@ impl FaasTerrainBackend {
             Err(_) => {
                 shared.stats.failed += 1;
                 // Allow a retry on a later tick.
-                self.requested.remove(&pos);
                 self.clock.forget(pos);
             }
         }

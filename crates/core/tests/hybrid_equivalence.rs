@@ -77,14 +77,12 @@ fn one_zone_hybrid_matches_servo_deployment_exactly() {
     );
     assert_eq!(single.speculation.billing(), hybrid.sc_billing());
 
-    // Persisted-byte-for-byte identical storage after the final flush.
+    // Persisted-byte-for-byte identical storage after the final flush. The
+    // cumulative `chunks_flushed` counters are not compared: how often a
+    // re-dirtied chunk is flushed depends on how far the write-back worker
+    // threads got, not on the deployment.
     single.flush_persistence();
     hybrid.flush_persistence();
-    assert_eq!(
-        single.persistence_stats().chunks_flushed,
-        hybrid.persistence_stats().chunks_flushed,
-        "flushed chunk counts diverged"
-    );
     let positions = single.server.world().loaded_positions();
     let late = SimTime::from_secs(10_000);
     let single_map = single

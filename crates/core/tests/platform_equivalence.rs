@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use servo_core::ServoDeployment;
+use servo_core::{PersistenceStats, ServoDeployment};
 use servo_faas::PlatformConfig;
 use servo_simkit::SimRng;
 use servo_storage::ObjectStore;
@@ -103,9 +103,16 @@ fn frictionless_platform_reproduces_default_deployment_exactly() {
     );
     assert_eq!(baseline.terrain.stats(), explicit.terrain.stats());
     assert_eq!(baseline.terrain.billing(), explicit.terrain.billing());
+    // Every counter but `chunks_flushed`: how often a re-dirtied chunk is
+    // flushed depends on how far the write-back worker threads got. The
+    // persisted bytes below are the deterministic statement of that one.
+    let without_flush_count = |deployment: &ServoDeployment| PersistenceStats {
+        chunks_flushed: 0,
+        ..deployment.persistence_stats()
+    };
     assert_eq!(
-        baseline.persistence_stats(),
-        explicit.persistence_stats(),
+        without_flush_count(&baseline),
+        without_flush_count(&explicit),
         "persistence pipelines diverged"
     );
     let baseline_map = persisted_bytes(&baseline);

@@ -226,14 +226,18 @@ impl ScBackend for LocalScBackend {
 }
 
 /// The submit/complete bookkeeping every generation-style [`ChunkService`]
-/// shares: the virtual clock observed from `poll`, ticket allocation, and
-/// the ticket/issue-time record per requested chunk. Used by
-/// [`LocalGenerationBackend`] and the FaaS generation backend of
-/// `servo-core`.
+/// shares: the virtual clock observed from `poll`, ticket allocation,
+/// duplicate suppression, and the ticket/issue-time record per chunk in
+/// generation. Used by [`LocalGenerationBackend`] and the FaaS generation
+/// backend of `servo-core`.
 #[derive(Debug, Default)]
 pub struct GenerationClock {
     now: SimTime,
     ticket_seq: u64,
+    /// Every position admitted so far and not forgotten: a chunk is
+    /// generated once, however often the game loop asks for it.
+    admitted: HashSet<ChunkPos>,
+    /// The admitted positions whose chunk has not been delivered yet.
     issued: HashMap<ChunkPos, (Ticket, SimTime)>,
 }
 
@@ -249,9 +253,10 @@ impl GenerationClock {
         self.now = now;
     }
 
-    /// Drops the issue record of `pos` (e.g. when an invocation failed and
-    /// the position may be retried under a fresh ticket).
+    /// Un-admits `pos` and drops its issue record (e.g. when an invocation
+    /// failed and the position may be retried under a fresh ticket).
     pub fn forget(&mut self, pos: ChunkPos) {
+        self.admitted.remove(&pos);
         self.issued.remove(&pos);
     }
 
@@ -261,18 +266,21 @@ impl GenerationClock {
     }
 
     /// Allocates a ticket for `request` and returns the chunk positions it
-    /// asks for (empty for maintenance requests, which generation services
-    /// treat as no-ops). Positions already requested keep their original
-    /// ticket; their eventual completion carries that first ticket.
+    /// is the first to ask for — the ones the service must now generate
+    /// (none for maintenance requests, which generation services treat as
+    /// no-ops). Positions admitted before keep their original ticket, which
+    /// their completion carries, and are not returned again, delivered or
+    /// not.
     pub fn admit(&mut self, request: &ChunkRequest) -> (Ticket, Vec<ChunkPos>) {
         let ticket = self.next_ticket();
-        let positions: Vec<ChunkPos> = match request {
+        let mut positions: Vec<ChunkPos> = match request {
             ChunkRequest::Read { pos, .. } => vec![*pos],
             ChunkRequest::Prefetch { positions, .. } => positions.clone(),
             ChunkRequest::WriteBack { .. } | ChunkRequest::Evict { .. } => Vec::new(),
         };
+        positions.retain(|&pos| self.admitted.insert(pos));
         for &pos in &positions {
-            self.issued.entry(pos).or_insert((ticket, self.now));
+            self.issued.insert(pos, (ticket, self.now));
         }
         (ticket, positions)
     }
@@ -314,7 +322,6 @@ pub struct LocalGenerationBackend {
     /// Queued positions, drained FIFO (generation has one priority class).
     queue: RequestQueue<(), ChunkPos>,
     running: Vec<(ChunkPos, SimTime)>,
-    requested: HashSet<ChunkPos>,
     generated: u64,
     clock: GenerationClock,
 }
@@ -345,7 +352,6 @@ impl LocalGenerationBackend {
             scaler: Autoscaler::new(config),
             queue: RequestQueue::bounded(usize::MAX),
             running: Vec::new(),
-            requested: HashSet::new(),
             generated: 0,
             clock: GenerationClock::default(),
         }
@@ -362,15 +368,13 @@ impl LocalGenerationBackend {
         self.scaler.stats()
     }
 
-    /// Queues generation of `pos` at virtual time `now` (duplicates are
-    /// ignored) and starts it as soon as a worker is free.
+    /// Queues generation of `pos` at virtual time `now` and starts it as
+    /// soon as a worker is free.
     fn request_at(&mut self, pos: ChunkPos, now: SimTime) {
-        if self.requested.insert(pos) {
-            self.queue
-                .push((), pos)
-                .expect("the generation queue is unbounded");
-            self.start_queued(now);
-        }
+        self.queue
+            .push((), pos)
+            .expect("the generation queue is unbounded");
+        self.start_queued(now);
     }
 
     /// Collects every chunk finished by `now` and refills the workers.
@@ -582,6 +586,30 @@ mod tests {
             ChunkOutcome::Loaded { pos, .. } => assert_eq!(*pos, ChunkPos::new(3, 3)),
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    #[test]
+    fn re_asking_for_a_delivered_chunk_leaves_no_issue_record() {
+        let mut backend = LocalGenerationBackend::new(Box::new(FlatGenerator::default()), 1);
+        let pos = ChunkPos::new(2, 2);
+        read_at(&mut backend, pos, SimTime::ZERO);
+        assert_eq!(backend.clock.issued.len(), 1);
+        assert_eq!(backend.poll(SimTime::from_secs(1)).len(), 1);
+        assert!(backend.clock.issued.is_empty());
+        // The game loop asks again every tick while the delivered chunk
+        // waits behind the per-tick integration cap: no `complete` will
+        // follow, so nothing may be recorded.
+        let (_, fresh) = backend.clock.admit(&ChunkRequest::read(pos));
+        assert!(fresh.is_empty());
+        assert!(backend.clock.issued.is_empty());
+        // Forgetting a position is what makes it admissible again.
+        backend.clock.forget(pos);
+        let (ticket, fresh) = backend.clock.admit(&ChunkRequest::read(pos));
+        assert_eq!(fresh, vec![pos]);
+        assert_eq!(
+            backend.clock.issued.get(&pos).map(|(t, _)| *t),
+            Some(ticket)
+        );
     }
 
     #[test]

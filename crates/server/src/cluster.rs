@@ -1943,7 +1943,7 @@ impl ShardedGameCluster {
         // (which tolerates simulating over foreign terrain) rather than
         // the dead zone. With nothing pending this is exactly the map.
         let map = Arc::clone(&self.map);
-        let pending = self.pending_owner.clone();
+        let pending = &self.pending_owner;
         let mut assignment = self.router.route(positions, events, |p| {
             if pending.is_empty() {
                 return map.zone_of_block(p);

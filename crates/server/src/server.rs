@@ -6,31 +6,12 @@ use std::sync::Arc;
 use servo_metrics::TimePoint;
 use servo_redstone::{Blueprint, Construct};
 use servo_simkit::{SimClock, SimRng};
+use servo_storage::{ChunkOutcome, ChunkRequest, ChunkService};
 use servo_types::consts;
 use servo_types::id::IdAllocator;
 use servo_types::{BlockPos, ChunkPos, ConstructId, PlayerId, SimDuration, SimTime, Tick};
 use servo_workload::{PlayerEvent, PlayerFleet};
-use servo_world::{
-    nearest_missing_distance_blocks, required_chunks, ChunkIndex, ShardDelta, ShardMap,
-    ShardedWorld, WorldKind,
-};
-
-/// The terrain a zone-restricted server answers for: its own loaded chunks,
-/// with foreign chunks counting as present because the zone owning them
-/// serves them to clients directly.
-struct OwnedTerrainView<'a> {
-    world: &'a ShardedWorld,
-    map: &'a ShardMap,
-    zone: usize,
-}
-
-impl ChunkIndex for OwnedTerrainView<'_> {
-    fn contains_chunk(&self, pos: ChunkPos) -> bool {
-        self.map.zone_of_chunk(pos) != self.zone || self.world.is_loaded(pos)
-    }
-}
-
-use servo_storage::{ChunkOutcome, ChunkRequest, ChunkService};
+use servo_world::{required_chunks, ShardDelta, ShardMap, ShardedWorld, ViewTracker, WorldKind};
 
 use crate::backends::{ResolutionPlan, ScBackend, ScResolution};
 use crate::costs::{CostModel, TickWork};
@@ -61,7 +42,8 @@ pub struct ServerConfig {
     /// View distance in blocks that must be covered with terrain.
     pub view_distance_blocks: i32,
     /// Extra distance beyond the view distance at which terrain generation
-    /// is already requested, hiding generation latency.
+    /// is already requested, hiding generation latency. Negative values
+    /// count as zero.
     pub generation_margin_blocks: i32,
     /// Maximum number of freshly generated or loaded chunks integrated into
     /// the world per tick; the remainder is queued for following ticks, as
@@ -218,6 +200,9 @@ pub struct GameServer {
     /// Generated chunks waiting to be integrated (per-tick integration is
     /// bounded by `max_chunk_loads_per_tick`).
     pending_integration: std::collections::VecDeque<servo_world::Chunk>,
+    /// The owned terrain missing around the avatars, kept between ticks so
+    /// a tick pays only for what changed.
+    terrain: ViewTracker,
 }
 
 impl std::fmt::Debug for GameServer {
@@ -244,6 +229,8 @@ impl GameServer {
             WorldKind::Flat => ShardedWorld::flat(4),
             WorldKind::Default => ShardedWorld::new(),
         };
+        let terrain =
+            ViewTracker::new(config.view_distance_blocks, config.generation_margin_blocks);
         GameServer {
             config,
             world: Arc::new(world),
@@ -259,6 +246,7 @@ impl GameServer {
             reports: Vec::new(),
             stats: ServerStats::default(),
             pending_integration: std::collections::VecDeque::new(),
+            terrain,
         }
     }
 
@@ -299,6 +287,7 @@ impl GameServer {
         );
         assert!(zone < map.zones(), "zone {zone} out of range");
         self.ownership = Some((map, zone));
+        self.terrain.invalidate();
     }
 
     /// The zone this instance simulates, when restricted via
@@ -504,22 +493,24 @@ impl GameServer {
         // 1. Terrain management: harvest completed chunk tickets, then
         //    submit reads for everything missing out to the view distance
         //    plus the generation margin. The chunk service deduplicates
-        //    re-submitted positions, so asking every tick is free.
+        //    re-submitted positions, so asking again costs no modelled
+        //    time, and asking every tick is what retries a failed
+        //    invocation; the tracker keeps the host cost of knowing what
+        //    to ask for proportional to what changed since the last tick.
         for completion in self.chunks.poll(now) {
             if let ChunkOutcome::Loaded { chunk, .. } = completion.outcome {
                 self.pending_integration.push_back(*chunk);
             }
         }
-        let generation_horizon =
-            self.config.view_distance_blocks + self.config.generation_margin_blocks;
-        let needed = required_chunks(positions, generation_horizon);
-        for pos in &needed {
-            // A zone-restricted instance provisions only the terrain it
-            // owns; foreign chunks are the owning zone's responsibility
-            // (and the view-range metric below treats them as such).
-            if self.owns_chunk(*pos) && !self.world.is_loaded(*pos) {
-                self.chunks.submit(ChunkRequest::read(*pos));
-            }
+        // A zone-restricted instance provisions only the terrain it owns;
+        // foreign chunks are the owning zone's responsibility (and the
+        // view-range metric below treats them as such).
+        let owner = self
+            .ownership
+            .as_ref()
+            .map(|(map, zone)| (map.as_ref(), *zone));
+        for &pos in self.terrain.refresh(&self.world, owner, positions) {
+            self.chunks.submit(ChunkRequest::read(pos));
         }
         let to_integrate = self
             .pending_integration
@@ -575,9 +566,8 @@ impl GameServer {
         // shards they own, plus any constructs pinned here by an
         // ownership-aware migration; other foreign constructs are another
         // server's work.
-        let ownership = self.ownership.clone();
-        let pinned = self.pinned.clone();
-        let owns = |id: ConstructId, shard: usize| match &ownership {
+        let (ownership, pinned) = (&self.ownership, &self.pinned);
+        let owns = |id: ConstructId, shard: usize| match ownership {
             Some((map, zone)) => map.zone_of_shard(shard) == *zone || pinned.contains(&id),
             None => true,
         };
@@ -694,30 +684,13 @@ impl GameServer {
             }
         }
 
-        // 4. QoS metric: distance to the nearest missing terrain.
-        let view_range_blocks = if positions.is_empty() {
-            self.config.view_distance_blocks as f64
-        } else if let Some((map, zone)) = &self.ownership {
-            // A zone-restricted instance is accountable only for owned
-            // terrain: foreign chunks are served to clients by the zone
-            // that owns them, so they count as present here — otherwise
-            // the interleaved shard layout would pin the metric to zero.
-            nearest_missing_distance_blocks(
-                &OwnedTerrainView {
-                    world: &self.world,
-                    map,
-                    zone: *zone,
-                },
-                positions,
-                self.config.view_distance_blocks,
-            )
-        } else {
-            nearest_missing_distance_blocks(
-                self.world.as_ref(),
-                positions,
-                self.config.view_distance_blocks,
-            )
-        };
+        // 4. QoS metric: distance to the nearest missing terrain. A
+        //    zone-restricted instance is accountable only for owned
+        //    terrain, which is all the tracker lists: foreign chunks are
+        //    served to clients by the zone that owns them, so they count as
+        //    present here — otherwise the interleaved shard layout would
+        //    pin the metric to zero.
+        let view_range_blocks = self.terrain.view_range_blocks(&self.world, positions);
 
         // 5. Derive the tick duration from the work performed.
         let duration = self.config.costs.tick_duration(&work, &mut self.rng);

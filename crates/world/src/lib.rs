@@ -39,5 +39,7 @@ pub use rebalance::{
 pub use sharded::{
     chunk_hash, shard_index, FxBuildHasher, FxHasher, ShardDelta, ShardedWorld, DEFAULT_SHARDS,
 };
-pub use view::{missing_chunks, nearest_missing_distance_blocks, required_chunks, ChunkIndex};
+pub use view::{
+    missing_chunks, nearest_missing_distance_blocks, required_chunks, ChunkIndex, ViewTracker,
+};
 pub use world::{World, WorldKind};

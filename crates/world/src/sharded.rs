@@ -230,6 +230,10 @@ pub struct ShardedWorld {
     loaded: AtomicUsize,
     /// Total block modifications, maintained outside the shard locks.
     modifications: AtomicU64,
+    /// Chunks removed over the world's lifetime, bumped after each removal:
+    /// what tells a [`ViewTracker`](crate::ViewTracker) that a chunk it
+    /// saw loaded may be gone.
+    removals: AtomicU64,
 }
 
 impl Default for ShardedWorld {
@@ -247,6 +251,7 @@ impl ShardedWorld {
             shards: (0..shard_count).map(|_| Shard::default()).collect(),
             loaded: AtomicUsize::new(0),
             modifications: AtomicU64::new(0),
+            removals: AtomicU64::new(0),
         }
     }
 
@@ -325,6 +330,13 @@ impl ShardedWorld {
     /// from a lock-free counter.
     pub fn total_modifications(&self) -> u64 {
         self.modifications.load(Ordering::Acquire)
+    }
+
+    /// Number of chunks [`ShardedWorld::remove_chunk`] has removed so far.
+    /// Monotone; a reader that sees it unchanged knows every chunk it found
+    /// loaded before is still loaded.
+    pub fn removal_count(&self) -> u64 {
+        self.removals.load(Ordering::Acquire)
     }
 
     /// The modification epoch of one shard: its lifetime count of block
@@ -484,6 +496,7 @@ impl ShardedWorld {
                 .unwrap_or_else(|e| e.into_inner())
                 .remove(&pos);
             self.loaded.fetch_sub(1, Ordering::AcqRel);
+            self.removals.fetch_add(1, Ordering::AcqRel);
         }
         removed
     }

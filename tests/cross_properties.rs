@@ -13,6 +13,11 @@ use servo::storage::{BlobStore, BlobTier, CachedChunkStore};
 use servo::types::{BlockPos, ChunkPos, ConstructId, MemoryMb, SimTime, Tick};
 use servo::world::{Block, Chunk, ShardedWorld, World};
 
+// The world crate's differential model of `ViewTracker`, shared with its
+// property test so tier-1 covers the game loop's terrain bookkeeping.
+#[path = "../crates/world/tests/view_tracker_model/mod.rs"]
+mod view_tracker_model;
+
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     prop::collection::vec(
         (
@@ -335,4 +340,17 @@ fn sharded_world_keeps_every_write_under_eight_threads() {
     }
     let epochs: u64 = (0..world.shard_count()).map(|s| world.shard_epoch(s)).sum();
     assert_eq!(epochs, world.total_modifications());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The game loop's incremental terrain bookkeeping equals the
+    /// from-scratch reference after every avatar move, chunk load or unload
+    /// and shard migration. The cases are fixed by the test name; the world
+    /// crate's `view_tracker` test runs the same model at full width.
+    #[test]
+    fn view_tracker_matches_reference(scenario in view_tracker_model::scenario()) {
+        view_tracker_model::run(&scenario);
+    }
 }
