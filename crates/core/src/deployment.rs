@@ -4,15 +4,13 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use servo_faas::{AutoscalerConfig, FaasPlatform, FunctionConfig, PlatformConfig};
-use servo_pcg::{DefaultGenerator, FlatGenerator, TerrainGenerator};
-use servo_server::cluster::{
-    BorderExchange, PersistenceBinding, ShardedGameCluster, ZonePersistenceStats,
-};
+use servo_pcg::generator_for;
+use servo_server::cluster::{BorderExchange, PersistenceBinding, ShardedGameCluster};
 use servo_server::multi::ClusterTick;
 use servo_server::{GameServer, ServerConfig};
 use servo_simkit::SimRng;
 use servo_storage::{
-    BlobStore, BlobTier, ChunkOutcome, ChunkRequest, ChunkService, PipelinedChunkService,
+    BlobStore, BlobTier, PersistenceStats, PipelinedChunkService, WriteBackDriver,
 };
 use servo_types::{MemoryMb, SimDuration, SimTime};
 use servo_workload::PlayerFleet;
@@ -55,31 +53,6 @@ impl PersistenceConfig {
     pub fn with_elastic_workers(mut self, config: AutoscalerConfig) -> Self {
         self.elastic_workers = Some(config);
         self
-    }
-}
-
-/// Counters of the deployment's persistence pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistenceStats {
-    /// Write-back passes completed by the pipeline.
-    pub write_back_passes: u64,
-    /// Dirty chunks flushed to remote storage.
-    pub chunks_flushed: u64,
-    /// Chunks staged back into the cache by prefetch arrivals.
-    pub prefetch_arrivals: u64,
-}
-
-impl servo_metrics::StatsReport for PersistenceStats {
-    fn section(&self) -> &'static str {
-        "persistence"
-    }
-
-    fn report(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("write_back_passes", self.write_back_passes.to_string()),
-            ("chunks_flushed", self.chunks_flushed.to_string()),
-            ("prefetch_arrivals", self.prefetch_arrivals.to_string()),
-        ]
     }
 }
 
@@ -213,9 +186,10 @@ impl ServoBuilder {
     /// Builds a *zoned* cluster instead of a single Servo instance:
     /// `zones` real game servers sharing the configured cost model, view
     /// distance and world kind, each wired its own per-zone
-    /// [`ChunkService`] generation backend and restricted to its own slice
-    /// of world shards. Constructs are simulated locally per zone (every
-    /// other tick, as the production baselines do) — zoning is the classic
+    /// [`ChunkService`](servo_storage::ChunkService) generation backend
+    /// and restricted to its own slice of world shards. Constructs are
+    /// simulated locally per zone (every other tick, as the production
+    /// baselines do) — zoning is the classic
     /// alternative to Servo's offloading, which is exactly the comparison
     /// the multiserver ablation runs on [`ShardedGameCluster::baseline`].
     pub fn zoned(self, zones: usize) -> ShardedGameCluster {
@@ -245,8 +219,7 @@ pub struct ServoDeployment {
     /// The persistence pipeline, bound to the server's world so per-shard
     /// dirty deltas flow into write-back (Section III-E). Driven by
     /// [`ServoDeployment::run_with_fleet`].
-    persistence: Option<PipelinedChunkService<BlobStore>>,
-    persistence_stats: PersistenceStats,
+    persistence: Option<WriteBackDriver>,
 }
 
 impl std::fmt::Debug for ServoDeployment {
@@ -274,26 +247,7 @@ impl ServoDeployment {
             rng.substream("sc-faas"),
         );
         let sc_backend = SpeculativeScBackend::new(config.speculation, sc_platform);
-        let speculation = sc_backend.handle();
-
-        let generator: Box<dyn TerrainGenerator> = match config.server.world_kind {
-            WorldKind::Flat => Box::new(FlatGenerator::default()),
-            WorldKind::Default => Box::new(DefaultGenerator::new(config.seed)),
-        };
-        let generation_platform = FaasPlatform::with_platform_config(
-            config.generation_function.clone(),
-            config.generation_platform,
-            rng.substream("generation-faas"),
-        );
-        let terrain_backend = FaasTerrainBackend::new(generator, generation_platform);
-        let terrain = terrain_backend.handle();
-
-        let server = GameServer::new(
-            config.server.clone(),
-            Box::new(sc_backend),
-            Box::new(terrain_backend),
-            rng.substream("server"),
-        );
+        let (server, speculation, terrain) = serverless_server(&config, sc_backend, &rng);
 
         let persistence = config.persistence.as_ref().map(|p| {
             let remote = BlobStore::new(p.tier, rng.substream("persistence-blob"));
@@ -306,7 +260,10 @@ impl ServoDeployment {
                 Some(scaler) => service.with_elastic_workers(scaler),
                 None => service,
             };
-            service.with_world(server.world_handle())
+            WriteBackDriver::new(
+                service.with_world(server.world_handle()),
+                p.write_back_interval,
+            )
         });
 
         ServoDeployment {
@@ -315,21 +272,23 @@ impl ServoDeployment {
             terrain,
             config,
             persistence,
-            persistence_stats: PersistenceStats::default(),
         }
     }
 
     /// Counters of the persistence pipeline (all zero when persistence is
     /// disabled or the deployment is driven through the bare server).
     pub fn persistence_stats(&self) -> PersistenceStats {
-        self.persistence_stats
+        self.persistence
+            .as_ref()
+            .map(|p| p.stats())
+            .unwrap_or_default()
     }
 
     /// Runs `f` against the persistence pipeline's remote blob store, e.g.
     /// to inspect what has been persisted. Returns `None` when persistence
     /// is disabled.
     pub fn with_persisted<T>(&self, f: impl FnOnce(&mut BlobStore) -> T) -> Option<T> {
-        self.persistence.as_ref().map(|p| p.with_remote(f))
+        self.persistence.as_ref().map(|p| p.service.with_remote(f))
     }
 
     /// Drives the server with a player fleet for `duration` of virtual
@@ -347,15 +306,13 @@ impl ServoDeployment {
         let end = self.server.now() + duration;
         let tick_budget = self.server.config().tick_budget();
         let parallelism = self.server.config().parallelism.max(1);
-        let interval = self
-            .config
-            .persistence
-            .as_ref()
-            .map(|p| p.write_back_interval.max(1))
-            .unwrap_or(u64::MAX);
         let view_distance = self.server.config().view_distance_blocks;
         let mut reports = Vec::new();
-        let mut ticks_since_pass = 0u64;
+        // Every call starts its own cadence: the first pass comes a full
+        // interval after the call, however the previous one ended.
+        if let Some(persistence) = self.persistence.as_mut() {
+            persistence.restart_cadence();
+        }
         while self.server.now() < end {
             let now = self.server.now();
             let events = if parallelism > 1 {
@@ -365,29 +322,10 @@ impl ServoDeployment {
             };
             let positions = fleet.positions();
             reports.push(self.server.run_tick(&positions, &events));
-            if let Some(service) = self.persistence.as_mut() {
-                let now = self.server.now();
-                ticks_since_pass += 1;
-                if ticks_since_pass >= interval {
-                    ticks_since_pass = 0;
-                    service.submit(ChunkRequest::prefetch(required_chunks(
-                        &positions,
-                        view_distance,
-                    )));
-                    service.submit(ChunkRequest::write_back());
-                }
-                for completion in service.poll(now) {
-                    match completion.outcome {
-                        ChunkOutcome::WroteBack { chunks } => {
-                            self.persistence_stats.write_back_passes += 1;
-                            self.persistence_stats.chunks_flushed += chunks as u64;
-                        }
-                        ChunkOutcome::Loaded { .. } => {
-                            self.persistence_stats.prefetch_arrivals += 1;
-                        }
-                        _ => {}
-                    }
-                }
+            if let Some(persistence) = self.persistence.as_mut() {
+                persistence.tick(self.server.now(), || {
+                    required_chunks(&positions, view_distance)
+                });
             }
         }
         reports
@@ -397,38 +335,8 @@ impl ServoDeployment {
     /// pipeline and waits for the pass to complete. Returns the number of
     /// chunks written, or zero when persistence is disabled.
     pub fn flush_persistence(&mut self) -> u64 {
-        let Some(service) = self.persistence.as_mut() else {
-            return 0;
-        };
         let now = self.server.now();
-        let ticket = service.submit(ChunkRequest::write_back());
-        let mut flushed = 0u64;
-        // The pass runs on the pipeline's worker pool; poll until its
-        // completion surfaces (completions are published before the
-        // pending count drops, so this terminates).
-        loop {
-            let mut done = false;
-            for completion in service.poll(now) {
-                match completion.outcome {
-                    ChunkOutcome::WroteBack { chunks } => {
-                        self.persistence_stats.write_back_passes += 1;
-                        self.persistence_stats.chunks_flushed += chunks as u64;
-                        if completion.ticket == ticket {
-                            flushed = chunks as u64;
-                            done = true;
-                        }
-                    }
-                    ChunkOutcome::Loaded { .. } => {
-                        self.persistence_stats.prefetch_arrivals += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if done {
-                return flushed;
-            }
-            std::thread::yield_now();
-        }
+        self.persistence.as_mut().map_or(0, |p| p.flush(now))
     }
 
     /// Builds the Opencraft baseline with the same world kind and view
@@ -459,10 +367,7 @@ impl ServoDeployment {
     }
 
     fn local_baseline(config: ServerConfig, seed: u64) -> GameServer {
-        let generator: Box<dyn TerrainGenerator> = match config.world_kind {
-            WorldKind::Flat => Box::new(FlatGenerator::default()),
-            WorldKind::Default => Box::new(DefaultGenerator::new(seed)),
-        };
+        let generator = generator_for(config.world_kind, seed);
         let rng = SimRng::seed(seed);
         GameServer::new(
             config,
@@ -471,6 +376,36 @@ impl ServoDeployment {
             rng.substream("server"),
         )
     }
+}
+
+/// A game server with Servo's serverless backends plugged in — what a
+/// [`ServoDeployment`] is and what every zone of a [`HybridDeployment`]
+/// runs: `sc_backend` for constructs, a FaaS terrain-generation service on
+/// `rng`'s `generation-faas` stream, the server itself on its `server`
+/// stream. Returns the server with the inspection handles of both backends.
+fn serverless_server(
+    config: &ServoConfig,
+    sc_backend: SpeculativeScBackend,
+    rng: &SimRng,
+) -> (GameServer, SpeculationHandle, TerrainOffloadHandle) {
+    let speculation = sc_backend.handle();
+    let generation_platform = FaasPlatform::with_platform_config(
+        config.generation_function.clone(),
+        config.generation_platform,
+        rng.substream("generation-faas"),
+    );
+    let terrain_backend = FaasTerrainBackend::new(
+        generator_for(config.server.world_kind, config.seed),
+        generation_platform,
+    );
+    let terrain = terrain_backend.handle();
+    let server = GameServer::new(
+        config.server.clone(),
+        Box::new(sc_backend),
+        Box::new(terrain_backend),
+        rng.substream("server"),
+    );
+    (server, speculation, terrain)
 }
 
 /// A hybrid zoned+offloading deployment — the configuration operators
@@ -554,27 +489,13 @@ impl HybridDeployment {
         let mut speculation = Vec::with_capacity(zones);
         let mut terrain = Vec::with_capacity(zones);
         let mut cluster = ShardedGameCluster::new(zones, |zone| {
-            let rng = zone_rng(zone);
             let sc_backend =
                 SpeculativeScBackend::over(config.speculation, Arc::clone(&sc_platform));
-            speculation.push(sc_backend.handle());
-            let generator: Box<dyn TerrainGenerator> = match config.server.world_kind {
-                WorldKind::Flat => Box::new(FlatGenerator::default()),
-                WorldKind::Default => Box::new(DefaultGenerator::new(config.seed)),
-            };
-            let generation_platform = FaasPlatform::with_platform_config(
-                config.generation_function.clone(),
-                config.generation_platform,
-                rng.substream("generation-faas"),
-            );
-            let terrain_backend = FaasTerrainBackend::new(generator, generation_platform);
-            terrain.push(terrain_backend.handle());
-            GameServer::new(
-                config.server.clone(),
-                Box::new(sc_backend),
-                Box::new(terrain_backend),
-                rng.substream("server"),
-            )
+            let (server, sc_handle, terrain_handle) =
+                serverless_server(&config, sc_backend, &zone_rng(zone));
+            speculation.push(sc_handle);
+            terrain.push(terrain_handle);
+            server
         })
         .with_border_exchange(config.border_exchange);
         if let Some(persistence) = &config.persistence {
@@ -649,7 +570,7 @@ impl HybridDeployment {
     }
 
     /// The persistence counters summed over all zones.
-    pub fn persistence_stats(&self) -> ZonePersistenceStats {
+    pub fn persistence_stats(&self) -> PersistenceStats {
         self.cluster.persistence_stats_total()
     }
 

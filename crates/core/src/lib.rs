@@ -49,9 +49,8 @@ pub mod speculative;
 pub mod terrain;
 pub mod terrain_store;
 
-pub use deployment::{
-    HybridDeployment, PersistenceConfig, PersistenceStats, ServoConfig, ServoDeployment,
-};
+pub use deployment::{HybridDeployment, PersistenceConfig, ServoConfig, ServoDeployment};
+pub use servo_storage::PersistenceStats;
 pub use speculative::{
     ScWorkModel, SharedScPlatform, SpeculationConfig, SpeculationHandle, SpeculationStats,
     SpeculativeScBackend,

@@ -2,7 +2,7 @@
 
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::ChunkPos;
-use servo_world::{Block, Chunk};
+use servo_world::{Block, Chunk, WorldKind};
 
 use crate::cost::GenerationCost;
 use crate::noise::Perlin;
@@ -161,6 +161,16 @@ impl TerrainGenerator for DefaultGenerator {
 
     fn name(&self) -> &'static str {
         "default"
+    }
+}
+
+/// The generator that produces terrain for a world of `kind`: every server
+/// architecture hosting the same world kind and `seed` generates the same
+/// chunks, whether it runs the generator locally or inside a function.
+pub fn generator_for(kind: WorldKind, seed: u64) -> Box<dyn TerrainGenerator> {
+    match kind {
+        WorldKind::Flat => Box::new(FlatGenerator::default()),
+        WorldKind::Default => Box::new(DefaultGenerator::new(seed)),
     }
 }
 

@@ -30,5 +30,5 @@ pub mod generator;
 pub mod noise;
 
 pub use cost::GenerationCost;
-pub use generator::{DefaultGenerator, FlatGenerator, TerrainGenerator};
+pub use generator::{generator_for, DefaultGenerator, FlatGenerator, TerrainGenerator};
 pub use noise::Perlin;

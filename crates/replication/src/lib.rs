@@ -56,9 +56,9 @@ pub struct ReplicationConfig {
     /// every tick"). With `c` cohorts each subscriber is flushed every
     /// `c`-th tick and its frames coalesce `c` epochs of dirt.
     pub cohorts: u64,
-    /// Route the cluster's border mirroring through border subscriptions
-    /// instead of the legacy bespoke mirror path. Equivalent
-    /// message-for-message; off by default so existing runs stay
-    /// byte-identical.
+    /// Let border subscriptions, rather than the shard map, decide which
+    /// zones the cluster's border mirror delivers each chunk to.
+    /// Equivalent message-for-message; off by default so existing runs
+    /// stay byte-identical.
     pub border_via_subscription: bool,
 }

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use servo_faas::AutoscalerConfig;
 use servo_metrics::StatsReport;
-use servo_pcg::{DefaultGenerator, FlatGenerator, TerrainGenerator};
+use servo_pcg::generator_for;
 use servo_redstone::Blueprint;
 use servo_replication::{
     FanoutStage, FanoutStats, Interest, ReplicationConfig, ReplicationHub, ReplicationStats,
@@ -41,41 +41,61 @@ use servo_replication::{
 };
 use servo_simkit::{SimClock, SimRng};
 use servo_storage::{
-    BlobStore, ChunkOutcome, ChunkRequest, ChunkService, PipelinedChunkService, RetryPolicy,
-    SharedWal,
+    BlobStore, ChunkService, PersistenceStats, PipelinedChunkService, SharedWal, WriteBackDriver,
 };
 use servo_types::{BlockPos, ChunkPos, ConstructId, PlayerId, SimDuration, SimTime};
 use servo_workload::{PlayerEvent, PlayerFleet, ZoneRouter};
 use servo_world::{
     required_chunks, shard_index, Chunk, ConstructFootprint, ConstructMigration, RebalanceConfig,
-    RebalancePolicy, ShardDelta, ShardMap, ShardMigration, WorldKind, ZoneLoadSample,
+    RebalancePolicy, ShardDelta, ShardMap, ShardMigration, ZoneLoadSample,
 };
 
 use crate::backends::{LocalGenerationBackend, LocalScBackend};
 use crate::multi::ClusterTick;
 use crate::server::{GameServer, ServerConfig, ServerStats, TickReport};
 
-/// The cross-zone coordination cost model of a [`ShardedGameCluster`].
-///
-/// Every cross-server message (border-chunk update, construct state
-/// exchange, player handoff leg) is charged to *both* endpoint servers:
-/// the sender serializes and transmits, the receiver deserializes,
-/// validates and applies under its tick lock. The default is calibrated so
+/// Milliseconds charged to an endpoint server per cross-zone message it
+/// sends or receives (the sender serializes and transmits, the receiver
+/// deserializes, validates and applies under its tick lock). Calibrated so
 /// coordination is negligible for player-only workloads but dominates once
 /// hundreds of border constructs must be synchronized every simulated
 /// tick, matching the argument of paper Section II-B.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterCosts {
-    /// Cost charged to each endpoint server per cross-zone message, in
-    /// milliseconds.
-    pub message_cost_ms: f64,
+const MESSAGE_COST_MS: f64 = 0.5;
+
+/// The cross-server messages of one cluster tick: how many were sent, and
+/// how many each zone server sent or received. Every message the cluster
+/// charges goes through one of the two methods below, so the count and the
+/// per-zone coordination cost cannot drift apart.
+struct MessageLedger {
+    messages: u64,
+    endpoints: Vec<u64>,
 }
 
-impl Default for ClusterCosts {
-    fn default() -> Self {
-        ClusterCosts {
-            message_cost_ms: 0.5,
+impl MessageLedger {
+    fn new(zones: usize) -> Self {
+        MessageLedger {
+            messages: 0,
+            endpoints: vec![0; zones],
         }
+    }
+
+    /// `count` messages between two servers: each burdens its sender and
+    /// its receiver. The ledger never looks at liveness — a site that must
+    /// skip or single-side a dead peer says so itself, and a player
+    /// handoff out of a crashed zone charges both slots.
+    fn charge(&mut self, a: usize, b: usize, count: u64) {
+        self.messages += count;
+        self.endpoints[a] += count;
+        self.endpoints[b] += count;
+    }
+
+    /// `count` messages only `zone` pays for: the peer is a dead server
+    /// (crash detection, adoption control, construct re-homing) or the
+    /// storage substrate (chunk restore, WAL replay), neither of which has
+    /// a tick to burden.
+    fn charge_one_sided(&mut self, zone: usize, count: u64) {
+        self.messages += count;
+        self.endpoints[zone] += count;
     }
 }
 
@@ -120,18 +140,6 @@ pub enum BorderExchange {
     /// identity changes, zero messages while it remains valid, eager
     /// batched fallback for constructs with nothing published.
     Speculative,
-}
-
-/// Counters of one zone's persistence pipeline (mirrors the shape of the
-/// single-deployment `PersistenceStats` in `servo-core`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZonePersistenceStats {
-    /// Write-back passes completed by the zone's pipeline.
-    pub write_back_passes: u64,
-    /// Dirty chunks flushed to the zone's remote storage.
-    pub chunks_flushed: u64,
-    /// Chunks staged into the zone's cache by prefetch arrivals.
-    pub prefetch_arrivals: u64,
 }
 
 /// Builder-style description of one zone's persistence attachment,
@@ -187,36 +195,12 @@ impl PersistenceBinding {
     }
 }
 
-impl StatsReport for ZonePersistenceStats {
-    fn section(&self) -> &'static str {
-        "persistence"
-    }
-
-    fn report(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("write_back_passes", self.write_back_passes.to_string()),
-            ("chunks_flushed", self.chunks_flushed.to_string()),
-            ("prefetch_arrivals", self.prefetch_arrivals.to_string()),
-        ]
-    }
-}
-
-impl ZonePersistenceStats {
-    fn absorb(&mut self, other: ZonePersistenceStats) {
-        self.write_back_passes += other.write_back_passes;
-        self.chunks_flushed += other.chunks_flushed;
-        self.prefetch_arrivals += other.prefetch_arrivals;
-    }
-}
-
 /// One zone's persistence pipeline: a [`PipelinedChunkService`] bound to
 /// the zone's world restricted to its owned shards, fed by the dirty
-/// deltas `run_tick` drains (`GameServer::drain_owned_dirty`).
+/// deltas `run_tick` drains (`GameServer::drain_owned_dirty`) and driven
+/// on the zone's write-back cadence.
 struct ZonePersistence {
-    service: PipelinedChunkService<BlobStore>,
-    interval: u64,
-    ticks_since_pass: u64,
-    stats: ZonePersistenceStats,
+    driver: WriteBackDriver,
     /// The zone's write-ahead delta log. The cluster holds this clone in
     /// addition to the service's own: the log models a durable device
     /// (replicated log service, attached journal volume) that *survives*
@@ -229,41 +213,6 @@ struct ZonePersistence {
     /// staging, cadence passes, or flushes — its remote store keeps
     /// exactly the bytes it held at the crash.
     fenced: bool,
-}
-
-impl ZonePersistence {
-    /// Submits one write-back pass and polls until its completion
-    /// surfaces, folding everything observed into the stats. Returns the
-    /// number of chunks the pass wrote. The pass runs on the pipeline's
-    /// worker pool; completions are published before the pending count
-    /// drops, so the wait terminates.
-    fn run_write_back_pass(&mut self, now: SimTime) -> u64 {
-        let ticket = self.service.submit(ChunkRequest::write_back());
-        let mut flushed = 0u64;
-        loop {
-            let mut done = false;
-            for completion in self.service.poll(now) {
-                match completion.outcome {
-                    ChunkOutcome::WroteBack { chunks } => {
-                        self.stats.write_back_passes += 1;
-                        self.stats.chunks_flushed += chunks as u64;
-                        if completion.ticket == ticket {
-                            flushed += chunks as u64;
-                            done = true;
-                        }
-                    }
-                    ChunkOutcome::Loaded { .. } => {
-                        self.stats.prefetch_arrivals += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if done {
-                return flushed;
-            }
-            std::thread::yield_now();
-        }
-    }
 }
 
 /// Lifetime counters of a cluster's cross-zone coordination.
@@ -440,45 +389,6 @@ impl StatsReport for RecoveryStats {
     }
 }
 
-/// A scripted schedule of zone crashes, for benches and tests that inject
-/// failures at deterministic points of a run.
-///
-/// ```
-/// use servo_server::FailurePlan;
-/// let plan = FailurePlan::new().crash(2, 150);
-/// assert_eq!(plan.len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FailurePlan {
-    /// `(tick, zone)` pairs, executed at the start of the given cluster
-    /// tick (as counted by [`ClusterStats::ticks`]).
-    crashes: Vec<(u64, usize)>,
-}
-
-impl FailurePlan {
-    /// An empty plan (no failures — the control arm).
-    pub fn new() -> Self {
-        FailurePlan::default()
-    }
-
-    /// Adds a crash of `zone` at the start of cluster tick `tick`,
-    /// returning the plan.
-    pub fn crash(mut self, zone: usize, tick: u64) -> Self {
-        self.crashes.push((tick, zone));
-        self
-    }
-
-    /// Number of scheduled crashes.
-    pub fn len(&self) -> usize {
-        self.crashes.len()
-    }
-
-    /// Whether no crash is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-    }
-}
-
 /// One registered construct as the cluster tracks it: where it currently
 /// lives and which chunks its blocks cover, so a shard migration can move
 /// it and recompute its border relationships under the new ownership.
@@ -564,7 +474,6 @@ pub struct ShardedGameCluster {
     map: Arc<ShardMap>,
     servers: Vec<GameServer>,
     router: ZoneRouter,
-    costs: ClusterCosts,
     border_exchange: BorderExchange,
     clock: SimClock,
     /// Derived from `registry` under the current map; rebuilt after every
@@ -663,7 +572,6 @@ impl ShardedGameCluster {
             map,
             router: ZoneRouter::new(zones),
             servers,
-            costs: ClusterCosts::default(),
             border_exchange: BorderExchange::default(),
             clock: SimClock::new(),
             border_constructs: Vec::new(),
@@ -691,23 +599,16 @@ impl ShardedGameCluster {
     pub fn baseline(config: ServerConfig, zones: usize, seed: u64) -> Self {
         let root = SimRng::seed(seed);
         ShardedGameCluster::new(zones, |zone| {
-            let generator: Box<dyn TerrainGenerator> = match config.world_kind {
-                WorldKind::Flat => Box::new(FlatGenerator::default()),
-                WorldKind::Default => Box::new(DefaultGenerator::new(seed)),
-            };
             GameServer::new(
                 config.clone(),
                 Box::new(LocalScBackend::every_other_tick()),
-                Box::new(LocalGenerationBackend::new(generator, 8)),
+                Box::new(LocalGenerationBackend::new(
+                    generator_for(config.world_kind, seed),
+                    8,
+                )),
                 root.substream_indexed("zone", zone as u64),
             )
         })
-    }
-
-    /// Overrides the coordination cost model, returning the cluster.
-    pub fn with_costs(mut self, costs: ClusterCosts) -> Self {
-        self.costs = costs;
-        self
     }
 
     /// Selects how border-construct state crosses zone seams, returning
@@ -737,12 +638,6 @@ impl ShardedGameCluster {
             policy,
             shard_dirty: vec![0; self.map.shard_count()],
         });
-    }
-
-    /// Builder-style [`ShardedGameCluster::enable_rebalancing`].
-    pub fn with_rebalancing(mut self, policy: RebalancePolicy) -> Self {
-        self.enable_rebalancing(policy);
-        self
     }
 
     /// Lifetime counters of the rebalancing machinery (all zero while no
@@ -807,10 +702,7 @@ impl ShardedGameCluster {
             .with_world_shards(self.servers[zone].world_handle(), &[])
             .with_wal(wal.clone());
         self.persistence[zone] = Some(ZonePersistence {
-            service,
-            interval: write_back_interval.max(1),
-            ticks_since_pass: 0,
-            stats: ZonePersistenceStats::default(),
+            driver: WriteBackDriver::new(service, write_back_interval),
             wal: Some(wal),
             fenced: false,
         });
@@ -828,20 +720,11 @@ impl ShardedGameCluster {
         };
         if enabled && persistence.wal.is_none() {
             let wal = SharedWal::new(shard_count);
-            persistence.service.set_wal(Some(wal.clone()));
+            persistence.driver.service.set_wal(Some(wal.clone()));
             persistence.wal = Some(wal);
         } else if !enabled {
-            persistence.service.set_wal(None);
+            persistence.driver.service.set_wal(None);
             persistence.wal = None;
-        }
-    }
-
-    /// Sets the bounded retry-and-backoff policy `zone`'s persistence
-    /// workers apply to transient remote-storage failures. No-op when the
-    /// zone has no pipeline attached.
-    pub fn set_persistence_retry(&mut self, zone: usize, retry: RetryPolicy) {
-        if let Some(persistence) = self.persistence.get_mut(zone).and_then(|p| p.as_mut()) {
-            persistence.service.set_retry(retry);
         }
     }
 
@@ -856,18 +739,18 @@ impl ShardedGameCluster {
 
     /// The persistence counters of one zone, or `None` when the zone has
     /// no pipeline attached.
-    pub fn persistence_stats(&self, zone: usize) -> Option<ZonePersistenceStats> {
+    pub fn persistence_stats(&self, zone: usize) -> Option<PersistenceStats> {
         self.persistence
             .get(zone)
             .and_then(|p| p.as_ref())
-            .map(|p| p.stats)
+            .map(|p| p.driver.stats())
     }
 
     /// The persistence counters summed over all zones.
-    pub fn persistence_stats_total(&self) -> ZonePersistenceStats {
-        let mut total = ZonePersistenceStats::default();
+    pub fn persistence_stats_total(&self) -> PersistenceStats {
+        let mut total = PersistenceStats::default();
         for persistence in self.persistence.iter().flatten() {
-            total.absorb(persistence.stats);
+            total.absorb(persistence.driver.stats());
         }
         total
     }
@@ -878,7 +761,7 @@ impl ShardedGameCluster {
         self.persistence
             .get(zone)
             .and_then(|p| p.as_ref())
-            .map(|p| p.service.stats())
+            .map(|p| p.driver.service.stats())
     }
 
     /// Runs `f` against one zone's persisted blob store (e.g. to inspect
@@ -888,25 +771,39 @@ impl ShardedGameCluster {
         self.persistence
             .get(zone)
             .and_then(|p| p.as_ref())
-            .map(|p| p.service.with_remote(f))
+            .map(|p| p.driver.service.with_remote(f))
     }
 
-    /// Mirrors the dirty border chunks of `deltas` (owned by `zone`) into
-    /// the neighbouring zones' replica worlds, charging one message per
-    /// chunk and neighbour to `endpoints` and returning the message count.
-    /// Both consumers of a destructive `drain_owned_dirty` — the tick's
-    /// border protocol and a mid-run persistence flush — go through this,
-    /// so no drain can ever skip mirroring.
-    fn mirror_border_deltas(
+    /// The one consumer of a destructive dirty drain of `zone`'s world —
+    /// the tick's step 3a, a mid-run persistence flush and a migration's
+    /// quiesce all come through here, so no drain can skip a reader. Feeds
+    /// `deltas` to the client subscription index (when a hub is attached),
+    /// then mirrors every border chunk into the replica worlds of the
+    /// zones owning laterally adjacent terrain, one message per chunk and
+    /// neighbour. Who the neighbours are comes from the shard map, or from
+    /// the hub's border subscriptions when
+    /// [`ReplicationConfig::border_via_subscription`] is set — the zones
+    /// whose whole-shard interest covers the chunk, which is the same set.
+    fn mirror_drained_deltas(
         &mut self,
         zone: usize,
         deltas: &[ShardDelta],
-        endpoints: &mut [u64],
-    ) -> u64 {
-        let mut messages = 0u64;
+        ledger: &mut MessageLedger,
+    ) {
+        let mut border_hub = None;
+        if let Some(repl) = self.replication.as_mut() {
+            repl.hub.sync_partition();
+            repl.hub.ingest(deltas);
+            if repl.border_via_subscription {
+                border_hub = Some(&mut repl.hub);
+            }
+        }
         for delta in deltas {
             for &pos in &delta.chunks {
-                let neighbors = self.map.neighbor_zones(pos);
+                let neighbors = match &border_hub {
+                    Some(hub) => hub.border_zones_covering(pos),
+                    None => self.map.neighbor_zones(pos),
+                };
                 if neighbors.is_empty() {
                     continue;
                 }
@@ -920,87 +817,14 @@ impl ShardedGameCluster {
                         continue;
                     }
                     self.servers[neighbor].world().insert_chunk(chunk.clone());
-                    messages += 1;
-                    endpoints[zone] += 1;
-                    endpoints[neighbor] += 1;
+                    ledger.charge(zone, neighbor, 1);
                     self.stats.border_chunk_updates += 1;
-                }
-            }
-        }
-        messages
-    }
-
-    /// Routes one zone's drained deltas to the border protocol — through
-    /// the legacy bespoke mirror path, or through the replication hub's
-    /// border subscriptions when
-    /// [`ReplicationConfig::border_via_subscription`] is set — and feeds
-    /// the same deltas to the client subscription index. Exactly one of
-    /// the mirror paths runs; both count messages identically.
-    fn mirror_drained_deltas(
-        &mut self,
-        zone: usize,
-        deltas: &[ShardDelta],
-        endpoints: &mut [u64],
-    ) -> u64 {
-        let mut via_hub = false;
-        if let Some(repl) = self.replication.as_mut() {
-            repl.hub.sync_partition();
-            repl.hub.ingest(deltas);
-            via_hub = repl.border_via_subscription;
-        }
-        if via_hub {
-            self.mirror_via_subscription(zone, deltas, endpoints)
-        } else {
-            self.mirror_border_deltas(zone, deltas, endpoints)
-        }
-    }
-
-    /// The border protocol re-founded on the subscription index: the hub's
-    /// border subscriptions decide who receives each drained chunk (the
-    /// zones whose whole-shard interest covers it — exactly the laterally
-    /// adjacent foreign owners the legacy path derived per chunk), and the
-    /// transport, message accounting, and replica application are
-    /// identical to [`ShardedGameCluster::mirror_border_deltas`].
-    fn mirror_via_subscription(
-        &mut self,
-        zone: usize,
-        deltas: &[ShardDelta],
-        endpoints: &mut [u64],
-    ) -> u64 {
-        let mut messages = 0u64;
-        for delta in deltas {
-            for &pos in &delta.chunks {
-                let neighbors = self
-                    .replication
-                    .as_ref()
-                    .expect("subscription mirroring requires an attached hub")
-                    .hub
-                    .border_zones_covering(pos);
-                if neighbors.is_empty() {
-                    continue;
-                }
-                let chunk = self.servers[zone].world().read_chunk(pos, |c| c.clone());
-                let Some(chunk) = chunk else { continue };
-                for &neighbor in &neighbors {
-                    // Same rule as the legacy path: a dead neighbour's
-                    // replica terrain dies with it.
-                    if self.dead[neighbor] {
-                        continue;
+                    if let Some(hub) = border_hub.as_mut() {
+                        hub.note_border_delivery();
                     }
-                    self.servers[neighbor].world().insert_chunk(chunk.clone());
-                    messages += 1;
-                    endpoints[zone] += 1;
-                    endpoints[neighbor] += 1;
-                    self.stats.border_chunk_updates += 1;
-                    self.replication
-                        .as_mut()
-                        .expect("checked above")
-                        .hub
-                        .note_border_delivery();
                 }
             }
         }
-        messages
     }
 
     /// Flushes all remaining dirty terrain of every zone through its
@@ -1027,13 +851,12 @@ impl ShardedGameCluster {
             // charged to the lifetime counters but to no tick (the flush
             // runs between ticks).
             let deltas = self.servers[zone].drain_owned_dirty();
-            let mut endpoints = vec![0u64; zones];
-            let messages = self.mirror_drained_deltas(zone, &deltas, &mut endpoints);
-            self.stats.cross_server_messages += messages;
+            let mut ledger = MessageLedger::new(zones);
+            self.mirror_drained_deltas(zone, &deltas, &mut ledger);
+            self.stats.cross_server_messages += ledger.messages;
             let persistence = self.persistence[zone].as_mut().expect("checked above");
-            persistence.service.stage_dirty(deltas);
-            let now = self.servers[zone].now();
-            flushed += persistence.run_write_back_pass(now);
+            persistence.driver.service.stage_dirty(deltas);
+            flushed += persistence.driver.flush(self.servers[zone].now());
         }
         flushed
     }
@@ -1077,9 +900,9 @@ impl ShardedGameCluster {
     /// index over the cluster's partition plus an autoscaled fan-out
     /// stage. When [`ReplicationConfig::border_via_subscription`] is set,
     /// every zone is additionally registered as a border subscriber and
-    /// the tick's border mirroring routes through the index —
-    /// message-for-message identical to the legacy mirror path. Without a
-    /// hub attached the tick is byte-identical to the previous cluster.
+    /// the border mirror asks the index, not the shard map, who receives
+    /// each chunk — the same zones, so message-for-message identical.
+    /// Without a hub attached no observable byte of the tick changes.
     pub fn enable_replication(&mut self, config: ReplicationConfig) {
         let mut hub = ReplicationHub::with_config(Arc::clone(&self.map), config.hub);
         if config.border_via_subscription {
@@ -1228,9 +1051,50 @@ impl ShardedGameCluster {
             .collect();
     }
 
+    /// Registry indices of the constructs homed on `shard` that `zone`'s
+    /// server currently simulates — the constructs that follow the shard
+    /// when it changes owner.
+    fn constructs_homed_on(&self, shard: usize, zone: usize) -> Vec<usize> {
+        let shard_count = self.map.shard_count();
+        (0..self.registry.len())
+            .filter(|&index| {
+                let entry = &self.registry[index];
+                entry.zone == zone
+                    && entry
+                        .home
+                        .is_some_and(|home| shard_index(home, shard_count) == shard)
+            })
+            .collect()
+    }
+
+    /// Moves the registered construct at `index`, with its full simulation
+    /// state, from the server it lives on to `to`'s — the one way a
+    /// construct changes servers (shard migration, traffic-driven
+    /// migration, crash re-homing, recovery adoption). The source backend
+    /// releases any in-flight speculation; the destination has nothing
+    /// published yet, so neighbours need a fresh handle. Two messages,
+    /// state plus acknowledgement: both servers pay between live zones,
+    /// only the adopter when the source is dead (the state then comes from
+    /// the offloading substrate, which outlives the zone server).
+    fn rehome_construct(&mut self, index: usize, to: usize, ledger: &mut MessageLedger) {
+        let RegisteredConstruct { zone: from, id, .. } = self.registry[index];
+        let construct = self.servers[from]
+            .take_construct(id)
+            .expect("registered construct must exist on its zone server");
+        let entry = &mut self.registry[index];
+        entry.zone = to;
+        entry.id = self.servers[to].adopt_construct(construct);
+        entry.published = None;
+        if self.dead[from] {
+            ledger.charge_one_sided(to, 2);
+        } else {
+            ledger.charge(from, to, 2);
+        }
+    }
+
     /// Applies one batch of proposed shard migrations at a tick boundary,
-    /// charging every transfer to `endpoints` and returning the message
-    /// count. Per migration, in order:
+    /// charging every transfer to `ledger` and returning the number of
+    /// migrations applied. Per migration, in order:
     ///
     /// 1. *quiesce* — the source's dirty state for the shard is drained
     ///    and border-mirrored (a destructive drain must mirror), and the
@@ -1247,9 +1111,7 @@ impl ShardedGameCluster {
     ///    the destination zone's pipeline, which owns the flush obligation
     ///    from now on;
     /// 5. *construct transfer* — constructs whose home chunk lives in the
-    ///    shard move servers with their full simulation state (two
-    ///    messages each: state + acknowledgement); the source backend
-    ///    releases any in-flight speculation for them.
+    ///    shard move servers ([`ShardedGameCluster::rehome_construct`]).
     ///
     /// After the batch, border-construct relationships are rebuilt under
     /// the new ownership. Avatars are *not* moved here: the router
@@ -1258,9 +1120,9 @@ impl ShardedGameCluster {
     fn apply_migrations(
         &mut self,
         migrations: &[ShardMigration],
-        endpoints: &mut [u64],
-    ) -> (u64, u64) {
-        let mut messages = 0u64;
+        ledger: &mut MessageLedger,
+    ) -> u64 {
+        let before = ledger.messages;
         let mut applied = 0u64;
         for migration in migrations {
             let shard = migration.shard;
@@ -1280,13 +1142,12 @@ impl ShardedGameCluster {
                 continue;
             }
             // Migration control: announcement + acknowledgement.
-            messages += 2;
-            endpoints[from] += 2;
-            endpoints[to] += 2;
+            ledger.charge(from, to, 2);
 
             // 1. Quiesce the shard's in-flight persistence. The drain is
-            //    destructive, so its border mirroring runs here (under the
-            //    pre-migration ownership) like every other drain consumer.
+            //    destructive, so it goes through the one drain consumer
+            //    (under the pre-migration ownership): border replicas and
+            //    subscribed clients see what it took.
             //    The staged write-back set is handed to the destination's
             //    pipeline only when one exists; migrating towards a
             //    pipeline-less zone instead flushes the source's staging
@@ -1294,13 +1155,13 @@ impl ShardedGameCluster {
             //    an obligation the source already accepted must never be
             //    silently dropped.
             let deltas = self.servers[from].world().drain_dirty_shards(&[shard]);
-            messages += self.mirror_border_deltas(from, &deltas, endpoints);
+            self.mirror_drained_deltas(from, &deltas, ledger);
             let destination_persists = self.persistence[to].is_some();
             let now = self.servers[from].now();
             let world = self.servers[from].world_handle();
             let staged = match self.persistence[from].as_mut() {
                 Some(persistence) if destination_persists => {
-                    persistence.service.take_staged_shard(shard)
+                    persistence.driver.service.take_staged_shard(shard)
                 }
                 Some(persistence) => {
                     // Destination has no pipeline to inherit the
@@ -1311,6 +1172,7 @@ impl ShardedGameCluster {
                     // shards' staging keeps its normal cadence.
                     use servo_storage::ObjectStore;
                     let mut dirty: BTreeSet<ChunkPos> = persistence
+                        .driver
                         .service
                         .take_staged_shard(shard)
                         .into_iter()
@@ -1318,7 +1180,7 @@ impl ShardedGameCluster {
                     for delta in &deltas {
                         dirty.extend(delta.chunks.iter().copied());
                     }
-                    let written = persistence.service.with_remote(|remote| {
+                    let written = persistence.driver.service.with_remote(|remote| {
                         let mut written = 0u64;
                         for &pos in &dirty {
                             let Some(snapshot) = world.read_chunk(pos, |c| c.snapshot()) else {
@@ -1331,7 +1193,7 @@ impl ShardedGameCluster {
                         }
                         written
                     });
-                    persistence.stats.chunks_flushed += written;
+                    persistence.driver.record_flushed(written);
                     Vec::new()
                 }
                 None => Vec::new(),
@@ -1350,9 +1212,7 @@ impl ShardedGameCluster {
             for &pos in &positions {
                 self.servers[from].world().remove_chunk(pos);
             }
-            messages += transferred;
-            endpoints[from] += transferred;
-            endpoints[to] += transferred;
+            ledger.charge(from, to, transferred);
             self.rebalance_stats.chunks_transferred += transferred;
 
             // 3. Flip ownership. From here on the destination requests,
@@ -1366,7 +1226,7 @@ impl ShardedGameCluster {
             }
             if !dirty.is_empty() {
                 if let Some(persistence) = self.persistence[to].as_mut() {
-                    persistence.service.stage_dirty(vec![ShardDelta {
+                    persistence.driver.service.stage_dirty(vec![ShardDelta {
                         shard,
                         epoch,
                         chunks: dirty.into_iter().collect(),
@@ -1375,24 +1235,8 @@ impl ShardedGameCluster {
             }
 
             // 5. Move the shard's constructs with their simulation state.
-            let shard_count = self.map.shard_count();
-            for index in 0..self.registry.len() {
-                let entry = &self.registry[index];
-                let Some(home) = entry.home else { continue };
-                if shard_index(home, shard_count) != shard || entry.zone != from {
-                    continue;
-                }
-                let construct = self.servers[from]
-                    .take_construct(entry.id)
-                    .expect("registered construct must exist on its zone server");
-                let new_id = self.servers[to].adopt_construct(construct);
-                let entry = &mut self.registry[index];
-                entry.zone = to;
-                entry.id = new_id;
-                entry.published = None;
-                messages += 2;
-                endpoints[from] += 2;
-                endpoints[to] += 2;
+            for index in self.constructs_homed_on(shard, from) {
+                self.rehome_construct(index, to, ledger);
                 self.rebalance_stats.constructs_transferred += 1;
             }
 
@@ -1403,8 +1247,8 @@ impl ShardedGameCluster {
             self.rebalance_stats.rebalance_events += 1;
             self.rebuild_border_constructs();
         }
-        self.rebalance_stats.migration_messages += messages;
-        (messages, applied)
+        self.rebalance_stats.migration_messages += ledger.messages - before;
+        applied
     }
 
     /// Per-zone block counts for every live border construct, as
@@ -1437,19 +1281,17 @@ impl ShardedGameCluster {
 
     /// Applies one batch of traffic-driven construct migrations: each
     /// construct moves to the zone owning the majority of its block
-    /// footprint through the same take/adopt path shard migrations use
-    /// (two messages: state plus acknowledgement, charged to both
-    /// endpoints). The construct's home shard stays where it is — the
-    /// destination server *pins* the adopted construct, so it keeps
-    /// simulating it across the ownership filter. Returns `(messages,
-    /// applied)`.
+    /// footprint ([`ShardedGameCluster::rehome_construct`]). The
+    /// construct's home shard stays where it is — the destination server
+    /// *pins* the adopted construct, so it keeps simulating it across the
+    /// ownership filter.
     fn apply_construct_migrations(
         &mut self,
         migrations: &[ConstructMigration],
-        endpoints: &mut [u64],
-    ) -> (u64, u64) {
-        let mut messages = 0u64;
-        let mut applied = 0u64;
+        ledger: &mut MessageLedger,
+    ) {
+        let before = ledger.messages;
+        let mut applied = false;
         for migration in migrations {
             let Some(entry) = self.registry.get(migration.index) else {
                 continue;
@@ -1466,25 +1308,14 @@ impl ShardedGameCluster {
             {
                 continue;
             }
-            let construct = self.servers[from]
-                .take_construct(entry.id)
-                .expect("registered construct must exist on its zone server");
-            let new_id = self.servers[to].adopt_construct(construct);
-            let entry = &mut self.registry[migration.index];
-            entry.zone = to;
-            entry.id = new_id;
-            entry.published = None;
-            messages += 2;
-            endpoints[from] += 2;
-            endpoints[to] += 2;
+            self.rehome_construct(migration.index, to, ledger);
             self.rebalance_stats.construct_migrations += 1;
-            applied += 1;
+            applied = true;
         }
-        if applied > 0 {
+        if applied {
             self.rebuild_border_constructs();
         }
-        self.rebalance_stats.migration_messages += messages;
-        (messages, applied)
+        self.rebalance_stats.migration_messages += ledger.messages - before;
     }
 
     /// Schedules `zone` to crash at the start of cluster tick `tick` (as
@@ -1503,15 +1334,6 @@ impl ShardedGameCluster {
     pub fn crash_zone(&mut self, zone: usize, tick: u64) {
         assert!(zone < self.servers.len(), "zone {zone} out of range");
         self.failure_plan.push((tick, zone));
-    }
-
-    /// Schedules every crash of `plan` (see
-    /// [`ShardedGameCluster::crash_zone`]), returning the cluster.
-    pub fn with_failure_plan(mut self, plan: FailurePlan) -> Self {
-        for (tick, zone) in plan.crashes {
-            self.crash_zone(zone, tick);
-        }
-        self
     }
 
     /// Lifetime counters of the crash-recovery machinery (all zero while
@@ -1534,12 +1356,12 @@ impl ShardedGameCluster {
     /// in-flight speculation (the substrate abandons whatever it was
     /// computing for the dead server), fences its persistence pipeline,
     /// sizes the data-loss window, and queues its shards for adoption.
-    /// Charges one failure-detection message per survivor and returns the
-    /// message count.
-    fn execute_crash(&mut self, zone: usize, endpoints: &mut [u64]) -> u64 {
+    /// Charges one failure-detection message per survivor.
+    fn execute_crash(&mut self, zone: usize, ledger: &mut MessageLedger) {
         if self.dead[zone] {
-            return 0;
+            return;
         }
+        let before = ledger.messages;
         let survivors: Vec<usize> = (0..self.servers.len())
             .filter(|&z| z != zone && !self.dead[z])
             .collect();
@@ -1561,7 +1383,7 @@ impl ShardedGameCluster {
         if let Some(persistence) = self.persistence[zone].as_mut() {
             persistence.fenced = true;
             for &shard in &orphans {
-                for pos in persistence.service.staged_positions(shard) {
+                for pos in persistence.driver.service.staged_positions(shard) {
                     let covered = persistence
                         .wal
                         .as_ref()
@@ -1584,17 +1406,11 @@ impl ShardedGameCluster {
             self.pending_owner.insert(shard, adopter);
         }
 
-        let mut messages = 0u64;
-
         // Constructs the dead zone simulated *away from their home
         // shard's zone* (traffic-driven migrations pin a construct to a
         // foreign server) are invisible to shard adoption — their home
         // shard belongs to a live zone and is never orphaned. Re-home
-        // each to its home shard's effective owner now: construct state
-        // is recoverable from the offloading substrate, so the move is
-        // charged like any other construct adoption (state plus
-        // acknowledgement, to the adopter).
-        let shard_count = self.map.shard_count();
+        // each to its home shard's effective owner now.
         let mut rehomed = false;
         for index in 0..self.registry.len() {
             let entry = &self.registry[index];
@@ -1602,30 +1418,16 @@ impl ShardedGameCluster {
                 continue;
             }
             let Some(home) = entry.home else { continue };
-            let shard = shard_index(home, shard_count);
-            if self.map.zone_of_shard(shard) == zone {
+            if self.map.zone_of_chunk(home) == zone {
                 // Orphaned together with its home shard: the normal
                 // adoption path re-homes it with the terrain.
                 continue;
             }
-            let adopter = self
-                .pending_owner
-                .get(&shard)
-                .copied()
-                .unwrap_or_else(|| self.map.zone_of_shard(shard));
+            let adopter = effective_zone(&self.map, &self.pending_owner, home);
             if self.dead[adopter] {
                 continue;
             }
-            let construct = self.servers[zone]
-                .take_construct(entry.id)
-                .expect("registered construct must exist on its zone server");
-            let new_id = self.servers[adopter].adopt_construct(construct);
-            let entry = &mut self.registry[index];
-            entry.zone = adopter;
-            entry.id = new_id;
-            entry.published = None;
-            messages += 2;
-            endpoints[adopter] += 2;
+            self.rehome_construct(index, adopter, ledger);
             self.recovery_stats.constructs_adopted += 1;
             rehomed = true;
         }
@@ -1634,29 +1436,26 @@ impl ShardedGameCluster {
         }
 
         // Failure detection: one message announcing the death to each
-        // survivor (the dead endpoint answers nothing, so only the
-        // survivor side is charged).
+        // survivor (the dead endpoint answers nothing).
         for &survivor in &survivors {
-            messages += 1;
-            endpoints[survivor] += 1;
+            ledger.charge_one_sided(survivor, 1);
         }
-        self.recovery_stats.recovery_messages += messages;
-        messages
+        self.recovery_stats.recovery_messages += ledger.messages - before;
     }
 
     /// Applies one batch of recovery adoptions: each orphaned `(shard,
     /// adopter)` pair rebuilds the shard on the adopter from the dead
     /// zone's remote store plus its write-ahead log, flips ownership, and
     /// re-homes the shard's constructs. Charges every transfer to
-    /// `endpoints` (adopter side only — the dead server sends nothing;
+    /// `ledger`, adopter side only — the dead server sends nothing;
     /// recovery reads come from the storage substrate and the durable
-    /// log) and returns `(messages, shards_adopted)`.
+    /// log — and returns the number of shards adopted.
     fn apply_recovery_migrations(
         &mut self,
         batch: &[(usize, usize)],
-        endpoints: &mut [u64],
-    ) -> (u64, u64) {
-        let mut messages = 0u64;
+        ledger: &mut MessageLedger,
+    ) -> u64 {
+        let before = ledger.messages;
         let mut applied = 0u64;
         let now = self.clock.now();
         for &(shard, to) in batch {
@@ -1668,9 +1467,8 @@ impl ShardedGameCluster {
                 continue;
             }
             // Adoption control: coordination announcement plus
-            // acknowledgement, charged to the adopter.
-            messages += 2;
-            endpoints[to] += 2;
+            // acknowledgement.
+            ledger.charge_one_sided(to, 2);
 
             // The dead zone's world is unreachable, but the shard's chunk
             // *directory* is knowable (the map and the store's key scheme
@@ -1688,7 +1486,7 @@ impl ShardedGameCluster {
                 }
                 let key = servo_storage::chunk_key(pos);
                 let restored = self.persistence[from].as_ref().and_then(|p| {
-                    p.service.with_remote(|remote| {
+                    p.driver.service.with_remote(|remote| {
                         use servo_storage::ObjectStore;
                         remote
                             .read(&key, now)
@@ -1698,8 +1496,7 @@ impl ShardedGameCluster {
                 });
                 if let Some(chunk) = restored {
                     self.servers[to].world().insert_chunk(chunk);
-                    messages += 1;
-                    endpoints[to] += 1;
+                    ledger.charge_one_sided(to, 1);
                     self.recovery_stats.chunks_restored += 1;
                 }
             }
@@ -1717,8 +1514,7 @@ impl ShardedGameCluster {
                         continue;
                     };
                     self.servers[to].world().insert_chunk(chunk);
-                    messages += 1;
-                    endpoints[to] += 1;
+                    ledger.charge_one_sided(to, 1);
                     self.recovery_stats.chunks_replayed += 1;
                     wal.truncate(record.pos, record.seq);
                     replayed.push(record.pos);
@@ -1737,7 +1533,7 @@ impl ShardedGameCluster {
             if !replayed.is_empty() {
                 if let Some(persistence) = self.persistence[to].as_mut() {
                     let epoch = self.servers[to].world().shard_epoch(shard);
-                    persistence.service.stage_dirty(vec![ShardDelta {
+                    persistence.driver.service.stage_dirty(vec![ShardDelta {
                         shard,
                         epoch,
                         chunks: replayed,
@@ -1745,28 +1541,9 @@ impl ShardedGameCluster {
                 }
             }
 
-            // 5. Re-home the shard's constructs. Construct state is
-            //    recoverable from the offloading substrate (speculative
-            //    sequences live outside the zone server), so adoption
-            //    moves it like a migration would: state plus
-            //    acknowledgement per construct, charged to the adopter.
-            let shard_count = self.map.shard_count();
-            for index in 0..self.registry.len() {
-                let entry = &self.registry[index];
-                let Some(home) = entry.home else { continue };
-                if shard_index(home, shard_count) != shard || entry.zone != from {
-                    continue;
-                }
-                let construct = self.servers[from]
-                    .take_construct(entry.id)
-                    .expect("registered construct must exist on its zone server");
-                let new_id = self.servers[to].adopt_construct(construct);
-                let entry = &mut self.registry[index];
-                entry.zone = to;
-                entry.id = new_id;
-                entry.published = None;
-                messages += 2;
-                endpoints[to] += 2;
+            // 5. Re-home the shard's constructs.
+            for index in self.constructs_homed_on(shard, from) {
+                self.rehome_construct(index, to, ledger);
                 self.recovery_stats.constructs_adopted += 1;
             }
 
@@ -1782,20 +1559,8 @@ impl ShardedGameCluster {
         if applied > 0 {
             self.rebuild_border_constructs();
         }
-        self.recovery_stats.recovery_messages += messages;
-        (messages, applied)
-    }
-
-    /// The zone that will simulate the chunk at `pos` *this* tick: the
-    /// map's owner, unless the shard is orphaned and awaiting adoption —
-    /// then its designated adopter. Identical to the map while no
-    /// adoption is pending.
-    fn effective_zone_of_chunk(&self, pos: ChunkPos) -> usize {
-        let shard = shard_index(pos, self.map.shard_count());
-        self.pending_owner
-            .get(&shard)
-            .copied()
-            .unwrap_or_else(|| self.map.zone_of_shard(shard))
+        self.recovery_stats.recovery_messages += ledger.messages - before;
+        applied
     }
 
     /// The per-tick details recorded so far.
@@ -1831,10 +1596,7 @@ impl ShardedGameCluster {
         events: &[(PlayerId, PlayerEvent)],
     ) -> ClusterTick {
         let zones = self.servers.len();
-        let mut messages = 0u64;
-        // Message endpoints charged to each zone this tick (each message
-        // burdens both its sender and its receiver).
-        let mut endpoints = vec![0u64; zones];
+        let mut ledger = MessageLedger::new(zones);
 
         // 0a. Failure injection: execute any crash scheduled for this
         //     boundary. With an empty plan this block touches nothing.
@@ -1848,7 +1610,7 @@ impl ShardedGameCluster {
                 .collect();
             self.failure_plan.retain(|&(tick, _)| tick > tick_index);
             for zone in due {
-                messages += self.execute_crash(zone, &mut endpoints);
+                self.execute_crash(zone, &mut ledger);
             }
         }
 
@@ -1868,10 +1630,7 @@ impl ShardedGameCluster {
             let take = migration_budget.min(self.pending_adoptions.len());
             let batch: Vec<(usize, usize)> = self.pending_adoptions.drain(..take).collect();
             migration_budget -= take;
-            let (recovery_messages, adopted) =
-                self.apply_recovery_migrations(&batch, &mut endpoints);
-            messages += recovery_messages;
-            shard_migrations += adopted;
+            shard_migrations += self.apply_recovery_migrations(&batch, &mut ledger);
         }
 
         // 0c. Dynamic rebalancing (opt-in): feed the policy the previous
@@ -1908,10 +1667,7 @@ impl ShardedGameCluster {
             proposed.truncate(migration_budget);
             migration_budget -= proposed.len();
             if !proposed.is_empty() {
-                let (migration_messages, applied) =
-                    self.apply_migrations(&proposed, &mut endpoints);
-                messages += migration_messages;
-                shard_migrations += applied;
+                shard_migrations += self.apply_migrations(&proposed, &mut ledger);
             }
 
             // Border-traffic term (opt-in): count each border construct's
@@ -1931,28 +1687,18 @@ impl ShardedGameCluster {
                     .policy
                     .observe_border_traffic(&footprints, migration_budget);
                 if !proposed.is_empty() {
-                    let (migration_messages, _applied) =
-                        self.apply_construct_migrations(&proposed, &mut endpoints);
-                    messages += migration_messages;
+                    self.apply_construct_migrations(&proposed, &mut ledger);
                 }
             }
         }
 
         // Route to the *effective* owner: while an orphaned shard awaits
         // adoption, its avatars and events go to the designated adopter
-        // (which tolerates simulating over foreign terrain) rather than
-        // the dead zone. With nothing pending this is exactly the map.
+        // rather than the dead zone.
         let map = Arc::clone(&self.map);
         let pending = &self.pending_owner;
         let mut assignment = self.router.route(positions, events, |p| {
-            if pending.is_empty() {
-                return map.zone_of_block(p);
-            }
-            let shard = shard_index(ChunkPos::from(p), map.shard_count());
-            pending
-                .get(&shard)
-                .copied()
-                .unwrap_or_else(|| map.zone_of_shard(shard))
+            effective_zone(&map, pending, ChunkPos::from(p))
         });
 
         // 1a. Player handoffs: two messages per crossing avatar (session
@@ -1963,9 +1709,7 @@ impl ShardedGameCluster {
         let mut client_events: Vec<(ChunkPos, u32)> = Vec::new();
         let collect_events = self.replication.is_some();
         for handoff in &assignment.handoffs {
-            messages += 2;
-            endpoints[handoff.from] += 2;
-            endpoints[handoff.to] += 2;
+            ledger.charge(handoff.from, handoff.to, 2);
             if collect_events {
                 if let Some(&pos) = positions.get(handoff.player.raw() as usize) {
                     client_events.push((ChunkPos::from(pos), 1));
@@ -1985,7 +1729,7 @@ impl ShardedGameCluster {
                 PlayerEvent::ChatMessage | PlayerEvent::InventoryChanged => continue,
             };
             let chunk = ChunkPos::from(block);
-            let origin = self.effective_zone_of_chunk(chunk);
+            let origin = effective_zone(&map, &self.pending_owner, chunk);
             for neighbor in map.neighbor_zones(chunk) {
                 // Dead neighbours receive nothing; a neighbour that IS
                 // the effective origin (the adopter of a still-pending
@@ -1994,9 +1738,7 @@ impl ShardedGameCluster {
                     continue;
                 }
                 assignment.events[neighbor].push((player, event));
-                messages += 1;
-                endpoints[origin] += 1;
-                endpoints[neighbor] += 1;
+                ledger.charge(origin, neighbor, 1);
                 self.stats.forwarded_border_events += 1;
             }
         }
@@ -2037,9 +1779,9 @@ impl ShardedGameCluster {
                     }
                 }
             }
-            messages += self.mirror_drained_deltas(zone, &deltas, &mut endpoints);
+            self.mirror_drained_deltas(zone, &deltas, &mut ledger);
             if let Some(persistence) = self.persistence[zone].as_mut() {
-                persistence.service.stage_dirty(deltas);
+                persistence.driver.service.stage_dirty(deltas);
             }
         }
 
@@ -2085,11 +1827,7 @@ impl ShardedGameCluster {
                     }
                 }
                 match self.border_exchange {
-                    BorderExchange::PerConstruct => {
-                        messages += 2;
-                        endpoints[owner] += 2;
-                        endpoints[neighbor] += 2;
-                    }
+                    BorderExchange::PerConstruct => ledger.charge(owner, neighbor, 2),
                     BorderExchange::Batched => {
                         exchange_pairs.insert((owner, neighbor));
                     }
@@ -2105,9 +1843,7 @@ impl ShardedGameCluster {
                         // horizon) — fire-and-forget, half the eager
                         // exchange's cost.
                         Some(_) => {
-                            messages += 1;
-                            endpoints[owner] += 1;
-                            endpoints[neighbor] += 1;
+                            ledger.charge(owner, neighbor, 1);
                             self.stats.speculation_handles += 1;
                         }
                         // Nothing published (local backend, or the
@@ -2124,9 +1860,7 @@ impl ShardedGameCluster {
             }
         }
         for (owner, neighbor) in exchange_pairs {
-            messages += 2;
-            endpoints[owner] += 2;
-            endpoints[neighbor] += 2;
+            ledger.charge(owner, neighbor, 2);
             self.stats.batched_bundles += 1;
         }
 
@@ -2144,30 +1878,13 @@ impl ShardedGameCluster {
             if persistence.fenced {
                 continue;
             }
-            let now = self.servers[zone].now();
-            persistence.ticks_since_pass += 1;
-            if persistence.ticks_since_pass >= persistence.interval {
-                persistence.ticks_since_pass = 0;
-                let view = self.servers[zone].config().view_distance_blocks;
-                let needed: Vec<ChunkPos> = required_chunks(&assignment.positions[zone], view)
+            let server = &self.servers[zone];
+            persistence.driver.tick(server.now(), || {
+                let view = server.config().view_distance_blocks;
+                required_chunks(&assignment.positions[zone], view)
                     .into_iter()
                     .filter(|&pos| map.zone_of_chunk(pos) == zone)
-                    .collect();
-                persistence.service.submit(ChunkRequest::prefetch(needed));
-                persistence.service.submit(ChunkRequest::write_back());
-            }
-            for completion in persistence.service.poll(now) {
-                match completion.outcome {
-                    ChunkOutcome::WroteBack { chunks } => {
-                        persistence.stats.write_back_passes += 1;
-                        persistence.stats.chunks_flushed += chunks as u64;
-                    }
-                    ChunkOutcome::Loaded { .. } => {
-                        persistence.stats.prefetch_arrivals += 1;
-                    }
-                    _ => {}
-                }
-            }
+            });
         }
 
         // 3d. Client replication (opt-in): flush the due cohort of area
@@ -2180,21 +1897,15 @@ impl ShardedGameCluster {
         //     amortised share, not the coordination round-trip rate. With
         //     no hub attached every byte below is zero.
         let mut replication_ms = vec![0.0f64; zones];
+        let mut replication_frames = 0u64;
         if let Some(repl) = self.replication.as_mut() {
             if !client_events.is_empty() {
                 repl.hub.ingest_events(&client_events);
             }
-            let map = &self.map;
             let servers = &self.servers;
             let dead = &self.dead;
             let pending = &self.pending_owner;
-            let zone_of = |pos: ChunkPos| {
-                let shard = shard_index(pos, map.shard_count());
-                pending
-                    .get(&shard)
-                    .copied()
-                    .unwrap_or_else(|| map.zone_of_shard(shard))
-            };
+            let zone_of = |pos: ChunkPos| effective_zone(&map, pending, pos);
             let frames = repl.hub.flush(repl.cohorts, |pos| {
                 let zone = zone_of(pos);
                 if dead[zone] {
@@ -2208,8 +1919,8 @@ impl ShardedGameCluster {
                 replication_ms = repl
                     .fanout
                     .charge(self.clock.now(), zones, &frames, zone_of);
-                messages += frames.len() as u64;
-                self.stats.replication_frames += frames.len() as u64;
+                replication_frames = frames.len() as u64;
+                self.stats.replication_frames += replication_frames;
             }
         }
 
@@ -2219,7 +1930,7 @@ impl ShardedGameCluster {
         let mut breakdown = Vec::with_capacity(zones);
         for zone in 0..zones {
             let coordination = SimDuration::from_millis_f64(
-                endpoints[zone] as f64 * self.costs.message_cost_ms + replication_ms[zone],
+                ledger.endpoints[zone] as f64 * MESSAGE_COST_MS + replication_ms[zone],
             );
             critical = critical.max(reports[zone].duration + coordination);
             breakdown.push(ZoneTickBreakdown {
@@ -2230,6 +1941,9 @@ impl ShardedGameCluster {
             });
         }
 
+        // Replication frames ride the bulk lane: they count as messages,
+        // but the fan-out stage priced them above, not the ledger.
+        let messages = ledger.messages + replication_frames;
         let tick = ClusterTick {
             critical_path: critical,
             cross_server_messages: messages,
@@ -2301,6 +2015,20 @@ impl ShardedGameCluster {
         }
         ticks
     }
+}
+
+/// The zone that simulates the chunk at `pos` *this* tick: the map's
+/// owner, unless the chunk's shard is orphaned and awaiting adoption — then
+/// the designated adopter in `pending_owner` (which tolerates simulating
+/// over terrain it does not own yet). Routing, border-event forwarding,
+/// crash re-homing and the replication flush all ask here. Identical to the
+/// map while no adoption is pending.
+fn effective_zone(map: &ShardMap, pending_owner: &BTreeMap<usize, usize>, pos: ChunkPos) -> usize {
+    let shard = shard_index(pos, map.shard_count());
+    pending_owner
+        .get(&shard)
+        .copied()
+        .unwrap_or_else(|| map.zone_of_shard(shard))
 }
 
 /// Finds `count` deterministic chunk positions whose eastern neighbour is

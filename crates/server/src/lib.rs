@@ -60,8 +60,8 @@ pub use backends::{
     PublishedSequence, ResolutionPlan, ScBackend, ScResolution,
 };
 pub use cluster::{
-    BorderExchange, ClusterCosts, ClusterStats, ClusterTickDetail, FailurePlan, PersistenceBinding,
-    RecoveryStats, ShardedGameCluster, ZonePersistenceStats, ZoneTickBreakdown,
+    BorderExchange, ClusterStats, ClusterTickDetail, PersistenceBinding, RecoveryStats,
+    ShardedGameCluster, ZoneTickBreakdown,
 };
 pub use costs::{CostModel, TickWork};
 pub use multi::{ClusterTick, ReplicatedCluster, ZonedCluster};

@@ -259,3 +259,71 @@ fn client_fanout_never_touches_simulation_results() {
     assert!(fanout.charged_ms > 0.0);
     assert_eq!(fanout.frames, frames);
 }
+
+/// A block written straight into a zone's world between two ticks, on a
+/// shard that migrates at the next boundary, is drained by the migration's
+/// quiesce rather than by the tick's border step — and must reach the
+/// clients subscribed to its chunk all the same.
+#[test]
+fn between_tick_write_on_a_migrating_shard_reaches_its_subscriber() {
+    use servo_server::cluster::zone_hotspot_sites;
+    use servo_types::BlockPos;
+    use servo_world::{Block, RebalanceConfig, RebalancePolicy};
+
+    let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, 223);
+    cluster.enable_replication(ReplicationConfig::default());
+    // A hotspot: every avatar stands on zone 0, spread over four shards,
+    // each watched by one client whose interest is exactly that chunk.
+    let sites = zone_hotspot_sites(cluster.shard_map(), 0, 4);
+    let positions: Vec<BlockPos> = (0..48)
+        .map(|i| sites[i % 4].min_block() + BlockPos::new(8, 5, 8))
+        .collect();
+    for site in &sites {
+        cluster
+            .subscribe_client(Interest::new(*site, 0))
+            .expect("hub attached");
+    }
+    // Load the terrain and deliver the keyframes before anything moves.
+    for _ in 0..40 {
+        cluster.run_tick(&positions, &[]);
+    }
+    assert_eq!(cluster.replication_stats().expect("hub").keyframes, 4);
+
+    cluster.enable_rebalancing(RebalancePolicy::new(RebalanceConfig {
+        warmup_ticks: 0,
+        evaluate_every: 1,
+        cooldown_ticks: 0,
+        trigger_ratio: 1.1,
+        min_gap_ms: 0.1,
+        ..RebalanceConfig::default()
+    }));
+    for tick in 0..40 {
+        let block = if tick % 2 == 0 {
+            Block::Stone
+        } else {
+            Block::Dirt
+        };
+        for site in &sites {
+            let owner = cluster.shard_map().zone_of_chunk(*site);
+            cluster
+                .server(owner)
+                .world()
+                .set_block(site.min_block() + BlockPos::new(1, 5, 1), block)
+                .expect("the site is loaded on its owner");
+        }
+        let before = cluster.replication_stats().expect("hub").chunks_delivered;
+        cluster.run_tick(&positions, &[]);
+        let after = cluster.replication_stats().expect("hub").chunks_delivered;
+        assert_eq!(
+            after - before,
+            4,
+            "tick {tick}: a written chunk never reached its subscriber"
+        );
+    }
+    assert!(
+        sites
+            .iter()
+            .any(|site| cluster.shard_map().zone_of_chunk(*site) != 0),
+        "the hotspot never migrated a watched shard"
+    );
+}

@@ -32,6 +32,7 @@ pub mod cache;
 pub mod playerdata;
 pub mod service;
 pub mod wal;
+pub mod writeback;
 
 pub use backend::{
     BlobStore, BlobTier, FaultProfile, LocalDiskStore, ObjectStore, ReadResult, WriteResult,
@@ -45,6 +46,7 @@ pub use service::{
     SyncChunkService, Ticket,
 };
 pub use wal::{DeltaWal, SharedWal, WalRecord};
+pub use writeback::{PersistenceStats, WriteBackDriver};
 // Re-exported so service consumers can name the dirty-delta type without a
 // direct `servo-world` dependency.
 pub use servo_world::ShardDelta;

@@ -354,3 +354,159 @@ proptest! {
         view_tracker_model::run(&scenario);
     }
 }
+
+/// The cluster tick at whose start [`composed_cluster_run`] crashes a zone.
+const CRASH_AT: usize = 140;
+
+/// One run of the composed cluster scenario: a 4-zone hybrid with the
+/// speculative border exchange, per-zone persistence and write-ahead logs,
+/// a hotspot on zone 0 that makes the rebalancer migrate shards and border
+/// constructs, and a crash of zone 3 the survivors recover from — 200
+/// ticks driven through `run_tick`.
+fn composed_cluster_run(seed: u64) -> servo::core::HybridDeployment {
+    use servo::core::PersistenceConfig;
+    use servo::redstone::generators;
+    use servo::server::cluster::{
+        border_construct_sites, place_across_east_seam_at, zone_hotspot_sites,
+    };
+    use servo::server::BorderExchange;
+    use servo::types::consts::TICK_BUDGET;
+    use servo::types::PlayerId;
+    use servo::workload::{BehaviorKind, Hotspot, PlayerEvent, PlayerFleet};
+    use servo::world::{RebalanceConfig, RebalancePolicy};
+
+    const TICKS: u64 = 200;
+    // Write-back runs on worker threads, so how much of a zone's staging
+    // a cadence pass has flushed when a migration or a crash arrives
+    // depends on the host. This run must be a function of its seed:
+    // the cadence never fires, and the driver checkpoints synchronously
+    // every 20 ticks instead — the first migrations and the crash each
+    // land ten ticks after a checkpoint, with staging and log non-empty.
+    let mut hybrid = servo::core::ServoDeployment::builder()
+        .seed(seed)
+        .view_distance(32)
+        .border_exchange(BorderExchange::Speculative)
+        .persistence(Some(PersistenceConfig {
+            write_back_interval: u64::MAX,
+            ..PersistenceConfig::default()
+        }))
+        .hybrid(4);
+    let map = hybrid.cluster.shard_map().clone();
+    // Every other construct has most of its blocks east of the seam, on
+    // the neighbour's side: the border-traffic term will move it there.
+    for (index, site) in border_construct_sites(&map, 24).into_iter().enumerate() {
+        let offset = if index % 2 == 0 { 8 } else { 12 };
+        hybrid.cluster.add_construct(place_across_east_seam_at(
+            &generators::wire_line(14),
+            site,
+            6,
+            offset,
+        ));
+    }
+    let mut fleet = PlayerFleet::new(
+        BehaviorKind::Bounded { radius: 24.0 },
+        SimRng::seed(seed ^ 0x5eed),
+    );
+    fleet.connect_all(32);
+    fleet.set_hotspot(Hotspot {
+        targets: Hotspot::chunk_centers(&zone_hotspot_sites(&map, 0, 4)),
+        converge_at: SimTime::ZERO + TICK_BUDGET * 10,
+        disperse_at: SimTime::ZERO + TICK_BUDGET * 10_000,
+        travel_speed: 24.0,
+        dwell_radius: 4.0,
+    });
+    hybrid.crash_zone(3, CRASH_AT as u64);
+    hybrid.enable_rebalancing(RebalancePolicy::new(RebalanceConfig {
+        warmup_ticks: 20,
+        evaluate_every: 10,
+        cooldown_ticks: 30,
+        trigger_ratio: 1.3,
+        min_gap_ms: 1.0,
+        smoothing: 0.25,
+        border_traffic: true,
+        ..RebalanceConfig::default()
+    }));
+    let mut edits = SimRng::seed(seed).substream("terrain-edits");
+    for tick in 0..TICKS {
+        if tick % 20 == 10 {
+            hybrid.flush_persistence();
+        }
+        let mut events = fleet.tick(hybrid.cluster.now(), TICK_BUDGET);
+        // Six block edits per tick around spawn keep terrain — border
+        // chunks included — dirty, so mirroring, write-back and the
+        // write-ahead log all have work.
+        events.extend((0..6).map(|_| {
+            let x = (edits.unit() * 81.0) as i32 - 40;
+            let z = (edits.unit() * 81.0) as i32 - 40;
+            let event = PlayerEvent::BlockPlaced(BlockPos::new(x, 9, z));
+            (PlayerId::new(0), event)
+        }));
+        hybrid.cluster.run_tick(&fleet.positions(), &events);
+    }
+    hybrid
+}
+
+/// The message ledger, pinned from outside: every cross-server message a
+/// tick reports is charged to both of its endpoint servers — except the
+/// messages of crash detection and recovery, whose peer is a dead server
+/// or the storage substrate and which therefore burden one server only.
+/// And the whole composition is a function of the seed.
+#[test]
+fn cluster_messages_are_charged_to_their_endpoints_under_composed_churn() {
+    const MESSAGE_COST_US: u64 = 500;
+    let hybrid = composed_cluster_run(31);
+    let cluster = &hybrid.cluster;
+
+    // The scenario composed what it promises.
+    let (stats, rebalance, recovery) = (
+        cluster.stats(),
+        cluster.rebalance_stats(),
+        cluster.recovery_stats(),
+    );
+    assert!(rebalance.shard_migrations > 0, "no shard migrated");
+    assert!(rebalance.construct_migrations > 0, "no construct migrated");
+    assert!(rebalance.staged_dirty_handed_off > 0, "no staging moved");
+    assert!(stats.speculation_handles > 0 && stats.speculative_replays > 0);
+    assert!(stats.handoffs > 0 && stats.border_chunk_updates > 0);
+    assert_eq!(recovery.crashes, 1);
+    assert!(recovery.shards_adopted > 0 && recovery.constructs_adopted > 0);
+    assert!(recovery.chunks_restored + recovery.chunks_replayed > 0);
+    assert_eq!(recovery.chunks_lost, 0, "the write-ahead log was on");
+    assert_eq!(cluster.pending_adoption_count(), 0);
+
+    // One-sided messages exist only inside the recovery window, which
+    // opens at the crash tick and lasts `recovery_ticks`.
+    let window = CRASH_AT..CRASH_AT + recovery.recovery_ticks as usize;
+    assert!(window.end < cluster.ticks().len(), "recovery never ended");
+    let mut one_sided = 0u64;
+    for (index, detail) in cluster.ticks().iter().enumerate() {
+        let coordination_us: u64 = detail
+            .zones
+            .iter()
+            .map(|zone| zone.coordination.as_micros())
+            .sum();
+        assert_eq!(coordination_us % MESSAGE_COST_US, 0, "tick {index}");
+        let endpoints = coordination_us / MESSAGE_COST_US;
+        let messages = detail.tick.cross_server_messages;
+        if window.contains(&index) {
+            assert!(
+                (messages..=2 * messages).contains(&endpoints),
+                "tick {index}: {messages} messages, {endpoints} endpoints charged"
+            );
+            one_sided += 2 * messages - endpoints;
+        } else {
+            assert_eq!(
+                endpoints,
+                2 * messages,
+                "tick {index}: a message missed an endpoint"
+            );
+        }
+    }
+    assert_eq!(one_sided, recovery.recovery_messages);
+
+    let again = composed_cluster_run(31);
+    assert_eq!(cluster.ticks(), again.cluster.ticks());
+    assert_eq!(stats, again.cluster.stats());
+    assert_eq!(rebalance, again.cluster.rebalance_stats());
+    assert_eq!(recovery, again.cluster.recovery_stats());
+}
