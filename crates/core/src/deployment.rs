@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use servo_faas::{AutoscalerConfig, FaasPlatform, FunctionConfig, PlatformConfig};
+use servo_faas::{FaasPlatform, FunctionConfig, PlatformConfig};
 use servo_pcg::generator_for;
 use servo_server::cluster::{BorderExchange, PersistenceBinding, ShardedGameCluster};
 use servo_server::multi::ClusterTick;
@@ -30,11 +30,6 @@ pub struct PersistenceConfig {
     pub write_back_interval: u64,
     /// The blob-storage tier terrain persists to.
     pub tier: BlobTier,
-    /// When set, the pipeline's disk-worker pool follows this autoscaler
-    /// instead of staying at the server's static parallelism. Elasticity is
-    /// wall-clock-only — simulated outcomes are identical either way — so
-    /// the static default keeps existing baselines byte-stable.
-    pub elastic_workers: Option<AutoscalerConfig>,
 }
 
 impl Default for PersistenceConfig {
@@ -43,16 +38,7 @@ impl Default for PersistenceConfig {
             // One pass per simulated second at the 20 Hz tick rate.
             write_back_interval: 20,
             tier: BlobTier::Standard,
-            elastic_workers: None,
         }
-    }
-}
-
-impl PersistenceConfig {
-    /// Lets the pipeline's worker pool scale with its submission backlog.
-    pub fn with_elastic_workers(mut self, config: AutoscalerConfig) -> Self {
-        self.elastic_workers = Some(config);
-        self
     }
 }
 
@@ -251,15 +237,7 @@ impl ServoDeployment {
 
         let persistence = config.persistence.as_ref().map(|p| {
             let remote = BlobStore::new(p.tier, rng.substream("persistence-blob"));
-            let service = PipelinedChunkService::new(
-                remote,
-                rng.substream("persistence-disk"),
-                config.server.parallelism.max(1),
-            );
-            let service = match p.elastic_workers {
-                Some(scaler) => service.with_elastic_workers(scaler),
-                None => service,
-            };
+            let service = PipelinedChunkService::new(remote, rng.substream("persistence-disk"), 1);
             WriteBackDriver::new(
                 service.with_world(server.world_handle()),
                 p.write_back_interval,
@@ -501,18 +479,11 @@ impl HybridDeployment {
         if let Some(persistence) = &config.persistence {
             for zone in 0..zones {
                 let rng = zone_rng(zone);
-                let mut binding = PersistenceBinding::new(
+                let binding = PersistenceBinding::new(
                     BlobStore::new(persistence.tier, rng.substream("persistence-blob")),
                     rng.substream("persistence-disk"),
                 )
                 .write_back_interval(persistence.write_back_interval);
-                // The builder's elastic_workers knob reaches zoned
-                // pipelines too (elasticity only changes wall-clock
-                // throughput, never simulated outcomes, so the `None`
-                // default keeps committed baselines byte-stable).
-                if let Some(scaler) = persistence.elastic_workers {
-                    binding = binding.elastic(scaler);
-                }
                 cluster.bind_persistence(zone, binding);
             }
         }

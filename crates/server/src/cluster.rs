@@ -31,7 +31,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use servo_faas::AutoscalerConfig;
 use servo_metrics::StatsReport;
 use servo_pcg::generator_for;
 use servo_redstone::Blueprint;
@@ -166,31 +165,22 @@ pub struct PersistenceBinding {
     pub rng: SimRng,
     /// Cluster ticks between write-back passes (clamped to ≥ 1).
     pub write_back_interval: u64,
-    /// Optional autoscaler for the pipeline's disk-worker pool.
-    pub elastic: Option<AutoscalerConfig>,
 }
 
 impl PersistenceBinding {
     /// A binding with the default write-back cadence (every 20 cluster
-    /// ticks — one second at 20 Hz) and a static worker pool.
+    /// ticks — one second at 20 Hz).
     pub fn new(remote: BlobStore, rng: SimRng) -> PersistenceBinding {
         PersistenceBinding {
             remote,
             rng,
             write_back_interval: 20,
-            elastic: None,
         }
     }
 
     /// Sets the cluster ticks between write-back passes.
     pub fn write_back_interval(mut self, interval: u64) -> PersistenceBinding {
         self.write_back_interval = interval;
-        self
-    }
-
-    /// Scales the pipeline's disk workers with the submission backlog.
-    pub fn elastic(mut self, scaler: AutoscalerConfig) -> PersistenceBinding {
-        self.elastic = Some(scaler);
         self
     }
 }
@@ -662,12 +652,7 @@ impl ShardedGameCluster {
     /// `write_back_interval` cluster ticks the zone prefetches the owned
     /// terrain its players need and flushes its dirty shards — the per-zone
     /// equivalent of `ServoDeployment`'s persistence path, fed by the same
-    /// `drain_owned_dirty` deltas the border protocol consumes. When the
-    /// binding carries an autoscaler, the pipeline's disk workers scale
-    /// with the submission backlog instead of staying at the zone's static
-    /// parallelism; elasticity only changes wall-clock throughput — the
-    /// simulated outcomes are identical — so the static default keeps
-    /// committed baselines byte-stable.
+    /// `drain_owned_dirty` deltas the border protocol consumes.
     ///
     /// # Panics
     ///
@@ -677,28 +662,22 @@ impl ShardedGameCluster {
             remote,
             rng,
             write_back_interval,
-            elastic,
         } = binding;
-        let workers = self.servers[zone].config().parallelism.max(1);
-        // Bind the world with an EMPTY pull set: the tick thread's
+        // Bind the world with an EMPTY pull set: the tick's
         // `drain_owned_dirty` (step 3a) is the single consumer of the
         // world's dirty flags, and it feeds the service via `stage_dirty`.
-        // If the service pulled dirty shards itself, its write-back worker
-        // would race the border protocol for the same destructive drain
-        // and mirroring would silently miss chunks. The world binding
-        // remains so write-back re-snapshots staged chunks from it.
+        // If the service pulled dirty shards itself, a write-back pass
+        // would take chunks out of that destructive drain before the
+        // border protocol saw them, and mirroring would silently miss
+        // them. The world binding remains so write-back re-snapshots
+        // staged chunks from it.
         // Durability is on by default: a write-ahead delta log shared
         // between the pipeline's segments and the cluster, so the log (a
         // durable device in the model) survives a crash of the zone. WAL
         // maintenance consumes no randomness, messages, or clock, so a
         // no-failure run is byte-identical with or without it.
         let wal = SharedWal::new(self.servers[zone].world().shard_count());
-        let service = PipelinedChunkService::new(remote, rng, workers);
-        let service = match elastic {
-            Some(config) => service.with_elastic_workers(config),
-            None => service,
-        };
-        let service = service
+        let service = PipelinedChunkService::new(remote, rng, 1)
             .with_world_shards(self.servers[zone].world_handle(), &[])
             .with_wal(wal.clone());
         self.persistence[zone] = Some(ZonePersistence {
@@ -1867,8 +1846,9 @@ impl ShardedGameCluster {
         // 3c. Per-zone persistence: on the configured cadence each zone
         //     prefetches the owned terrain its players need and flushes its
         //     staged dirty shards through its PipelinedChunkService — zoned
-        //     clusters persist the way `ServoDeployment` does. Runs on the
-        //     pipeline's worker pool; nothing here is charged to the tick.
+        //     clusters persist the way `ServoDeployment` does. The pass
+        //     executes inside this poll; write latency is not modelled, so
+        //     nothing here is charged to the tick.
         for zone in 0..zones {
             let Some(persistence) = self.persistence[zone].as_mut() else {
                 continue;

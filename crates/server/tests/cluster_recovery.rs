@@ -323,3 +323,44 @@ fn wal_replay_recovers_staged_edits_and_disabling_it_loses_them() {
         "staged-but-unflushed chunks must be counted lost without a WAL"
     );
 }
+
+/// A crash in the middle of a write-back interval, with no checkpoint
+/// before it: what the last cadence pass flushed, what the log still holds
+/// — and therefore what recovery restores, replays and charges, and every
+/// byte the run leaves in the worlds and the blob stores — is a function of
+/// the seed alone.
+#[test]
+fn mid_interval_crash_without_a_checkpoint_is_a_function_of_the_seed() {
+    use servo_types::PlayerId;
+    use servo_workload::PlayerEvent;
+
+    let run = || {
+        // Passes run in ticks 9, 19, ..., 49; the crash fires three ticks
+        // into the next interval, with edits staged and logged since.
+        let mut cluster = persistent_cluster(131);
+        cluster.crash_zone(1, 53);
+        let mut fleet = random_fleet(16, 132);
+        let mut edits = SimRng::seed(133);
+        for _ in 0..90 {
+            let mut events = fleet.tick(cluster.now(), SimDuration::from_millis(50));
+            events.extend((0..6).map(|_| {
+                let x = (edits.unit() * 81.0) as i32 - 40;
+                let z = (edits.unit() * 81.0) as i32 - 40;
+                let event = PlayerEvent::BlockPlaced(BlockPos::new(x, 9, z));
+                (PlayerId::new(0), event)
+            }));
+            cluster.run_tick(&fleet.positions(), &events);
+        }
+        (cluster.recovery_stats(), run_fingerprint(&cluster))
+    };
+    let first = run();
+    assert_eq!(first.0.crashes, 1);
+    assert!(
+        first.0.chunks_replayed > 0,
+        "the log was empty at the crash"
+    );
+    assert!(first.0.recovery_messages > 0);
+    for again in 1..20 {
+        assert!(first == run(), "run {again} of one seed differs");
+    }
+}

@@ -361,12 +361,6 @@ impl<R: ObjectStore> CachedChunkStore<R> {
         self.in_flight.len()
     }
 
-    /// Number of in-flight transfers whose data has arrived by `now` but
-    /// has not been materialised by a poll yet.
-    pub fn transfers_due(&self, now: SimTime) -> usize {
-        self.in_flight.values().filter(|&&t| t <= now).count()
-    }
-
     /// A clone of the resident snapshot at `pos`, if any.
     pub fn snapshot(&self, pos: ChunkPos) -> Option<ChunkSnapshot> {
         self.memory.get(&pos).cloned()

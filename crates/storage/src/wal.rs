@@ -169,9 +169,7 @@ impl DeltaWal {
 /// A cloneable handle sharing one [`DeltaWal`] between the per-shard
 /// segments of a `PipelinedChunkService` and the cluster that owns the
 /// zone: the cluster keeps a clone so the log outlives a crashed zone's
-/// pipeline, exactly like a durable log device would. The lock is a leaf —
-/// taken briefly inside a segment's staging or write-back step, never
-/// around another lock.
+/// pipeline, exactly like a durable log device would.
 #[derive(Debug, Clone)]
 pub struct SharedWal(Arc<Mutex<DeltaWal>>);
 

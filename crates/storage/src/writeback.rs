@@ -1,5 +1,5 @@
 //! Driving a [`PipelinedChunkService`] as a persistence pipeline: the
-//! write-back cadence, the completion accounting, and the blocking flush —
+//! write-back cadence, the completion accounting, and the checkpoint flush —
 //! shared by the single-server deployment and every zone of a cluster.
 
 use servo_metrics::StatsReport;
@@ -44,8 +44,9 @@ impl StatsReport for PersistenceStats {
 
 /// A persistence pipeline and the one way it is driven: every `interval`
 /// calls of [`WriteBackDriver::tick`] submit a prefetch plus a write-back
-/// pass, every call polls the pipeline and counts what completed, and
-/// [`WriteBackDriver::flush`] runs one pass to completion.
+/// pass, every call polls the pipeline — which is when the pass executes —
+/// and counts what completed, and [`WriteBackDriver::flush`] runs one pass
+/// on the spot.
 #[derive(Debug)]
 pub struct WriteBackDriver {
     /// The driven pipeline. Stage dirty deltas and inspect the remote
@@ -85,8 +86,8 @@ impl WriteBackDriver {
 
     /// One game tick at virtual time `now`. On the cadence, prefetches the
     /// terrain `needed` returns (not called otherwise) and submits a
-    /// write-back pass; always collects finished work. Nothing blocks: the
-    /// passes run on the pipeline's worker pool.
+    /// write-back pass; always polls, executing what is queued and
+    /// collecting what finished.
     pub fn tick<I>(&mut self, now: SimTime, needed: impl FnOnce() -> I)
     where
         I: IntoIterator<Item = ChunkPos>,
@@ -100,17 +101,12 @@ impl WriteBackDriver {
         self.poll(now, None);
     }
 
-    /// Submits one write-back pass and waits for it, returning the number
-    /// of chunks it wrote. Completions are published before the pending
-    /// count drops, so the wait terminates.
+    /// Submits one write-back pass and polls it home, returning the number
+    /// of chunks it wrote.
     pub fn flush(&mut self, now: SimTime) -> u64 {
         let ticket = self.service.submit(ChunkRequest::write_back());
-        loop {
-            if let Some(flushed) = self.poll(now, Some(ticket)) {
-                return flushed;
-            }
-            std::thread::yield_now();
-        }
+        self.poll(now, Some(ticket))
+            .expect("a poll executes every queued pass")
     }
 
     /// Polls once, folding every completion into the stats. Returns the
@@ -189,7 +185,7 @@ mod tests {
             Vec::new()
         });
         assert_eq!(asked, 1);
-        // The pass the third tick submitted completes by the next flush.
+        // The third tick's pass ran in that tick's poll; the flush adds one.
         driver.flush(SimTime::ZERO);
         assert_eq!(driver.stats().write_back_passes, 2);
         // Restarting the cadence pushes the next pass a full interval out.

@@ -137,7 +137,7 @@ fn failed_write_backs_keep_the_chunk_dirty_until_a_retry_lands() {
 
 #[test]
 fn pipelined_service_retries_through_a_flaky_store() {
-    // End-to-end through the worker pool: every grid read completes
+    // End-to-end through the pipeline: every grid read completes
     // despite a 30% transient read-failure rate, with the retries visible
     // in the aggregated stats and no request stranded.
     let world = Arc::new(ShardedWorld::flat(4));
@@ -153,9 +153,8 @@ fn pipelined_service_retries_through_a_flaky_store() {
             tickets.insert(service.submit(ChunkRequest::read(ChunkPos::new(x, z))));
         }
     }
-    // Advance virtual time while draining worker completions: each poll
-    // flushes lanes, the transfers (and retry backoffs) land as `now`
-    // passes their arrival, and the yield gives the pool wall-clock time.
+    // Advance virtual time: the first poll executes the lanes, and the
+    // transfers (and retry backoffs) land as `now` passes their arrival.
     let mut now = SimTime::ZERO;
     let mut loaded = 0usize;
     for _ in 0..200_000 {
@@ -170,7 +169,6 @@ fn pipelined_service_retries_through_a_flaky_store() {
         if loaded == (GRID * GRID) as usize {
             break;
         }
-        std::thread::yield_now();
     }
     assert_eq!(loaded, (GRID * GRID) as usize, "a read was stranded");
     let stats = service.stats();

@@ -1,9 +1,10 @@
-//! Differential property tests: [`SyncChunkService`] (inline execution)
-//! and [`PipelinedChunkService`] (worker-pool execution) must produce the
-//! same *final* state for the same seeded request stream — identical world
-//! contents, identical write-back sets and bytes in remote storage, and
-//! the same set of chunks delivered to read tickets. Only scheduling and
-//! tick-visible cost may differ.
+//! Differential property tests: [`SyncChunkService`] (executes at submit,
+//! misses block) and [`PipelinedChunkService`] (executes at poll, misses
+//! become transfers) must produce the same *final* state for the same
+//! seeded request stream — identical world contents, identical write-back
+//! sets and bytes in remote storage, and the same set of chunks delivered
+//! to read tickets. Only when completions surface, and the tick-visible
+//! cost, may differ.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -11,8 +12,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use servo_simkit::SimRng;
 use servo_storage::{
-    BlobStore, BlobTier, ChunkOutcome, ChunkRequest, ChunkService, ObjectStore,
-    PipelinedChunkService, SyncChunkService,
+    BlobStore, BlobTier, CacheStats, ChunkCompletion, ChunkOutcome, ChunkRequest, ChunkService,
+    ObjectStore, PipelinedChunkService, SyncChunkService, Ticket,
 };
 use servo_types::{BlockPos, ChunkPos, SimDuration, SimTime};
 use servo_world::{Block, ShardedWorld};
@@ -130,53 +131,74 @@ struct Outcome {
     read_loaded: BTreeSet<ChunkPos>,
 }
 
-fn apply_stream(
-    service: &mut impl ChunkService,
-    world: &ShardedWorld,
-    ops: &[Op],
-    read_loaded: &mut BTreeSet<ChunkPos>,
-    read_tickets: &mut BTreeSet<servo_storage::Ticket>,
-) -> SimTime {
-    let mut now = SimTime::ZERO;
-    let collect = |completions: Vec<servo_storage::ChunkCompletion>,
-                   read_loaded: &mut BTreeSet<ChunkPos>,
-                   read_tickets: &BTreeSet<servo_storage::Ticket>| {
+/// Everything `poll` returned over a run, in order: each completion's
+/// ticket and outcome kind, and which positions went to read tickets.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Trace {
+    completions: Vec<(Ticket, &'static str)>,
+    read_tickets: BTreeSet<Ticket>,
+    read_loaded: BTreeSet<ChunkPos>,
+}
+
+impl Trace {
+    fn record(&mut self, completions: Vec<ChunkCompletion>) {
         for completion in completions {
-            if let ChunkOutcome::Loaded { pos, .. } = completion.outcome {
-                if read_tickets.contains(&completion.ticket) {
-                    read_loaded.insert(pos);
+            let kind = match completion.outcome {
+                ChunkOutcome::Loaded { pos, .. } => {
+                    if self.read_tickets.contains(&completion.ticket) {
+                        self.read_loaded.insert(pos);
+                    }
+                    "loaded"
                 }
-            }
+                ChunkOutcome::Missing { .. } => "missing",
+                ChunkOutcome::Failed { .. } => "failed",
+                ChunkOutcome::WroteBack { .. } => "wrote-back",
+                ChunkOutcome::Evicted { .. } => "evicted",
+            };
+            self.completions.push((completion.ticket, kind));
         }
-    };
-    for op in ops {
+    }
+}
+
+/// Drives `seed`'s stream through `service` — one op every 20 ms, a poll
+/// before and after each — then settles with exactly two more polls at a
+/// far-future instant: the first harvests every outstanding arrival (no
+/// request may be left pending after it), the second executes one final
+/// write-back of all remaining dirt. Returns the trace and that instant.
+fn drive(service: &mut impl ChunkService, world: &ShardedWorld, seed: u64) -> (Trace, SimTime) {
+    let mut trace = Trace::default();
+    let mut now = SimTime::ZERO;
+    for op in stream(seed) {
         now += SimDuration::from_millis(20);
-        let completions = service.poll(now);
-        collect(completions, read_loaded, read_tickets);
+        trace.record(service.poll(now));
         match op {
             Op::Read(pos) => {
-                let ticket = service.submit(ChunkRequest::read(*pos));
-                read_tickets.insert(ticket);
+                let ticket = service.submit(ChunkRequest::read(pos));
+                trace.read_tickets.insert(ticket);
             }
             Op::Prefetch(positions) => {
-                service.submit(ChunkRequest::prefetch(positions.iter().copied()));
+                service.submit(ChunkRequest::prefetch(positions));
             }
             Op::Edit(pos, block) => {
                 world
-                    .set_block(*pos, *block)
+                    .set_block(pos, block)
                     .expect("the whole grid is loaded");
             }
             Op::Evict(keep) => {
-                service.submit(ChunkRequest::evict(keep.iter().copied()));
+                service.submit(ChunkRequest::evict(keep));
             }
             Op::WriteBack => {
                 service.submit(ChunkRequest::write_back());
             }
         }
-        let completions = service.poll(now);
-        collect(completions, read_loaded, read_tickets);
+        trace.record(service.poll(now));
     }
-    now
+    let end = now + SimDuration::from_secs(1_000);
+    trace.record(service.poll(end));
+    assert_eq!(service.pending(), 0, "one poll past every arrival settles");
+    service.submit(ChunkRequest::write_back());
+    trace.record(service.poll(end));
+    (trace, end)
 }
 
 fn world_fingerprint(world: &ShardedWorld) -> BTreeMap<ChunkPos, Vec<u8>> {
@@ -205,89 +227,26 @@ fn run_sync(seed: u64) -> Outcome {
     let world = seeded_world();
     let remote = seeded_remote(&world);
     let mut service = SyncChunkService::new(remote, SimRng::seed(2)).with_world(Arc::clone(&world));
-    let ops = stream(seed);
-    let mut read_loaded = BTreeSet::new();
-    let mut read_tickets = BTreeSet::new();
-    let now = apply_stream(
-        &mut service,
-        &world,
-        &ops,
-        &mut read_loaded,
-        &mut read_tickets,
-    );
-
-    // Settle: harvest every outstanding arrival, then flush all dirt.
-    let end = now + SimDuration::from_secs(1_000);
-    for completion in service.poll(end) {
-        if let ChunkOutcome::Loaded { pos, .. } = completion.outcome {
-            if read_tickets.contains(&completion.ticket) {
-                read_loaded.insert(pos);
-            }
-        }
-    }
-    service.submit(ChunkRequest::write_back());
-    service.poll(end);
-
+    let (trace, end) = drive(&mut service, &world, seed);
     Outcome {
         world: world_fingerprint(&world),
         remote: remote_fingerprint(service.remote_mut(), end),
-        read_loaded,
+        read_loaded: trace.read_loaded,
     }
 }
 
-fn run_pipelined(seed: u64, workers: usize) -> Outcome {
+fn run_pipelined(seed: u64) -> (Outcome, Vec<(Ticket, &'static str)>, CacheStats) {
     let world = seeded_world();
     let remote = seeded_remote(&world);
     let mut service =
-        PipelinedChunkService::new(remote, SimRng::seed(2), workers).with_world(Arc::clone(&world));
-    let ops = stream(seed);
-    let mut read_loaded = BTreeSet::new();
-    let mut read_tickets = BTreeSet::new();
-    let now = apply_stream(
-        &mut service,
-        &world,
-        &ops,
-        &mut read_loaded,
-        &mut read_tickets,
-    );
-
-    // Settle at a far-future instant: every transfer is due, every ticket
-    // resolves, then one final write-back flushes all remaining dirt.
-    let end = now + SimDuration::from_secs(1_000);
-    let settle = |service: &mut PipelinedChunkService<BlobStore>,
-                  read_loaded: &mut BTreeSet<ChunkPos>| {
-        let mut idle = 0;
-        for _ in 0..200_000 {
-            let completions = service.poll(end);
-            let empty = completions.is_empty();
-            for completion in completions {
-                if let ChunkOutcome::Loaded { pos, .. } = completion.outcome {
-                    if read_tickets.contains(&completion.ticket) {
-                        read_loaded.insert(pos);
-                    }
-                }
-            }
-            if empty && service.pending() == 0 && service.transfers_due(end) == 0 {
-                idle += 1;
-                if idle >= 3 {
-                    return;
-                }
-            } else {
-                idle = 0;
-            }
-            std::thread::yield_now();
-        }
-        panic!("pipelined service failed to settle");
-    };
-    settle(&mut service, &mut read_loaded);
-    service.submit(ChunkRequest::write_back());
-    settle(&mut service, &mut read_loaded);
-
-    Outcome {
+        PipelinedChunkService::new(remote, SimRng::seed(2), 1).with_world(Arc::clone(&world));
+    let (trace, end) = drive(&mut service, &world, seed);
+    let outcome = Outcome {
         world: world_fingerprint(&world),
         remote: service.with_remote(|remote| remote_fingerprint(remote, end)),
-        read_loaded,
-    }
+        read_loaded: trace.read_loaded,
+    };
+    (outcome, trace.completions, service.stats())
 }
 
 proptest! {
@@ -299,22 +258,25 @@ proptest! {
     #[test]
     fn sync_and_pipelined_converge_to_identical_state(seed in 0u64..1_000_000) {
         let sync = run_sync(seed);
-        let pipelined = run_pipelined(seed, 3);
+        let (pipelined, _, _) = run_pipelined(seed);
         prop_assert_eq!(&sync.world, &pipelined.world, "world diverged");
         prop_assert_eq!(&sync.remote, &pipelined.remote, "write-back sets diverged");
         prop_assert_eq!(&sync.read_loaded, &pipelined.read_loaded, "read deliveries diverged");
     }
 }
 
-/// The single-worker pipeline is the degenerate case closest to the sync
-/// adapter; pin one seed as a fast deterministic regression test.
+/// The determinism contract: the request stream, the poll times and the
+/// seeds fix every completion (ticket, kind, order), every cache counter
+/// and every stored byte — two runs are indistinguishable.
 #[test]
-fn single_worker_pipeline_matches_sync() {
-    let sync = run_sync(42);
-    let pipelined = run_pipelined(42, 1);
-    assert_eq!(sync.world, pipelined.world);
-    assert_eq!(sync.remote, pipelined.remote);
-    assert_eq!(sync.read_loaded, pipelined.read_loaded);
+fn pipelined_run_is_a_function_of_its_inputs() {
+    let first = run_pipelined(42);
+    assert!(first.1.iter().any(|&(_, kind)| kind == "loaded"));
+    assert!(first.1.iter().any(|&(_, kind)| kind == "wrote-back"));
+    for _ in 0..4 {
+        assert_eq!(first, run_pipelined(42));
+    }
+    assert_eq!(run_sync(42), first.0);
 }
 
 /// Editing chunks of a single shard must surface as exactly one

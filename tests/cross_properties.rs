@@ -364,7 +364,6 @@ const CRASH_AT: usize = 140;
 /// constructs, and a crash of zone 3 the survivors recover from — 200
 /// ticks driven through `run_tick`.
 fn composed_cluster_run(seed: u64) -> servo::core::HybridDeployment {
-    use servo::core::PersistenceConfig;
     use servo::redstone::generators;
     use servo::server::cluster::{
         border_construct_sites, place_across_east_seam_at, zone_hotspot_sites,
@@ -376,20 +375,10 @@ fn composed_cluster_run(seed: u64) -> servo::core::HybridDeployment {
     use servo::world::{RebalanceConfig, RebalancePolicy};
 
     const TICKS: u64 = 200;
-    // Write-back runs on worker threads, so how much of a zone's staging
-    // a cadence pass has flushed when a migration or a crash arrives
-    // depends on the host. This run must be a function of its seed:
-    // the cadence never fires, and the driver checkpoints synchronously
-    // every 20 ticks instead — the first migrations and the crash each
-    // land ten ticks after a checkpoint, with staging and log non-empty.
     let mut hybrid = servo::core::ServoDeployment::builder()
         .seed(seed)
         .view_distance(32)
         .border_exchange(BorderExchange::Speculative)
-        .persistence(Some(PersistenceConfig {
-            write_back_interval: u64::MAX,
-            ..PersistenceConfig::default()
-        }))
         .hybrid(4);
     let map = hybrid.cluster.shard_map().clone();
     // Every other construct has most of its blocks east of the seam, on
@@ -427,10 +416,7 @@ fn composed_cluster_run(seed: u64) -> servo::core::HybridDeployment {
         ..RebalanceConfig::default()
     }));
     let mut edits = SimRng::seed(seed).substream("terrain-edits");
-    for tick in 0..TICKS {
-        if tick % 20 == 10 {
-            hybrid.flush_persistence();
-        }
+    for _ in 0..TICKS {
         let mut events = fleet.tick(hybrid.cluster.now(), TICK_BUDGET);
         // Six block edits per tick around spawn keep terrain — border
         // chunks included — dirty, so mirroring, write-back and the
@@ -509,4 +495,15 @@ fn cluster_messages_are_charged_to_their_endpoints_under_composed_churn() {
     assert_eq!(stats, again.cluster.stats());
     assert_eq!(rebalance, again.cluster.rebalance_stats());
     assert_eq!(recovery, again.cluster.recovery_stats());
+    assert_eq!(
+        cluster.persistence_stats_total(),
+        again.cluster.persistence_stats_total()
+    );
+    for zone in 0..cluster.zones() {
+        let appended = |c: &servo::server::ShardedGameCluster| {
+            c.persistence_wal(zone)
+                .map(|wal| wal.with(|w| w.appended()))
+        };
+        assert_eq!(appended(cluster), appended(&again.cluster), "zone {zone}");
+    }
 }
