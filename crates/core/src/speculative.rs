@@ -458,16 +458,14 @@ impl SpeculativeScBackend {
                     } else {
                         None
                     };
-                    (state.clone(), target_step, replaying, refresh_base)
+                    (state, target_step, replaying, refresh_base)
                 })
             });
 
-            if let Some((mut state, target_step, replaying, refresh_base)) = application {
+            if let Some((state, target_step, replaying, refresh_base)) = application {
                 // Preserve the construct's global step counter and
                 // modification stamp when replaying loop states.
-                state.set_step(target_step);
-                state.set_modification_stamp(construct.modification_stamp());
-                construct.apply_state(state);
+                construct.apply_state(state, target_step);
                 let issue = refresh_base.map(|base| Self::prepare_issue(config, base, saturated));
                 let resolution = if replaying {
                     ScResolution::LoopReplayed

@@ -1,7 +1,5 @@
 //! The construct simulation engine.
 
-use std::collections::VecDeque;
-
 use servo_types::BlockPos;
 
 use crate::blueprint::{Blueprint, CircuitBlock};
@@ -41,24 +39,31 @@ use crate::state::{ConstructState, MAX_POWER};
 /// // Wire propagation is instantaneous: the lamp is lit after one step.
 /// assert!(c.state().powers()[2] > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Construct {
     blueprint: Blueprint,
     state: ConstructState,
     /// Monotonic counter of player modifications, used as the logical
     /// timestamp included in offload requests (Section III-C).
     modification_counter: u64,
+    /// Where a step writes the next powers before swapping them into the
+    /// state, so stepping allocates nothing.
+    next: Vec<u8>,
+}
+
+impl PartialEq for Construct {
+    fn eq(&self, other: &Self) -> bool {
+        self.blueprint == other.blueprint
+            && self.state == other.state
+            && self.modification_counter == other.modification_counter
+    }
 }
 
 impl Construct {
     /// Creates a construct in its initial (unpowered) state.
     pub fn new(blueprint: Blueprint) -> Self {
         let state = ConstructState::initial(blueprint.len());
-        Construct {
-            blueprint,
-            state,
-            modification_counter: 0,
-        }
+        Construct::with_state(blueprint, state)
     }
 
     /// Creates a construct from a blueprint and an explicit state.
@@ -71,6 +76,7 @@ impl Construct {
             blueprint,
             state,
             modification_counter,
+            next: Vec::new(),
         }
     }
 
@@ -100,98 +106,38 @@ impl Construct {
     }
 
     /// Advances the construct by one simulation step.
+    ///
+    /// Reads only the blueprint's compiled [`Circuit`](crate::Circuit): the
+    /// wire field is the sources' constant field max-merged with the row of
+    /// every repeater or torch powered above 1 (one at 1 reaches no wire),
+    /// then each lamp, repeater and torch looks at its inputs.
     pub fn step(&mut self) {
-        let n = self.blueprint.len();
+        let circuit = self.blueprint.circuit();
+        let n = circuit.base.len();
         let prev = self.state.powers();
-
-        // 1. Output of the emitting (non-wire) blocks, based on the previous
-        //    step's state.
-        let mut emitted = vec![0u8; n];
-        for i in 0..n {
-            emitted[i] = match self.blueprint.kind(i) {
-                CircuitBlock::PowerSource => MAX_POWER,
-                CircuitBlock::Repeater | CircuitBlock::Torch => prev[i],
-                CircuitBlock::Wire | CircuitBlock::Lamp => 0,
-            };
-        }
-
-        // 2. Instantaneous wire propagation: multi-source BFS over wires,
-        //    decaying one level per block, keeping the strongest signal.
-        let mut wire_power = vec![0u8; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for (i, slot) in wire_power.iter_mut().enumerate() {
-            if self.blueprint.kind(i) != CircuitBlock::Wire {
-                continue;
-            }
-            let strongest_emitter = self
-                .blueprint
-                .neighbors(i)
-                .iter()
-                .map(|&j| emitted[j])
-                .max()
-                .unwrap_or(0);
-            let p = strongest_emitter.saturating_sub(1);
-            if p > 0 {
-                *slot = p;
-                queue.push_back(i);
-            }
-        }
-        while let Some(i) = queue.pop_front() {
-            let next_power = wire_power[i].saturating_sub(1);
-            if next_power == 0 {
-                continue;
-            }
-            for &j in self.blueprint.neighbors(i) {
-                if self.blueprint.kind(j) == CircuitBlock::Wire && wire_power[j] < next_power {
-                    wire_power[j] = next_power;
-                    queue.push_back(j);
+        let next = &mut self.next;
+        next.clear();
+        next.extend_from_slice(&circuit.base);
+        for (k, &emitter) in circuit.emitters.iter().enumerate() {
+            let power = prev[emitter];
+            if power > 1 {
+                let row = &circuit.rows[k * n..(k + 1) * n];
+                for (field, &hops) in next.iter_mut().zip(row) {
+                    *field = (*field).max(power.saturating_sub(hops));
                 }
             }
         }
-
-        // 3. Input seen by each block this step: the strongest of adjacent
-        //    emitter outputs and adjacent wire power.
-        let input = |i: usize| -> u8 {
-            self.blueprint
-                .neighbors(i)
-                .iter()
-                .map(|&j| emitted[j].max(wire_power[j]))
-                .max()
-                .unwrap_or(0)
-        };
-
-        // 4. Next state.
-        let mut next = vec![0u8; n];
-        for i in 0..n {
-            next[i] = match self.blueprint.kind(i) {
-                CircuitBlock::PowerSource => MAX_POWER,
-                CircuitBlock::Wire => wire_power[i],
-                CircuitBlock::Lamp => {
-                    if input(i) > 0 {
-                        MAX_POWER
-                    } else {
-                        0
-                    }
-                }
-                CircuitBlock::Repeater => {
-                    if input(i) > 0 {
-                        MAX_POWER
-                    } else {
-                        0
-                    }
-                }
-                CircuitBlock::Torch => {
-                    if input(i) > 0 {
-                        0
-                    } else {
-                        MAX_POWER
-                    }
-                }
-            };
+        // Inputs read from `next` are wires and sources, never consumers,
+        // so writing consumers in place cannot change a later read.
+        let inputs = &circuit.inputs;
+        for c in &circuit.consumers {
+            let powered = inputs[c.start..c.split].iter().any(|&j| next[j] > 0)
+                || inputs[c.split..c.end].iter().any(|&j| prev[j] > 0);
+            next[c.block] = if powered != c.inverts { MAX_POWER } else { 0 };
         }
 
         let step = self.state.step() + 1;
-        *self.state.powers_mut() = next;
+        std::mem::swap(self.state.powers_mut(), &mut self.next);
         self.state.set_step(step);
     }
 
@@ -235,8 +181,11 @@ impl Construct {
         self.modification_counter
     }
 
-    /// Replaces the construct's state with an externally computed state
-    /// (e.g. a speculative state received from a serverless function).
+    /// Copies the powers of an externally computed state (e.g. a
+    /// speculative state received from a serverless function) into the
+    /// construct and makes `step` its current step. The construct keeps its
+    /// own modification stamp: replayed loop states repeat circuit values,
+    /// not timestamps.
     ///
     /// The caller is responsible for having validated the state's
     /// modification stamp; the engine only checks the block count.
@@ -244,13 +193,14 @@ impl Construct {
     /// # Panics
     ///
     /// Panics if the state's block count does not match the blueprint.
-    pub fn apply_state(&mut self, state: ConstructState) {
+    pub fn apply_state(&mut self, state: &ConstructState, step: u64) {
         assert_eq!(
             state.len(),
             self.blueprint.len(),
             "state block count must match blueprint"
         );
-        self.state = state;
+        self.state.powers_mut().copy_from_slice(state.powers());
+        self.state.set_step(step);
     }
 }
 
@@ -352,7 +302,42 @@ mod tests {
     #[should_panic(expected = "state block count")]
     fn apply_state_rejects_mismatched_size() {
         let mut c = line_construct();
-        c.apply_state(ConstructState::initial(1));
+        c.apply_state(&ConstructState::initial(1), 1);
+    }
+
+    #[test]
+    fn modification_leaves_an_in_flight_copy_untouched() {
+        let mut live = Construct::new(generators::dense_circuit(64));
+        live.step_many(3);
+        // What a speculative invocation holds: a copy of the construct.
+        let mut remote = Construct::with_state(live.blueprint().clone(), live.state().clone());
+        let mut reference = Construct::new(generators::dense_circuit(64));
+        reference.step_many(3);
+
+        live.apply_modification(BlockPos::new(0, 0, 0), Some(CircuitBlock::Torch));
+        live.apply_modification(BlockPos::new(0, 9, 0), Some(CircuitBlock::Lamp));
+        assert_eq!(live.len(), 65);
+        assert_eq!(remote.blueprint(), reference.blueprint());
+        assert_eq!(remote.blueprint().kind(0), CircuitBlock::PowerSource);
+        for _ in 0..20 {
+            remote.step();
+            reference.step();
+            live.step();
+            assert_eq!(remote.state().powers(), reference.state().powers());
+        }
+    }
+
+    #[test]
+    fn apply_state_keeps_the_target_step_and_the_stamp() {
+        let mut c = line_construct();
+        c.apply_modification(BlockPos::new(3, 0, 0), None);
+        let mut source = line_construct();
+        let states = source.step_many(4);
+        c.apply_state(&states[1], 17);
+        assert_eq!(c.state().powers(), states[1].powers());
+        assert_eq!(c.state().step(), 17);
+        assert_eq!(c.state().modification_stamp(), 1);
+        assert_eq!(c.modification_stamp(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod generators;
 pub mod loopdetect;
 pub mod state;
 
-pub use blueprint::{Blueprint, CircuitBlock};
+pub use blueprint::{Blueprint, Circuit, CircuitBlock};
 pub use engine::Construct;
 pub use loopdetect::{simulate_sequence, LoopDetector, SimulationOutcome};
 pub use state::ConstructState;

@@ -9,9 +9,14 @@ pub const MAX_POWER: u8 = 15;
 /// The state of a construct at a single simulation step: one power level per
 /// block, plus the step index and the logical timestamp of the last player
 /// modification (used to discard stale speculative results, Section III-C).
+///
+/// The engine only ever produces powers in `0..=15`
+/// ([`MAX_POWER`]), but it steps a state holding any `u8` powers (e.g. one
+/// built with [`ConstructState::from_powers`]) exactly: a repeater or torch
+/// holding power `p` drives the wire `d` blocks away at `p - 1 - d`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstructState {
-    /// Power level (0–15) of each block, in blueprint index order.
+    /// Power level of each block, in blueprint index order.
     powers: Vec<u8>,
     /// The simulation step this state corresponds to.
     step: u64,

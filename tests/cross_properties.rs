@@ -18,6 +18,11 @@ use servo::world::{Block, Chunk, ShardedWorld, World};
 #[path = "../crates/world/tests/view_tracker_model/mod.rs"]
 mod view_tracker_model;
 
+// The construct step before blueprints compiled to circuits, shared with
+// the redstone crate's differential test.
+#[path = "../crates/redstone/tests/bfs_engine/mod.rs"]
+mod bfs_engine;
+
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     prop::collection::vec(
         (
@@ -352,6 +357,23 @@ proptest! {
     #[test]
     fn view_tracker_matches_reference(scenario in view_tracker_model::scenario()) {
         view_tracker_model::run(&scenario);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// The compiled construct step equals the breadth-first-search step it
+    /// replaced on the paper's 252-block construct, from starting powers
+    /// anywhere in `0..=255` and through modifications between steps. One
+    /// case, fixed by the test name; the redstone crate's
+    /// `engine_reference` test runs arbitrary shapes.
+    #[test]
+    fn compiled_construct_step_matches_the_bfs_reference(
+        powers in bfs_engine::powers(),
+        ops in bfs_engine::ops(),
+    ) {
+        bfs_engine::run(servo::redstone::generators::paper_small(), &powers, &ops);
     }
 }
 
