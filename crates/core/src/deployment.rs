@@ -1,8 +1,7 @@
 //! Wiring a complete Servo instance.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
 use servo_faas::{FaasPlatform, FunctionConfig, PlatformConfig};
 use servo_pcg::generator_for;
 use servo_server::cluster::{BorderExchange, PersistenceBinding, ShardedGameCluster};
@@ -283,7 +282,6 @@ impl ServoDeployment {
     ) -> Vec<servo_server::TickReport> {
         let end = self.server.now() + duration;
         let tick_budget = self.server.config().tick_budget();
-        let parallelism = self.server.config().parallelism.max(1);
         let view_distance = self.server.config().view_distance_blocks;
         let mut reports = Vec::new();
         // Every call starts its own cadence: the first pass comes a full
@@ -292,12 +290,7 @@ impl ServoDeployment {
             persistence.restart_cadence();
         }
         while self.server.now() < end {
-            let now = self.server.now();
-            let events = if parallelism > 1 {
-                fleet.tick_parallel(now, tick_budget, parallelism)
-            } else {
-                fleet.tick(now, tick_budget)
-            };
+            let events = fleet.tick(self.server.now(), tick_budget);
             let positions = fleet.positions();
             reports.push(self.server.run_tick(&positions, &events));
             if let Some(persistence) = self.persistence.as_mut() {
@@ -556,20 +549,24 @@ impl HybridDeployment {
 
     /// The cluster-level billing meter of the shared SC-offload function.
     pub fn sc_billing(&self) -> servo_faas::BillingMeter {
-        self.sc_platform.lock().billing().clone()
+        self.sc_platform().billing().clone()
     }
 
     /// The cluster-level platform statistics of the shared SC-offload
     /// function (invocations, cold starts, peak concurrency).
     pub fn sc_platform_stats(&self) -> servo_faas::PlatformStats {
-        self.sc_platform.lock().stats()
+        self.sc_platform().stats()
     }
 
     /// The cluster-level billing meter as it reads at `now`, including the
     /// warm-idle time accrued by containers the keep-alive policy holds
     /// open.
     pub fn sc_billing_at(&self, now: SimTime) -> servo_faas::BillingMeter {
-        self.sc_platform.lock().billing_at(now)
+        self.sc_platform().billing_at(now)
+    }
+
+    fn sc_platform(&self) -> MutexGuard<'_, FaasPlatform> {
+        self.sc_platform.lock().expect("SC platform lock poisoned")
     }
 }
 

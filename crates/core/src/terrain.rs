@@ -1,8 +1,7 @@
 //! Serverless terrain generation (paper Section III-D).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
 use servo_faas::FaasPlatform;
 use servo_pcg::TerrainGenerator;
 use servo_server::GenerationClock;
@@ -33,23 +32,27 @@ pub struct TerrainOffloadHandle {
 impl TerrainOffloadHandle {
     /// A snapshot of the current statistics.
     pub fn stats(&self) -> TerrainOffloadStats {
-        self.inner.lock().stats.clone()
+        self.lock().stats.clone()
     }
 
     /// A snapshot of the FaaS billing meter for the generation function.
     pub fn billing(&self) -> servo_faas::BillingMeter {
-        self.inner.lock().platform.billing().clone()
+        self.lock().platform.billing().clone()
     }
 
     /// A snapshot of the FaaS platform statistics.
     pub fn platform_stats(&self) -> servo_faas::PlatformStats {
-        self.inner.lock().platform.stats()
+        self.lock().platform.stats()
     }
 
     /// The billing meter as it reads at `now`, including warm-idle time
     /// accrued by containers held open by the keep-alive policy.
     pub fn billing_at(&self, now: SimTime) -> servo_faas::BillingMeter {
-        self.inner.lock().platform.billing_at(now)
+        self.lock().platform.billing_at(now)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Shared> {
+        self.inner.lock().expect("terrain offload lock poisoned")
     }
 }
 
@@ -110,7 +113,7 @@ impl FaasTerrainBackend {
     /// Invokes the generation function for `pos` at virtual time `now`
     /// (failed invocations may be retried later).
     fn request(&mut self, pos: ChunkPos, now: SimTime) {
-        let mut shared = self.shared.lock();
+        let mut shared = self.shared.lock().expect("terrain offload lock poisoned");
         let work = self.generator.cost().work_units;
         match shared.platform.invoke(now, work) {
             Ok(invocation) => {
@@ -153,7 +156,7 @@ impl ChunkService for FaasTerrainBackend {
         }
         self.in_flight = still_in_flight;
         {
-            let mut shared = self.shared.lock();
+            let mut shared = self.shared.lock().expect("terrain offload lock poisoned");
             shared.stats.chunks_delivered += ready.len() as u64;
         }
         self.clock.complete(ready, now)

@@ -5,9 +5,9 @@
 //! `servo-storage`: the game loop submits [`ChunkRequest::Read`]s for
 //! chunks it is missing and integrates whatever [`ChunkOutcome::Loaded`]
 //! completions come back, never blocking on generation or storage. The
-//! baselines use [`LocalGenerationBackend`] (bounded background threads on
-//! the game server); Servo plugs in its FaaS generation service from
-//! `servo-core`.
+//! baselines use [`LocalGenerationBackend`] (a bounded worker pool on the
+//! game server, modelled on the simulated clock); Servo plugs in its FaaS
+//! generation service from `servo-core`.
 //!
 //! The pre-redesign `TerrainBackend` trait and its `TerrainBackendShim`
 //! adapter rode out their one-release deprecation window and are gone;
@@ -38,62 +38,15 @@ pub enum ScResolution {
     Skipped,
 }
 
-/// How a backend wants the game loop to advance constructs on one tick,
-/// returned by [`ScBackend::plan`].
-///
-/// A plan either gives a *uniform* resolution every construct shares (the
-/// stateless fast path), declares a *partitioned* table the game loop can
-/// fan out across worker threads (each construct resolved through
-/// [`PartitionedResolver::resolve_partitioned`], partitioned by the world
-/// shard owning it, followed by one [`ScBackend::reconcile`] call), or
-/// falls back to the *sequential* per-construct [`ScBackend::resolve`]
-/// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolutionPlan {
-    /// Every construct resolves identically this tick without mutating
-    /// backend state: the game loop may step constructs on parallel worker
-    /// threads with no backend involvement at all.
-    Uniform(ScResolution),
-    /// Per-construct resolution goes through the backend's
-    /// [`PartitionedResolver`] (see [`ScBackend::partitioned`]), which is
-    /// safe to call concurrently for different constructs. The game loop
-    /// must call [`ScBackend::reconcile`] once after all constructs of the
-    /// tick resolved.
-    Partitioned,
-    /// No parallel path this tick: resolve each construct sequentially.
-    Sequential,
-}
-
-/// The thread-safe per-construct resolution table of a
-/// [`ResolutionPlan::Partitioned`] backend.
-///
-/// `resolve_partitioned` may be called concurrently from several worker
-/// threads as long as no construct is resolved twice in one tick; the game
-/// loop partitions constructs by their owning world shard (passed as
-/// `shard`) and calls [`ScBackend::reconcile`] exactly once afterwards to
-/// flush whatever the backend deferred (statistics, platform invocations).
-pub trait PartitionedResolver: Sync {
-    /// Advances one construct for game tick `tick` at virtual time `now`.
-    fn resolve_partitioned(
-        &self,
-        id: ConstructId,
-        shard: usize,
-        construct: &mut Construct,
-        tick: Tick,
-        now: SimTime,
-    ) -> ScResolution;
-}
-
 /// A strategy for advancing simulated constructs each tick.
 ///
 /// The baselines use [`LocalScBackend`]; Servo plugs in its speculative
 /// execution unit (implemented in the `servo-core` crate). Each tick the
-/// game loop asks the backend for a [`ResolutionPlan`] and executes it;
-/// [`ScBackend::resolve`] remains the sequential reference path every
-/// backend must provide (and the path single-threaded servers use).
+/// game loop calls [`ScBackend::resolve`] once per construct it owns, in
+/// the order the constructs were added.
 pub trait ScBackend {
     /// Advances `construct` for game tick `tick` at virtual time `now` and
-    /// reports how its state was obtained — the sequential reference path.
+    /// reports how its state was obtained.
     fn resolve(
         &mut self,
         id: ConstructId,
@@ -101,26 +54,6 @@ pub trait ScBackend {
         tick: Tick,
         now: SimTime,
     ) -> ScResolution;
-
-    /// The backend's plan for advancing constructs on `tick`. The default
-    /// is [`ResolutionPlan::Sequential`], which routes every construct
-    /// through [`ScBackend::resolve`].
-    fn plan(&mut self, _tick: Tick) -> ResolutionPlan {
-        ResolutionPlan::Sequential
-    }
-
-    /// The concurrent per-construct resolution table backing
-    /// [`ResolutionPlan::Partitioned`]. Backends whose `plan` can return
-    /// `Partitioned` must override this to return `Some`.
-    fn partitioned(&self) -> Option<&dyn PartitionedResolver> {
-        None
-    }
-
-    /// Flushes state the backend deferred during a partitioned fan-out
-    /// (statistics, platform invocations), in a deterministic order. Called
-    /// exactly once per tick executed under [`ResolutionPlan::Partitioned`];
-    /// a no-op for other plans.
-    fn reconcile(&mut self, _tick: Tick, _now: SimTime) {}
 
     /// Notifies the backend that construct `id` is leaving this server —
     /// e.g. a zoned cluster migrating the construct's shard to another
@@ -210,16 +143,6 @@ impl ScBackend for LocalScBackend {
         ScResolution::LocalSimulated
     }
 
-    fn plan(&mut self, tick: Tick) -> ResolutionPlan {
-        // Local simulation treats every construct the same way on a given
-        // tick and keeps no backend state, so it is safe to fan out.
-        if self.every_other_tick && tick.0 % 2 == 1 {
-            ResolutionPlan::Uniform(ScResolution::Skipped)
-        } else {
-            ResolutionPlan::Uniform(ScResolution::LocalSimulated)
-        }
-    }
-
     fn name(&self) -> &'static str {
         "local"
     }
@@ -307,8 +230,10 @@ impl GenerationClock {
     }
 }
 
-/// Terrain generation in a bounded pool of background threads on the game
-/// server, the way the monolithic baselines do it. Plugs into the game
+/// Terrain generation in a bounded pool of workers on the game server, the
+/// way the monolithic baselines do it. The workers are modelled on the
+/// simulated clock: a job occupies one worker for the generator's cost,
+/// and no host thread runs. Plugs into the game
 /// loop as a [`ChunkService`]: `Read`/`Prefetch` requests queue generation
 /// jobs, completed chunks surface as [`ChunkOutcome::Loaded`] completions
 /// with [`ChunkLocation::Generated`].
@@ -327,8 +252,8 @@ pub struct LocalGenerationBackend {
 }
 
 impl LocalGenerationBackend {
-    /// Creates a backend with a fixed pool of `workers` background
-    /// generation threads.
+    /// Creates a backend with a fixed pool of `workers` modelled
+    /// generation workers.
     ///
     /// # Panics
     ///
@@ -497,26 +422,6 @@ mod tests {
         }
         assert_eq!(construct.state().step(), 10);
         assert_eq!(backend.name(), "local");
-    }
-
-    #[test]
-    fn local_backend_plans_are_uniform() {
-        let mut every = LocalScBackend::every_tick();
-        assert_eq!(
-            every.plan(Tick(5)),
-            ResolutionPlan::Uniform(ScResolution::LocalSimulated)
-        );
-        let mut other = LocalScBackend::every_other_tick();
-        assert_eq!(
-            other.plan(Tick(0)),
-            ResolutionPlan::Uniform(ScResolution::LocalSimulated)
-        );
-        assert_eq!(
-            other.plan(Tick(1)),
-            ResolutionPlan::Uniform(ScResolution::Skipped)
-        );
-        // Uniform backends never expose a partitioned table.
-        assert!(other.partitioned().is_none());
     }
 
     #[test]

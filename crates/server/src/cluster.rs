@@ -1981,15 +1981,9 @@ impl ShardedGameCluster {
     ) -> Vec<ClusterTick> {
         let end = self.clock.now() + duration;
         let budget = self.servers[0].config().tick_budget();
-        let parallelism = self.servers[0].config().parallelism.max(1);
         let mut ticks = Vec::new();
         while self.clock.now() < end {
-            let now = self.clock.now();
-            let events = if parallelism > 1 {
-                fleet.tick_parallel(now, budget, parallelism)
-            } else {
-                fleet.tick(now, budget)
-            };
+            let events = fleet.tick(self.clock.now(), budget);
             let positions = fleet.positions();
             ticks.push(self.run_tick(&positions, &events));
         }

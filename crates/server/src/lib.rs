@@ -56,8 +56,8 @@ pub mod multi;
 pub mod server;
 
 pub use backends::{
-    GenerationClock, LocalGenerationBackend, LocalScBackend, PartitionedResolver,
-    PublishedSequence, ResolutionPlan, ScBackend, ScResolution,
+    GenerationClock, LocalGenerationBackend, LocalScBackend, PublishedSequence, ScBackend,
+    ScResolution,
 };
 pub use cluster::{
     BorderExchange, ClusterStats, ClusterTickDetail, PersistenceBinding, RecoveryStats,

@@ -13,22 +13,8 @@ use servo_types::{BlockPos, ChunkPos, ConstructId, PlayerId, SimDuration, SimTim
 use servo_workload::{PlayerEvent, PlayerFleet};
 use servo_world::{required_chunks, ShardDelta, ShardMap, ShardedWorld, ViewTracker, WorldKind};
 
-use crate::backends::{ResolutionPlan, ScBackend, ScResolution};
+use crate::backends::{ScBackend, ScResolution};
 use crate::costs::{CostModel, TickWork};
-
-/// Per-kind resolution tallies collected by the partitioned fan-out
-/// (indexed local / merged / replayed / skipped).
-type ResolutionCounts = [u64; 4];
-
-fn count_resolution(counts: &mut ResolutionCounts, resolution: ScResolution) {
-    let index = match resolution {
-        ScResolution::LocalSimulated => 0,
-        ScResolution::SpeculativeApplied => 1,
-        ScResolution::LoopReplayed => 2,
-        ScResolution::Skipped => 3,
-    };
-    counts[index] += 1;
-}
 
 /// Static configuration of a game-server instance.
 #[derive(Debug, Clone)]
@@ -51,19 +37,6 @@ pub struct ServerConfig {
     pub max_chunk_loads_per_tick: usize,
     /// The kind of world the instance hosts.
     pub world_kind: WorldKind,
-    /// Number of worker threads the game loop may fan real computation out
-    /// to: avatar stepping and (when the construct backend allows it)
-    /// construct simulation, partitioned by the world shard owning each
-    /// construct. `1` keeps everything on the game-loop thread.
-    ///
-    /// Construct simulation results are identical for every value.
-    /// Fleet-driven runs ([`GameServer::run_with_fleet`]) are identical for
-    /// every value above `1` (avatars use per-avatar random streams via
-    /// `PlayerFleet::tick_parallel`), but differ from `parallelism = 1`,
-    /// which drives the fleet through its sequential shared-stream
-    /// `PlayerFleet::tick` — the seed behaviour existing experiments
-    /// depend on. Compare like with like when sweeping this knob.
-    pub parallelism: usize,
 }
 
 impl ServerConfig {
@@ -77,7 +50,6 @@ impl ServerConfig {
             generation_margin_blocks: 16,
             max_chunk_loads_per_tick: 16,
             world_kind: WorldKind::Flat,
-            parallelism: 1,
         }
     }
 
@@ -110,13 +82,6 @@ impl ServerConfig {
     /// Sets the world kind, returning the modified configuration.
     pub fn with_world_kind(mut self, kind: WorldKind) -> Self {
         self.world_kind = kind;
-        self
-    }
-
-    /// Sets the worker-thread count for the parallel tick path, returning
-    /// the modified configuration.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = threads.max(1);
         self
     }
 
@@ -176,7 +141,8 @@ pub struct GameServer {
     /// world (the single-server deployments).
     ownership: Option<(Arc<ShardMap>, usize)>,
     /// Constructs with the world shard that owns them (by the chunk of
-    /// their first block) — the partition key of the parallel tick path.
+    /// their first block), in the order they were added — the order the
+    /// tick resolves them in.
     constructs: Vec<(ConstructId, usize, Construct)>,
     /// Adopted constructs this zone simulates even though their home shard
     /// belongs to another zone — the product of ownership-aware construct
@@ -548,138 +514,34 @@ impl GameServer {
             }
         }
 
-        // 3. Advance simulated constructs through the configured backend's
-        //    resolution plan. A uniform plan steps constructs on scoped
-        //    worker threads with no backend involvement; a partitioned plan
-        //    fans per-construct resolution out through the backend's
-        //    thread-safe table (partitioned by owning world shard) and then
-        //    reconciles the backend's deferred state once; anything else
-        //    goes through the sequential resolve path. All paths produce
-        //    identical states and counters (asserted by the differential
-        //    suites in `servo-server` and `servo-core`).
-        let threads = self
-            .config
-            .parallelism
-            .max(1)
-            .min(self.constructs.len().max(1));
-        // Zone-restricted instances step only the constructs living in
-        // shards they own, plus any constructs pinned here by an
-        // ownership-aware migration; other foreign constructs are another
-        // server's work.
-        let (ownership, pinned) = (&self.ownership, &self.pinned);
-        let owns = |id: ConstructId, shard: usize| match ownership {
-            Some((map, zone)) => map.zone_of_shard(shard) == *zone || pinned.contains(&id),
-            None => true,
-        };
-        let plan = self.sc_backend.plan(self.tick);
-        match plan {
-            ResolutionPlan::Uniform(
-                resolution @ (ScResolution::LocalSimulated | ScResolution::Skipped),
-            ) if threads > 1 => {
-                let count = self
-                    .constructs
-                    .iter()
-                    .filter(|(id, shard, _)| owns(*id, *shard))
-                    .count();
-                if resolution == ScResolution::LocalSimulated {
-                    let mut buckets: Vec<Vec<&mut Construct>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for (id, shard, construct) in &mut self.constructs {
-                        if owns(*id, *shard) {
-                            buckets[*shard % threads].push(construct);
-                        }
-                    }
-                    std::thread::scope(|scope| {
-                        for bucket in buckets {
-                            scope.spawn(move || {
-                                for construct in bucket {
-                                    construct.step();
-                                }
-                            });
-                        }
-                    });
-                    work.sc_local += count;
-                    self.stats.sc_local += count as u64;
-                } else {
-                    self.stats.sc_skipped += count as u64;
+        // 3. Advance simulated constructs through the configured backend,
+        //    one at a time in the order they were added. Zone-restricted
+        //    instances step only the constructs living in shards they own,
+        //    plus any constructs pinned here by an ownership-aware
+        //    migration; other foreign constructs are another server's work.
+        for (id, shard, construct) in &mut self.constructs {
+            let owned = match &self.ownership {
+                Some((map, zone)) => map.zone_of_shard(*shard) == *zone || self.pinned.contains(id),
+                None => true,
+            };
+            if !owned {
+                continue;
+            }
+            match self.sc_backend.resolve(*id, construct, self.tick, now) {
+                ScResolution::LocalSimulated => {
+                    work.sc_local += 1;
+                    self.stats.sc_local += 1;
                 }
-            }
-            ResolutionPlan::Partitioned if threads > 1 => {
-                let tick = self.tick;
-                let counts = {
-                    let resolver = self
-                        .sc_backend
-                        .partitioned()
-                        .expect("a Partitioned plan must provide a partitioned resolver");
-                    let mut buckets: Vec<Vec<(ConstructId, usize, &mut Construct)>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for (id, shard, construct) in &mut self.constructs {
-                        if owns(*id, *shard) {
-                            buckets[*shard % threads].push((*id, *shard, construct));
-                        }
-                    }
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = buckets
-                            .into_iter()
-                            .map(|bucket| {
-                                scope.spawn(move || {
-                                    let mut counts = ResolutionCounts::default();
-                                    for (id, shard, construct) in bucket {
-                                        let resolution = resolver
-                                            .resolve_partitioned(id, shard, construct, tick, now);
-                                        count_resolution(&mut counts, resolution);
-                                    }
-                                    counts
-                                })
-                            })
-                            .collect();
-                        handles.into_iter().fold(
-                            ResolutionCounts::default(),
-                            |mut total, handle| {
-                                let counts =
-                                    handle.join().expect("construct worker must not panic");
-                                for (slot, value) in total.iter_mut().zip(counts) {
-                                    *slot += value;
-                                }
-                                total
-                            },
-                        )
-                    })
-                };
-                // Flush deferred statistics and platform invocations in the
-                // backend's deterministic order.
-                self.sc_backend.reconcile(tick, now);
-                let [local, merged, replayed, skipped] = counts;
-                work.sc_local += local as usize;
-                work.sc_merged += merged as usize;
-                work.sc_replayed += replayed as usize;
-                self.stats.sc_local += local;
-                self.stats.sc_merged += merged;
-                self.stats.sc_replayed += replayed;
-                self.stats.sc_skipped += skipped;
-            }
-            _ => {
-                for (id, shard, construct) in &mut self.constructs {
-                    if !owns(*id, *shard) {
-                        continue;
-                    }
-                    match self.sc_backend.resolve(*id, construct, self.tick, now) {
-                        ScResolution::LocalSimulated => {
-                            work.sc_local += 1;
-                            self.stats.sc_local += 1;
-                        }
-                        ScResolution::SpeculativeApplied => {
-                            work.sc_merged += 1;
-                            self.stats.sc_merged += 1;
-                        }
-                        ScResolution::LoopReplayed => {
-                            work.sc_replayed += 1;
-                            self.stats.sc_replayed += 1;
-                        }
-                        ScResolution::Skipped => {
-                            self.stats.sc_skipped += 1;
-                        }
-                    }
+                ScResolution::SpeculativeApplied => {
+                    work.sc_merged += 1;
+                    self.stats.sc_merged += 1;
+                }
+                ScResolution::LoopReplayed => {
+                    work.sc_replayed += 1;
+                    self.stats.sc_replayed += 1;
+                }
+                ScResolution::Skipped => {
+                    self.stats.sc_skipped += 1;
                 }
             }
         }
@@ -724,18 +586,9 @@ impl GameServer {
     ) -> Vec<TickReport> {
         let end = self.clock.now() + duration;
         let tick_budget = self.config.tick_budget();
-        let parallelism = self.config.parallelism.max(1);
         let mut reports = Vec::new();
         while self.clock.now() < end {
-            let now = self.clock.now();
-            // With parallelism enabled, avatars step on scoped worker
-            // threads using per-avatar random streams; sequentially they
-            // share the fleet stream (the seed behaviour).
-            let events = if parallelism > 1 {
-                fleet.tick_parallel(now, tick_budget, parallelism)
-            } else {
-                fleet.tick(now, tick_budget)
-            };
+            let events = fleet.tick(self.clock.now(), tick_budget);
             let positions = fleet.positions();
             reports.push(self.run_tick(&positions, &events));
         }
@@ -917,134 +770,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_construct_tick_matches_sequential() {
-        let build = |threads: usize| {
-            let mut server = flat_server(ServerConfig::opencraft().with_parallelism(threads));
-            server.add_constructs(24, |i| generators::dense_circuit(16 + i % 5));
-            server
-        };
-        let mut sequential = build(1);
-        let mut parallel = build(4);
-        let positions = vec![BlockPos::new(8, 4, 8)];
-        for _ in 0..40 {
-            sequential.run_tick(&positions, &[]);
-            parallel.run_tick(&positions, &[]);
-        }
-        assert_eq!(sequential.stats().sc_local, parallel.stats().sc_local);
-        assert_eq!(sequential.stats().sc_skipped, parallel.stats().sc_skipped);
-        for i in 0..24 {
-            let id = ConstructId::new(i);
-            assert_eq!(
-                sequential.construct(id).unwrap().state().hash(),
-                parallel.construct(id).unwrap().state().hash(),
-                "construct {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_plan_matches_sequential_and_reconciles_once_per_tick() {
-        use crate::backends::{PartitionedResolver, ResolutionPlan};
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        /// A stateful backend exercising the partitioned fan-out: every
-        /// construct steps locally, resolutions are counted through the
-        /// shared table, and each tick must reconcile exactly once.
-        struct CountingPartitioned {
-            resolved: Arc<AtomicU64>,
-            reconciled: Arc<AtomicU64>,
-        }
-
-        impl PartitionedResolver for CountingPartitioned {
-            fn resolve_partitioned(
-                &self,
-                _id: ConstructId,
-                _shard: usize,
-                construct: &mut Construct,
-                _tick: Tick,
-                _now: SimTime,
-            ) -> ScResolution {
-                construct.step();
-                self.resolved.fetch_add(1, Ordering::Relaxed);
-                ScResolution::LocalSimulated
-            }
-        }
-
-        impl crate::backends::ScBackend for CountingPartitioned {
-            fn resolve(
-                &mut self,
-                id: ConstructId,
-                construct: &mut Construct,
-                tick: Tick,
-                now: SimTime,
-            ) -> ScResolution {
-                self.resolve_partitioned(id, 0, construct, tick, now)
-            }
-
-            fn plan(&mut self, _tick: Tick) -> ResolutionPlan {
-                ResolutionPlan::Partitioned
-            }
-
-            fn partitioned(&self) -> Option<&dyn PartitionedResolver> {
-                Some(self)
-            }
-
-            fn reconcile(&mut self, _tick: Tick, _now: SimTime) {
-                self.reconciled.fetch_add(1, Ordering::Relaxed);
-            }
-
-            fn name(&self) -> &'static str {
-                "counting-partitioned"
-            }
-        }
-
-        let build = |threads: usize| {
-            let resolved = Arc::new(AtomicU64::new(0));
-            let reconciled = Arc::new(AtomicU64::new(0));
-            let mut server = GameServer::new(
-                ServerConfig::opencraft()
-                    .with_view_distance(32)
-                    .with_parallelism(threads),
-                Box::new(CountingPartitioned {
-                    resolved: Arc::clone(&resolved),
-                    reconciled: Arc::clone(&reconciled),
-                }),
-                Box::new(LocalGenerationBackend::new(
-                    Box::new(FlatGenerator::default()),
-                    8,
-                )),
-                SimRng::seed(7),
-            );
-            server.add_constructs(24, |i| generators::dense_circuit(16 + i % 5));
-            (server, resolved, reconciled)
-        };
-        let (mut sequential, seq_resolved, _) = build(1);
-        let (mut parallel, par_resolved, par_reconciled) = build(4);
-        let positions = vec![BlockPos::new(8, 4, 8)];
-        for _ in 0..30 {
-            sequential.run_tick(&positions, &[]);
-            parallel.run_tick(&positions, &[]);
-        }
-        assert_eq!(seq_resolved.load(Ordering::Relaxed), 24 * 30);
-        assert_eq!(par_resolved.load(Ordering::Relaxed), 24 * 30);
-        // The fan-out reconciles exactly once per tick.
-        assert_eq!(par_reconciled.load(Ordering::Relaxed), 30);
-        assert_eq!(sequential.stats().sc_local, parallel.stats().sc_local);
-        for i in 0..24 {
-            let id = ConstructId::new(i);
-            assert_eq!(
-                sequential.construct(id).unwrap().state().hash(),
-                parallel.construct(id).unwrap().state().hash(),
-                "construct {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_fleet_runs_are_reproducible() {
+    fn fleet_runs_are_reproducible() {
         let run = || {
-            let mut server = flat_server(ServerConfig::opencraft().with_parallelism(4));
+            let mut server = flat_server(ServerConfig::opencraft());
             server.add_constructs(8, |_| generators::wire_line(6));
             let mut fleet = bounded_fleet(12, 21);
             server.run_with_fleet(&mut fleet, SimDuration::from_secs(3));

@@ -2,14 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
         $(#[$meta])*
         #[derive(
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
         )]
         pub struct $name(pub u64);
 

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::consts::{CHUNK_BITS, CHUNK_SIZE};
 
 /// A block position in world space (one unit per block).
@@ -19,9 +17,7 @@ use crate::consts::{CHUNK_BITS, CHUNK_SIZE};
 /// let p = BlockPos::new(-1, 64, 17);
 /// assert_eq!(ChunkPos::from(p), ChunkPos::new(-1, 1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockPos {
     /// East-west coordinate.
     pub x: i32,
@@ -93,9 +89,7 @@ impl Sub for BlockPos {
 /// let c = ChunkPos::new(0, 0);
 /// assert_eq!(c.chebyshev_distance(ChunkPos::new(3, -2)), 3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ChunkPos {
     /// East-west chunk coordinate.
     pub x: i32,
@@ -157,7 +151,7 @@ impl From<BlockPos> for ChunkPos {
 }
 
 /// One of the six axis-aligned directions in the voxel grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Towards positive Y.
     Up,

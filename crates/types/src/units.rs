@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Memory allocated to a serverless function, in mebibytes.
 ///
 /// On AWS Lambda the amount of compute (vCPUs) scales with the configured
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let m = MemoryMb::new(1024);
 /// assert!((m.vcpus() - 0.5714).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemoryMb(pub u32);
 
 impl MemoryMb {
@@ -67,7 +65,7 @@ impl fmt::Display for MemoryMb {
 /// A horizontal movement speed, in blocks per second.
 ///
 /// The paper's workloads move avatars at 1–8 blocks per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct BlocksPerSecond(pub f64);
 
 impl BlocksPerSecond {
@@ -97,7 +95,7 @@ impl fmt::Display for BlocksPerSecond {
 ///
 /// Used by the billing model to compare offloading cost with the cost of a
 /// `c5n.xlarge` instance ($0.216/h) as the paper does in Section IV-C.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct UsdPerHour(pub f64);
 
 impl UsdPerHour {

@@ -19,9 +19,8 @@ use crate::behavior::{Behavior, BehaviorKind};
 /// cluster migrates its way out of.
 ///
 /// The scripted phases consume no randomness and depend only on the
-/// avatar's id and the virtual time, so a hotspot fleet advances
-/// identically through [`PlayerFleet::tick`] and
-/// [`PlayerFleet::tick_parallel`], for every thread count.
+/// avatar's id and the virtual time: while the script controls an avatar,
+/// the fleet's random stream is left untouched.
 #[derive(Debug, Clone)]
 pub struct Hotspot {
     /// Hotspot centers in world coordinates; avatar `i` converges on
@@ -68,9 +67,6 @@ pub struct PlayerFleet {
     rng: SimRng,
     avatars: Vec<Avatar>,
     behaviors: Vec<Behavior>,
-    /// One independent random stream per avatar, used by the parallel tick
-    /// path so the generated behaviour is identical for any worker count.
-    rngs: Vec<SimRng>,
     /// Total players that will eventually join.
     target_players: usize,
     /// Interval between joins; `None` means all players join immediately.
@@ -92,7 +88,6 @@ impl PlayerFleet {
             rng,
             avatars: Vec::new(),
             behaviors: Vec::new(),
-            rngs: Vec::new(),
             target_players: 0,
             join_interval: None,
             spawn: (8.0, 8.0),
@@ -179,8 +174,6 @@ impl PlayerFleet {
             .push(Avatar::new(id, self.spawn.0, self.spawn.1));
         self.behaviors
             .push(Behavior::new(self.kind, index, self.target_players.max(1)));
-        self.rngs
-            .push(self.rng.substream_indexed("avatar", index as u64));
         self.hotspot_returned.push(false);
     }
 
@@ -227,77 +220,6 @@ impl PlayerFleet {
             for event in behavior.act(avatar, dt, &mut self.rng) {
                 events.push((avatar.id, event));
             }
-        }
-        events
-    }
-
-    /// Advances the fleet by one tick like [`PlayerFleet::tick`], but steps
-    /// avatars on up to `threads` scoped worker threads.
-    ///
-    /// Each avatar acts on its own pre-derived random stream (created at
-    /// join time from the fleet seed), so the produced events and movements
-    /// are identical for every `threads` value — including `1` — but differ
-    /// from the sequential [`PlayerFleet::tick`], which consumes a single
-    /// shared stream. Events are returned in avatar order.
-    pub fn tick_parallel(
-        &mut self,
-        now: SimTime,
-        dt: SimDuration,
-        threads: usize,
-    ) -> Vec<(PlayerId, PlayerEvent)> {
-        self.process_joins(now);
-        let players = self.avatars.len();
-        if players == 0 {
-            return Vec::new();
-        }
-        let threads = threads.clamp(1, players);
-        let per_worker = players.div_ceil(threads);
-
-        let mut avatar_slices: Vec<&mut [Avatar]> = self.avatars.chunks_mut(per_worker).collect();
-        let mut behavior_slices: Vec<&mut [Behavior]> =
-            self.behaviors.chunks_mut(per_worker).collect();
-        let mut rng_slices: Vec<&mut [SimRng]> = self.rngs.chunks_mut(per_worker).collect();
-        let mut returned_slices: Vec<&mut [bool]> =
-            self.hotspot_returned.chunks_mut(per_worker).collect();
-        let hotspot = self.hotspot.as_ref();
-
-        let mut per_worker_events: Vec<Vec<(PlayerId, PlayerEvent)>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for (((avatars, behaviors), rngs), returned) in avatar_slices
-                    .drain(..)
-                    .zip(behavior_slices.drain(..))
-                    .zip(rng_slices.drain(..))
-                    .zip(returned_slices.drain(..))
-                {
-                    handles.push(scope.spawn(move || {
-                        let mut events = Vec::new();
-                        for (((avatar, behavior), rng), returned) in avatars
-                            .iter_mut()
-                            .zip(behaviors.iter_mut())
-                            .zip(rngs.iter_mut())
-                            .zip(returned.iter_mut())
-                        {
-                            if let Some(hotspot) = hotspot {
-                                if Self::hotspot_act(hotspot, avatar, returned, now, dt) {
-                                    continue;
-                                }
-                            }
-                            for event in behavior.act(avatar, dt, rng) {
-                                events.push((avatar.id, event));
-                            }
-                        }
-                        events
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet worker must not panic"))
-                    .collect()
-            });
-        let mut events = Vec::with_capacity(per_worker_events.iter().map(Vec::len).sum());
-        for worker_events in &mut per_worker_events {
-            events.append(worker_events);
         }
         events
     }
@@ -382,47 +304,6 @@ mod tests {
         assert!(events.iter().all(|(id, _)| id.raw() < 20));
     }
 
-    #[test]
-    fn tick_parallel_is_independent_of_thread_count() {
-        let build = || {
-            let mut fleet = PlayerFleet::new(BehaviorKind::Random, SimRng::seed(11));
-            fleet.connect_all(16);
-            fleet
-        };
-        let mut sequential = build();
-        let mut two_threads = build();
-        let mut eight_threads = build();
-        let mut now = SimTime::ZERO;
-        for _ in 0..200 {
-            now += TICK;
-            let e1 = sequential.tick_parallel(now, TICK, 1);
-            let e2 = two_threads.tick_parallel(now, TICK, 2);
-            let e8 = eight_threads.tick_parallel(now, TICK, 8);
-            assert_eq!(e1, e2);
-            assert_eq!(e1, e8);
-        }
-        for ((a, b), c) in sequential
-            .avatars()
-            .iter()
-            .zip(two_threads.avatars())
-            .zip(eight_threads.avatars())
-        {
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-        }
-    }
-
-    #[test]
-    fn tick_parallel_handles_joins_and_empty_fleets() {
-        let mut fleet = PlayerFleet::new(BehaviorKind::Star { speed: 3.0 }, SimRng::seed(5));
-        assert!(fleet.tick_parallel(SimTime::ZERO, TICK, 4).is_empty());
-        fleet.set_join_schedule(10, SimDuration::from_secs(10));
-        fleet.tick_parallel(SimTime::from_secs(35), TICK, 4);
-        assert_eq!(fleet.connected_players(), 4);
-        fleet.tick_parallel(SimTime::from_secs(1000), TICK, 32);
-        assert_eq!(fleet.connected_players(), 10);
-    }
-
     fn hotspot(targets: Vec<(f64, f64)>) -> Hotspot {
         Hotspot {
             targets,
@@ -474,37 +355,6 @@ mod tests {
                 .all(|a| a.distance_from_spawn() < 25.0),
             "avatars never came home"
         );
-    }
-
-    #[test]
-    fn hotspot_is_identical_across_tick_paths() {
-        let build = || {
-            let mut fleet =
-                PlayerFleet::new(BehaviorKind::Bounded { radius: 20.0 }, SimRng::seed(4));
-            fleet.connect_all(10);
-            fleet.set_hotspot(hotspot(vec![(96.0, -64.0)]));
-            fleet
-        };
-        let mut sequential = build();
-        let mut parallel = build();
-        let mut now = SimTime::ZERO;
-        for _ in 0..(20 * 40) {
-            now += TICK;
-            // Scripted phases consume no randomness, so even the
-            // sequential shared-stream path matches tick_parallel while
-            // the hotspot is in control (from 2 s in).
-            if now >= SimTime::from_secs(2) {
-                let a = sequential.tick_parallel(now, TICK, 1);
-                let b = parallel.tick_parallel(now, TICK, 4);
-                assert_eq!(a, b);
-            } else {
-                sequential.tick_parallel(now, TICK, 1);
-                parallel.tick_parallel(now, TICK, 4);
-            }
-        }
-        for (a, b) in sequential.avatars().iter().zip(parallel.avatars()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

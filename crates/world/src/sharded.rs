@@ -309,8 +309,8 @@ impl ShardedWorld {
         self.shards.len()
     }
 
-    /// The shard index owning the chunk at `pos` — the partition key the
-    /// parallel tick path and the storage batcher use.
+    /// The shard index owning the chunk at `pos` — the partition key zone
+    /// ownership and the storage batcher use.
     #[inline]
     pub fn shard_of(&self, pos: ChunkPos) -> usize {
         shard_index(pos, self.shards.len())

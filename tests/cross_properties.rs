@@ -23,6 +23,11 @@ mod view_tracker_model;
 #[path = "../crates/redstone/tests/bfs_engine/mod.rs"]
 mod bfs_engine;
 
+// The seeded game-loop workload of the core crate's speculation
+// transparency test.
+#[path = "../crates/core/tests/speculative_workload/mod.rs"]
+mod speculative_workload;
+
 fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     prop::collection::vec(
         (
@@ -159,6 +164,15 @@ proptest! {
 /// One fixed-seed mixed schedule (single writes, batches, fills, loads,
 /// unloads) leaves the sharded world and the plain `World` with the same
 /// outcomes, counters, loaded set and chunk bytes.
+/// The same property inside the game loop, on one fixed seed: a server
+/// on the speculative backend matches one stepping every construct
+/// locally, tick for tick, through a mixed construct fleet with player
+/// modifications mid-run.
+#[test]
+fn speculation_is_transparent_in_the_game_loop() {
+    speculative_workload::assert_transparent(77, 300, None);
+}
+
 #[test]
 fn sharded_world_matches_plain_world_on_a_fixed_seed() {
     let mut rng = SimRng::seed(0x5ead);
