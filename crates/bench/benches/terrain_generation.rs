@@ -1,6 +1,7 @@
 //! Real-CPU benchmark of procedural chunk generation (the work a terrain
-//! generation function performs per invocation, Figure 11) and of the game
-//! loop's per-tick bookkeeping of which terrain is missing.
+//! generation function performs per invocation, Figure 11), of copying,
+//! editing and encoding the chunks it produces, and of the game loop's
+//! per-tick bookkeeping of which terrain is missing.
 
 use std::hint::black_box;
 
@@ -8,7 +9,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use servo_pcg::{DefaultGenerator, FlatGenerator, Perlin, TerrainGenerator};
 use servo_types::{BlockPos, ChunkPos};
 use servo_world::{
-    missing_chunks, nearest_missing_distance_blocks, required_chunks, ShardedWorld, ViewTracker,
+    missing_chunks, nearest_missing_distance_blocks, required_chunks, Block, ShardedWorld,
+    ViewTracker,
 };
 
 fn bench_generators(c: &mut Criterion) {
@@ -53,6 +55,34 @@ fn bench_serialization(c: &mut Criterion) {
     });
     group.bench_function("from_bytes", |b| {
         b.iter(|| servo_world::Chunk::from_bytes(&bytes).unwrap())
+    });
+    group.finish();
+}
+
+/// What a loaded chunk costs to copy and to edit: the clone behind shard
+/// migration, border mirrors and keyframes, a first write into a uniform
+/// (all-air) section, which allocates that section's array, and a write
+/// into a section that already has one.
+fn bench_chunk_storage(c: &mut Criterion) {
+    let chunk = DefaultGenerator::new(7).generate(ChunkPos::new(3, 3));
+    let mut group = c.benchmark_group("chunk_storage");
+    group.bench_function("chunk_clone", |b| b.iter(|| black_box(&chunk).clone()));
+    group.bench_function("set_local/uniform_section_with_empty", |b| {
+        b.iter(|| {
+            let mut fresh = servo_world::Chunk::empty(ChunkPos::new(3, 3));
+            fresh.set_local(5, 200, 5, Block::Stone).unwrap();
+            fresh
+        })
+    });
+    let mut edited = chunk.clone();
+    let mut stone = false;
+    group.bench_function("set_local/dense_section", |b| {
+        b.iter(|| {
+            stone = !stone;
+            let block = if stone { Block::Stone } else { Block::Dirt };
+            // Section 0 is always mixed: bedrock at y 0.
+            edited.set_local(5, 8, 5, black_box(block)).unwrap();
+        })
     });
     group.finish();
 }
@@ -146,6 +176,7 @@ criterion_group!(
     bench_generators,
     bench_noise,
     bench_serialization,
+    bench_chunk_storage,
     bench_view_tracking
 );
 criterion_main!(benches);

@@ -58,8 +58,13 @@ impl TerrainGenerator for FlatGenerator {
         chunk
             .fill_layer(0, Block::Bedrock)
             .expect("layer 0 in range");
-        for y in 1..self.ground_height {
-            chunk.fill_layer(y, Block::Dirt).expect("layer in range");
+        if self.ground_height > 1 {
+            // One box for the whole dirt body: the chunk updates its run
+            // count once per column, not once per column and layer.
+            let edge = CHUNK_SIZE - 1;
+            chunk
+                .fill_box((0, 1, 0), (edge, self.ground_height - 1, edge), Block::Dirt)
+                .expect("dirt in range");
         }
         chunk
             .fill_layer(self.ground_height, Block::Grass)
@@ -122,35 +127,49 @@ impl TerrainGenerator for DefaultGenerator {
     fn generate(&self, pos: ChunkPos) -> Chunk {
         let mut chunk = Chunk::empty(pos);
         let base = pos.min_block();
-        chunk
-            .fill_layer(0, Block::Bedrock)
-            .expect("layer 0 in range");
-        for lx in 0..CHUNK_SIZE {
-            for lz in 0..CHUNK_SIZE {
-                let surface = self.surface_height(base.x + lx, base.z + lz);
-                let top = if surface <= self.sea_level + 1 {
-                    Block::Sand
-                } else if surface > self.sea_level + 38 {
-                    Block::Snow
-                } else {
-                    Block::Grass
-                };
-                // One `fill_box` per material instead of one `set_local` per
-                // block: the chunk then updates its run count per segment,
-                // not per block. From the bottom: stone, three blocks of
-                // dirt, the surface block, water up to sea level.
-                let mut segment = |y0: i32, y1: i32, block| {
-                    if y0 <= y1 {
-                        chunk
-                            .fill_box((lx, y0, lz), (lx, y1, lz), block)
-                            .expect("in range");
-                    }
-                };
-                segment(1, surface - 4, Block::Stone);
-                segment((surface - 3).max(1), surface - 1, Block::Dirt);
-                segment(surface, surface, top);
-                segment(surface + 1, self.sea_level, Block::Water);
+        let surfaces: [i32; (CHUNK_SIZE * CHUNK_SIZE) as usize] = std::array::from_fn(|i| {
+            let (lx, lz) = (i as i32 / CHUNK_SIZE, i as i32 % CHUNK_SIZE);
+            self.surface_height(base.x + lx, base.z + lz)
+        });
+        let lowest = *surfaces.iter().min().expect("a chunk has columns");
+        let highest = *surfaces.iter().max().expect("a chunk has columns");
+        // From the bottom, every column is: bedrock, stone, three blocks of
+        // dirt, the surface block, water up to sea level. The layers all
+        // columns share (bedrock, stone below the lowest column's dirt,
+        // water above the highest surface) are written across the whole
+        // chunk, so that the sections they cover stay uniform; then one
+        // `fill_box` per material and column writes the rest, and the
+        // chunk updates its run count per segment, not per block.
+        let mut layer = |y0: i32, y1: i32, block| {
+            if y0 <= y1 {
+                chunk
+                    .fill_box((0, y0, 0), (CHUNK_SIZE - 1, y1, CHUNK_SIZE - 1), block)
+                    .expect("in range");
             }
+        };
+        layer(0, 0, Block::Bedrock);
+        layer(1, lowest - 4, Block::Stone);
+        layer(highest + 1, self.sea_level, Block::Water);
+        for (i, &surface) in surfaces.iter().enumerate() {
+            let (lx, lz) = (i as i32 / CHUNK_SIZE, i as i32 % CHUNK_SIZE);
+            let top = if surface <= self.sea_level + 1 {
+                Block::Sand
+            } else if surface > self.sea_level + 38 {
+                Block::Snow
+            } else {
+                Block::Grass
+            };
+            let mut segment = |y0: i32, y1: i32, block| {
+                if y0 <= y1 {
+                    chunk
+                        .fill_box((lx, y0, lz), (lx, y1, lz), block)
+                        .expect("in range");
+                }
+            };
+            segment((lowest - 3).max(1), surface - 4, Block::Stone);
+            segment((surface - 3).max(1), surface - 1, Block::Dirt);
+            segment(surface, surface, top);
+            segment(surface + 1, self.sea_level.min(highest), Block::Water);
         }
         chunk
     }
@@ -284,6 +303,64 @@ mod tests {
             }
         }
         assert!(shallow && snow && underwater && clamped);
+    }
+
+    /// Number of sections (16-high slabs) whose blocks are not all equal,
+    /// read through the block accessor.
+    fn mixed_sections(chunk: &Chunk) -> usize {
+        (0..CHUNK_HEIGHT / 16)
+            .filter(|s| {
+                let first = chunk.local(0, 16 * s, 0);
+                (0..CHUNK_SIZE).any(|x| {
+                    (0..CHUNK_SIZE)
+                        .any(|z| (16 * s..16 * s + 16).any(|y| chunk.local(x, y, z) != first))
+                })
+            })
+            .count()
+    }
+
+    #[test]
+    fn generation_allocates_only_the_mixed_sections() {
+        // The sea levels of `column_segments_match_the_per_block_generator`
+        // put whole sections under water, inside stone and in the air.
+        for (seed, sea_level) in [(7, 62), (11, 2), (5, 30), (9, 250), (13, -40)] {
+            let g = DefaultGenerator {
+                sea_level,
+                ..DefaultGenerator::new(seed)
+            };
+            for pos in [ChunkPos::new(0, 0), ChunkPos::new(-9, 18)] {
+                let chunk = g.generate(pos);
+                assert_eq!(chunk.heap_bytes(), 8192 * mixed_sections(&chunk), "{pos:?}");
+            }
+        }
+        let flat = FlatGenerator::default().generate(ChunkPos::new(2, 2));
+        assert_eq!(flat.heap_bytes(), 8192);
+        assert_eq!(mixed_sections(&flat), 1);
+    }
+
+    #[test]
+    fn default_world_chunks_stay_within_the_memory_budget() {
+        // A fixed 50 x 40 grid of chunks at seed 7. Every chunk has 2 or 3
+        // mixed sections (section 0 always, for the bedrock): the measured
+        // mean is 2.40 sections, 19 628 bytes, against 131 072 for a dense
+        // chunk. The budget is 3 sections, 24 KiB.
+        let g = DefaultGenerator::new(7);
+        let mut total = 0;
+        for cx in -25..25 {
+            for cz in -20..20 {
+                let chunk = g.generate(ChunkPos::new(cx, cz));
+                let heap = chunk.heap_bytes();
+                assert!((2 * 8192..=3 * 8192).contains(&heap), "{cx}, {cz}: {heap}");
+                if (cx + cz) % 16 == 0 {
+                    let restored = Chunk::from_bytes(&chunk.to_bytes()).unwrap();
+                    assert_eq!(restored.heap_bytes(), heap);
+                    assert_eq!(restored.to_bytes(), chunk.to_bytes());
+                }
+                total += heap;
+            }
+        }
+        let mean = total / 2000;
+        assert!(mean <= 24 * 1024, "mean {mean} bytes per chunk");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The chunk container: a 16 x 16 x 256 column of blocks.
+//! The chunk container: a 16 x 16 x 256 column of blocks, stored as sixteen
+//! 16-high sections.
 
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::{ChunkPos, ServoError};
@@ -16,11 +17,108 @@ const HEIGHT_BITS: u32 = CHUNK_HEIGHT.trailing_zeros();
 /// `log2(CHUNK_SIZE)`: the `z` coordinate occupies the next bits.
 const SIZE_BITS: u32 = CHUNK_SIZE.trailing_zeros();
 
+/// Height of one section in blocks.
+const SECTION_HEIGHT: usize = 16;
+
+/// `log2(SECTION_HEIGHT)`: the low bits of `y` (and of a block's linear
+/// index) are its offset inside a column of its section.
+const SECTION_BITS: u32 = SECTION_HEIGHT.trailing_zeros();
+
+/// Number of sections in a chunk.
+const SECTIONS: usize = CHUNK_HEIGHT as usize / SECTION_HEIGHT;
+
+/// Number of blocks in a section.
+const SECTION_BLOCKS: usize = BLOCKS_PER_CHUNK / SECTIONS;
+
+/// The blocks of one 16-high horizontal slab of a chunk.
+#[derive(Debug, Clone)]
+enum Section {
+    /// Every block of the section has this id. Owns no heap memory.
+    Uniform(u16),
+    /// Block ids in x-major, then z, then y order, like a chunk's linear
+    /// index: `(x * CHUNK_SIZE + z) * SECTION_HEIGHT + y % SECTION_HEIGHT`.
+    Dense(Box<[u16; SECTION_BLOCKS]>),
+}
+
+impl Section {
+    #[inline]
+    fn get(&self, offset: usize) -> u16 {
+        match self {
+            Section::Uniform(id) => *id,
+            Section::Dense(blocks) => blocks[offset],
+        }
+    }
+
+    /// The section's array, allocated first (holding the uniform id
+    /// everywhere) if the section is uniform: the caller is about to make
+    /// it mixed.
+    fn dense_mut(&mut self) -> &mut [u16; SECTION_BLOCKS] {
+        if let Section::Uniform(id) = *self {
+            *self = Section::Dense(Box::new([id; SECTION_BLOCKS]));
+        }
+        match self {
+            Section::Dense(blocks) => blocks,
+            Section::Uniform(_) => unreachable!("promoted above"),
+        }
+    }
+
+    /// Number of blocks whose id satisfies `pred`.
+    fn count(&self, pred: impl Fn(u16) -> bool) -> usize {
+        match self {
+            Section::Uniform(id) => {
+                if pred(*id) {
+                    SECTION_BLOCKS
+                } else {
+                    0
+                }
+            }
+            Section::Dense(blocks) => blocks.iter().filter(|&&id| pred(id)).count(),
+        }
+    }
+
+    /// Whether the two sections hold the same blocks, whatever their
+    /// representation.
+    fn same_blocks(&self, other: &Section) -> bool {
+        match (self, other) {
+            (Section::Uniform(a), Section::Uniform(b)) => a == b,
+            (Section::Dense(a), Section::Dense(b)) => a == b,
+            (Section::Uniform(id), Section::Dense(blocks))
+            | (Section::Dense(blocks), Section::Uniform(id)) => {
+                blocks.iter().all(|block| block == id)
+            }
+        }
+    }
+}
+
 /// A 16 x 16 x 256 column of blocks, the unit of terrain generation, loading
 /// and storage in the paper (Section IV-D: "an area of 16x16x256 blocks").
 ///
 /// Blocks are addressed with chunk-local coordinates: `x` and `z` in
 /// `0..16`, `y` in `0..256`.
+///
+/// # Memory
+///
+/// The chunk is sixteen sections of 16 x 16 x 16 blocks (`y` in
+/// `16s..16s + 16`). A section whose blocks are all equal stores one id and
+/// owns no heap memory; a mixed section owns one 8 KiB array of 2-byte ids.
+/// A section is promoted by the first write that makes it mixed and is
+/// never demoted by a write; [`Chunk::from_bytes`] and a
+/// [`Chunk::fill_box`] covering a whole section leave it uniform.
+/// [`Chunk::heap_bytes`] reports the heap part:
+///
+/// | chunk | heap bytes |
+/// |---|---|
+/// | empty, or one block everywhere | 0 |
+/// | flat world (all of it in section 0) | 8 192 |
+/// | generated default world (2 or 3 mixed sections; mean 2.40 at seed 7) | 19 628 (mean) |
+/// | every section mixed | 131 072 |
+///
+/// The chunk itself is 280 bytes: the sixteen section slots, position,
+/// modification count and run count.
+///
+/// Equality compares position, modification count and blocks, never the
+/// representation: a section filled whole equals the same section written
+/// block by block.
 ///
 /// # Example
 ///
@@ -29,30 +127,46 @@ const SIZE_BITS: u32 = CHUNK_SIZE.trailing_zeros();
 /// use servo_types::ChunkPos;
 ///
 /// let mut chunk = Chunk::empty(ChunkPos::new(0, 0));
+/// assert_eq!(chunk.heap_bytes(), 0);
 /// chunk.set_local(3, 64, 5, Block::Stone).unwrap();
 /// assert_eq!(chunk.local(3, 64, 5), Some(Block::Stone));
 /// assert_eq!(chunk.non_air_blocks(), 1);
+/// assert_eq!(chunk.heap_bytes(), 8192);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Chunk {
     pos: ChunkPos,
-    /// Block identifiers in x-major, then z, then y order.
-    blocks: Vec<u16>,
+    /// The chunk's blocks, section `s` holding `y` in `16s..16s + 16`.
+    sections: [Section; SECTIONS],
     /// Number of modifications since the chunk was created or loaded.
     modifications: u64,
-    /// Number of maximal equal-id runs in `blocks`, taken in linear order
-    /// (so a run may continue from `y = 255` of one column into `y = 0` of
-    /// the next). Every writer of `blocks` keeps it exact; it is what makes
-    /// [`Chunk::serialized_size`] O(1).
+    /// Number of maximal equal-id runs of the blocks taken in linear (x, z,
+    /// y) order, so a run may continue from `y = 255` of one column into
+    /// `y = 0` of the next and across section edges. Every writer keeps it
+    /// exact; it is what makes [`Chunk::serialized_size`] O(1).
     runs: u32,
 }
 
+impl PartialEq for Chunk {
+    fn eq(&self, other: &Chunk) -> bool {
+        self.pos == other.pos
+            && self.modifications == other.modifications
+            && self
+                .sections
+                .iter()
+                .zip(&other.sections)
+                .all(|(a, b)| a.same_blocks(b))
+    }
+}
+
+impl Eq for Chunk {}
+
 impl Chunk {
-    /// Creates an all-air chunk at the given position.
+    /// Creates an all-air chunk at the given position. Allocates nothing.
     pub fn empty(pos: ChunkPos) -> Self {
         Chunk {
             pos,
-            blocks: vec![Block::Air.id(); BLOCKS_PER_CHUNK],
+            sections: std::array::from_fn(|_| Section::Uniform(Block::Air.id())),
             modifications: 0,
             runs: 1,
         }
@@ -68,13 +182,23 @@ impl Chunk {
         self.modifications
     }
 
+    /// Bytes the chunk owns on the heap: 8 192 per dense section, that is
+    /// per mixed section plus any a write promoted and later made uniform
+    /// again (see the budget under [`Chunk`]'s "Memory").
+    pub fn heap_bytes(&self) -> usize {
+        self.sections
+            .iter()
+            .filter(|section| matches!(section, Section::Dense(_)))
+            .count()
+            * std::mem::size_of::<[u16; SECTION_BLOCKS]>()
+    }
+
     #[inline]
     fn index(x: i32, y: i32, z: i32) -> Option<usize> {
         // One unsigned comparison per axis replaces both range checks
         // (negative values wrap above the upper bound), and the power-of-two
         // dimensions make the linear index a shift/or instead of two
-        // multiplications. Same x-major, z, y layout as before:
-        // (x * CHUNK_SIZE + z) * CHUNK_HEIGHT + y.
+        // multiplications: (x * CHUNK_SIZE + z) * CHUNK_HEIGHT + y.
         if (x as u32) < CHUNK_SIZE as u32
             && (y as u32) < CHUNK_HEIGHT as u32
             && (z as u32) < CHUNK_SIZE as u32
@@ -89,20 +213,98 @@ impl Chunk {
         }
     }
 
+    /// The section of a linear index and the offset inside it: the column
+    /// `x * CHUNK_SIZE + z` and `y` modulo the section height.
+    #[inline]
+    fn locate(index: usize) -> (usize, usize) {
+        let y = index & (CHUNK_HEIGHT as usize - 1);
+        let column = index >> HEIGHT_BITS;
+        (
+            y >> SECTION_BITS,
+            (column << SECTION_BITS) | (y & (SECTION_HEIGHT - 1)),
+        )
+    }
+
+    /// The block id at a linear index.
+    #[inline]
+    fn id_at(&self, index: usize) -> u16 {
+        let (section, offset) = Self::locate(index);
+        self.sections[section].get(offset)
+    }
+
     /// Number of run boundaries (adjacent blocks that differ) inside
     /// `lo..=hi` and on its two outer edges. A write to `lo..=hi` can change
-    /// no other boundary, so the difference of this count across the write
-    /// is the difference of `runs`.
-    #[inline]
+    /// no other boundary: [`Chunk::fill_box`] takes this count off `runs`
+    /// before it writes and adds back the two edges of the single run the
+    /// range is afterwards.
+    ///
+    /// Walks the range in pieces of one column inside one section: a
+    /// uniform piece adds at most the boundary at its start.
     fn boundaries(&self, lo: usize, hi: usize) -> u32 {
-        let window = &self.blocks[lo.saturating_sub(1)..=(hi + 1).min(BLOCKS_PER_CHUNK - 1)];
-        window.windows(2).filter(|pair| pair[0] != pair[1]).count() as u32
+        let (lo, hi) = (lo.saturating_sub(1), (hi + 1).min(BLOCKS_PER_CHUNK - 1));
+        let mut prev = self.id_at(lo);
+        let mut count = 0;
+        let mut at = lo + 1;
+        while at <= hi {
+            let end = (at | (SECTION_HEIGHT - 1)).min(hi);
+            let (section, offset) = Self::locate(at);
+            match &self.sections[section] {
+                Section::Uniform(id) => {
+                    count += u32::from(prev != *id);
+                    prev = *id;
+                }
+                Section::Dense(blocks) => {
+                    for &id in &blocks[offset..=offset + (end - at)] {
+                        count += u32::from(prev != id);
+                        prev = id;
+                    }
+                }
+            }
+            at = end + 1;
+        }
+        count
+    }
+
+    /// Calls `f(lo, hi)` for each maximal range `lo..=hi` of consecutive
+    /// linear indices inside the box (whole columns next to each other
+    /// join), so that no run boundary lies in or next to two of them.
+    fn for_each_range(
+        (x0, y0, z0): (i32, i32, i32),
+        (x1, y1, z1): (i32, i32, i32),
+        mut f: impl FnMut(usize, usize),
+    ) {
+        let column = |x: i32, z: i32| {
+            ((x as usize) << (SIZE_BITS + HEIGHT_BITS)) | ((z as usize) << HEIGHT_BITS)
+        };
+        let top = CHUNK_HEIGHT as usize - 1;
+        if y0 == 0 && y1 == CHUNK_HEIGHT - 1 {
+            if z0 == 0 && z1 == CHUNK_SIZE - 1 {
+                return f(column(x0, 0), column(x1, z1) + top);
+            }
+            for x in x0..=x1 {
+                f(column(x, z0), column(x, z1) + top);
+            }
+            return;
+        }
+        for x in x0..=x1 {
+            for z in z0..=z1 {
+                let base = column(x, z);
+                f(base + y0 as usize, base + y1 as usize);
+            }
+        }
+    }
+
+    /// Whether the block at linear index `at` exists and differs from `id`:
+    /// the boundary a range filled with `id` has on that edge.
+    #[inline]
+    fn differs(&self, at: usize, id: u16) -> u32 {
+        u32::from(at < BLOCKS_PER_CHUNK && self.id_at(at) != id)
     }
 
     /// Reads the block at chunk-local coordinates, or `None` if out of range.
     pub fn local(&self, x: i32, y: i32, z: i32) -> Option<Block> {
         let idx = Self::index(x, y, z)?;
-        Block::from_id(self.blocks[idx])
+        Block::from_id(self.id_at(idx))
     }
 
     /// Writes the block at chunk-local coordinates.
@@ -116,10 +318,17 @@ impl Chunk {
             what: format!("chunk-local ({x}, {y}, {z})"),
         })?;
         let id = block.id();
-        if self.blocks[idx] != id {
-            let before = self.boundaries(idx, idx);
-            self.blocks[idx] = id;
-            self.runs = self.runs - before + self.boundaries(idx, idx);
+        let (section, offset) = Self::locate(idx);
+        let old = self.sections[section].get(offset);
+        if old != id {
+            // Only the boundaries with the two neighbours can change.
+            for neighbour in [idx.wrapping_sub(1), idx + 1] {
+                if neighbour < BLOCKS_PER_CHUNK {
+                    let b = self.id_at(neighbour);
+                    self.runs = self.runs + u32::from(b != id) - u32::from(b != old);
+                }
+            }
+            self.sections[section].dense_mut()[offset] = id;
             self.modifications += 1;
         }
         Ok(())
@@ -147,7 +356,9 @@ impl Chunk {
     /// This is the per-chunk primitive behind the world-level batch
     /// operations: bounds are validated once and the inner loop writes
     /// contiguous `y` runs directly, instead of paying an index computation
-    /// and range check per block.
+    /// and range check per block. A section the box covers whole becomes
+    /// uniform without allocating; a uniform section the box covers in part
+    /// is promoted only if `block` differs from its id.
     ///
     /// # Errors
     ///
@@ -172,23 +383,46 @@ impl Chunk {
                 what: format!("inverted box ({x0}, {y0}, {z0})..=({x1}, {y1}, {z1})"),
             });
         }
+        let (lo, hi) = ((x0, y0, z0), (x1, y1, z1));
         let id = block.id();
+        let all_columns = x0 == 0 && z0 == 0 && x1 == CHUNK_SIZE - 1 && z1 == CHUNK_SIZE - 1;
+        // A write changes only the boundaries inside and on the edges of
+        // its ranges; afterwards each range is one run, so only its edges
+        // remain.
+        let mut runs = self.runs;
+        Self::for_each_range(lo, hi, |a, b| runs -= self.boundaries(a, b));
+        let (y0, y1) = (y0 as usize, y1 as usize);
         let mut changed = 0usize;
-        for x in x0..=x1 {
-            for z in z0..=z1 {
-                let base =
-                    ((x as usize) << (SIZE_BITS + HEIGHT_BITS)) | ((z as usize) << HEIGHT_BITS);
-                let (lo, hi) = (base + y0 as usize, base + y1 as usize);
-                let before = self.boundaries(lo, hi);
-                for slot in &mut self.blocks[lo..=hi] {
-                    if *slot != id {
-                        *slot = id;
-                        changed += 1;
+        for s in y0 >> SECTION_BITS..=y1 >> SECTION_BITS {
+            let bottom = s * SECTION_HEIGHT;
+            let (from, to) = (
+                y0.max(bottom) - bottom,
+                y1.min(bottom + SECTION_HEIGHT - 1) - bottom,
+            );
+            let section = &mut self.sections[s];
+            if all_columns && from == 0 && to == SECTION_HEIGHT - 1 {
+                changed += section.count(|b| b != id);
+                *section = Section::Uniform(id);
+            } else if !matches!(section, Section::Uniform(u) if *u == id) {
+                let blocks = section.dense_mut();
+                for x in x0..=x1 {
+                    for z in z0..=z1 {
+                        let base = ((x as usize) << (SIZE_BITS + SECTION_BITS))
+                            | ((z as usize) << SECTION_BITS);
+                        for slot in &mut blocks[base + from..=base + to] {
+                            if *slot != id {
+                                *slot = id;
+                                changed += 1;
+                            }
+                        }
                     }
                 }
-                self.runs = self.runs - before + self.boundaries(lo, hi);
             }
         }
+        Self::for_each_range(lo, hi, |a, b| {
+            runs += self.differs(a.wrapping_sub(1), id) + self.differs(b + 1, id);
+        });
+        self.runs = runs;
         self.modifications += changed as u64;
         Ok(changed)
     }
@@ -196,32 +430,40 @@ impl Chunk {
     /// The height of the highest non-air block in the column at `(x, z)`,
     /// or `None` for an empty column or out-of-range coordinates.
     pub fn height_at(&self, x: i32, z: i32) -> Option<i32> {
-        if !(0..CHUNK_SIZE).contains(&x) || !(0..CHUNK_SIZE).contains(&z) {
-            return None;
-        }
-        (0..CHUNK_HEIGHT)
+        let column = (Self::index(x, 0, z)? >> HEIGHT_BITS) << SECTION_BITS;
+        let air = Block::Air.id();
+        self.sections
+            .iter()
+            .enumerate()
             .rev()
-            .find(|&y| self.local(x, y, z).map(|b| !b.is_air()).unwrap_or(false))
+            .find_map(|(s, section)| {
+                let top = match section {
+                    Section::Uniform(id) => (*id != air).then_some(SECTION_HEIGHT - 1),
+                    Section::Dense(blocks) => blocks[column..column + SECTION_HEIGHT]
+                        .iter()
+                        .rposition(|&id| id != air),
+                }?;
+                Some((s * SECTION_HEIGHT + top) as i32)
+            })
     }
 
     /// Number of non-air blocks in the chunk.
     pub fn non_air_blocks(&self) -> usize {
         let air = Block::Air.id();
-        self.blocks.iter().filter(|&&b| b != air).count()
+        self.sections.iter().map(|s| s.count(|b| b != air)).sum()
     }
 
     /// Number of stateful blocks (simulated-construct material) in the chunk.
     pub fn stateful_blocks(&self) -> usize {
-        self.blocks
-            .iter()
-            .filter(|&&b| Block::from_id(b).map(|b| b.is_stateful()).unwrap_or(false))
-            .count()
+        let stateful = |b| Block::from_id(b).map(|b| b.is_stateful()).unwrap_or(false);
+        self.sections.iter().map(|s| s.count(stateful)).sum()
     }
 
     /// Serializes the chunk into a compact run-length encoded byte buffer.
     ///
     /// Layout: chunk x (i32 LE), chunk z (i32 LE), number of runs (u32 LE),
-    /// then `(count: u32 LE, block id: u16 LE)` per run.
+    /// then `(count: u32 LE, block id: u16 LE)` per run, the blocks taken
+    /// in linear (x, z, y) order.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.serialized_size());
         out.extend_from_slice(&self.pos.x.to_le_bytes());
@@ -231,22 +473,40 @@ impl Chunk {
             out.extend_from_slice(&count.to_le_bytes());
             out.extend_from_slice(&id.to_le_bytes());
         };
-        let mut id = self.blocks[0];
+        let mut id = self.id_at(0);
         let mut count = 0u32;
-        for &b in &self.blocks {
-            if b != id {
-                run(count, id);
-                id = b;
-                count = 0;
+        for column in 0..BLOCKS_PER_CHUNK >> HEIGHT_BITS {
+            let offset = column << SECTION_BITS;
+            for section in &self.sections {
+                match section {
+                    Section::Uniform(b) => {
+                        if *b != id {
+                            run(count, id);
+                            id = *b;
+                            count = 0;
+                        }
+                        count += SECTION_HEIGHT as u32;
+                    }
+                    Section::Dense(blocks) => {
+                        for &b in &blocks[offset..offset + SECTION_HEIGHT] {
+                            if b != id {
+                                run(count, id);
+                                id = b;
+                                count = 0;
+                            }
+                            count += 1;
+                        }
+                    }
+                }
             }
-            count += 1;
         }
         run(count, id);
         debug_assert_eq!(out.len(), self.serialized_size(), "run count out of date");
         out
     }
 
-    /// Deserializes a chunk produced by [`Chunk::to_bytes`].
+    /// Deserializes a chunk produced by [`Chunk::to_bytes`]. A section whose
+    /// blocks are all equal comes back uniform.
     ///
     /// # Errors
     ///
@@ -265,10 +525,12 @@ impl Chunk {
         let x = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
         let z = i32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let run_count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let mut blocks = Vec::with_capacity(BLOCKS_PER_CHUNK);
+        let mut chunk = Chunk::empty(ChunkPos::new(x, z));
         // Counted from the decoded blocks, not copied from the header: a
         // buffer may carry zero-length runs or split one run in two.
-        let mut runs = 0u32;
+        chunk.runs = 0;
+        let mut last = None;
+        let mut decoded = 0usize;
         let mut offset = 12;
         for _ in 0..run_count {
             if offset + 6 > bytes.len() {
@@ -279,27 +541,37 @@ impl Chunk {
             if Block::from_id(id).is_none() {
                 return Err(corrupt("unknown block id"));
             }
-            if blocks.len() + count > BLOCKS_PER_CHUNK {
+            if decoded + count > BLOCKS_PER_CHUNK {
                 return Err(corrupt("run overflows chunk"));
             }
-            if count > 0 && blocks.last() != Some(&id) {
-                runs += 1;
+            if count > 0 && last != Some(id) {
+                chunk.runs += 1;
+                last = Some(id);
             }
-            blocks.extend(std::iter::repeat_n(id, count));
+            // Lay the run down in pieces of one column inside one section.
+            // A section's first piece (in column 0) makes it uniform in its
+            // id; a later piece that differs promotes it.
+            let end = decoded + count;
+            while decoded < end {
+                let piece_end = ((decoded | (SECTION_HEIGHT - 1)) + 1).min(end);
+                let (s, at) = Self::locate(decoded);
+                let section = &mut chunk.sections[s];
+                if decoded < CHUNK_HEIGHT as usize && decoded.is_multiple_of(SECTION_HEIGHT) {
+                    *section = Section::Uniform(id);
+                } else if !matches!(section, Section::Uniform(u) if *u == id) {
+                    section.dense_mut()[at..at + (piece_end - decoded)].fill(id);
+                }
+                decoded = piece_end;
+            }
             offset += 6;
         }
         if offset != bytes.len() {
             return Err(corrupt("trailing bytes after last run"));
         }
-        if blocks.len() != BLOCKS_PER_CHUNK {
+        if decoded != BLOCKS_PER_CHUNK {
             return Err(corrupt("runs do not cover full chunk"));
         }
-        Ok(Chunk {
-            pos: ChunkPos::new(x, z),
-            blocks,
-            modifications: 0,
-            runs,
-        })
+        Ok(chunk)
     }
 
     /// The length of [`Chunk::to_bytes`] in bytes, in O(1) from the
@@ -354,6 +626,7 @@ mod tests {
         assert_eq!(c.non_air_blocks(), 0);
         assert_eq!(c.local(0, 0, 0), Some(Block::Air));
         assert_eq!(c.height_at(5, 5), None);
+        assert_eq!(c.heap_bytes(), 0);
     }
 
     #[test]
@@ -563,5 +836,74 @@ mod tests {
         c.set_local(0, 0, 1, Block::Lamp).unwrap();
         c.set_local(0, 0, 2, Block::Stone).unwrap();
         assert_eq!(c.stateful_blocks(), 2);
+    }
+
+    #[test]
+    fn the_chunk_itself_stays_small() {
+        // Sixteen 16-byte section slots, the position, the modification
+        // count and the run count (the budget in `Chunk`'s docs).
+        assert_eq!(std::mem::size_of::<Chunk>(), 280);
+    }
+
+    #[test]
+    fn the_first_mixed_write_promotes_one_section() {
+        let mut c = Chunk::empty(ChunkPos::ORIGIN);
+        // Rewriting air into uniform air changes nothing and allocates nothing.
+        c.set_local(4, 20, 4, Block::Air).unwrap();
+        assert_eq!(c.heap_bytes(), 0);
+        c.set_local(4, 20, 4, Block::Stone).unwrap();
+        assert_eq!(c.heap_bytes(), 8192);
+        c.set_local(5, 31, 9, Block::Dirt).unwrap();
+        assert_eq!(c.heap_bytes(), 8192);
+        // Writing the last odd block back leaves the section dense: writes
+        // never scan to demote.
+        c.set_local(4, 20, 4, Block::Air).unwrap();
+        c.set_local(5, 31, 9, Block::Air).unwrap();
+        assert_eq!(c.heap_bytes(), 8192);
+        assert_eq!(c.non_air_blocks(), 0);
+        assert_eq!(c.to_bytes(), Chunk::empty(ChunkPos::ORIGIN).to_bytes());
+    }
+
+    #[test]
+    fn a_box_covering_whole_sections_leaves_them_uniform() {
+        let mut c = Chunk::empty(ChunkPos::ORIGIN);
+        c.set_local(3, 40, 3, Block::Wire).unwrap();
+        assert_eq!(c.heap_bytes(), 8192);
+        // y 16..=63 covers sections 1 to 3 whole, the dense one included.
+        let changed = c.fill_box((0, 16, 0), (15, 63, 15), Block::Stone).unwrap();
+        assert_eq!(changed, 3 * 4096);
+        assert_eq!(c.heap_bytes(), 0);
+        assert_eq!(c.non_air_blocks(), 3 * 4096);
+        assert_eq!(c.height_at(7, 7), Some(63));
+        assert_eq!(c.serialized_size(), 12 + 6 * (2 * 256 + 1));
+        assert_eq!(c.to_bytes().len(), c.serialized_size());
+        // A box matching a uniform section's id changes nothing.
+        assert_eq!(c.fill_box((2, 20, 2), (5, 30, 5), Block::Stone).unwrap(), 0);
+        assert_eq!(c.heap_bytes(), 0);
+        // A partial box in another id promotes exactly one section.
+        c.fill_box((0, 64, 0), (15, 64, 15), Block::Grass).unwrap();
+        assert_eq!(c.heap_bytes(), 8192);
+    }
+
+    #[test]
+    fn from_bytes_makes_uniform_sections() {
+        let mut c = Chunk::empty(ChunkPos::new(3, -3));
+        for x in 0..CHUNK_SIZE {
+            for z in 0..CHUNK_SIZE {
+                for y in 32..48 {
+                    c.set_local(x, y, z, Block::Sand).unwrap();
+                }
+            }
+        }
+        c.set_local(0, 0, 0, Block::Bedrock).unwrap();
+        c.set_local(15, 255, 15, Block::Bedrock).unwrap();
+        assert_eq!(c.heap_bytes(), 3 * 8192);
+        let restored = Chunk::from_bytes(&c.to_bytes()).unwrap();
+        // Section 2 is all sand: only the two sections with bedrock are mixed.
+        assert_eq!(restored.heap_bytes(), 2 * 8192);
+        assert_eq!(restored.to_bytes(), c.to_bytes());
+        assert_eq!(restored.non_air_blocks(), 4096 + 2);
+        assert_eq!(restored.height_at(15, 15), Some(255));
+        assert_eq!(restored.height_at(1, 1), Some(47));
     }
 }

@@ -54,24 +54,37 @@ fn arb_edge_biased(max: i32) -> impl Strategy<Value = i32> {
     prop_oneof![1 => Just(0), 1 => Just(max - 1), 2 => 0..max]
 }
 
+/// `0..CHUNK_HEIGHT`, half of the time on a section edge: the top or the
+/// bottom of one of the sixteen 16-high sections (the chunk's own ends
+/// included).
+fn arb_edge_y() -> impl Strategy<Value = i32> {
+    prop_oneof![
+        1 => (0..CHUNK_HEIGHT / 16).prop_map(|k| 16 * k),
+        1 => (1..CHUNK_HEIGHT / 16 + 1).prop_map(|k| 16 * k - 1),
+        2 => 0..CHUNK_HEIGHT,
+    ]
+}
+
 /// Local coordinates biased towards where runs meet their neighbours in
 /// the encoding: `y` 0 and 255 (the next column starts where this one
-/// ends) and the chunk's first and last block.
+/// ends), the section edges `y = 16k - 1` and `16k`, and the chunk's first
+/// and last block.
 fn arb_edge_coord() -> impl Strategy<Value = (i32, i32, i32)> {
     prop_oneof![
         1 => Just((0, 0, 0)),
         1 => Just((CHUNK_SIZE - 1, CHUNK_HEIGHT - 1, CHUNK_SIZE - 1)),
         6 => (
             arb_edge_biased(CHUNK_SIZE),
-            arb_edge_biased(CHUNK_HEIGHT),
+            arb_edge_y(),
             arb_edge_biased(CHUNK_SIZE),
         ),
     ]
 }
 
 fn arb_chunk_op() -> impl Strategy<Value = ChunkOp> {
-    // Three ids only, so that writes often change nothing or join runs.
-    let block = || prop::sample::select(vec![Block::Air, Block::Stone, Block::Dirt]);
+    // Four ids only, so that writes often change nothing or join runs; one
+    // of them stateful.
+    let block = || prop::sample::select(vec![Block::Air, Block::Stone, Block::Dirt, Block::Wire]);
     prop_oneof![
         4 => (arb_edge_coord(), block()).prop_map(|(at, b)| ChunkOp::Set(at, b)),
         2 => (arb_edge_coord(), arb_edge_coord(), block()).prop_map(|(a, b, block)| {
@@ -79,9 +92,99 @@ fn arb_chunk_op() -> impl Strategy<Value = ChunkOp> {
             let hi = (a.0.max(b.0), a.1.max(b.1), a.2.max(b.2));
             ChunkOp::FillBox(lo, hi, block)
         }),
-        1 => (arb_edge_biased(CHUNK_HEIGHT), block()).prop_map(|(y, b)| ChunkOp::FillLayer(y, b)),
+        // Whole sections, which a fill leaves uniform.
+        1 => (0..CHUNK_HEIGHT / 16, 0..CHUNK_HEIGHT / 16, block()).prop_map(|(a, b, block)| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            ChunkOp::FillBox(
+                (0, 16 * lo, 0),
+                (CHUNK_SIZE - 1, 16 * hi + 15, CHUNK_SIZE - 1),
+                block,
+            )
+        }),
+        1 => (arb_edge_y(), block()).prop_map(|(y, b)| ChunkOp::FillLayer(y, b)),
         1 => Just(ChunkOp::RoundTrip),
     ]
+}
+
+/// The chunk as a plain array of ids in linear (x, z, y) order, with the
+/// modification count a chunk keeps: the reference every representation
+/// of the chunk is checked against.
+struct DenseModel {
+    blocks: Vec<u16>,
+    modifications: u64,
+}
+
+impl DenseModel {
+    fn index(x: i32, y: i32, z: i32) -> usize {
+        ((x * CHUNK_SIZE + z) * CHUNK_HEIGHT + y) as usize
+    }
+
+    fn new() -> Self {
+        DenseModel {
+            blocks: vec![Block::Air.id(); (CHUNK_SIZE * CHUNK_SIZE * CHUNK_HEIGHT) as usize],
+            modifications: 0,
+        }
+    }
+
+    fn fill(&mut self, (x0, y0, z0): (i32, i32, i32), (x1, y1, z1): (i32, i32, i32), b: Block) {
+        for x in x0..=x1 {
+            for z in z0..=z1 {
+                for y in y0..=y1 {
+                    let slot = &mut self.blocks[Self::index(x, y, z)];
+                    if *slot != b.id() {
+                        *slot = b.id();
+                        self.modifications += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply(&mut self, op: &ChunkOp) {
+        match *op {
+            ChunkOp::Set(at, b) => self.fill(at, at, b),
+            ChunkOp::FillBox(lo, hi, b) => self.fill(lo, hi, b),
+            ChunkOp::FillLayer(y, b) => {
+                self.fill((0, y, 0), (CHUNK_SIZE - 1, y, CHUNK_SIZE - 1), b)
+            }
+            ChunkOp::RoundTrip => self.modifications = 0,
+        }
+    }
+
+    fn column(&self, x: i32, z: i32) -> &[u16] {
+        let base = Self::index(x, 0, z);
+        &self.blocks[base..base + CHUNK_HEIGHT as usize]
+    }
+
+    fn count(&self, pred: impl Fn(Block) -> bool) -> usize {
+        self.blocks
+            .iter()
+            .filter(|&&id| pred(Block::from_id(id).unwrap()))
+            .count()
+    }
+}
+
+/// Every observable of `chunk` against the dense model.
+fn assert_matches_model(chunk: &Chunk, model: &DenseModel) {
+    for x in 0..CHUNK_SIZE {
+        for z in 0..CHUNK_SIZE {
+            let column = model.column(x, z);
+            for y in 0..CHUNK_HEIGHT {
+                prop_assert_eq!(
+                    chunk.local(x, y, z).map(Block::id),
+                    Some(column[y as usize])
+                );
+            }
+            let height = column.iter().rposition(|&id| id != Block::Air.id());
+            prop_assert_eq!(chunk.height_at(x, z), height.map(|y| y as i32));
+        }
+    }
+    prop_assert_eq!(chunk.non_air_blocks(), model.count(|b| !b.is_air()));
+    prop_assert_eq!(chunk.stateful_blocks(), model.count(Block::is_stateful));
+    prop_assert_eq!(chunk.modifications(), model.modifications);
+    let bytes = chunk.to_bytes();
+    prop_assert_eq!(chunk.serialized_size(), bytes.len());
+    prop_assert_eq!(bytes, reference_to_bytes(chunk));
 }
 
 proptest! {
@@ -107,6 +210,32 @@ proptest! {
             let bytes = chunk.to_bytes();
             prop_assert_eq!(chunk.serialized_size(), bytes.len(), "after {:?}", op);
             prop_assert_eq!(bytes, reference_to_bytes(&chunk), "after {:?}", op);
+        }
+    }
+
+    /// Whatever mix of uniform and dense sections a write sequence leaves,
+    /// the chunk reads exactly like a plain dense array given the same
+    /// writes: every block, the per-column heights, the counts, the
+    /// modification count, the O(1) size and the encoding.
+    #[test]
+    fn chunk_matches_a_dense_model_under_every_kind_of_write(
+        ops in prop::collection::vec(arb_chunk_op(), 1..40),
+        cx in -1000i32..1000,
+        cz in -1000i32..1000,
+    ) {
+        let mut chunk = Chunk::empty(ChunkPos::new(cx, cz));
+        let mut model = DenseModel::new();
+        for op in ops {
+            match op.clone() {
+                ChunkOp::Set((x, y, z), block) => chunk.set_local(x, y, z, block).unwrap(),
+                ChunkOp::FillBox(lo, hi, block) => {
+                    chunk.fill_box(lo, hi, block).unwrap();
+                }
+                ChunkOp::FillLayer(y, block) => chunk.fill_layer(y, block).unwrap(),
+                ChunkOp::RoundTrip => chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap(),
+            }
+            model.apply(&op);
+            assert_matches_model(&chunk, &model);
         }
     }
 
@@ -184,4 +313,34 @@ proptest! {
         prop_assert!(x >= min.x && x < min.x + CHUNK_SIZE);
         prop_assert!(z >= min.z && z < min.z + CHUNK_SIZE);
     }
+}
+
+/// Equality is over blocks, not representation: a section a box fills
+/// whole stays uniform and owns no heap, the same section written block by
+/// block is dense, and the two chunks are equal.
+#[test]
+fn equality_ignores_section_representation() {
+    let mut whole = Chunk::empty(ChunkPos::ORIGIN);
+    let mut by_block = Chunk::empty(ChunkPos::ORIGIN);
+    whole
+        .fill_box(
+            (0, 48, 0),
+            (CHUNK_SIZE - 1, 63, CHUNK_SIZE - 1),
+            Block::Dirt,
+        )
+        .unwrap();
+    for x in 0..CHUNK_SIZE {
+        for z in 0..CHUNK_SIZE {
+            for y in 48..64 {
+                by_block.set_local(x, y, z, Block::Dirt).unwrap();
+            }
+        }
+    }
+    assert_eq!((whole.heap_bytes(), by_block.heap_bytes()), (0, 8192));
+    assert_eq!(whole, by_block);
+    assert_eq!(whole.to_bytes(), by_block.to_bytes());
+    // One differing block, in either representation, breaks equality.
+    whole.set_local(0, 63, 0, Block::Stone).unwrap();
+    by_block.set_local(0, 63, 0, Block::Sand).unwrap();
+    assert_ne!(whole, by_block);
 }

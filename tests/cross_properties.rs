@@ -311,6 +311,97 @@ fn chunk_run_count_survives_a_fixed_seed_write_sequence() {
     }
 }
 
+/// A generated chunk keeps its memory budget and its bytes: it round-trips
+/// to identical bytes, owns at most three mixed 16-high sections, and after
+/// edits across a section edge (y 15/16), from the top of one column into
+/// the bottom of the next, and over whole sections it still reads and
+/// encodes exactly like a plain array of ids given the same edits.
+#[test]
+fn generated_chunk_stays_compact_and_matches_a_dense_model_under_edits() {
+    let index = |x: i32, y: i32, z: i32| ((x * 16 + z) * 256 + y) as usize;
+    let encode = |pos: ChunkPos, blocks: &[u16]| {
+        let mut runs: Vec<(u32, u16)> = Vec::new();
+        for &b in blocks {
+            match runs.last_mut() {
+                Some((count, id)) if *id == b => *count += 1,
+                _ => runs.push((1, b)),
+            }
+        }
+        let mut out = Vec::new();
+        out.extend_from_slice(&pos.x.to_le_bytes());
+        out.extend_from_slice(&pos.z.to_le_bytes());
+        out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for (count, id) in runs {
+            out.extend_from_slice(&count.to_le_bytes());
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        out
+    };
+    let pos = ChunkPos::new(3, -4);
+    let mut chunk = DefaultGenerator::new(7).generate(pos);
+    let bytes = chunk.to_bytes();
+    assert_eq!(Chunk::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+    assert!(chunk.heap_bytes() <= 3 * 8192, "{}", chunk.heap_bytes());
+
+    let mut model = vec![0u16; 16 * 16 * 256];
+    for x in 0..16 {
+        for z in 0..16 {
+            for y in 0..256 {
+                model[index(x, y, z)] = chunk.local(x, y, z).unwrap().id();
+            }
+        }
+    }
+    assert_eq!(encode(pos, &model), bytes);
+    let boxes = [
+        ((4, 15, 4), (4, 15, 4), Block::Wire),
+        ((4, 16, 4), (4, 16, 4), Block::Wire),
+        ((7, 255, 2), (7, 255, 2), Block::Stone),
+        ((7, 0, 3), (7, 0, 3), Block::Stone),
+        ((0, 12, 0), (15, 20, 15), Block::Air),
+        ((0, 32, 0), (15, 47, 15), Block::Sand),
+        ((9, 40, 9), (9, 40, 9), Block::Lamp),
+        ((0, 240, 0), (15, 255, 15), Block::Water),
+    ];
+    for (step, &(lo, hi, block)) in boxes.iter().enumerate() {
+        if lo == hi {
+            chunk.set_local(lo.0, lo.1, lo.2, block).unwrap();
+        } else {
+            chunk.fill_box(lo, hi, block).unwrap();
+        }
+        for x in lo.0..=hi.0 {
+            for z in lo.2..=hi.2 {
+                for y in lo.1..=hi.1 {
+                    model[index(x, y, z)] = block.id();
+                }
+            }
+        }
+        if step == 5 {
+            chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap();
+        }
+        for x in 0..16 {
+            for z in 0..16 {
+                for y in 0..256 {
+                    assert_eq!(chunk.local(x, y, z).unwrap().id(), model[index(x, y, z)]);
+                }
+                let top = (0..256)
+                    .rev()
+                    .find(|&y| model[index(x, y, z)] != Block::Air.id());
+                assert_eq!(chunk.height_at(x, z), top, "step {step}");
+            }
+        }
+        let non_air = model.iter().filter(|&&b| b != Block::Air.id()).count();
+        assert_eq!(chunk.non_air_blocks(), non_air, "step {step}");
+        let stateful = model
+            .iter()
+            .filter(|&&b| Block::from_id(b).unwrap().is_stateful())
+            .count();
+        assert_eq!(chunk.stateful_blocks(), stateful, "step {step}");
+        let bytes = chunk.to_bytes();
+        assert_eq!(chunk.serialized_size(), bytes.len(), "step {step}");
+        assert_eq!(bytes, encode(pos, &model), "step {step}");
+    }
+}
+
 /// Eight writers on disjoint layers race eight readers over one shared
 /// grid (the `sharded_world` stress at reduced size): no write is lost and
 /// the counters come out exact once every thread has joined.
