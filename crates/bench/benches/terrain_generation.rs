@@ -13,6 +13,9 @@ use servo_world::{
     ViewTracker,
 };
 
+/// Chunks the resident generation benchmark keeps alive at most.
+const RESIDENT_BATCH: usize = 2048;
+
 fn bench_generators(c: &mut Criterion) {
     let default_gen = DefaultGenerator::new(7);
     let flat_gen = FlatGenerator::default();
@@ -22,6 +25,21 @@ fn bench_generators(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             default_gen.generate(ChunkPos::new(i, -i))
+        })
+    });
+    // The generated chunks stay alive, as a server keeps the terrain it
+    // loads, so each call allocates its mixed sections afresh instead of
+    // reusing the ones the previous call dropped. They are let go in
+    // batches of 2 048 (about 40 MB), like the terrain of an episode.
+    group.bench_function("default_world_resident", |b| {
+        let mut i = 0i32;
+        let mut resident = Vec::with_capacity(RESIDENT_BATCH);
+        b.iter(|| {
+            i += 1;
+            if resident.len() == RESIDENT_BATCH {
+                resident.clear();
+            }
+            resident.push(default_gen.generate(ChunkPos::new(i, -i)));
         })
     });
     group.bench_function("flat_world", |b| {
@@ -41,6 +59,17 @@ fn bench_noise(c: &mut Criterion) {
         b.iter(|| {
             x += 0.37;
             noise.fbm(x, -x * 0.5, 5, 0.004)
+        })
+    });
+    // One chunk's 16 x 16 columns per call, the grid `DefaultGenerator`
+    // evaluates: 256 of the points `perlin_fbm_sample` computes one by one.
+    c.bench_function("perlin_fbm_grid", |b| {
+        let mut x = 0.0f64;
+        b.iter(|| {
+            x += 16.0;
+            let xs: [f64; 16] = std::array::from_fn(|i| x + i as f64);
+            let zs: [f64; 16] = std::array::from_fn(|i| -x * 0.5 + i as f64);
+            noise.fbm_grid(&xs, &zs, 5, 0.004)
         })
     });
 }

@@ -112,66 +112,86 @@ impl DefaultGenerator {
     }
 
     /// The terrain height of the column at world coordinates `(x, z)`.
+    ///
+    /// This is the per-column reference: [`TerrainGenerator::generate`]
+    /// works out a whole chunk's heights at once, on the grid of its
+    /// columns, and gets the same heights bit for bit.
     pub fn surface_height(&self, x: i32, z: i32) -> i32 {
         let wx = x as f64;
         let wz = z as f64;
-        // Broad mountains plus fine detail.
-        let broad = self.height_noise.fbm(wx, wz, 5, 0.004);
-        let detail = self.detail_noise.fbm(wx, wz, 3, 0.02);
+        self.height(
+            self.height_noise
+                .fbm(wx, wz, BROAD_OCTAVES, BROAD_FREQUENCY),
+            self.detail_noise
+                .fbm(wx, wz, DETAIL_OCTAVES, DETAIL_FREQUENCY),
+        )
+    }
+
+    /// The surface height of a column from its two noise values: broad
+    /// mountains plus fine detail around sea level.
+    fn height(&self, broad: f64, detail: f64) -> i32 {
         let height = self.sea_level as f64 + broad * 48.0 + detail * 8.0;
         (height.round() as i32).clamp(1, CHUNK_HEIGHT - 2)
     }
+
+    /// The runs of a column whose surface is at `surface`, from the
+    /// bottom: bedrock, stone, three blocks of dirt, the surface block,
+    /// water up to sea level, air. Shallow columns have empty runs.
+    fn column_runs(&self, surface: i32) -> [(u32, Block); 6] {
+        let top = if surface <= self.sea_level + 1 {
+            Block::Sand
+        } else if surface > self.sea_level + 38 {
+            Block::Snow
+        } else {
+            Block::Grass
+        };
+        let stone = (surface - 4).max(0);
+        let dirt = (surface - 1).min(3);
+        let water = (self.sea_level - surface).max(0);
+        let air = CHUNK_HEIGHT - 1 - surface - water;
+        [
+            (1, Block::Bedrock),
+            (stone as u32, Block::Stone),
+            (dirt as u32, Block::Dirt),
+            (1, top),
+            (water as u32, Block::Water),
+            (air as u32, Block::Air),
+        ]
+    }
 }
+
+/// Octaves and base frequency of the broad (mountain) noise.
+const BROAD_OCTAVES: u32 = 5;
+const BROAD_FREQUENCY: f64 = 0.004;
+/// Octaves and base frequency of the fine detail noise.
+const DETAIL_OCTAVES: u32 = 3;
+const DETAIL_FREQUENCY: f64 = 0.02;
+
+/// Columns along one side of a chunk.
+const SIDE: usize = CHUNK_SIZE as usize;
 
 impl TerrainGenerator for DefaultGenerator {
     fn generate(&self, pos: ChunkPos) -> Chunk {
-        let mut chunk = Chunk::empty(pos);
+        // Both noises over the chunk's 16 x 16 columns, x-major like the
+        // chunk's linear order; then each column's runs, bottom to top,
+        // laid down in that order in one pass.
         let base = pos.min_block();
-        let surfaces: [i32; (CHUNK_SIZE * CHUNK_SIZE) as usize] = std::array::from_fn(|i| {
-            let (lx, lz) = (i as i32 / CHUNK_SIZE, i as i32 % CHUNK_SIZE);
-            self.surface_height(base.x + lx, base.z + lz)
+        let xs: [f64; SIDE] = std::array::from_fn(|i| (base.x + i as i32) as f64);
+        let zs: [f64; SIDE] = std::array::from_fn(|i| (base.z + i as i32) as f64);
+        let broad = self
+            .height_noise
+            .fbm_grid(&xs, &zs, BROAD_OCTAVES, BROAD_FREQUENCY);
+        let detail = self
+            .detail_noise
+            .fbm_grid(&xs, &zs, DETAIL_OCTAVES, DETAIL_FREQUENCY);
+        let surfaces: [[i32; SIDE]; SIDE] = std::array::from_fn(|i| {
+            std::array::from_fn(|j| self.height(broad[i][j], detail[i][j]))
         });
-        let lowest = *surfaces.iter().min().expect("a chunk has columns");
-        let highest = *surfaces.iter().max().expect("a chunk has columns");
-        // From the bottom, every column is: bedrock, stone, three blocks of
-        // dirt, the surface block, water up to sea level. The layers all
-        // columns share (bedrock, stone below the lowest column's dirt,
-        // water above the highest surface) are written across the whole
-        // chunk, so that the sections they cover stay uniform; then one
-        // `fill_box` per material and column writes the rest, and the
-        // chunk updates its run count per segment, not per block.
-        let mut layer = |y0: i32, y1: i32, block| {
-            if y0 <= y1 {
-                chunk
-                    .fill_box((0, y0, 0), (CHUNK_SIZE - 1, y1, CHUNK_SIZE - 1), block)
-                    .expect("in range");
-            }
-        };
-        layer(0, 0, Block::Bedrock);
-        layer(1, lowest - 4, Block::Stone);
-        layer(highest + 1, self.sea_level, Block::Water);
-        for (i, &surface) in surfaces.iter().enumerate() {
-            let (lx, lz) = (i as i32 / CHUNK_SIZE, i as i32 % CHUNK_SIZE);
-            let top = if surface <= self.sea_level + 1 {
-                Block::Sand
-            } else if surface > self.sea_level + 38 {
-                Block::Snow
-            } else {
-                Block::Grass
-            };
-            let mut segment = |y0: i32, y1: i32, block| {
-                if y0 <= y1 {
-                    chunk
-                        .fill_box((lx, y0, lz), (lx, y1, lz), block)
-                        .expect("in range");
-                }
-            };
-            segment((lowest - 3).max(1), surface - 4, Block::Stone);
-            segment((surface - 3).max(1), surface - 1, Block::Dirt);
-            segment(surface, surface, top);
-            segment(surface + 1, self.sea_level.min(highest), Block::Water);
-        }
-        chunk
+        let runs = surfaces
+            .as_flattened()
+            .iter()
+            .flat_map(|&surface| self.column_runs(surface));
+        Chunk::from_runs(pos, runs).expect("every column's runs fill it")
     }
 
     fn cost(&self) -> GenerationCost {
@@ -230,8 +250,9 @@ mod tests {
         assert_ne!(a.generate(pos).to_bytes(), b.generate(pos).to_bytes());
     }
 
-    /// `DefaultGenerator::generate` as it was before it wrote column
-    /// segments: one `set_local` per block. Kept as the reference.
+    /// `DefaultGenerator::generate` as it was before it built chunks from
+    /// runs: one `surface_height` per column, one `set_local` per block.
+    /// Kept as the reference.
     fn generate_per_block(g: &DefaultGenerator, pos: ChunkPos) -> Chunk {
         let mut chunk = Chunk::empty(pos);
         let base = pos.min_block();
@@ -281,23 +302,31 @@ mod tests {
                 sea_level,
                 ..DefaultGenerator::new(seed)
             };
-            for cx in -2..2 {
-                for cz in -2..2 {
-                    let pos = ChunkPos::new(cx * 9, cz * 9);
-                    let chunk = g.generate(pos);
-                    let reference = generate_per_block(&g, pos);
-                    assert_eq!(chunk.to_bytes(), reference.to_bytes(), "{pos:?}");
-                    assert_eq!(chunk.modifications(), reference.modifications());
-                    assert_eq!(chunk, reference);
-                    let base = pos.min_block();
-                    for lx in 0..CHUNK_SIZE {
-                        for lz in 0..CHUNK_SIZE {
-                            let surface = g.surface_height(base.x + lx, base.z + lz);
-                            shallow |= surface < 4;
-                            snow |= surface > sea_level + 38;
-                            underwater |= surface < sea_level;
-                            clamped |= surface == CHUNK_HEIGHT - 2;
-                        }
+            // A grid around the origin, then chunks some 1 048 576 blocks
+            // out on either side of both axes, where the coordinates have
+            // wrapped the noise's permutation table thousands of times.
+            let near = (-2..2).flat_map(|cx| (-2..2).map(move |cz| (cx * 9, cz * 9)));
+            let far = [
+                (65_536, -65_536),
+                (-65_537, 65_535),
+                (-1, 65_536),
+                (65_535, 0),
+            ];
+            for (cx, cz) in near.chain(far) {
+                let pos = ChunkPos::new(cx, cz);
+                let chunk = g.generate(pos);
+                let reference = generate_per_block(&g, pos);
+                assert_eq!(chunk.to_bytes(), reference.to_bytes(), "{pos:?}");
+                assert_eq!(chunk.modifications(), reference.modifications());
+                assert_eq!(chunk, reference);
+                let base = pos.min_block();
+                for lx in 0..CHUNK_SIZE {
+                    for lz in 0..CHUNK_SIZE {
+                        let surface = g.surface_height(base.x + lx, base.z + lz);
+                        shallow |= surface < 4;
+                        snow |= surface > sea_level + 38;
+                        underwater |= surface < sea_level;
+                        clamped |= surface == CHUNK_HEIGHT - 2;
                     }
                 }
             }

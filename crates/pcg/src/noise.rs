@@ -77,39 +77,42 @@ impl Perlin {
 
     /// Samples the noise field at `(x, y)`. The result is in `[-1, 1]`.
     pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let xi = x.floor() as i64;
-        let yi = y.floor() as i64;
-        let xf = x - xi as f64;
-        let yf = y - yi as f64;
-        let xi = (xi & 255) as usize;
-        let yi = (yi & 255) as usize;
-
+        let (x, y) = (Lattice::new(x), Lattice::new(y));
         let p = &self.permutation;
-        let aa = p[p[xi] as usize + yi];
-        let ab = p[p[xi] as usize + yi + 1];
-        let ba = p[p[xi + 1] as usize + yi];
-        let bb = p[p[xi + 1] as usize + yi + 1];
+        self.blend(p[x.cell()], p[x.cell() + 1], &x, &y)
+    }
 
-        let u = Self::fade(xf);
-        let v = Self::fade(yf);
+    /// The noise at the point `(x, y)` whose `x` cell has the permutation
+    /// entries `left` and `right` (`p[x.cell]` and `p[x.cell + 1]`): the
+    /// part of [`Perlin::sample`] that depends on both coordinates.
+    #[inline]
+    fn blend(&self, left: u8, right: u8, x: &Lattice, y: &Lattice) -> f64 {
+        let p = &self.permutation;
+        let (left, right) = (usize::from(left), usize::from(right));
+        let aa = p[left + y.cell()];
+        let ab = p[left + y.cell() + 1];
+        let ba = p[right + y.cell()];
+        let bb = p[right + y.cell() + 1];
 
         let x1 = Self::lerp(
-            Self::gradient(aa, xf, yf),
-            Self::gradient(ba, xf - 1.0, yf),
-            u,
+            Self::gradient(aa, x.frac, y.frac),
+            Self::gradient(ba, x.frac - 1.0, y.frac),
+            x.fade,
         );
         let x2 = Self::lerp(
-            Self::gradient(ab, xf, yf - 1.0),
-            Self::gradient(bb, xf - 1.0, yf - 1.0),
-            u,
+            Self::gradient(ab, x.frac, y.frac - 1.0),
+            Self::gradient(bb, x.frac - 1.0, y.frac - 1.0),
+            x.fade,
         );
         // The raw range of this gradient set is within [-2, 2]; normalise.
-        (Self::lerp(x1, x2, v) / 2.0).clamp(-1.0, 1.0)
+        (Self::lerp(x1, x2, y.fade) / 2.0).clamp(-1.0, 1.0)
     }
 
     /// Fractal Brownian motion: `octaves` layers of noise, each at double the
     /// frequency and half the amplitude of the previous. The result is in
     /// `[-1, 1]`.
+    ///
+    /// This is the per-point reference of [`Perlin::fbm_grid`].
     pub fn fbm(&self, x: f64, y: f64, octaves: u32, base_frequency: f64) -> f64 {
         let mut total = 0.0;
         let mut amplitude = 1.0;
@@ -123,11 +126,91 @@ impl Perlin {
         }
         (total / max_amplitude).clamp(-1.0, 1.0)
     }
+
+    /// [`Perlin::fbm`] at every point of the grid `xs` x `ys`:
+    /// `grid[i][j]` is `fbm(xs[i], ys[j], octaves, base_frequency)`, bit for
+    /// bit.
+    ///
+    /// Per octave, the lattice cell, fractional part and fade of each `x`
+    /// and `y`, and the permutation entries of each `x` cell, are worked out
+    /// once per row and column instead of once per point. What is left per
+    /// point is the arithmetic of [`Perlin::sample`], and the octaves are
+    /// added to each point's total in the same order as `fbm` adds them.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use servo_pcg::Perlin;
+    /// let noise = Perlin::new(7);
+    /// let (xs, ys) = ([-3.0, 0.5, 40.0], [1.0, -2.25, 7.5]);
+    /// let grid = noise.fbm_grid(&xs, &ys, 4, 0.05);
+    /// assert_eq!(grid[2][1], noise.fbm(40.0, -2.25, 4, 0.05));
+    /// ```
+    pub fn fbm_grid<const N: usize>(
+        &self,
+        xs: &[f64; N],
+        ys: &[f64; N],
+        octaves: u32,
+        base_frequency: f64,
+    ) -> [[f64; N]; N] {
+        let p = &self.permutation;
+        let mut total = [[0.0; N]; N];
+        let mut amplitude = 1.0;
+        let mut frequency = base_frequency;
+        let mut max_amplitude = 0.0;
+        for _ in 0..octaves.max(1) {
+            let rows: [Lattice; N] = std::array::from_fn(|i| Lattice::new(xs[i] * frequency));
+            let columns: [Lattice; N] = std::array::from_fn(|j| Lattice::new(ys[j] * frequency));
+            for (x, totals) in rows.iter().zip(&mut total) {
+                let (left, right) = (p[x.cell()], p[x.cell() + 1]);
+                for (y, point) in columns.iter().zip(totals.iter_mut()) {
+                    *point += self.blend(left, right, x, y) * amplitude;
+                }
+            }
+            max_amplitude += amplitude;
+            amplitude *= 0.5;
+            frequency *= 2.0;
+        }
+        total.map(|totals| totals.map(|t| (t / max_amplitude).clamp(-1.0, 1.0)))
+    }
+}
+
+/// One coordinate of a sample point, placed on the integer lattice: the
+/// cell it falls in (modulo the 256 entries of the permutation table), its
+/// offset inside the cell and the faded offset that weights the cell's two
+/// corners.
+#[derive(Debug, Clone, Copy)]
+struct Lattice {
+    cell: u8,
+    frac: f64,
+    fade: f64,
+}
+
+impl Lattice {
+    #[inline]
+    fn new(t: f64) -> Self {
+        let cell = t.floor() as i64;
+        let frac = t - cell as f64;
+        Lattice {
+            cell: cell as u8,
+            frac,
+            fade: Perlin::fade(frac),
+        }
+    }
+
+    /// The cell as a table index. Kept as a `u8`, so the compiler can see
+    /// that `cell + 1`, and an entry plus `cell + 1`, are inside the
+    /// 512-entry table, and drops the bounds checks.
+    #[inline]
+    fn cell(&self) -> usize {
+        usize::from(self.cell)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn samples_are_bounded() {
@@ -193,6 +276,50 @@ mod tests {
             let v = n.fbm(x, -x * 0.3, 4, 0.05);
             assert!((-1.0..=1.0).contains(&v));
             assert_eq!(v, n.fbm(x, -x * 0.3, 4, 0.05));
+        }
+    }
+
+    /// A grid coordinate's origin: near zero on either side, or more than a
+    /// million out either way, where every frequency drawn below has
+    /// wrapped the 256-cell permutation table many times.
+    fn arb_origin() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            2 => -300.0..300.0f64,
+            1 => (-1_100_000i64..-1_000_000).prop_map(|v| v as f64),
+            1 => (1_000_000i64..1_100_000).prop_map(|v| v as f64),
+            1 => Just(-1_048_576.0),
+            1 => Just(1_048_576.0),
+        ]
+    }
+
+    proptest! {
+        /// Whole-block steps, as a chunk's columns are, and fractional ones;
+        /// base frequencies from 0.001 to 0.5 (log-uniform), so that the
+        /// grid spans anything from part of one lattice cell to eight of
+        /// them in the first octave, and octave 6 runs at 32 times that.
+        #[test]
+        fn fbm_grid_equals_fbm_bit_for_bit(
+            seed in any::<u64>(),
+            (x0, y0) in (arb_origin(), arb_origin()),
+            step in prop_oneof![3 => Just(1.0), 1 => 0.01..3.0f64],
+            octaves in 1u32..7,
+            log_frequency in -3.0..-std::f64::consts::LOG10_2,
+        ) {
+            let noise = Perlin::new(seed);
+            let base_frequency = 10f64.powf(log_frequency);
+            let xs: [f64; 16] = std::array::from_fn(|i| x0 + i as f64 * step);
+            let ys: [f64; 16] = std::array::from_fn(|j| y0 - j as f64 * step);
+            let grid = noise.fbm_grid(&xs, &ys, octaves, base_frequency);
+            for (i, &x) in xs.iter().enumerate() {
+                for (j, &y) in ys.iter().enumerate() {
+                    prop_assert_eq!(
+                        grid[i][j].to_bits(),
+                        noise.fbm(x, y, octaves, base_frequency).to_bits(),
+                        "seed {} at ({}, {}), {} octaves from {}",
+                        seed, x, y, octaves, base_frequency
+                    );
+                }
+            }
         }
     }
 }

@@ -102,8 +102,11 @@ impl Section {
 /// `16s..16s + 16`). A section whose blocks are all equal stores one id and
 /// owns no heap memory; a mixed section owns one 8 KiB array of 2-byte ids.
 /// A section is promoted by the first write that makes it mixed and is
-/// never demoted by a write; [`Chunk::from_bytes`] and a
-/// [`Chunk::fill_box`] covering a whole section leave it uniform.
+/// never demoted by a write. Uniform sections come from [`Chunk::empty`],
+/// from the run decoder behind [`Chunk::from_runs`] (which the default
+/// world's generator and [`Chunk::from_bytes`] build through, and which
+/// allocates only the sections it leaves mixed), and from a
+/// [`Chunk::fill_box`] covering a whole section.
 /// [`Chunk::heap_bytes`] reports the heap part:
 ///
 /// | chunk | heap bytes |
@@ -508,67 +511,147 @@ impl Chunk {
     /// Deserializes a chunk produced by [`Chunk::to_bytes`]. A section whose
     /// blocks are all equal comes back uniform.
     ///
+    /// The buffer is checked whole first; its runs are then laid down by
+    /// the decoder behind [`Chunk::from_runs`]. The chunk comes back with
+    /// no modifications.
+    ///
     /// # Errors
     ///
     /// Returns [`ServoError::CorruptData`] if the buffer is truncated or
     /// longer than its runs, the run lengths do not add up to a full chunk,
     /// or a block id is unknown.
     pub fn from_bytes(bytes: &[u8]) -> Result<Chunk, ServoError> {
-        fn corrupt(reason: &str) -> ServoError {
-            ServoError::CorruptData {
-                reason: reason.to_string(),
-            }
-        }
         if bytes.len() < 12 {
             return Err(corrupt("buffer shorter than header"));
         }
         let x = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
         let z = i32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let run_count = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let mut chunk = Chunk::empty(ChunkPos::new(x, z));
-        // Counted from the decoded blocks, not copied from the header: a
-        // buffer may carry zero-length runs or split one run in two.
-        chunk.runs = 0;
-        let mut last = None;
+        let body = &bytes[12..];
+        let listed = &body[..6 * run_count.min(body.len() / 6)];
+        let runs = listed.chunks_exact(6).map(|run| {
+            let count = u32::from_le_bytes([run[0], run[1], run[2], run[3]]);
+            (count, u16::from_le_bytes([run[4], run[5]]))
+        });
+        // The checks in buffer order: every complete run before the first
+        // missing one, then the buffer's end, then the total.
         let mut decoded = 0usize;
-        let mut offset = 12;
-        for _ in 0..run_count {
-            if offset + 6 > bytes.len() {
-                return Err(corrupt("truncated run"));
-            }
-            let count = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-            let id = u16::from_le_bytes(bytes[offset + 4..offset + 6].try_into().unwrap());
+        for (count, id) in runs.clone() {
             if Block::from_id(id).is_none() {
                 return Err(corrupt("unknown block id"));
             }
-            if decoded + count > BLOCKS_PER_CHUNK {
+            decoded += count as usize;
+            if decoded > BLOCKS_PER_CHUNK {
                 return Err(corrupt("run overflows chunk"));
             }
-            if count > 0 && last != Some(id) {
+        }
+        if run_count > body.len() / 6 {
+            return Err(corrupt("truncated run"));
+        }
+        if body.len() != 6 * run_count {
+            return Err(corrupt("trailing bytes after last run"));
+        }
+        let mut chunk = Self::decode(ChunkPos::new(x, z), runs)?;
+        chunk.modifications = 0;
+        Ok(chunk)
+    }
+
+    /// Builds the chunk at `pos` from its runs: `(count, block)` pairs that
+    /// cover the blocks in linear (x, z, y) order, as [`Chunk::to_bytes`]
+    /// lists them. Runs may be empty, and two runs of one block may follow
+    /// each other (across a column's end or not); the chunk merges them.
+    ///
+    /// The result is the chunk that writing the runs into an empty chunk
+    /// makes: only the sections the runs leave mixed allocate, and every
+    /// block that is not air counts as one modification.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServoError::CorruptData`] if the runs stop short of the
+    /// chunk's last block or run past it.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use servo_world::{Block, Chunk};
+    /// use servo_types::ChunkPos;
+    ///
+    /// // Every column: bedrock, 63 blocks of stone, then air.
+    /// let column = [(1, Block::Bedrock), (63, Block::Stone), (192, Block::Air)];
+    /// let runs = (0..256).flat_map(|_| column);
+    /// let chunk = Chunk::from_runs(ChunkPos::new(0, 0), runs).unwrap();
+    /// assert_eq!(chunk.local(4, 0, 9), Some(Block::Bedrock));
+    /// assert_eq!(chunk.height_at(4, 9), Some(63));
+    /// assert_eq!(chunk.modifications(), 256 * 64);
+    /// assert_eq!(chunk.heap_bytes(), 8192);
+    /// ```
+    pub fn from_runs(
+        pos: ChunkPos,
+        runs: impl IntoIterator<Item = (u32, Block)>,
+    ) -> Result<Chunk, ServoError> {
+        Self::decode(
+            pos,
+            runs.into_iter().map(|(count, block)| (count, block.id())),
+        )
+    }
+
+    /// The run decoder of [`Chunk::from_runs`] and [`Chunk::from_bytes`],
+    /// over ids the caller has checked: the one place runs are laid into
+    /// sections. Counts the runs and (as modifications) the non-air blocks.
+    fn decode(
+        pos: ChunkPos,
+        runs: impl IntoIterator<Item = (u32, u16)>,
+    ) -> Result<Chunk, ServoError> {
+        let air = Block::Air.id();
+        let mut chunk = Chunk::empty(pos);
+        // Counted from the laid blocks: a run list may carry empty runs or
+        // split one run in two.
+        chunk.runs = 0;
+        let mut last = None;
+        let mut at = 0usize;
+        for (count, id) in runs {
+            let count = count as usize;
+            if count > BLOCKS_PER_CHUNK - at {
+                return Err(corrupt("run overflows chunk"));
+            }
+            if count == 0 {
+                continue;
+            }
+            if last != Some(id) {
                 chunk.runs += 1;
                 last = Some(id);
             }
+            if id != air {
+                chunk.modifications += count as u64;
+            }
             // Lay the run down in pieces of one column inside one section.
             // A section's first piece (in column 0) makes it uniform in its
-            // id; a later piece that differs promotes it.
-            let end = decoded + count;
-            while decoded < end {
-                let piece_end = ((decoded | (SECTION_HEIGHT - 1)) + 1).min(end);
-                let (s, at) = Self::locate(decoded);
+            // id; a later piece that differs promotes it. A piece of a
+            // section with an array is written 16 ids wide, on past its end
+            // where that is inside the array: those ids belong to blocks
+            // later in linear order, and once a section has an array every
+            // later piece of it is written, so each such block is given its
+            // own id before the chunk is returned. A fixed width is two
+            // vector stores where a piece-long fill is a loop.
+            let end = at + count;
+            while at < end {
+                let piece_end = ((at | (SECTION_HEIGHT - 1)) + 1).min(end);
+                let (s, offset) = Self::locate(at);
                 let section = &mut chunk.sections[s];
-                if decoded < CHUNK_HEIGHT as usize && decoded.is_multiple_of(SECTION_HEIGHT) {
+                if at < CHUNK_HEIGHT as usize && at.is_multiple_of(SECTION_HEIGHT) {
                     *section = Section::Uniform(id);
                 } else if !matches!(section, Section::Uniform(u) if *u == id) {
-                    section.dense_mut()[at..at + (piece_end - decoded)].fill(id);
+                    let blocks = section.dense_mut();
+                    if offset + SECTION_HEIGHT <= SECTION_BLOCKS {
+                        blocks[offset..offset + SECTION_HEIGHT].fill(id);
+                    } else {
+                        blocks[offset..].fill(id);
+                    }
                 }
-                decoded = piece_end;
+                at = piece_end;
             }
-            offset += 6;
         }
-        if offset != bytes.len() {
-            return Err(corrupt("trailing bytes after last run"));
-        }
-        if decoded != BLOCKS_PER_CHUNK {
+        if at != BLOCKS_PER_CHUNK {
             return Err(corrupt("runs do not cover full chunk"));
         }
         Ok(chunk)
@@ -588,6 +671,12 @@ impl Chunk {
             pos: self.pos,
             bytes: self.to_bytes(),
         }
+    }
+}
+
+fn corrupt(reason: &str) -> ServoError {
+    ServoError::CorruptData {
+        reason: reason.to_string(),
     }
 }
 
@@ -773,6 +862,74 @@ mod tests {
         bytes.extend_from_slice(&(BLOCKS_PER_CHUNK as u32).to_le_bytes());
         bytes.extend_from_slice(&999u16.to_le_bytes());
         assert!(Chunk::from_bytes(&bytes).is_err());
+    }
+
+    /// Each kind of corrupt buffer, alone and behind or ahead of another,
+    /// with the error `from_bytes` reports for it: the first fault in
+    /// buffer order, the run total last.
+    #[test]
+    fn corrupt_inputs_report_their_first_fault() {
+        let full = BLOCKS_PER_CHUNK as u32;
+        let stone = Block::Stone.id();
+        let buffer = |listed: u32, runs: &[(u32, u16)], tail: &[u8]| {
+            let mut bytes = [0i32.to_le_bytes(), 0i32.to_le_bytes(), listed.to_le_bytes()].concat();
+            for (count, id) in runs {
+                bytes.extend_from_slice(&count.to_le_bytes());
+                bytes.extend_from_slice(&id.to_le_bytes());
+            }
+            bytes.extend_from_slice(tail);
+            bytes
+        };
+        let cases = [
+            (vec![], "buffer shorter than header"),
+            (vec![0u8; 11], "buffer shorter than header"),
+            (buffer(0, &[], &[]), "runs do not cover full chunk"),
+            (
+                buffer(1, &[(10, stone)], &[]),
+                "runs do not cover full chunk",
+            ),
+            (buffer(1, &[(full, 999)], &[]), "unknown block id"),
+            (buffer(1, &[(full + 1, stone)], &[]), "run overflows chunk"),
+            (buffer(2, &[(full, stone)], &[1, 2, 3]), "truncated run"),
+            (buffer(u32::MAX, &[(full, stone)], &[]), "truncated run"),
+            (
+                buffer(1, &[(full, stone)], &[0]),
+                "trailing bytes after last run",
+            ),
+            (
+                buffer(0, &[(full, stone)], &[]),
+                "trailing bytes after last run",
+            ),
+            (
+                buffer(2, &[(full, stone), (1, 999)], &[]),
+                "unknown block id",
+            ),
+            (
+                buffer(2, &[(5, 999), (full, stone)], &[]),
+                "unknown block id",
+            ),
+            (
+                buffer(2, &[(full, stone), (1, stone)], &[]),
+                "run overflows chunk",
+            ),
+            (
+                buffer(3, &[(full + 1, stone), (0, 999)], &[]),
+                "run overflows chunk",
+            ),
+            (buffer(2, &[(9, 999)], &[]), "unknown block id"),
+            (buffer(1, &[(full + 1, stone)], &[7]), "run overflows chunk"),
+            (buffer(2, &[(10, stone)], &[]), "truncated run"),
+            (
+                buffer(1, &[(10, stone)], &[7]),
+                "trailing bytes after last run",
+            ),
+        ];
+        for (bytes, expected) in cases {
+            match Chunk::from_bytes(&bytes) {
+                Err(ServoError::CorruptData { reason }) => assert_eq!(reason, expected),
+                other => panic!("{bytes:?}: expected {expected:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -344,3 +344,133 @@ fn equality_ignores_section_representation() {
     by_block.set_local(0, 63, 0, Block::Sand).unwrap();
     assert_ne!(whole, by_block);
 }
+
+/// A run length that often ends a run on or next to an edge of the
+/// encoding: empty, short, about a whole number of section heights or of
+/// columns, or long.
+fn arb_run_len() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        1 => Just(0u32),
+        2 => 1u32..20,
+        2 => (1u32..17, 0u32..3).prop_map(|(k, d)| 16 * k + d - 1),
+        2 => (1u32..40, 0u32..3).prop_map(|(k, d)| 256 * k + d - 1),
+        1 => 1_000u32..20_000,
+    ]
+}
+
+/// A list of runs that covers the chunk exactly: arbitrary runs (four ids,
+/// so that neighbours often repeat one) cut off at the chunk's end, then
+/// one run for whatever is left. With no runs drawn, that last run is the
+/// whole chunk.
+fn arb_runs() -> impl Strategy<Value = Vec<(u32, Block)>> {
+    let block = || prop::sample::select(vec![Block::Air, Block::Stone, Block::Dirt, Block::Wire]);
+    let drawn = prop_oneof![
+        1 => Just(Vec::new()),
+        6 => prop::collection::vec((arb_run_len(), block()), 1..60),
+    ];
+    (drawn, block()).prop_map(|(drawn, last)| {
+        let total = (CHUNK_SIZE * CHUNK_SIZE * CHUNK_HEIGHT) as u32;
+        let mut runs = Vec::new();
+        let mut covered = 0;
+        for (count, block) in drawn {
+            let count = count.min(total - covered);
+            runs.push((count, block));
+            covered += count;
+        }
+        if covered < total {
+            runs.push((total - covered, last));
+        }
+        runs
+    })
+}
+
+/// The runs laid out as a dense model; `from_runs` counts every non-air
+/// block as a modification.
+fn model_of_runs(runs: &[(u32, Block)]) -> DenseModel {
+    let mut model = DenseModel::new();
+    model.blocks = runs
+        .iter()
+        .flat_map(|&(count, block)| std::iter::repeat_n(block.id(), count as usize))
+        .collect();
+    model.modifications = model.count(|b| !b.is_air()) as u64;
+    model
+}
+
+/// Number of sections (16-high slabs) of the model whose blocks differ.
+fn mixed_sections(model: &DenseModel) -> usize {
+    (0..CHUNK_HEIGHT / 16)
+        .filter(|s| {
+            let first = model.column(0, 0)[16 * *s as usize];
+            (0..CHUNK_SIZE).any(|x| {
+                (0..CHUNK_SIZE).any(|z| {
+                    model.column(x, z)[16 * *s as usize..16 * (*s as usize + 1)]
+                        .iter()
+                        .any(|&id| id != first)
+                })
+            })
+        })
+        .count()
+}
+
+/// The runs as a `to_bytes` buffer, empty and split runs included.
+fn runs_to_bytes(pos: ChunkPos, runs: &[(u32, Block)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&pos.x.to_le_bytes());
+    bytes.extend_from_slice(&pos.z.to_le_bytes());
+    bytes.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for &(count, block) in runs {
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&block.id().to_le_bytes());
+    }
+    bytes
+}
+
+proptest! {
+    /// The run decoder lays any run list exactly: the chunk reads like the
+    /// dense model of the runs (every block, the heights, the counts, the
+    /// O(1) size and the canonical encoding), and only its mixed sections
+    /// own an array. `from_bytes` of the same runs, passed through the
+    /// same decoder, gives the same chunk with no modifications.
+    #[test]
+    fn from_runs_matches_a_dense_model(
+        runs in arb_runs(),
+        cx in -1000i32..1000,
+        cz in -1000i32..1000,
+    ) {
+        let pos = ChunkPos::new(cx, cz);
+        let chunk = Chunk::from_runs(pos, runs.iter().copied()).unwrap();
+        let mut model = model_of_runs(&runs);
+        assert_matches_model(&chunk, &model);
+        prop_assert_eq!(chunk.heap_bytes(), 8192 * mixed_sections(&model));
+
+        let decoded = Chunk::from_bytes(&runs_to_bytes(pos, &runs)).unwrap();
+        model.modifications = 0;
+        assert_matches_model(&decoded, &model);
+        prop_assert_eq!(decoded.heap_bytes(), chunk.heap_bytes());
+    }
+
+    /// A run list that stops short of the chunk's end or runs past it is
+    /// an error, never a panic, through both entry points.
+    #[test]
+    fn short_and_overflowing_run_lists_are_errors(
+        runs in arb_runs(),
+        pick in any::<usize>(),
+        extra in prop_oneof![1 => 1u32..300, 1 => Just(u32::MAX)],
+    ) {
+        let pos = ChunkPos::new(3, -4);
+        let mut short = runs.clone();
+        let (count, _) = short.pop().unwrap();
+        if count > 0 {
+            prop_assert!(Chunk::from_runs(pos, short.iter().copied()).is_err());
+            prop_assert!(Chunk::from_bytes(&runs_to_bytes(pos, &short)).is_err());
+        }
+        let mut long = runs.clone();
+        let at = pick % long.len();
+        long[at].0 = long[at].0.saturating_add(extra);
+        prop_assert!(Chunk::from_runs(pos, long.iter().copied()).is_err());
+        prop_assert!(Chunk::from_bytes(&runs_to_bytes(pos, &long)).is_err());
+        let mut extended = runs;
+        extended.push((extra, Block::Stone));
+        prop_assert!(Chunk::from_runs(pos, extended.iter().copied()).is_err());
+    }
+}
