@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use servo_metrics::StatsReport;
 use servo_types::ChunkPos;
-use servo_world::sharded::shard_index;
 use servo_world::{ShardDelta, ShardMap};
 
 use crate::interest::{Interest, Subscription};
@@ -149,44 +148,185 @@ impl StatsReport for ReplicationStats {
     }
 }
 
-/// Per-subscriber encoder state.
-struct SubscriberState {
-    sub: Subscription,
-    /// The shard superset the subscription resolves to, ascending.
-    shards: Vec<usize>,
-    /// Last delivered epoch per entry of `shards` ([`NEVER`] = unsynced).
-    acked: Vec<u64>,
-    /// Dirty chunks accumulated since the last flush, sorted, deduplicated.
-    pending: Vec<ChunkPos>,
-    /// Events accumulated since the last flush.
-    pending_events: u32,
-    /// A keyframe is owed (new subscriber, or retargeted into new terrain).
-    fresh: bool,
-    /// Whether the subscriber is already queued for the next flush.
-    queued: bool,
+/// A vector whose freed slots are reused, the last freed first.
+struct Arena<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
 }
 
-impl SubscriberState {
-    fn home(&self) -> ChunkPos {
-        match self.sub {
-            Subscription::Area(interest) => interest.center,
-            // Border subscribers are flushed by the mirror path, not the
-            // encoder; the home chunk is only used for cost attribution.
-            Subscription::Border { .. } => ChunkPos::new(0, 0),
+impl<T> Arena<T> {
+    fn new() -> Arena<T> {
+        Arena {
+            items: Vec::new(),
+            free: Vec::new(),
         }
     }
+
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(index) => {
+                self.items[index as usize] = item;
+                index
+            }
+            None => {
+                self.items.push(item);
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+}
+
+/// One chunk that at least one interest class covers, and the stamps
+/// ingest leaves on it. A stamp is a value of the hub's ingest clock,
+/// which every `ingest` and `ingest_events` call advances by one.
+struct Cell {
+    /// The last call that drained the chunk dirty (0: none since the cell
+    /// was made).
+    dirty: u64,
+    /// The last call that drained the chunk dirty or carried an event to
+    /// it, an event of count 0 included.
+    touched: u64,
+    /// Events carried to the chunk since the cell was made.
+    events: u64,
+    pos: ChunkPos,
+    /// Interest classes covering the chunk; the cell is freed at zero.
+    classes: u32,
+}
+
+/// What a class derives from its cells once per flush, for all of its due
+/// members.
+struct ClassMemo {
+    /// The flush the memo was derived in ([`NEVER`]: none yet).
+    round: u64,
+    /// Latest `touched` stamp over the class's cells.
+    touched: u64,
+    /// Sum of the class's cell `events`.
+    events: u64,
+    /// The `synced` clock `chunks` was derived for ([`NEVER`]: none).
+    since: u64,
+    /// The class's chunks dirtied after `since`, in row-major order.
+    chunks: Vec<ChunkPos>,
+}
+
+/// The state every area subscriber with the same [`Interest`] shares.
+struct Class {
+    interest: Interest,
+    /// The covered cells, in row-major `(x, z)` order.
+    cells: Box<[u32]>,
+    /// The shards the interest maps to, ascending. Chunk→shard assignment
+    /// is hash-static, so the set never changes.
+    shards: Box<[usize]>,
+    /// Subscribers in the class; the class is freed at zero.
+    members: u32,
+    memo: ClassMemo,
+}
+
+impl Class {
+    /// The class's latest `touched` stamp and event total, derived from
+    /// the cells on the first call of flush `round`.
+    fn totals(&mut self, round: u64, cells: &[Cell]) -> (u64, u64) {
+        if self.memo.round != round {
+            let (mut touched, mut events) = (0, 0);
+            for &cell in self.cells.iter() {
+                let cell = &cells[cell as usize];
+                touched = touched.max(cell.touched);
+                events += cell.events;
+            }
+            self.memo.round = round;
+            self.memo.touched = touched;
+            self.memo.events = events;
+            self.memo.since = NEVER;
+        }
+        (self.memo.touched, self.memo.events)
+    }
+
+    /// The events ever carried to the class's cells.
+    fn event_total(&self, cells: &[Cell]) -> u64 {
+        self.cells
+            .iter()
+            .map(|&cell| cells[cell as usize].events)
+            .sum()
+    }
+
+    /// The class's chunks dirtied after clock `since`, ascending. Valid
+    /// after [`Class::totals`] of the current flush.
+    fn dirty_since(&mut self, since: u64, cells: &[Cell]) -> Vec<ChunkPos> {
+        if self.memo.since != since {
+            self.memo.since = since;
+            self.memo.chunks.clear();
+            self.memo.chunks.extend(
+                self.cells
+                    .iter()
+                    .map(|&cell| &cells[cell as usize])
+                    .filter(|cell| cell.dirty > since)
+                    .map(|cell| cell.pos),
+            );
+        }
+        self.memo.chunks.clone()
+    }
+}
+
+/// Per-subscriber encoder state of an area subscriber.
+struct Subscriber {
+    /// Last delivered epoch per entry of its class's `shards` ([`NEVER`]
+    /// = unsynced).
+    acked: Box<[u64]>,
+    /// Chunks it was owed when it last retargeted, that its new interest
+    /// still covers, ascending. Only a fresh subscriber carries any.
+    carried: Box<[ChunkPos]>,
+    /// The ingest clock at its last flush, subscribe or retarget. Its
+    /// class's chunks dirtied after it are pending, and a cell touched
+    /// after it owes the subscriber a frame.
+    synced: u64,
+    /// Its class's event total at `synced`.
+    event_base: u64,
+    class: u32,
+    /// Events it was owed when it last retargeted.
+    carried_events: u32,
+    /// A keyframe is owed (new subscriber, or retargeted into new terrain).
+    fresh: bool,
+}
+
+/// One subscriber id's entry.
+enum Slot {
+    /// The id is free for reuse.
+    Vacant,
+    /// A border subscriber: served by the mirror protocol, never flushed.
+    Border,
+    /// An area subscriber.
+    Area(Subscriber),
 }
 
 /// The area-of-interest subscription index over a sharded world, plus the
 /// per-tick delta encoder that turns drained dirty chunks and events into
 /// epoch-keyed [`ReplicationFrame`]s.
 ///
-/// Two kinds of subscriber share the index: *area* subscribers (avatars /
-/// simulated clients, dispatched through a chunk-level interest index so
-/// ingest touches exactly the covering subscribers) and *border*
-/// subscribers (neighbour zones with whole-shard interest, queried by the
-/// cluster's mirror protocol via [`ReplicationHub::border_zones_covering`]
-/// and delivered synchronously on the bus rather than through frames).
+/// Two kinds of subscriber share the index. *Area* subscribers (avatars /
+/// simulated clients) are grouped into interest classes: every subscriber
+/// with the same [`Interest`] shares one class, which lists the covered
+/// chunks' cells. *Border* subscribers (neighbour zones with whole-shard
+/// interest) are queried by the cluster's mirror protocol via
+/// [`ReplicationHub::border_zones_covering`] and delivered synchronously on
+/// the bus rather than through frames.
+///
+/// Ingest only stamps the touched chunk's cell, so it costs one lookup per
+/// dirty chunk or event whatever the number of subscribers. Flush *pulls*:
+/// it reads each due subscriber's pending chunks and events off its
+/// class's cells, through a per-flush class memo, so work shared by a
+/// class is done once per flush, not once per member.
+///
+/// # Memory
+///
+/// On a 64-bit target:
+/// * per area subscriber: 64 B of slot, plus 8 B per shard of its class
+///   (`acked`) and 8 B per chunk it carries across a retarget;
+/// * per interest class: 104 B, plus 4 B per covered chunk, 8 B per shard
+///   and 8 B per memoised delta chunk, plus its class-index entry (16 B);
+/// * per covered chunk (cell): 40 B, plus its cell-index entry (12 B).
+///
+/// A radius-2 class over 16 shards is thus ~350 B, shared by all of its
+/// members. Border subscribers hold only their slot and a 16 B entry.
+/// Hash-index entries are counted without the tables' spare capacity.
 ///
 /// # Example
 ///
@@ -215,18 +355,18 @@ impl SubscriberState {
 pub struct ReplicationHub {
     map: Arc<ShardMap>,
     config: HubConfig,
-    subs: Vec<Option<SubscriberState>>,
-    free: Vec<SubscriberId>,
-    /// Chunk-level interest index: chunk → area subscribers covering it.
-    /// Membership *is* coverage, so ingest does no distance checks.
-    cells: HashMap<ChunkPos, Vec<SubscriberId>>,
+    subs: Arena<Slot>,
+    classes: Arena<Class>,
+    class_index: HashMap<Interest, u32>,
+    cells: Arena<Cell>,
+    cell_index: HashMap<ChunkPos, u32>,
     /// Border subscribers, ascending by zone.
     border: Vec<(usize, SubscriberId)>,
     /// Current epoch per shard, updated from ingested deltas.
     shard_epochs: Vec<u64>,
-    /// Subscribers with pending work, in first-touched order.
-    dirty_queue: Vec<SubscriberId>,
-    /// The partition version border shard sets were resolved against.
+    /// Ingest calls so far: the clock cell stamps are taken on.
+    clock: u64,
+    /// The partition version last seen by [`ReplicationHub::sync_partition`].
     map_version: u64,
     /// Flush counter, drives cohort selection.
     flushes: u64,
@@ -256,56 +396,33 @@ impl ReplicationHub {
         ReplicationHub {
             map,
             config,
-            subs: Vec::new(),
-            free: Vec::new(),
-            cells: HashMap::new(),
+            subs: Arena::new(),
+            classes: Arena::new(),
+            class_index: HashMap::new(),
+            cells: Arena::new(),
+            cell_index: HashMap::new(),
             border: Vec::new(),
             shard_epochs: vec![0; shard_count],
-            dirty_queue: Vec::new(),
+            clock: 0,
             map_version,
             flushes: 0,
             stats: ReplicationStats::default(),
         }
     }
 
-    /// Registers an area subscriber. It owes a keyframe, so it is already
-    /// queued for the next flush.
+    /// Registers an area subscriber. It owes a keyframe, so the next flush
+    /// of its cohort sends it one.
     pub fn subscribe(&mut self, interest: Interest) -> SubscriberId {
-        let shards = interest.shard_set(self.map.shard_count());
-        let acked = vec![NEVER; shards.len()];
-        let id = self.insert(SubscriberState {
-            sub: Subscription::Area(interest),
-            shards,
-            acked,
-            pending: Vec::new(),
-            pending_events: 0,
-            fresh: true,
-            queued: true,
-        });
-        self.dirty_queue.push(id);
-        for pos in interest.chunks() {
-            self.cells.entry(pos).or_default().push(id);
-        }
-        id
+        let class = self.join(interest);
+        let sub = self.synced_member(class, Box::default(), 0);
+        self.insert(Slot::Area(sub))
     }
 
     /// Registers a neighbour zone as a border subscriber. Border
-    /// subscribers start synced (their replica world was built alongside
-    /// the cluster) and are serviced by the cluster's mirror protocol, so
-    /// they never appear in encoder frames.
+    /// subscribers are serviced by the cluster's mirror protocol, so they
+    /// never appear in encoder frames.
     pub fn subscribe_border(&mut self, zone: usize) -> SubscriberId {
-        let sub = Subscription::Border { zone };
-        let shards = sub.shard_set(&self.map);
-        let acked = vec![0; shards.len()];
-        let id = self.insert(SubscriberState {
-            sub,
-            shards,
-            acked,
-            pending: Vec::new(),
-            pending_events: 0,
-            fresh: false,
-            queued: false,
-        });
+        let id = self.insert(Slot::Border);
         self.border.push((zone, id));
         self.border.sort_unstable();
         id
@@ -313,129 +430,84 @@ impl ReplicationHub {
 
     /// Removes a subscriber. Unknown ids are ignored.
     pub fn unsubscribe(&mut self, id: SubscriberId) {
-        let Some(state) = self.subs.get_mut(id as usize).and_then(Option::take) else {
+        let Some(slot) = self.subs.items.get_mut(id as usize) else {
             return;
         };
-        match state.sub {
-            Subscription::Area(interest) => {
-                for pos in interest.chunks() {
-                    if let Some(cell) = self.cells.get_mut(&pos) {
-                        cell.retain(|&other| other != id);
-                        if cell.is_empty() {
-                            self.cells.remove(&pos);
-                        }
-                    }
-                }
-            }
-            Subscription::Border { .. } => {
-                self.border.retain(|&(_, other)| other != id);
-            }
+        match std::mem::replace(slot, Slot::Vacant) {
+            Slot::Vacant => return,
+            Slot::Border => self.border.retain(|&(_, other)| other != id),
+            Slot::Area(sub) => self.leave(sub.class),
         }
-        self.free.push(id);
+        self.subs.free.push(id);
         self.stats.subscribers -= 1;
     }
 
-    /// Moves an area subscriber's interest to a new centre: the chunk
-    /// index is re-resolved, pending chunks the subscriber moved away from
-    /// are dropped, and the freshly entered terrain is owed a keyframe.
-    /// No-op for border subscribers and unknown ids.
+    /// Moves an area subscriber's interest to a new centre: it joins the
+    /// new interest's class, the pending chunks it moved away from are
+    /// dropped, and the freshly entered terrain is owed a keyframe. No-op
+    /// for border subscribers and unknown ids.
     pub fn retarget(&mut self, id: SubscriberId, center: ChunkPos) {
-        let Some(state) = self.subs.get_mut(id as usize).and_then(Option::as_mut) else {
+        let Some(Slot::Area(sub)) = self.subs.items.get(id as usize) else {
             return;
         };
-        let Subscription::Area(old) = state.sub else {
-            return;
-        };
+        let old = self.classes.items[sub.class as usize].interest;
         if old.center == center {
             return;
         }
         let interest = Interest::new(center, old.radius);
-        state.sub = Subscription::Area(interest);
-        state.shards = interest.shard_set(self.map.shard_count());
-        state.acked = vec![NEVER; state.shards.len()];
-        let before = state.pending.len();
-        state.pending.retain(|&pos| interest.covers(pos));
-        self.stats.dropped_on_move += (before - state.pending.len()) as u64;
-        state.fresh = true;
-        if !state.queued {
-            state.queued = true;
-            self.dirty_queue.push(id);
-        }
+        let (mut carried, events) = self.owed(sub);
+        let before = carried.len();
+        carried.retain(|&pos| interest.covers(pos));
+        self.stats.dropped_on_move += (before - carried.len()) as u64;
         self.stats.retargets += 1;
 
-        for pos in old.chunks() {
-            if interest.covers(pos) {
-                continue;
-            }
-            if let Some(cell) = self.cells.get_mut(&pos) {
-                cell.retain(|&other| other != id);
-                if cell.is_empty() {
-                    self.cells.remove(&pos);
-                }
-            }
-        }
-        for pos in interest.chunks() {
-            if old.covers(pos) {
-                continue;
-            }
-            self.cells.entry(pos).or_default().push(id);
-        }
+        let old_class = sub.class;
+        let class = self.join(interest);
+        self.leave(old_class);
+        let sub = self.synced_member(class, carried.into(), events);
+        self.subs.items[id as usize] = Slot::Area(sub);
     }
 
-    /// Feeds drained per-shard dirty deltas into the index: every covering
-    /// area subscriber accumulates the chunk for its next frame. Border
-    /// subscribers are not touched — the mirror protocol delivers to them
-    /// synchronously via [`ReplicationHub::border_zones_covering`].
+    /// Stamps drained per-shard dirty deltas on the cells of the chunks
+    /// some interest covers; each covering subscriber's next frame pulls
+    /// them. Border subscribers are not involved — the mirror protocol
+    /// delivers to them synchronously via
+    /// [`ReplicationHub::border_zones_covering`].
     pub fn ingest(&mut self, deltas: &[ShardDelta]) {
+        self.clock += 1;
         for delta in deltas {
             if let Some(slot) = self.shard_epochs.get_mut(delta.shard) {
                 *slot = (*slot).max(delta.epoch);
             }
-            for &pos in &delta.chunks {
-                self.stats.chunks_ingested += 1;
-                let Some(cell) = self.cells.get(&pos) else {
-                    continue;
-                };
-                for &id in cell {
-                    let state = self.subs[id as usize]
-                        .as_mut()
-                        .expect("cells index a live subscriber");
-                    if let Err(slot) = state.pending.binary_search(&pos) {
-                        state.pending.insert(slot, pos);
-                    }
-                    if !state.queued {
-                        state.queued = true;
-                        self.dirty_queue.push(id);
-                    }
+            self.stats.chunks_ingested += delta.chunks.len() as u64;
+            for pos in &delta.chunks {
+                if let Some(&cell) = self.cell_index.get(pos) {
+                    let cell = &mut self.cells.items[cell as usize];
+                    cell.dirty = self.clock;
+                    cell.touched = self.clock;
                 }
             }
         }
     }
 
-    /// Feeds construct/avatar events (each at a chunk position, possibly
-    /// batched) to the covering area subscribers; they are piggybacked on
-    /// the subscriber's next frame.
+    /// Stamps construct/avatar events (each at a chunk position, possibly
+    /// batched) on the covered cells; each covering area subscriber's next
+    /// frame piggybacks them. An event of count 0 still owes its
+    /// subscribers a frame.
     pub fn ingest_events(&mut self, events: &[(ChunkPos, u32)]) {
-        for &(pos, count) in events {
-            let Some(cell) = self.cells.get(&pos) else {
-                continue;
-            };
-            for &id in cell {
-                let state = self.subs[id as usize]
-                    .as_mut()
-                    .expect("cells index a live subscriber");
-                state.pending_events += count;
-                if !state.queued {
-                    state.queued = true;
-                    self.dirty_queue.push(id);
-                }
+        self.clock += 1;
+        for (pos, count) in events {
+            if let Some(&cell) = self.cell_index.get(pos) {
+                let cell = &mut self.cells.items[cell as usize];
+                cell.touched = self.clock;
+                cell.events += u64::from(*count);
             }
         }
     }
 
-    /// Re-resolves border shard sets if the partition migrated since the
-    /// last call. Area shard sets are hash-static and never move; only the
-    /// ownership-derived border subscriptions depend on the partition.
+    /// Counts a partition migration since the last call. Area shard sets
+    /// are hash-static and never move; border coverage is read from the
+    /// live partition by [`ReplicationHub::border_zones_covering`].
     pub fn sync_partition(&mut self) {
         let version = self.map.version();
         if version == self.map_version {
@@ -443,13 +515,6 @@ impl ReplicationHub {
         }
         self.map_version = version;
         self.stats.partition_resolves += 1;
-        for &(zone, id) in &self.border {
-            let state = self.subs[id as usize]
-                .as_mut()
-                .expect("border indexes a live subscriber");
-            state.shards = Subscription::Border { zone }.shard_set(&self.map);
-            state.acked = vec![0; state.shards.len()];
-        }
     }
 
     /// The zones whose border subscription covers `pos` under the current
@@ -470,108 +535,119 @@ impl ReplicationHub {
         self.stats.border_chunk_deliveries += 1;
     }
 
-    /// Encodes and returns the frames due this tick.
+    /// Encodes and returns the frames due this tick, in ascending
+    /// subscriber order.
     ///
     /// Subscribers are flushed in `cohorts` round-robin groups (cohort =
     /// `id % cohorts`); a subscriber in a slower cohort accumulates
     /// several epochs of dirt and receives them as one coalesced delta. A
-    /// fresh subscriber receives a keyframe of every *loaded* chunk in its
-    /// interest instead: `sizer` maps a chunk position to its current
-    /// snapshot size in bytes, or `None` when the chunk is not loaded (or
-    /// its owner is dead) — such chunks are skipped and re-offered once
-    /// they exist.
+    /// due subscriber is owed a frame when it is fresh or a cell of its
+    /// class was stamped since it was last synced. A fresh subscriber
+    /// receives a keyframe of every *loaded* chunk in its interest
+    /// instead: `sizer` maps a chunk position to its current snapshot size
+    /// in bytes, or `None` when the chunk is not loaded (or its owner is
+    /// dead) — such chunks are skipped and re-offered once they exist.
     pub fn flush(
         &mut self,
         cohorts: u64,
         mut sizer: impl FnMut(ChunkPos) -> Option<u64>,
     ) -> Vec<ReplicationFrame> {
         let cohorts = cohorts.max(1);
-        let cohort = self.flushes % cohorts;
+        let round = self.flushes;
         self.flushes += 1;
+        let ReplicationHub {
+            config,
+            subs,
+            classes,
+            cells,
+            shard_epochs,
+            clock,
+            stats,
+            ..
+        } = self;
+        let cells = &cells.items;
 
         let mut frames = Vec::new();
-        let mut retained = Vec::new();
-        let queue = std::mem::take(&mut self.dirty_queue);
-        for id in queue {
-            if u64::from(id) % cohorts != cohort {
-                retained.push(id);
-                continue;
-            }
-            // An entry whose subscriber is not queued is stale: its
-            // subscriber left, and the id may since have been reused and
-            // queued (or flushed) under its own entry.
-            let Some(state) = self.subs[id as usize].as_mut().filter(|s| s.queued) else {
+        let first = usize::try_from(round % cohorts).unwrap_or(usize::MAX);
+        let step = usize::try_from(cohorts).unwrap_or(usize::MAX);
+        for (id, slot) in subs.items.iter_mut().enumerate().skip(first).step_by(step) {
+            let Slot::Area(sub) = slot else {
                 continue;
             };
-            state.queued = false;
+            let class = &mut classes.items[sub.class as usize];
+            let (touched, class_events) = class.totals(round, cells);
+            if !sub.fresh && touched <= sub.synced {
+                continue;
+            }
+            let events = sub.carried_events + (class_events - sub.event_base) as u32;
 
-            let keyframe = state.fresh || self.config.keyframe_only;
-            let (kind, chunks, bytes) = if keyframe {
-                let Subscription::Area(interest) = state.sub else {
-                    continue;
-                };
-                let mut bytes = self.config.frame_header_bytes;
+            let (kind, chunks, bytes) = if sub.fresh || config.keyframe_only {
+                let mut bytes = config.frame_header_bytes;
                 let mut chunks = Vec::new();
-                for pos in interest.chunks() {
+                for &cell in class.cells.iter() {
+                    let pos = cells[cell as usize].pos;
                     if let Some(size) = sizer(pos) {
                         bytes += size;
                         chunks.push(pos);
                     }
                 }
-                state.pending.clear();
-                state.fresh = false;
                 (FrameKind::Keyframe, chunks, bytes)
             } else {
-                let chunks = std::mem::take(&mut state.pending);
-                let epochs_behind = state
+                // Only a fresh subscriber carries chunks, so a delta is
+                // exactly the class's dirt since the subscriber synced.
+                let chunks = class.dirty_since(sub.synced, cells);
+                let epochs_behind = class
                     .shards
                     .iter()
-                    .zip(&state.acked)
-                    .map(|(&shard, &acked)| self.shard_epochs[shard].saturating_sub(acked))
+                    .zip(sub.acked.iter())
+                    .map(|(&shard, &acked)| shard_epochs[shard].saturating_sub(acked))
                     .max()
                     .unwrap_or(0)
                     .max(1);
-                let bytes = self.config.frame_header_bytes
-                    + chunks.len() as u64 * self.config.delta_bytes_per_chunk
-                    + u64::from(state.pending_events) * self.config.event_bytes;
+                let bytes = config.frame_header_bytes
+                    + chunks.len() as u64 * config.delta_bytes_per_chunk
+                    + u64::from(events) * config.event_bytes;
                 (FrameKind::Delta { epochs_behind }, chunks, bytes)
             };
 
             // Acknowledge: the subscriber is now current on every shard it
-            // resolves to.
-            for (slot, &shard) in state.shards.iter().enumerate() {
-                state.acked[slot] = self.shard_epochs[shard];
+            // resolves to, and on every stamp so far.
+            for (acked, &shard) in sub.acked.iter_mut().zip(class.shards.iter()) {
+                *acked = shard_epochs[shard];
             }
-            let events = std::mem::take(&mut state.pending_events);
+            sub.fresh = false;
+            sub.carried = Box::default();
+            sub.carried_events = 0;
+            sub.synced = *clock;
+            sub.event_base = class_events;
 
-            self.stats.frames += 1;
-            self.stats.chunks_delivered += chunks.len() as u64;
-            self.stats.events_delivered += u64::from(events);
-            self.stats.bytes_sent += bytes;
+            stats.frames += 1;
+            stats.chunks_delivered += chunks.len() as u64;
+            stats.events_delivered += u64::from(events);
+            stats.bytes_sent += bytes;
             match kind {
                 FrameKind::Keyframe => {
-                    self.stats.keyframes += 1;
-                    self.stats.keyframe_bytes += bytes;
+                    stats.keyframes += 1;
+                    stats.keyframe_bytes += bytes;
                 }
                 FrameKind::Delta { epochs_behind } => {
-                    self.stats.delta_frames += 1;
-                    self.stats.delta_bytes += bytes;
+                    stats.delta_frames += 1;
+                    stats.delta_bytes += bytes;
                     if epochs_behind > 1 {
-                        self.stats.coalesced_chunks += chunks.len() as u64;
+                        stats.coalesced_chunks += chunks.len() as u64;
                     }
                 }
             }
 
             frames.push(ReplicationFrame {
-                subscriber: id,
-                home: state.home(),
+                subscriber: id as SubscriberId,
+                home: class.interest.center,
                 kind,
                 chunks,
                 events,
                 bytes,
             });
         }
-        self.dirty_queue = retained;
         frames
     }
 
@@ -585,35 +661,163 @@ impl ReplicationHub {
         self.stats.subscribers
     }
 
-    /// The shard superset subscriber `id` currently resolves to.
-    pub fn shard_set_of(&self, id: SubscriberId) -> Option<&[usize]> {
-        self.subs
-            .get(id as usize)
-            .and_then(Option::as_ref)
-            .map(|state| state.shards.as_slice())
-    }
-
-    /// The home shard of subscriber `id` (the shard of its interest
-    /// centre), used to attribute fan-out cost to the owning zone.
-    pub fn home_shard_of(&self, id: SubscriberId) -> Option<usize> {
-        self.subs
-            .get(id as usize)
-            .and_then(Option::as_ref)
-            .map(|state| shard_index(state.home(), self.map.shard_count()))
-    }
-
-    fn insert(&mut self, state: SubscriberState) -> SubscriberId {
+    fn insert(&mut self, slot: Slot) -> SubscriberId {
         self.stats.subscribers += 1;
-        match self.free.pop() {
-            Some(id) => {
-                self.subs[id as usize] = Some(state);
-                id
-            }
-            None => {
-                let id = self.subs.len() as SubscriberId;
-                self.subs.push(Some(state));
-                id
+        self.subs.insert(slot)
+    }
+
+    /// A new member of `class`, synced to the current clock, owing a
+    /// keyframe and carrying `carried` chunks and `carried_events`.
+    fn synced_member(
+        &self,
+        class: u32,
+        carried: Box<[ChunkPos]>,
+        carried_events: u32,
+    ) -> Subscriber {
+        let entry = &self.classes.items[class as usize];
+        Subscriber {
+            acked: vec![NEVER; entry.shards.len()].into(),
+            carried,
+            synced: self.clock,
+            event_base: entry.event_total(&self.cells.items),
+            class,
+            carried_events,
+            fresh: true,
+        }
+    }
+
+    /// What `sub` is owed right now: its pending chunks, ascending, and
+    /// its pending event count.
+    fn owed(&self, sub: &Subscriber) -> (Vec<ChunkPos>, u32) {
+        let class = &self.classes.items[sub.class as usize];
+        let cells = &self.cells.items;
+        let mut chunks: Vec<ChunkPos> = class
+            .cells
+            .iter()
+            .map(|&cell| &cells[cell as usize])
+            .filter(|cell| cell.dirty > sub.synced)
+            .map(|cell| cell.pos)
+            .collect();
+        if !sub.carried.is_empty() {
+            chunks.extend_from_slice(&sub.carried);
+            chunks.sort_unstable();
+            chunks.dedup();
+        }
+        let events = class.event_total(cells) - sub.event_base;
+        (chunks, sub.carried_events + events as u32)
+    }
+
+    /// Adds a member to the class of `interest`, making the class (and the
+    /// cells it covers) if it has none yet.
+    fn join(&mut self, interest: Interest) -> u32 {
+        if let Some(&class) = self.class_index.get(&interest) {
+            self.classes.items[class as usize].members += 1;
+            return class;
+        }
+        let cells = interest
+            .chunks()
+            .into_iter()
+            .map(|pos| match self.cell_index.get(&pos) {
+                Some(&cell) => {
+                    self.cells.items[cell as usize].classes += 1;
+                    cell
+                }
+                None => {
+                    let cell = self.cells.insert(Cell {
+                        dirty: 0,
+                        touched: 0,
+                        events: 0,
+                        pos,
+                        classes: 1,
+                    });
+                    self.cell_index.insert(pos, cell);
+                    cell
+                }
+            })
+            .collect();
+        let class = self.classes.insert(Class {
+            interest,
+            cells,
+            shards: interest.shard_set(self.map.shard_count()).into(),
+            members: 1,
+            memo: ClassMemo {
+                round: NEVER,
+                touched: 0,
+                events: 0,
+                since: NEVER,
+                chunks: Vec::new(),
+            },
+        });
+        self.class_index.insert(interest, class);
+        class
+    }
+
+    /// Removes a member from `class`, freeing the class (and the cells no
+    /// other class covers) when it was the last.
+    fn leave(&mut self, class: u32) {
+        let entry = &mut self.classes.items[class as usize];
+        entry.members -= 1;
+        if entry.members > 0 {
+            return;
+        }
+        self.class_index.remove(&entry.interest);
+        for &cell in entry.cells.iter() {
+            let covered = &mut self.cells.items[cell as usize];
+            covered.classes -= 1;
+            if covered.classes == 0 {
+                self.cell_index.remove(&covered.pos);
+                self.cells.free.push(cell);
             }
         }
+        entry.cells = Box::default();
+        entry.shards = Box::default();
+        entry.memo.chunks = Vec::new();
+        self.classes.free.push(class);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-entry budget the type docs state.
+    #[test]
+    fn memory_budget_holds() {
+        assert!(std::mem::size_of::<Slot>() <= 64);
+        assert!(std::mem::size_of::<Class>() <= 104);
+        assert!(std::mem::size_of::<Cell>() <= 40);
+    }
+
+    /// Subscribers with the same interest share one class, and the classes
+    /// and cells go once their last member leaves.
+    #[test]
+    fn subscribers_over_160_centres_make_160_classes() {
+        let mut hub = ReplicationHub::new(Arc::new(ShardMap::contiguous(16, 4)));
+        let ids: Vec<SubscriberId> = (0..10_000)
+            .map(|i| {
+                let center = ChunkPos::new(i % 16, (i / 16) % 10);
+                hub.subscribe(Interest::new(center, 2))
+            })
+            .collect();
+        assert_eq!(hub.class_index.len(), 160);
+        assert_eq!(hub.classes.items.len(), 160);
+        // Centres span 16 x 10 chunks; radius 2 pads each side by 2.
+        assert_eq!(hub.cell_index.len(), 20 * 14);
+
+        // Moving everyone away frees the old classes and cells.
+        for (i, &id) in ids.iter().enumerate() {
+            let i = i as i32;
+            hub.retarget(id, ChunkPos::new(100 + i % 16, (i / 16) % 10));
+        }
+        assert_eq!(hub.class_index.len(), 160);
+        assert_eq!(hub.cell_index.len(), 20 * 14);
+
+        for id in ids {
+            hub.unsubscribe(id);
+        }
+        assert!(hub.class_index.is_empty());
+        assert!(hub.cell_index.is_empty());
+        assert_eq!(hub.classes.free.len(), hub.classes.items.len());
+        assert_eq!(hub.cells.free.len(), hub.cells.items.len());
     }
 }

@@ -19,7 +19,7 @@ use servo_world::ShardMap;
 /// assert!(!interest.covers(ChunkPos::new(2, 0)));
 /// assert_eq!(interest.chunks().len(), 9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interest {
     /// The chunk the subscriber is centred on.
     pub center: ChunkPos,

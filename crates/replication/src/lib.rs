@@ -12,13 +12,14 @@
 //!   via the partition's static chunk→shard hash; a neighbour zone
 //!   subscribes to the cluster's border region with whole-shard interest,
 //!   re-resolved whenever the partition migrates.
-//! * [`ReplicationHub`] — the index plus the encoder. Drained per-shard
-//!   dirty deltas and construct/avatar events are dispatched through a
-//!   chunk-level interest index (ingest touches exactly the covering
-//!   subscribers); each flush turns a subscriber's accumulated dirt into
-//!   one epoch-keyed [`ReplicationFrame`]: a subscriber behind N shard
-//!   epochs gets one coalesced diff, a fresh subscriber gets a keyframe
-//!   of its loaded interest.
+//! * [`ReplicationHub`] — the index plus the encoder. Ingesting drained
+//!   per-shard dirty deltas and construct/avatar events only stamps the
+//!   touched chunks, whatever the number of subscribers. Each flush pulls
+//!   a due subscriber's dirt off those stamps, through the interest class
+//!   it shares with every subscriber of the same [`Interest`], into one
+//!   epoch-keyed [`ReplicationFrame`]: a subscriber behind N shard epochs
+//!   gets one coalesced diff, a fresh subscriber gets a keyframe of its
+//!   loaded interest.
 //! * [`FanoutStage`] — pushes encoded frames through an autoscaled worker
 //!   pool ([`servo_faas::Autoscaler`]) and reports the tick-visible cost
 //!   per owning zone, so replication load shows up in QoS like
