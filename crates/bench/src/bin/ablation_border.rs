@@ -4,7 +4,8 @@
 //!
 //! `ablation_hybrid` (BENCH_hybrid.json) establishes the hybrid baseline:
 //! 4 zones, 160 border constructs, batched exchange, ~21 msgs/tick. This
-//! binary sweeps the remaining axes on the same workload:
+//! binary sweeps the remaining axes on the same workload
+//! ([`servo_bench::hybrid`]):
 //!
 //! * **exchange mode** — per-construct (classic), batched (one bundle per
 //!   (owner, neighbour) pair), and speculative ([`BorderExchange::
@@ -15,7 +16,7 @@
 //!   nothing is published;
 //! * **construct count** (40 vs 160) and **zones** (2 vs 4);
 //! * **ownership-aware migration** — constructs placed with the majority
-//!   of their footprint across the seam (via [`seam_offset`]), measured
+//!   of their footprint across the seam ([`Seam::Weighted`]), measured
 //!   with the border-traffic rebalance term off vs on: migrating each
 //!   construct to its majority zone unifies seam ownership and collapses
 //!   the bundled exchange pairs.
@@ -23,128 +24,18 @@
 //! Writes `results/ablation_border.csv` and the acceptance artefact
 //! `BENCH_border.json` at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
+use servo_bench::hybrid::{
+    border_blueprints, bounded_fleet, drive, EditStream,
+    Seam::{self, Centred, Weighted},
+    Window, CONSTRUCTS, CONSTRUCT_WIRES, PLAYERS, ZONES,
+};
 use servo_bench::{emit, scaled_secs};
 use servo_core::{HybridDeployment, ServoDeployment};
-use servo_metrics::{qos_satisfied_default, Summary, Table};
-use servo_redstone::generators;
-use servo_server::cluster::{
-    border_construct_sites, place_across_east_seam_at, ShardedGameCluster,
-};
-use servo_server::BorderExchange;
-use servo_simkit::SimRng;
-use servo_types::{ChunkPos, SimDuration};
-use servo_workload::{seam_offset, BehaviorKind, PlayerFleet};
-use servo_world::{RebalanceConfig, RebalancePolicy, ShardMap};
-
-/// Players (same construct-dominated scenario as `ablation_hybrid`).
-const PLAYERS: usize = 60;
-/// Border-spanning constructs in the headline arms.
-const CONSTRUCTS: usize = 160;
-/// Blocks of wire per border construct.
-const CONSTRUCT_WIRES: usize = 14;
-/// Zones in the headline arms.
-const ZONES: usize = 4;
-
-struct Arm {
-    mean_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    qos_ok: bool,
-    messages_per_tick: f64,
-}
-
-fn arm_from(durations: &[SimDuration], messages: u64, ticks: usize) -> Arm {
-    let summary = Summary::from_durations(durations);
-    Arm {
-        mean_ms: summary.mean,
-        p95_ms: summary.p95,
-        p99_ms: summary.p99,
-        qos_ok: qos_satisfied_default(durations),
-        messages_per_tick: messages as f64 / ticks.max(1) as f64,
-    }
-}
-
-/// Blueprints for `count` seam-spanning wire constructs. With `weighted`
-/// placement each construct puts the strict majority of its blocks on
-/// whichever side of its seam belongs to the *lower-indexed* zone — the
-/// deterministic target the border-traffic term migrates towards, so that
-/// traffic-driven migration unifies each seam's ownership.
-fn border_fleet(map: &ShardMap, count: usize, weighted: bool) -> Vec<servo_redstone::Blueprint> {
-    border_construct_sites(map, count)
-        .into_iter()
-        .map(|site| {
-            let offset = if weighted {
-                let east = map.zone_of_chunk(ChunkPos::new(site.x + 1, site.z));
-                let west = map.zone_of_chunk(site);
-                seam_offset(CONSTRUCT_WIRES, west < east)
-            } else {
-                8
-            };
-            place_across_east_seam_at(&generators::wire_line(CONSTRUCT_WIRES), site, 6, offset)
-        })
-        .collect()
-}
-
-fn bounded_fleet(seed: u64) -> PlayerFleet {
-    let mut fleet = PlayerFleet::new(
-        BehaviorKind::Bounded { radius: 24.0 },
-        SimRng::seed(seed ^ 0x5eed),
-    );
-    fleet.connect_all(PLAYERS);
-    fleet
-}
-
-/// The deterministic terrain-edit stream of `ablation_hybrid`: two block
-/// edits per tick in the spawn area, identical across every arm.
-struct EditStream {
-    rng: SimRng,
-}
-
-impl EditStream {
-    fn new(seed: u64) -> Self {
-        EditStream {
-            rng: SimRng::seed(seed).substream("terrain-edits"),
-        }
-    }
-
-    fn next_events(&mut self) -> Vec<(servo_types::PlayerId, servo_workload::PlayerEvent)> {
-        use servo_types::{BlockPos, PlayerId};
-        use servo_workload::PlayerEvent;
-        (0..2)
-            .map(|_| {
-                let x = (self.rng.unit() * 81.0) as i32 - 40;
-                let z = (self.rng.unit() * 81.0) as i32 - 40;
-                let pos = BlockPos::new(x, 9, z);
-                let event = if self.rng.unit() < 0.5 {
-                    PlayerEvent::BlockPlaced(pos)
-                } else {
-                    PlayerEvent::BlockBroken(pos)
-                };
-                let player = (self.rng.unit() * PLAYERS as f64) as u64;
-                (PlayerId::new(player.min(PLAYERS as u64 - 1)), event)
-            })
-            .collect()
-    }
-}
-
-fn drive_with_edits(
-    cluster: &mut ShardedGameCluster,
-    fleet: &mut PlayerFleet,
-    edits: &mut EditStream,
-    duration: SimDuration,
-) -> Vec<servo_server::multi::ClusterTick> {
-    let end = cluster.now() + duration;
-    let budget = cluster.servers()[0].config().tick_budget();
-    let mut ticks = Vec::new();
-    while cluster.now() < end {
-        let now = cluster.now();
-        let mut events = fleet.tick(now, budget);
-        events.extend(edits.next_events());
-        let positions = fleet.positions();
-        ticks.push(cluster.run_tick(&positions, &events));
-    }
-    ticks
-}
+use servo_metrics::Table;
+use servo_server::BorderExchange::{self, Batched, PerConstruct, Speculative};
+use servo_types::SimDuration;
+use servo_world::{RebalanceConfig, RebalancePolicy};
 
 /// A shard-term-inert policy whose border-traffic term evaluates every
 /// five ticks after a short warmup — migrations all land inside the
@@ -162,7 +53,7 @@ fn traffic_policy() -> RebalancePolicy {
 }
 
 struct BorderRun {
-    arm: Arm,
+    arm: Window,
     construct_exchanges: u64,
     batched_bundles: u64,
     speculation_handles: u64,
@@ -177,7 +68,7 @@ fn run_arm(
     zones: usize,
     constructs: usize,
     exchange: BorderExchange,
-    weighted: bool,
+    seam: Seam,
     policy: Option<RebalancePolicy>,
     warmup: SimDuration,
     measure: SimDuration,
@@ -190,23 +81,19 @@ fn run_arm(
     if let Some(policy) = policy {
         hybrid.enable_rebalancing(policy);
     }
-    for blueprint in border_fleet(&hybrid.cluster.shard_map().clone(), constructs, weighted) {
+    for blueprint in border_blueprints(&hybrid.cluster.shard_map().clone(), constructs, seam) {
         hybrid.cluster.add_construct(blueprint);
     }
-    let mut fleet = bounded_fleet(seed);
+    let mut fleet = bounded_fleet(seed, PLAYERS);
     let mut edits = EditStream::new(seed);
-    drive_with_edits(&mut hybrid.cluster, &mut fleet, &mut edits, warmup);
-    hybrid.cluster.discard_ticks();
-    let before = hybrid.cluster.stats();
-    let ticks = drive_with_edits(&mut hybrid.cluster, &mut fleet, &mut edits, measure);
-    let after = hybrid.cluster.stats();
-    let arm = arm_from(
-        &hybrid.cluster.critical_path_durations(),
-        after.cross_server_messages - before.cross_server_messages,
-        ticks.len(),
-    );
+    let cluster = &mut hybrid.cluster;
+    drive(cluster, &mut fleet, &mut edits, warmup, |_, _| {});
+    cluster.discard_ticks();
+    let before = cluster.stats();
+    drive(cluster, &mut fleet, &mut edits, measure, |_, _| {});
+    let after = cluster.stats();
     BorderRun {
-        arm,
+        arm: Window::of(cluster, before.cross_server_messages),
         construct_exchanges: after.construct_exchanges - before.construct_exchanges,
         batched_bundles: after.batched_bundles - before.batched_bundles,
         speculation_handles: after.speculation_handles - before.speculation_handles,
@@ -224,90 +111,24 @@ fn main() {
     let measure = scaled_secs(20);
     let seed = 13;
 
+    let run = |zones, constructs, exchange, seam, policy| {
+        run_arm(
+            seed, zones, constructs, exchange, seam, policy, warmup, measure,
+        )
+    };
+
     // Exchange-mode sweep on the headline 4-zone workload.
-    let per_construct = run_arm(
-        seed,
-        ZONES,
-        CONSTRUCTS,
-        BorderExchange::PerConstruct,
-        false,
-        None,
-        warmup,
-        measure,
-    );
-    let batched = run_arm(
-        seed,
-        ZONES,
-        CONSTRUCTS,
-        BorderExchange::Batched,
-        false,
-        None,
-        warmup,
-        measure,
-    );
-    let speculative = run_arm(
-        seed,
-        ZONES,
-        CONSTRUCTS,
-        BorderExchange::Speculative,
-        false,
-        None,
-        warmup,
-        measure,
-    );
+    let per_construct = run(ZONES, CONSTRUCTS, PerConstruct, Centred, None);
+    let batched = run(ZONES, CONSTRUCTS, Batched, Centred, None);
+    let speculative = run(ZONES, CONSTRUCTS, Speculative, Centred, None);
     // Construct-count and zone-count corners of the sweep.
-    let batched_40 = run_arm(
-        seed,
-        ZONES,
-        40,
-        BorderExchange::Batched,
-        false,
-        None,
-        warmup,
-        measure,
-    );
-    let speculative_40 = run_arm(
-        seed,
-        ZONES,
-        40,
-        BorderExchange::Speculative,
-        false,
-        None,
-        warmup,
-        measure,
-    );
-    let speculative_z2 = run_arm(
-        seed,
-        2,
-        CONSTRUCTS,
-        BorderExchange::Speculative,
-        false,
-        None,
-        warmup,
-        measure,
-    );
+    let batched_40 = run(ZONES, 40, Batched, Centred, None);
+    let speculative_40 = run(ZONES, 40, Speculative, Centred, None);
+    let speculative_z2 = run(2, CONSTRUCTS, Speculative, Centred, None);
     // Ownership-aware migration: weighted placement, batched exchange,
     // border-traffic term off vs on.
-    let traffic_off = run_arm(
-        seed,
-        ZONES,
-        CONSTRUCTS,
-        BorderExchange::Batched,
-        true,
-        None,
-        warmup,
-        measure,
-    );
-    let traffic_on = run_arm(
-        seed,
-        ZONES,
-        CONSTRUCTS,
-        BorderExchange::Batched,
-        true,
-        Some(traffic_policy()),
-        warmup,
-        measure,
-    );
+    let traffic_off = run(ZONES, CONSTRUCTS, Batched, Weighted, None);
+    let traffic_on = run(ZONES, CONSTRUCTS, Batched, Weighted, Some(traffic_policy()));
 
     let mut table = Table::new(vec![
         "Arm",
@@ -356,61 +177,49 @@ fn main() {
         && traffic_on.arm.messages_per_tick < traffic_off.arm.messages_per_tick;
 
     let arm_json = |run: &BorderRun| {
-        format!(
-            "{{\"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"qos_ok\": {}, \
-             \"messages_per_tick\": {:.2}, \"construct_exchanges\": {}, \"batched_bundles\": {}, \
-             \"speculation_handles\": {}, \"speculative_replays\": {}, \
-             \"construct_migrations\": {}, \"median_speculation_efficiency\": {:.4}}}",
-            run.arm.mean_ms,
-            run.arm.p95_ms,
-            run.arm.p99_ms,
-            run.arm.qos_ok,
-            run.arm.messages_per_tick,
-            run.construct_exchanges,
-            run.batched_bundles,
-            run.speculation_handles,
-            run.speculative_replays,
-            run.construct_migrations,
-            run.median_efficiency,
-        )
+        Object::new()
+            .fixed("mean_ms", run.arm.mean_ms, 3)
+            .fixed("p95_ms", run.arm.p95_ms, 3)
+            .fixed("p99_ms", run.arm.p99_ms, 3)
+            .display("qos_ok", run.arm.qos_ok)
+            .fixed("messages_per_tick", run.arm.messages_per_tick, 2)
+            .display("construct_exchanges", run.construct_exchanges)
+            .display("batched_bundles", run.batched_bundles)
+            .display("speculation_handles", run.speculation_handles)
+            .display("speculative_replays", run.speculative_replays)
+            .display("construct_migrations", run.construct_migrations)
+            .fixed("median_speculation_efficiency", run.median_efficiency, 4)
     };
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_border\",\n  \
-         \"workload\": {{\"players\": {PLAYERS}, \"border_constructs\": {CONSTRUCTS}, \
-         \"zones\": {ZONES}, \"wire_blocks\": {CONSTRUCT_WIRES}}},\n  \
-         \"per_construct\": {},\n  \
-         \"batched\": {},\n  \
-         \"speculative\": {},\n  \
-         \"batched_40\": {},\n  \
-         \"speculative_40\": {},\n  \
-         \"speculative_2_zones\": {},\n  \
-         \"traffic_off\": {},\n  \
-         \"traffic_on\": {},\n  \
-         \"acceptance\": {{\"reduction_vs_batched\": {:.3}, \"required_reduction\": 2.0, \
-         \"speculative_qos_ok\": {}, \"speculative_p99_no_worse_than_batched\": {}, \
-         \"traffic_migrations\": {}, \"traffic_reduction\": {:.3}, \"met\": {}}}\n}}\n",
-        arm_json(&per_construct),
-        arm_json(&batched),
-        arm_json(&speculative),
-        arm_json(&batched_40),
-        arm_json(&speculative_40),
-        arm_json(&speculative_z2),
-        arm_json(&traffic_off),
-        arm_json(&traffic_on),
-        reduction_vs_batched,
-        speculative.arm.qos_ok,
-        p99_no_worse,
-        traffic_on.construct_migrations,
-        traffic_reduction,
-        met,
-    );
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_border.json");
-    std::fs::write(&out_path, &json).expect("BENCH_border.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let json = Object::new()
+        .text("experiment", "ablation_border")
+        .object(
+            "workload",
+            Object::new()
+                .display("players", PLAYERS)
+                .display("border_constructs", CONSTRUCTS)
+                .display("zones", ZONES)
+                .display("wire_blocks", CONSTRUCT_WIRES),
+        )
+        .object("per_construct", arm_json(&per_construct))
+        .object("batched", arm_json(&batched))
+        .object("speculative", arm_json(&speculative))
+        .object("batched_40", arm_json(&batched_40))
+        .object("speculative_40", arm_json(&speculative_40))
+        .object("speculative_2_zones", arm_json(&speculative_z2))
+        .object("traffic_off", arm_json(&traffic_off))
+        .object("traffic_on", arm_json(&traffic_on))
+        .object(
+            "acceptance",
+            Object::new()
+                .fixed("reduction_vs_batched", reduction_vs_batched, 3)
+                .fixed("required_reduction", 2.0, 1)
+                .display("speculative_qos_ok", speculative.arm.qos_ok)
+                .display("speculative_p99_no_worse_than_batched", p99_no_worse)
+                .display("traffic_migrations", traffic_on.construct_migrations)
+                .fixed("traffic_reduction", traffic_reduction, 3)
+                .display("met", met),
+        );
+    write_artefact("BENCH_border.json", &json);
     println!(
         "Speculative exchange cuts the seam from {:.1} to {:.1} msgs/tick ({reduction_vs_batched:.2}x) \
          on {CONSTRUCTS} border constructs at {ZONES} zones; traffic-driven migration of {} constructs \

@@ -20,141 +20,39 @@
 //!
 //! The cost/keep-alive frontier — QoS vs billed GB-ms plus warm-idle time
 //! — is the headline artefact. The `frictionless` arm is the exact
-//! `ablation_hybrid` hybrid workload and must reproduce its numbers; the
+//! [`servo_bench::hybrid`] workload `ablation_hybrid` runs, and so
+//! reproduces its numbers by construction; the
 //! `infinite_keepalive` arm spells the frictionless platform out
 //! explicitly and must match the default tick-for-tick and cent-for-cent.
 //!
 //! Writes `results/ablation_coldstart.csv` and the acceptance artefact
 //! `BENCH_coldstart.json` at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
+use servo_bench::hybrid::{
+    border_blueprints, bounded_fleet, drive, EditStream, Seam, Window, CONSTRUCTS, PLAYERS, ZONES,
+};
 use servo_bench::{emit, scaled_secs};
 use servo_core::{HybridDeployment, ServoDeployment};
-use servo_metrics::{qos_satisfied_default, Summary, Table};
-use servo_redstone::generators;
-use servo_server::cluster::{border_construct_sites, place_across_east_seam, ShardedGameCluster};
-use servo_simkit::SimRng;
-use servo_types::{BlockPos, PlayerId, SimDuration};
-use servo_workload::{BehaviorKind, PlayerEvent, PlayerFleet};
-use servo_world::ShardMap;
-
 use servo_faas::PlatformConfig;
+use servo_metrics::Table;
+use servo_server::cluster::ShardedGameCluster;
+use servo_types::{BlockPos, PlayerId, SimDuration};
+use servo_workload::PlayerEvent;
 
-/// Players in the construct-dominated scenario (same as `ablation_hybrid`).
-const PLAYERS: usize = 60;
-/// Border-spanning constructs in the frictionless pair — the exact
-/// `ablation_hybrid` workload, so that pair reproduces its numbers.
-const CONSTRUCTS: usize = 160;
 /// Border-spanning constructs in the storm arms: local fallback cost is
 /// quadratic in the constructs a zone simulates, so 120 per zone is
 /// enough that a full fallback tick (every construct waiting on a cold
 /// invocation) visibly breaks the 50 ms budget, while merged speculative
 /// states keep the same tick comfortably inside it.
 const STORM_CONSTRUCTS: usize = 480;
-/// Blocks of wire per border construct.
-const CONSTRUCT_WIRES: usize = 14;
-/// Zones in every arm.
-const ZONES: usize = 4;
 /// Provisioning delay of the frictive arms: what a fresh container pays
 /// on top of the function's own cold-start latency.
 const PROVISIONING_MS: u64 = 500;
 
-fn border_fleet(map: &ShardMap, constructs: usize) -> Vec<servo_redstone::Blueprint> {
-    let reference = if map.zones() > 1 {
-        map.clone()
-    } else {
-        ShardMap::contiguous(map.shard_count(), ZONES)
-    };
-    border_construct_sites(&reference, constructs)
-        .into_iter()
-        .map(|site| place_across_east_seam(&generators::wire_line(CONSTRUCT_WIRES), site, 6))
-        .collect()
-}
-
-fn bounded_fleet(seed: u64) -> PlayerFleet {
-    let mut fleet = PlayerFleet::new(
-        BehaviorKind::Bounded { radius: 24.0 },
-        SimRng::seed(seed ^ 0x5eed),
-    );
-    fleet.connect_all(PLAYERS);
-    fleet
-}
-
-/// The same deterministic background edit stream `ablation_hybrid` runs,
-/// so the frictionless arm reproduces its numbers exactly.
-struct EditStream {
-    rng: SimRng,
-}
-
-impl EditStream {
-    fn new(seed: u64) -> Self {
-        EditStream {
-            rng: SimRng::seed(seed).substream("terrain-edits"),
-        }
-    }
-
-    fn next_events(&mut self) -> Vec<(PlayerId, PlayerEvent)> {
-        (0..2)
-            .map(|_| {
-                let x = (self.rng.unit() * 81.0) as i32 - 40;
-                let z = (self.rng.unit() * 81.0) as i32 - 40;
-                let pos = BlockPos::new(x, 9, z);
-                let event = if self.rng.unit() < 0.5 {
-                    PlayerEvent::BlockPlaced(pos)
-                } else {
-                    PlayerEvent::BlockBroken(pos)
-                };
-                let player = (self.rng.unit() * PLAYERS as f64) as u64;
-                (PlayerId::new(player.min(PLAYERS as u64 - 1)), event)
-            })
-            .collect()
-    }
-}
-
-/// Drives the cluster with the background edit stream plus, when
-/// `storm_gap_ticks` is set, a construct-invalidating edit storm: every
-/// gap, one block event lands on every border construct in the same tick,
-/// dropping all available speculation sequences at once.
-fn drive(
-    cluster: &mut ShardedGameCluster,
-    fleet: &mut PlayerFleet,
-    edits: &mut EditStream,
-    storm_targets: &[BlockPos],
-    storm_gap_ticks: Option<u64>,
-    tick_counter: &mut u64,
-    duration: SimDuration,
-) -> usize {
-    let end = cluster.now() + duration;
-    let budget = cluster.servers()[0].config().tick_budget();
-    let mut ticks = 0;
-    while cluster.now() < end {
-        let now = cluster.now();
-        let mut events = fleet.tick(now, budget);
-        events.extend(edits.next_events());
-        if let Some(gap) = storm_gap_ticks {
-            if *tick_counter % gap == gap - 1 {
-                // The storm: every construct takes a hit this tick.
-                events.extend(storm_targets.iter().enumerate().map(|(i, &pos)| {
-                    (
-                        PlayerId::new((i % PLAYERS) as u64),
-                        PlayerEvent::BlockPlaced(pos),
-                    )
-                }));
-            }
-        }
-        let positions = fleet.positions();
-        cluster.run_tick(&positions, &events);
-        *tick_counter += 1;
-        ticks += 1;
-    }
-    ticks
-}
-
 struct ArmResult {
     label: &'static str,
-    mean_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    qos_ok: bool,
+    window: Window,
     invocations: u64,
     cold_start_rate: f64,
     mean_queue_wait_ms: f64,
@@ -167,6 +65,9 @@ struct ArmResult {
     cost_with_idle_usd: f64,
 }
 
+/// Runs the shared hybrid workload on `platform`. With `storm_gap_ticks`
+/// set, every gap one block event lands on every border construct in the
+/// same tick, dropping all available speculation sequences at once.
 fn run_arm(
     label: &'static str,
     seed: u64,
@@ -185,7 +86,11 @@ fn run_arm(
     } else {
         CONSTRUCTS
     };
-    let blueprints = border_fleet(&hybrid.cluster.shard_map().clone(), constructs);
+    let blueprints = border_blueprints(
+        &hybrid.cluster.shard_map().clone(),
+        constructs,
+        Seam::Centred,
+    );
     let storm_targets: Vec<BlockPos> = blueprints
         .iter()
         .map(|b| b.positions()[b.positions().len() / 2])
@@ -193,38 +98,33 @@ fn run_arm(
     for blueprint in blueprints {
         hybrid.cluster.add_construct(blueprint);
     }
-    let mut fleet = bounded_fleet(seed);
+    let mut fleet = bounded_fleet(seed, PLAYERS);
     let mut edits = EditStream::new(seed);
     let mut tick_counter = 0u64;
-    drive(
-        &mut hybrid.cluster,
-        &mut fleet,
-        &mut edits,
-        &storm_targets,
-        storm_gap_ticks,
-        &mut tick_counter,
-        warmup,
-    );
-    hybrid.cluster.discard_ticks();
-    drive(
-        &mut hybrid.cluster,
-        &mut fleet,
-        &mut edits,
-        &storm_targets,
-        storm_gap_ticks,
-        &mut tick_counter,
-        measure,
-    );
-    let durations = hybrid.cluster.critical_path_durations();
-    let summary = Summary::from_durations(&durations);
+    let mut storm = |_: &mut ShardedGameCluster, events: &mut Vec<(PlayerId, PlayerEvent)>| {
+        if let Some(gap) = storm_gap_ticks {
+            if tick_counter % gap == gap - 1 {
+                events.extend(storm_targets.iter().enumerate().map(|(i, &pos)| {
+                    (
+                        PlayerId::new((i % PLAYERS) as u64),
+                        PlayerEvent::BlockPlaced(pos),
+                    )
+                }));
+            }
+        }
+        tick_counter += 1;
+    };
+    let cluster = &mut hybrid.cluster;
+    drive(cluster, &mut fleet, &mut edits, warmup, &mut storm);
+    cluster.discard_ticks();
+    let before = cluster.stats().cross_server_messages;
+    drive(cluster, &mut fleet, &mut edits, measure, &mut storm);
+    let window = Window::of(cluster, before);
     let stats = hybrid.sc_platform_stats();
     let billing = hybrid.sc_billing_at(hybrid.cluster.now());
     ArmResult {
         label,
-        mean_ms: summary.mean,
-        p95_ms: summary.p95,
-        p99_ms: summary.p99,
-        qos_ok: qos_satisfied_default(&durations),
+        window,
         invocations: stats.invocations,
         cold_start_rate: stats.cold_starts as f64 / stats.invocations.max(1) as f64,
         mean_queue_wait_ms: stats.queue_wait_ms / stats.queued.max(1) as f64,
@@ -238,28 +138,22 @@ fn run_arm(
     }
 }
 
-fn arm_json(arm: &ArmResult) -> String {
-    format!(
-        "{{\"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"qos_ok\": {}, \
-         \"invocations\": {}, \"cold_start_rate\": {:.4}, \"mean_queue_wait_ms\": {:.3}, \
-         \"peak_queue_depth\": {}, \"provisioned\": {}, \"expired_containers\": {}, \
-         \"billed_gb_ms\": {:.1}, \"warm_idle_gb_s\": {:.3}, \"cost_usd\": {:.6}, \
-         \"cost_with_idle_usd\": {:.6}}}",
-        arm.mean_ms,
-        arm.p95_ms,
-        arm.p99_ms,
-        arm.qos_ok,
-        arm.invocations,
-        arm.cold_start_rate,
-        arm.mean_queue_wait_ms,
-        arm.peak_queue_depth,
-        arm.provisioned,
-        arm.expired_containers,
-        arm.billed_gb_ms,
-        arm.warm_idle_gb_s,
-        arm.cost_usd,
-        arm.cost_with_idle_usd,
-    )
+fn arm_json(arm: &ArmResult) -> Object {
+    Object::new()
+        .fixed("mean_ms", arm.window.mean_ms, 3)
+        .fixed("p95_ms", arm.window.p95_ms, 3)
+        .fixed("p99_ms", arm.window.p99_ms, 3)
+        .display("qos_ok", arm.window.qos_ok)
+        .display("invocations", arm.invocations)
+        .fixed("cold_start_rate", arm.cold_start_rate, 4)
+        .fixed("mean_queue_wait_ms", arm.mean_queue_wait_ms, 3)
+        .display("peak_queue_depth", arm.peak_queue_depth)
+        .display("provisioned", arm.provisioned)
+        .display("expired_containers", arm.expired_containers)
+        .fixed("billed_gb_ms", arm.billed_gb_ms, 1)
+        .fixed("warm_idle_gb_s", arm.warm_idle_gb_s, 3)
+        .fixed("cost_usd", arm.cost_usd, 6)
+        .fixed("cost_with_idle_usd", arm.cost_with_idle_usd, 6)
 }
 
 fn main() {
@@ -285,54 +179,19 @@ fn main() {
 
     // The frictionless pair: default config vs the same platform spelled
     // out explicitly (zero provisioning, effectively infinite keep-alive).
-    let frictionless = run_arm(
-        "frictionless",
-        seed,
-        PlatformConfig::frictionless(),
-        None,
-        warmup,
-        measure,
-    );
-    let infinite = run_arm(
+    let run = |label, platform, storm_gap_ticks| {
+        run_arm(label, seed, platform, storm_gap_ticks, warmup, measure)
+    };
+    let frictionless = run("frictionless", PlatformConfig::frictionless(), None);
+    let infinite = run(
         "infinite_keepalive",
-        seed,
         PlatformConfig::frictionless().with_keep_alive(SimDuration::from_secs(1_000_000)),
         None,
-        warmup,
-        measure,
     );
-    let storm_cold_fast = run_arm(
-        "storm3s_keepalive1s",
-        seed,
-        short_keepalive,
-        Some(gap_fast),
-        warmup,
-        measure,
-    );
-    let storm_warm_fast = run_arm(
-        "storm3s_keepalive_default",
-        seed,
-        long_keepalive,
-        Some(gap_fast),
-        warmup,
-        measure,
-    );
-    let storm_cold_slow = run_arm(
-        "storm8s_keepalive1s",
-        seed,
-        short_keepalive,
-        Some(gap_slow),
-        warmup,
-        measure,
-    );
-    let storm_queue = run_arm(
-        "storm3s_queue_capped",
-        seed,
-        queue_capped,
-        Some(gap_fast),
-        warmup,
-        measure,
-    );
+    let storm_cold_fast = run("storm3s_keepalive1s", short_keepalive, Some(gap_fast));
+    let storm_warm_fast = run("storm3s_keepalive_default", long_keepalive, Some(gap_fast));
+    let storm_cold_slow = run("storm8s_keepalive1s", short_keepalive, Some(gap_slow));
+    let storm_queue = run("storm3s_queue_capped", queue_capped, Some(gap_fast));
 
     let arms = [
         &frictionless,
@@ -356,9 +215,9 @@ fn main() {
     for arm in arms {
         table.row(vec![
             arm.label.to_string(),
-            format!("{:.1}", arm.mean_ms),
-            format!("{:.1}", arm.p99_ms),
-            arm.qos_ok.to_string(),
+            format!("{:.1}", arm.window.mean_ms),
+            format!("{:.1}", arm.window.p99_ms),
+            arm.window.qos_ok.to_string(),
             format!("{:.3}", arm.cold_start_rate),
             format!("{:.1}", arm.mean_queue_wait_ms),
             format!("{:.0}", arm.billed_gb_ms),
@@ -374,50 +233,52 @@ fn main() {
 
     // The frictionless platform spelled out explicitly must be
     // indistinguishable from the default.
-    let matches_default = frictionless.mean_ms == infinite.mean_ms
-        && frictionless.p99_ms == infinite.p99_ms
+    let matches_default = frictionless.window.mean_ms == infinite.window.mean_ms
+        && frictionless.window.p99_ms == infinite.window.p99_ms
         && frictionless.cost_usd == infinite.cost_usd
         && frictionless.cost_with_idle_usd == infinite.cost_with_idle_usd;
     // The frontier: the keep-alive budget converts the storm's QoS
     // violation into qos_ok at measurably higher (idle-inclusive) cost.
-    let qos_flip = !storm_cold_fast.qos_ok && storm_warm_fast.qos_ok;
+    let qos_flip = !storm_cold_fast.window.qos_ok && storm_warm_fast.window.qos_ok;
     let cost_ratio = storm_warm_fast.cost_with_idle_usd / storm_cold_fast.cost_with_idle_usd;
     let cost_ordered = cost_ratio > 1.1;
-    let met = matches_default && qos_flip && cost_ordered && frictionless.qos_ok;
+    let met = matches_default && qos_flip && cost_ordered && frictionless.window.qos_ok;
 
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_coldstart\",\n  \
-         \"workload\": {{\"players\": {PLAYERS}, \"border_constructs\": {CONSTRUCTS}, \
-         \"storm_constructs\": {STORM_CONSTRUCTS}, \"zones\": {ZONES}, \
-         \"storm_gap_fast_ticks\": {gap_fast}, \"storm_gap_slow_ticks\": {gap_slow}, \
-         \"provisioning_ms\": {PROVISIONING_MS}}},\n  \
-         \"arms\": {{\n    \"frictionless\": {},\n    \"infinite_keepalive\": {},\n    \
-         \"storm3s_keepalive1s\": {},\n    \"storm3s_keepalive_default\": {},\n    \
-         \"storm8s_keepalive1s\": {},\n    \"storm3s_queue_capped\": {}\n  }},\n  \
-         \"acceptance\": {{\"matches_default\": {matches_default}, \"qos_flip\": {qos_flip}, \
-         \"keepalive_cost_ratio\": {cost_ratio:.3}, \"cost_ordered\": {cost_ordered}, \
-         \"frictionless_qos_ok\": {}, \"met\": {met}}}\n}}\n",
-        arm_json(&frictionless),
-        arm_json(&infinite),
-        arm_json(&storm_cold_fast),
-        arm_json(&storm_warm_fast),
-        arm_json(&storm_cold_slow),
-        arm_json(&storm_queue),
-        frictionless.qos_ok,
-    );
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_coldstart.json");
-    std::fs::write(&out_path, &json).expect("BENCH_coldstart.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let mut arms_json = Object::multiline();
+    for arm in arms {
+        arms_json = arms_json.object(arm.label, arm_json(arm));
+    }
+    let json = Object::new()
+        .text("experiment", "ablation_coldstart")
+        .object(
+            "workload",
+            Object::new()
+                .display("players", PLAYERS)
+                .display("border_constructs", CONSTRUCTS)
+                .display("storm_constructs", STORM_CONSTRUCTS)
+                .display("zones", ZONES)
+                .display("storm_gap_fast_ticks", gap_fast)
+                .display("storm_gap_slow_ticks", gap_slow)
+                .display("provisioning_ms", PROVISIONING_MS),
+        )
+        .object("arms", arms_json)
+        .object(
+            "acceptance",
+            Object::new()
+                .display("matches_default", matches_default)
+                .display("qos_flip", qos_flip)
+                .fixed("keepalive_cost_ratio", cost_ratio, 3)
+                .display("cost_ordered", cost_ordered)
+                .display("frictionless_qos_ok", frictionless.window.qos_ok)
+                .display("met", met),
+        );
+    write_artefact("BENCH_coldstart.json", &json);
     println!(
         "Keep-alive frontier: storms every 3 s run at {:.1} ms p99 (QoS {}) with a 1 s budget vs \
          {:.1} ms p99 (QoS {}) with the default budget, at {cost_ratio:.2}x the idle-inclusive cost.",
-        storm_cold_fast.p99_ms,
-        if storm_cold_fast.qos_ok { "ok" } else { "violated" },
-        storm_warm_fast.p99_ms,
-        if storm_warm_fast.qos_ok { "ok" } else { "violated" },
+        storm_cold_fast.window.p99_ms,
+        if storm_cold_fast.window.qos_ok { "ok" } else { "violated" },
+        storm_warm_fast.window.p99_ms,
+        if storm_warm_fast.window.qos_ok { "ok" } else { "violated" },
     );
 }

@@ -21,6 +21,7 @@
 //! `results/ablation_failure.csv` and the acceptance artefact
 //! `BENCH_failure.json` at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
 use servo_bench::{emit, experiment_scale, scaled_secs};
 use servo_metrics::{qos_satisfied_default, Summary, Table};
 use servo_redstone::generators;
@@ -127,27 +128,21 @@ fn run_arm(wal: bool, cadence: u64) -> Arm {
     }
 }
 
-fn arm_json(arm: &Arm) -> String {
-    format!(
-        "{{\"wal\": {}, \"cadence_ticks\": {}, \"chunks_lost\": {}, \
-         \"chunks_restored\": {}, \"chunks_replayed\": {}, \"shards_adopted\": {}, \
-         \"constructs_adopted\": {}, \"recovery_ticks\": {}, \"ticks_over_qos\": {}, \
-         \"recovery_messages\": {}, \"adoption_peak_ms\": {:.3}, \"post_p99_ms\": {:.3}, \
-         \"qos_recovered\": {}}}",
-        arm.wal,
-        arm.cadence,
-        arm.recovery.chunks_lost,
-        arm.recovery.chunks_restored,
-        arm.recovery.chunks_replayed,
-        arm.recovery.shards_adopted,
-        arm.recovery.constructs_adopted,
-        arm.recovery.recovery_ticks,
-        arm.recovery.ticks_over_qos,
-        arm.recovery.recovery_messages,
-        arm.adoption_peak_ms,
-        arm.post_p99_ms,
-        arm.qos_recovered,
-    )
+fn arm_json(arm: &Arm) -> Object {
+    Object::new()
+        .display("wal", arm.wal)
+        .display("cadence_ticks", arm.cadence)
+        .display("chunks_lost", arm.recovery.chunks_lost)
+        .display("chunks_restored", arm.recovery.chunks_restored)
+        .display("chunks_replayed", arm.recovery.chunks_replayed)
+        .display("shards_adopted", arm.recovery.shards_adopted)
+        .display("constructs_adopted", arm.recovery.constructs_adopted)
+        .display("recovery_ticks", arm.recovery.recovery_ticks)
+        .display("ticks_over_qos", arm.recovery.ticks_over_qos)
+        .display("recovery_messages", arm.recovery.recovery_messages)
+        .fixed("adoption_peak_ms", arm.adoption_peak_ms, 3)
+        .fixed("post_p99_ms", arm.post_p99_ms, 3)
+        .display("qos_recovered", arm.qos_recovered)
 }
 
 fn main() {
@@ -208,29 +203,27 @@ fn main() {
         ("nowal_c30", &arms[3]),
         ("nowal_c60", &arms[4]),
     ];
-    let mut json = String::from("{\n  \"experiment\": \"ablation_failure\",\n");
-    json.push_str(&format!(
-        "  \"workload\": {{\"players\": {PLAYERS}, \"zones\": {ZONES}, \
-         \"dead_zone\": {DEAD_ZONE}, \"constructs\": {DEAD_ZONE_CONSTRUCTS}, \
-         \"scale\": {:.2}}},\n",
-        experiment_scale(),
-    ));
+    let mut json = Object::new().text("experiment", "ablation_failure").object(
+        "workload",
+        Object::new()
+            .display("players", PLAYERS)
+            .display("zones", ZONES)
+            .display("dead_zone", DEAD_ZONE)
+            .display("constructs", DEAD_ZONE_CONSTRUCTS)
+            .fixed("scale", experiment_scale(), 2),
+    );
     for (name, arm) in &named {
-        json.push_str(&format!("  \"{name}\": {},\n", arm_json(arm)));
+        json = json.object(name, arm_json(arm));
     }
-    json.push_str(&format!(
-        "  \"acceptance\": {{\"wal_zero_loss\": {wal_zero_loss}, \
-         \"loss_without_wal\": {loss_without_wal}, \
-         \"qos_recovered\": {qos_recovered_all}, \"met\": {met}}}\n}}\n",
-    ));
-
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_failure.json");
-    std::fs::write(&out_path, &json).expect("BENCH_failure.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let json = json.object(
+        "acceptance",
+        Object::new()
+            .display("wal_zero_loss", wal_zero_loss)
+            .display("loss_without_wal", loss_without_wal)
+            .display("qos_recovered", qos_recovered_all)
+            .display("met", met),
+    );
+    write_artefact("BENCH_failure.json", &json);
     for (name, arm) in &named {
         println!(
             "{name}: {} chunks lost ({} replayed), recovery {} ticks \

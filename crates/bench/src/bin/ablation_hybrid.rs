@@ -17,151 +17,55 @@
 //! * each zone persists its owned dirty shards through its own
 //!   `PipelinedChunkService`, like `ServoDeployment` does.
 //!
+//! The workload — players, border constructs, edit stream — is
+//! [`servo_bench::hybrid`], the one `ablation_border`, `ablation_coldstart`
+//! and `ablation_replication` run too.
+//!
 //! Writes `results/ablation_hybrid.csv` and the acceptance artefact
 //! `BENCH_hybrid.json` (critical-path p99, msgs/tick,
 //! invocations/minute) at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
+use servo_bench::hybrid::{
+    border_blueprints, bounded_fleet, drive, EditStream, Seam, Window, CONSTRUCTS, PLAYERS, ZONES,
+};
 use servo_bench::{emit, scaled_secs};
 use servo_core::{HybridDeployment, ServoDeployment};
-use servo_metrics::{qos_satisfied_default, Summary, Table};
-use servo_redstone::generators;
-use servo_server::cluster::{border_construct_sites, place_across_east_seam, ShardedGameCluster};
+use servo_metrics::Table;
+use servo_server::cluster::ShardedGameCluster;
 use servo_server::ServerConfig;
-use servo_simkit::SimRng;
 use servo_types::SimDuration;
-use servo_workload::{BehaviorKind, PlayerFleet};
-use servo_world::ShardMap;
 
-/// Players in the construct-dominated scenario (same as
-/// `ablation_multiserver`).
-const PLAYERS: usize = 60;
-/// Border-spanning constructs (same as `ablation_multiserver`).
-const CONSTRUCTS: usize = 160;
-/// Blocks of wire per border construct.
-const CONSTRUCT_WIRES: usize = 14;
-/// Zones in the scaled-out arms.
-const ZONES: usize = 4;
-
-struct Arm {
-    mean_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    qos_ok: bool,
-    messages_per_tick: f64,
-}
-
-fn arm_from(durations: &[SimDuration], messages: u64, ticks: usize) -> Arm {
-    let summary = Summary::from_durations(durations);
-    Arm {
-        mean_ms: summary.mean,
-        p95_ms: summary.p95,
-        p99_ms: summary.p99,
-        qos_ok: qos_satisfied_default(durations),
-        messages_per_tick: messages as f64 / ticks.max(1) as f64,
-    }
-}
-
-fn border_fleet(map: &ShardMap) -> Vec<servo_redstone::Blueprint> {
-    let reference = if map.zones() > 1 {
-        map.clone()
-    } else {
-        ShardMap::contiguous(map.shard_count(), ZONES)
-    };
-    border_construct_sites(&reference, CONSTRUCTS)
-        .into_iter()
-        .map(|site| place_across_east_seam(&generators::wire_line(CONSTRUCT_WIRES), site, 6))
-        .collect()
-}
-
-fn bounded_fleet(seed: u64) -> PlayerFleet {
-    let mut fleet = PlayerFleet::new(
-        BehaviorKind::Bounded { radius: 24.0 },
-        SimRng::seed(seed ^ 0x5eed),
-    );
-    fleet.connect_all(PLAYERS);
-    fleet
-}
-
-/// Deterministic terrain-edit stream layered on top of the bounded fleet:
-/// every tick two players modify blocks in the (already loaded) spawn
-/// area, so dirty shards, border-chunk mirroring, and the hybrid's
-/// per-zone persistence pipelines are genuinely exercised. Every arm runs
-/// the identical stream (same seed everywhere).
-struct EditStream {
-    rng: SimRng,
-}
-
-impl EditStream {
-    fn new(seed: u64) -> Self {
-        EditStream {
-            rng: SimRng::seed(seed).substream("terrain-edits"),
-        }
-    }
-
-    fn next_events(&mut self) -> Vec<(servo_types::PlayerId, servo_workload::PlayerEvent)> {
-        use servo_types::{BlockPos, PlayerId};
-        use servo_workload::PlayerEvent;
-        (0..2)
-            .map(|_| {
-                let x = (self.rng.unit() * 81.0) as i32 - 40;
-                let z = (self.rng.unit() * 81.0) as i32 - 40;
-                let pos = BlockPos::new(x, 9, z);
-                let event = if self.rng.unit() < 0.5 {
-                    PlayerEvent::BlockPlaced(pos)
-                } else {
-                    PlayerEvent::BlockBroken(pos)
-                };
-                let player = (self.rng.unit() * PLAYERS as f64) as u64;
-                (PlayerId::new(player.min(PLAYERS as u64 - 1)), event)
-            })
-            .collect()
-    }
-}
-
-/// Drives `cluster` like `run_with_fleet`, appending the deterministic
-/// edit stream to each tick's player events.
-fn drive_with_edits(
+/// Adds the border constructs to `cluster`, warms it up on the shared
+/// workload, then drives the measured window and summarises it.
+fn run_workload(
     cluster: &mut ShardedGameCluster,
-    fleet: &mut PlayerFleet,
-    edits: &mut EditStream,
-    duration: SimDuration,
-) -> Vec<servo_server::multi::ClusterTick> {
-    let end = cluster.now() + duration;
-    let budget = cluster.servers()[0].config().tick_budget();
-    let mut ticks = Vec::new();
-    while cluster.now() < end {
-        let now = cluster.now();
-        let mut events = fleet.tick(now, budget);
-        events.extend(edits.next_events());
-        let positions = fleet.positions();
-        ticks.push(cluster.run_tick(&positions, &events));
+    seed: u64,
+    warmup: SimDuration,
+    window: SimDuration,
+) -> Window {
+    for blueprint in border_blueprints(&cluster.shard_map().clone(), CONSTRUCTS, Seam::Centred) {
+        cluster.add_construct(blueprint);
     }
-    ticks
+    let mut fleet = bounded_fleet(seed, PLAYERS);
+    let mut edits = EditStream::new(seed);
+    drive(cluster, &mut fleet, &mut edits, warmup, |_, _| {});
+    cluster.discard_ticks();
+    let before = cluster.stats().cross_server_messages;
+    drive(cluster, &mut fleet, &mut edits, window, |_, _| {});
+    Window::of(cluster, before)
 }
 
 /// The plain zoned baseline arm (local simulation, per-construct
 /// exchange) — re-measured here so the JSON is self-contained.
-fn run_zoned(zones: usize, seed: u64, warmup: SimDuration, measure: SimDuration) -> Arm {
+fn run_zoned(zones: usize, seed: u64, warmup: SimDuration, window: SimDuration) -> Window {
     let config = ServerConfig::opencraft().with_view_distance(32);
     let mut cluster = ShardedGameCluster::baseline(config, zones, seed);
-    for blueprint in border_fleet(&cluster.shard_map().clone()) {
-        cluster.add_construct(blueprint);
-    }
-    let mut fleet = bounded_fleet(seed);
-    let mut edits = EditStream::new(seed);
-    drive_with_edits(&mut cluster, &mut fleet, &mut edits, warmup);
-    cluster.discard_ticks();
-    let before = cluster.stats().cross_server_messages;
-    let ticks = drive_with_edits(&mut cluster, &mut fleet, &mut edits, measure);
-    arm_from(
-        &cluster.critical_path_durations(),
-        cluster.stats().cross_server_messages - before,
-        ticks.len(),
-    )
+    run_workload(&mut cluster, seed, warmup, window)
 }
 
 struct HybridRun {
-    arm: Arm,
+    arm: Window,
     invocations_per_minute: f64,
     median_efficiency: f64,
     /// Fraction of construct-ticks served by replaying a detected loop —
@@ -173,25 +77,12 @@ struct HybridRun {
 }
 
 /// The hybrid arm: zoning + offloading + per-zone persistence.
-fn run_hybrid(seed: u64, warmup: SimDuration, measure: SimDuration) -> HybridRun {
+fn run_hybrid(seed: u64, warmup: SimDuration, window: SimDuration) -> HybridRun {
     let mut hybrid: HybridDeployment = ServoDeployment::builder()
         .seed(seed)
         .view_distance(32)
         .hybrid(ZONES);
-    for blueprint in border_fleet(&hybrid.cluster.shard_map().clone()) {
-        hybrid.cluster.add_construct(blueprint);
-    }
-    let mut fleet = bounded_fleet(seed);
-    let mut edits = EditStream::new(seed);
-    drive_with_edits(&mut hybrid.cluster, &mut fleet, &mut edits, warmup);
-    hybrid.cluster.discard_ticks();
-    let messages_before = hybrid.cluster.stats().cross_server_messages;
-    let ticks = drive_with_edits(&mut hybrid.cluster, &mut fleet, &mut edits, measure);
-    let arm = arm_from(
-        &hybrid.cluster.critical_path_durations(),
-        hybrid.cluster.stats().cross_server_messages - messages_before,
-        ticks.len(),
-    );
+    let arm = run_workload(&mut hybrid.cluster, seed, warmup, window);
     // Lifetime rate (warm-up included): loop detection replays the wire
     // constructs after the initial invocations, so the steady-state window
     // alone would under-report what the deployment pays.
@@ -203,7 +94,7 @@ fn run_hybrid(seed: u64, warmup: SimDuration, measure: SimDuration) -> HybridRun
             .max(1);
     HybridRun {
         arm,
-        invocations_per_minute: invocations as f64 / ((warmup + measure).as_secs_f64() / 60.0),
+        invocations_per_minute: invocations as f64 / ((warmup + window).as_secs_f64() / 60.0),
         median_efficiency: speculation.median_efficiency().unwrap_or(0.0),
         loop_replay_fraction: speculation.loop_replayed as f64 / resolved as f64,
         chunks_flushed: hybrid.persistence_stats().chunks_flushed,
@@ -254,46 +145,49 @@ fn main() {
     // Acceptance: the hybrid meets QoS on the workload where plain zoning
     // collapsed, and actually beats the 1-zone baseline.
     let met = hybrid.arm.qos_ok && hybrid_speedup > zoned_speedup;
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_hybrid\",\n  \
-         \"workload\": {{\"players\": {PLAYERS}, \"border_constructs\": {CONSTRUCTS}, \"zones\": {ZONES}}},\n  \
-         \"zoned\": {{\"zones1_mean_ms\": {:.3}, \"zones4_mean_ms\": {:.3}, \"zones4_p99_ms\": {:.3}, \
-         \"zones4_qos_ok\": {}, \"zones4_messages_per_tick\": {:.1}, \"speedup_4_zones\": {:.3}}},\n  \
-         \"hybrid\": {{\"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"critical_path_p99_ms\": {:.3}, \
-         \"qos_ok\": {}, \"messages_per_tick\": {:.1}, \"invocations_per_minute\": {:.1}, \
-         \"median_speculation_efficiency\": {:.4}, \"loop_replay_fraction\": {:.4}, \
-         \"chunks_flushed\": {}, \"sc_cost_usd\": {:.6}, \
-         \"speedup_vs_1_zone\": {:.3}}},\n  \
-         \"acceptance\": {{\"hybrid_qos_required\": true, \"hybrid_qos_ok\": {}, \
-         \"hybrid_beats_plain_zoning\": {}, \"met\": {}}}\n}}\n",
-        zoned_1.mean_ms,
-        zoned_4.mean_ms,
-        zoned_4.p99_ms,
-        zoned_4.qos_ok,
-        zoned_4.messages_per_tick,
-        zoned_speedup,
-        hybrid.arm.mean_ms,
-        hybrid.arm.p95_ms,
-        hybrid.arm.p99_ms,
-        hybrid.arm.qos_ok,
-        hybrid.arm.messages_per_tick,
-        hybrid.invocations_per_minute,
-        hybrid.median_efficiency,
-        hybrid.loop_replay_fraction,
-        hybrid.chunks_flushed,
-        hybrid.cost_usd,
-        hybrid_speedup,
-        hybrid.arm.qos_ok,
-        hybrid_speedup > zoned_speedup,
-        met,
-    );
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_hybrid.json");
-    std::fs::write(&out_path, &json).expect("BENCH_hybrid.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let json = Object::new()
+        .text("experiment", "ablation_hybrid")
+        .object(
+            "workload",
+            Object::new()
+                .display("players", PLAYERS)
+                .display("border_constructs", CONSTRUCTS)
+                .display("zones", ZONES),
+        )
+        .object(
+            "zoned",
+            Object::new()
+                .fixed("zones1_mean_ms", zoned_1.mean_ms, 3)
+                .fixed("zones4_mean_ms", zoned_4.mean_ms, 3)
+                .fixed("zones4_p99_ms", zoned_4.p99_ms, 3)
+                .display("zones4_qos_ok", zoned_4.qos_ok)
+                .fixed("zones4_messages_per_tick", zoned_4.messages_per_tick, 1)
+                .fixed("speedup_4_zones", zoned_speedup, 3),
+        )
+        .object(
+            "hybrid",
+            Object::new()
+                .fixed("mean_ms", hybrid.arm.mean_ms, 3)
+                .fixed("p95_ms", hybrid.arm.p95_ms, 3)
+                .fixed("critical_path_p99_ms", hybrid.arm.p99_ms, 3)
+                .display("qos_ok", hybrid.arm.qos_ok)
+                .fixed("messages_per_tick", hybrid.arm.messages_per_tick, 1)
+                .fixed("invocations_per_minute", hybrid.invocations_per_minute, 1)
+                .fixed("median_speculation_efficiency", hybrid.median_efficiency, 4)
+                .fixed("loop_replay_fraction", hybrid.loop_replay_fraction, 4)
+                .display("chunks_flushed", hybrid.chunks_flushed)
+                .fixed("sc_cost_usd", hybrid.cost_usd, 6)
+                .fixed("speedup_vs_1_zone", hybrid_speedup, 3),
+        )
+        .object(
+            "acceptance",
+            Object::new()
+                .display("hybrid_qos_required", true)
+                .display("hybrid_qos_ok", hybrid.arm.qos_ok)
+                .display("hybrid_beats_plain_zoning", hybrid_speedup > zoned_speedup)
+                .display("met", met),
+        );
+    write_artefact("BENCH_hybrid.json", &json);
     println!(
         "Plain zoning buys {zoned_speedup:.2}x at {ZONES} zones on {CONSTRUCTS} border constructs; \
          the hybrid (offloading + batched exchange + per-zone persistence) runs the same workload at \

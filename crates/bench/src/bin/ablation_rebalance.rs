@@ -25,14 +25,15 @@
 //! `BENCH_rebalance.json` (static vs rebalanced p99, migration-storm cost
 //! accounting) at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
+use servo_bench::hybrid::{bounded_fleet, Window};
 use servo_bench::{emit, experiment_scale, scaled_secs};
-use servo_metrics::{qos_satisfied_default, Summary, Table};
+use servo_metrics::Table;
 use servo_redstone::generators;
 use servo_server::cluster::{zone_hotspot_sites, RebalanceStats, ShardedGameCluster};
 use servo_server::ServerConfig;
-use servo_simkit::SimRng;
 use servo_types::{BlockPos, SimDuration, SimTime};
-use servo_workload::{BehaviorKind, Hotspot, PlayerFleet};
+use servo_workload::Hotspot;
 use servo_world::{RebalanceConfig, RebalancePolicy};
 
 /// Players converging on the hotspot.
@@ -49,11 +50,7 @@ const HOT_ZONE: usize = 0;
 const SEED: u64 = 17;
 
 struct Arm {
-    mean_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    qos_ok: bool,
-    messages_per_tick: f64,
+    window: Window,
     /// Mean (over measured ticks) of the busiest zone's avatar count —
     /// the skew the policy is supposed to dissolve.
     max_zone_players_mean: f64,
@@ -103,11 +100,7 @@ fn run_arm(rebalanced: bool, measure: SimDuration) -> Arm {
         }
     }
 
-    let mut fleet = PlayerFleet::new(
-        BehaviorKind::Bounded { radius: 24.0 },
-        SimRng::seed(SEED ^ 0x5eed),
-    );
-    fleet.connect_all(PLAYERS);
+    let mut fleet = bounded_fleet(SEED, PLAYERS);
     let disperse_at = SimTime::ZERO + settle + adapt + quiesce_budget + measure;
     fleet.set_hotspot(Hotspot {
         targets: Hotspot::chunk_centers(&sites),
@@ -143,10 +136,8 @@ fn run_arm(rebalanced: bool, measure: SimDuration) -> Arm {
     cluster.discard_ticks();
     let messages_before = cluster.stats().cross_server_messages;
     cluster.run_with_fleet(&mut fleet, measure);
-    let durations = cluster.critical_path_durations();
-    let summary = Summary::from_durations(&durations);
+    let window = Window::of(&cluster, messages_before);
     let ticks = cluster.ticks().len().max(1);
-    let messages = cluster.stats().cross_server_messages - messages_before;
     let max_zone_players_mean = cluster
         .ticks()
         .iter()
@@ -161,11 +152,7 @@ fn run_arm(rebalanced: bool, measure: SimDuration) -> Arm {
     cluster.run_with_fleet(&mut fleet, remaining);
 
     Arm {
-        mean_ms: summary.mean,
-        p95_ms: summary.p95,
-        p99_ms: summary.p99,
-        qos_ok: qos_satisfied_default(&durations),
-        messages_per_tick: messages as f64 / ticks as f64,
+        window,
         max_zone_players_mean,
         adapt_peak_ms,
         adapt_migrations,
@@ -178,7 +165,7 @@ fn main() {
     let measure = scaled_secs(20);
     let static_arm = run_arm(false, measure);
     let rebalanced = run_arm(true, measure);
-    let p99_improvement = static_arm.p99_ms / rebalanced.p99_ms.max(1e-9);
+    let p99_improvement = static_arm.window.p99_ms / rebalanced.window.p99_ms.max(1e-9);
 
     let mut table = Table::new(vec![
         "Cluster",
@@ -195,12 +182,12 @@ fn main() {
     ] {
         table.row(vec![
             label.to_string(),
-            format!("{:.1}", arm.mean_ms),
-            format!("{:.1}", arm.p95_ms),
-            format!("{:.1}", arm.p99_ms),
+            format!("{:.1}", arm.window.mean_ms),
+            format!("{:.1}", arm.window.p95_ms),
+            format!("{:.1}", arm.window.p99_ms),
             format!("{:.1}", arm.max_zone_players_mean),
-            format!("{:.1}", arm.messages_per_tick),
-            arm.qos_ok.to_string(),
+            format!("{:.1}", arm.window.messages_per_tick),
+            arm.window.qos_ok.to_string(),
         ]);
     }
     emit(
@@ -212,63 +199,74 @@ fn main() {
     let migrations = rebalanced.rebalance;
     let migrated = migrations.shard_migrations > 0;
     let met = migrated && p99_improvement >= 1.5;
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_rebalance\",\n  \
-         \"workload\": {{\"players\": {PLAYERS}, \"hotspot_sites\": {HOTSPOT_SITES}, \
-         \"constructs\": {}, \"zones\": {ZONES}, \"measure_s\": {:.1}, \"scale\": {:.2}}},\n  \
-         \"static\": {{\"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"critical_path_p99_ms\": {:.3}, \
-         \"qos_ok\": {}, \"messages_per_tick\": {:.2}, \"max_zone_players_mean\": {:.1}}},\n  \
-         \"rebalanced\": {{\"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \"critical_path_p99_ms\": {:.3}, \
-         \"qos_ok\": {}, \"messages_per_tick\": {:.2}, \"max_zone_players_mean\": {:.1}, \
-         \"adapt_peak_ms\": {:.3}, \"adapt_migrations\": {}, \"measure_migrations\": {}}},\n  \
-         \"migration_storm\": {{\"rebalance_events\": {}, \"shard_migrations\": {}, \
-         \"chunks_transferred\": {}, \"constructs_transferred\": {}, \
-         \"staged_dirty_handed_off\": {}, \"migration_messages\": {}}},\n  \
-         \"acceptance\": {{\"p99_improvement\": {:.3}, \"target\": 1.5, \
-         \"migrations_required\": true, \"migrated\": {}, \"met\": {}}}\n}}\n",
-        HOTSPOT_SITES * CONSTRUCTS_PER_SITE,
-        measure.as_secs_f64(),
-        experiment_scale(),
-        static_arm.mean_ms,
-        static_arm.p95_ms,
-        static_arm.p99_ms,
-        static_arm.qos_ok,
-        static_arm.messages_per_tick,
-        static_arm.max_zone_players_mean,
-        rebalanced.mean_ms,
-        rebalanced.p95_ms,
-        rebalanced.p99_ms,
-        rebalanced.qos_ok,
-        rebalanced.messages_per_tick,
-        rebalanced.max_zone_players_mean,
-        rebalanced.adapt_peak_ms,
-        rebalanced.adapt_migrations,
-        rebalanced.measure_migrations,
-        migrations.rebalance_events,
-        migrations.shard_migrations,
-        migrations.chunks_transferred,
-        migrations.constructs_transferred,
-        migrations.staged_dirty_handed_off,
-        migrations.migration_messages,
-        p99_improvement,
-        migrated,
-        met,
-    );
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_rebalance.json");
-    std::fs::write(&out_path, &json).expect("BENCH_rebalance.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let window_json = |arm: &Arm| {
+        Object::new()
+            .fixed("mean_ms", arm.window.mean_ms, 3)
+            .fixed("p95_ms", arm.window.p95_ms, 3)
+            .fixed("critical_path_p99_ms", arm.window.p99_ms, 3)
+            .display("qos_ok", arm.window.qos_ok)
+            .fixed("messages_per_tick", arm.window.messages_per_tick, 2)
+            .fixed("max_zone_players_mean", arm.max_zone_players_mean, 1)
+    };
+    let json = Object::new()
+        .text("experiment", "ablation_rebalance")
+        .object(
+            "workload",
+            Object::new()
+                .display("players", PLAYERS)
+                .display("hotspot_sites", HOTSPOT_SITES)
+                .display("constructs", HOTSPOT_SITES * CONSTRUCTS_PER_SITE)
+                .display("zones", ZONES)
+                .fixed("measure_s", measure.as_secs_f64(), 1)
+                .fixed("scale", experiment_scale(), 2),
+        )
+        .object("static", window_json(&static_arm))
+        .object(
+            "rebalanced",
+            window_json(&rebalanced)
+                .fixed("adapt_peak_ms", rebalanced.adapt_peak_ms, 3)
+                .display("adapt_migrations", rebalanced.adapt_migrations)
+                .display("measure_migrations", rebalanced.measure_migrations),
+        )
+        .object(
+            "migration_storm",
+            Object::new()
+                .display("rebalance_events", migrations.rebalance_events)
+                .display("shard_migrations", migrations.shard_migrations)
+                .display("chunks_transferred", migrations.chunks_transferred)
+                .display("constructs_transferred", migrations.constructs_transferred)
+                .display(
+                    "staged_dirty_handed_off",
+                    migrations.staged_dirty_handed_off,
+                )
+                .display("migration_messages", migrations.migration_messages),
+        )
+        .object(
+            "acceptance",
+            Object::new()
+                .fixed("p99_improvement", p99_improvement, 3)
+                .fixed("target", 1.5, 1)
+                .display("migrations_required", true)
+                .display("migrated", migrated)
+                .display("met", met),
+        );
+    write_artefact("BENCH_rebalance.json", &json);
     println!(
         "Hotspot on one zone: static p99 {:.1} ms (QoS {}), rebalanced p99 {:.1} ms (QoS {}) — \
          {p99_improvement:.2}x better after {} shard migrations ({} chunks, {} constructs, \
          {} messages charged; adapt-window peak {:.1} ms).",
-        static_arm.p99_ms,
-        if static_arm.qos_ok { "ok" } else { "violated" },
-        rebalanced.p99_ms,
-        if rebalanced.qos_ok { "ok" } else { "violated" },
+        static_arm.window.p99_ms,
+        if static_arm.window.qos_ok {
+            "ok"
+        } else {
+            "violated"
+        },
+        rebalanced.window.p99_ms,
+        if rebalanced.window.qos_ok {
+            "ok"
+        } else {
+            "violated"
+        },
         migrations.shard_migrations,
         migrations.chunks_transferred,
         migrations.constructs_transferred,

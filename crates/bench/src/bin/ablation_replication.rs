@@ -2,7 +2,8 @@
 //! interest-managed delta broadcast costs on the 4-zone hybrid workload,
 //! and what delta compression buys over naive full-interest resync.
 //!
-//! Arms, all driven by the same construct + edit workload:
+//! Arms, all driven by the shared construct + edit workload of
+//! [`servo_bench::hybrid`]:
 //!
 //! * **control** — no replication attached: the tick is byte-identical to
 //!   the pre-replication cluster, giving the p99 floor;
@@ -25,25 +26,20 @@
 //! Writes `results/ablation_replication.csv` and the acceptance artefact
 //! `BENCH_replication.json` at the workspace root.
 
+use servo_bench::artefact::{write_artefact, Object};
+use servo_bench::hybrid::{
+    border_blueprints, bounded_fleet, drive, EditStream, Seam, Window, CONSTRUCTS, PLAYERS, ZONES,
+};
 use servo_bench::{emit, experiment_scale, scaled_secs};
 use servo_core::{HybridDeployment, ServoDeployment};
-use servo_metrics::{qos_satisfied_default, report_table, StatsReport, Summary, Table};
-use servo_redstone::generators;
+use servo_metrics::{report_table, StatsReport, Table};
 use servo_replication::{FanoutConfig, HubConfig, Interest, ReplicationConfig, SubscriberId};
-use servo_server::cluster::{border_construct_sites, place_across_east_seam, ShardedGameCluster};
+use servo_server::cluster::{border_construct_sites, ShardedGameCluster};
 use servo_simkit::SimRng;
 use servo_types::{ChunkPos, SimDuration};
-use servo_workload::{BehaviorKind, KeySkew, PlayerFleet};
+use servo_workload::KeySkew;
 use servo_world::ShardMap;
 
-/// Players (the construct-dominated hybrid scenario of `ablation_border`).
-const PLAYERS: usize = 60;
-/// Border-spanning constructs keeping the seam chunks dirty every tick.
-const CONSTRUCTS: usize = 160;
-/// Blocks of wire per border construct.
-const CONSTRUCT_WIRES: usize = 14;
-/// Zones.
-const ZONES: usize = 4;
 /// Chebyshev interest radius of the headline arms (a 5x5 chunk view).
 const RADIUS: i32 = 2;
 /// Round-robin flush cohorts of the headline arms.
@@ -65,10 +61,7 @@ enum Mode {
 }
 
 struct ReplRun {
-    mean_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    qos_ok: bool,
+    window: Window,
     ticks: u64,
     subscribers: u64,
     frames_per_tick: f64,
@@ -96,86 +89,14 @@ fn interest_targets(map: &ShardMap) -> Vec<ChunkPos> {
     targets
 }
 
-/// The deterministic terrain-edit stream shared with `ablation_border`:
-/// two block edits per tick in the spawn area, identical across arms.
-struct EditStream {
-    rng: SimRng,
-}
-
-impl EditStream {
-    fn new(seed: u64) -> Self {
-        EditStream {
-            rng: SimRng::seed(seed).substream("terrain-edits"),
-        }
-    }
-
-    fn next_events(&mut self) -> Vec<(servo_types::PlayerId, servo_workload::PlayerEvent)> {
-        use servo_types::{BlockPos, PlayerId};
-        use servo_workload::PlayerEvent;
-        (0..2)
-            .map(|_| {
-                let x = (self.rng.unit() * 81.0) as i32 - 40;
-                let z = (self.rng.unit() * 81.0) as i32 - 40;
-                let pos = BlockPos::new(x, 9, z);
-                let event = if self.rng.unit() < 0.5 {
-                    PlayerEvent::BlockPlaced(pos)
-                } else {
-                    PlayerEvent::BlockBroken(pos)
-                };
-                let player = (self.rng.unit() * PLAYERS as f64) as u64;
-                (PlayerId::new(player.min(PLAYERS as u64 - 1)), event)
-            })
-            .collect()
-    }
-}
-
-/// Drives the cluster for `duration`, injecting edits and retargeting
-/// `movers_per_tick` random subscribers each tick. Returns ticks run.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    cluster: &mut ShardedGameCluster,
-    fleet: &mut PlayerFleet,
-    edits: &mut EditStream,
-    duration: SimDuration,
-    clients: &[SubscriberId],
-    movers_per_tick: usize,
-    skew: &mut KeySkew,
-    targets: &[ChunkPos],
-    mover_rng: &mut SimRng,
-) -> u64 {
-    let end = cluster.now() + duration;
-    let budget = cluster.servers()[0].config().tick_budget();
-    let mut ticks = 0u64;
-    while cluster.now() < end {
-        if !clients.is_empty() {
-            for _ in 0..movers_per_tick {
-                let who =
-                    clients[(mover_rng.unit() * clients.len() as f64) as usize % clients.len()];
-                cluster.retarget_client(who, targets[skew.sample()]);
-            }
-        }
-        let now = cluster.now();
-        let mut events = fleet.tick(now, budget);
-        events.extend(edits.next_events());
-        let positions = fleet.positions();
-        cluster.run_tick(&positions, &events);
-        ticks += 1;
-    }
-    ticks
-}
-
 fn run_arm(seed: u64, mode: Mode, warmup: SimDuration, measure: SimDuration) -> ReplRun {
     let mut hybrid: HybridDeployment = ServoDeployment::builder()
         .seed(seed)
         .view_distance(32)
         .hybrid(ZONES);
     let map = hybrid.cluster.shard_map().clone();
-    for site in border_construct_sites(&map, CONSTRUCTS) {
-        hybrid.cluster.add_construct(place_across_east_seam(
-            &generators::wire_line(CONSTRUCT_WIRES),
-            site,
-            6,
-        ));
+    for blueprint in border_blueprints(&map, CONSTRUCTS, Seam::Centred) {
+        hybrid.cluster.add_construct(blueprint);
     }
 
     let targets = interest_targets(&map);
@@ -217,79 +138,43 @@ fn run_arm(seed: u64, mode: Mode, warmup: SimDuration, measure: SimDuration) -> 
         movers_per_tick = ((subscribers as f64) * RETARGET_FRACTION).round() as usize;
     }
 
-    let mut fleet = PlayerFleet::new(
-        BehaviorKind::Bounded { radius: 24.0 },
-        SimRng::seed(seed ^ 0x5eed),
-    );
-    fleet.connect_all(PLAYERS);
+    let mut fleet = bounded_fleet(seed, PLAYERS);
     let mut edits = EditStream::new(seed);
     let mut mover_rng = SimRng::seed(seed).substream("movers");
+    // Each tick `movers_per_tick` random subscribers retarget (move).
+    let mut movers = |cluster: &mut ShardedGameCluster, _: &mut Vec<_>| {
+        for _ in 0..movers_per_tick {
+            let who = clients[(mover_rng.unit() * clients.len() as f64) as usize % clients.len()];
+            cluster.retarget_client(who, targets[skew.sample()]);
+        }
+    };
 
     // Warm-up absorbs terrain loading and the initial keyframe wave, so
     // the measure window sees the steady delta protocol.
-    drive(
-        &mut hybrid.cluster,
-        &mut fleet,
-        &mut edits,
-        warmup,
-        &clients,
-        movers_per_tick,
-        &mut skew,
-        &targets,
-        &mut mover_rng,
-    );
-    hybrid.cluster.discard_ticks();
-    let repl_before = hybrid.cluster.replication_stats();
-    let ticks = drive(
-        &mut hybrid.cluster,
-        &mut fleet,
-        &mut edits,
-        measure,
-        &clients,
-        movers_per_tick,
-        &mut skew,
-        &targets,
-        &mut mover_rng,
-    );
+    let cluster = &mut hybrid.cluster;
+    drive(cluster, &mut fleet, &mut edits, warmup, &mut movers);
+    cluster.discard_ticks();
+    let repl_before = cluster.replication_stats();
+    let messages_before = cluster.stats().cross_server_messages;
+    let ticks = drive(cluster, &mut fleet, &mut edits, measure, &mut movers) as u64;
 
-    let summary = Summary::from_durations(&hybrid.cluster.critical_path_durations());
-    let qos_ok = qos_satisfied_default(&hybrid.cluster.critical_path_durations());
-    let (mut frames, mut bytes, mut delta_frames, mut keyframes) = (0u64, 0u64, 0u64, 0u64);
-    let (mut chunks, mut coalesced, mut retargets) = (0u64, 0u64, 0u64);
-    let mut stats_dump = None;
-    if let (Some(before), Some(after)) = (repl_before, hybrid.cluster.replication_stats()) {
-        frames = after.frames - before.frames;
-        bytes = after.bytes_sent - before.bytes_sent;
-        delta_frames = after.delta_frames - before.delta_frames;
-        keyframes = after.keyframes - before.keyframes;
-        chunks = after.chunks_delivered - before.chunks_delivered;
-        coalesced = after.coalesced_chunks - before.coalesced_chunks;
-        retargets = after.retargets - before.retargets;
-        let fanout = hybrid.cluster.fanout_stats().expect("replication attached");
-        let reports: [&dyn StatsReport; 2] = [&after, &fanout];
-        stats_dump = Some(report_table(&reports));
-    }
-    let fanout_charged_ms = hybrid
-        .cluster
-        .fanout_stats()
-        .map(|f| f.charged_ms)
-        .unwrap_or(0.0);
+    let before = repl_before.unwrap_or_default();
+    let after = hybrid.cluster.replication_stats().unwrap_or_default();
+    let fanout = hybrid.cluster.fanout_stats();
+    let per_tick = |count: u64| count as f64 / ticks.max(1) as f64;
     ReplRun {
-        mean_ms: summary.mean,
-        p95_ms: summary.p95,
-        p99_ms: summary.p99,
-        qos_ok,
+        window: Window::of(&hybrid.cluster, messages_before),
         ticks,
         subscribers: clients.len() as u64,
-        frames_per_tick: frames as f64 / ticks.max(1) as f64,
-        bytes_per_tick: bytes as f64 / ticks.max(1) as f64,
-        delta_frames,
-        keyframes,
-        chunks_per_tick: chunks as f64 / ticks.max(1) as f64,
-        coalesced_chunks: coalesced,
-        retargets,
-        fanout_charged_ms,
-        stats_dump,
+        frames_per_tick: per_tick(after.frames - before.frames),
+        bytes_per_tick: per_tick(after.bytes_sent - before.bytes_sent),
+        delta_frames: after.delta_frames - before.delta_frames,
+        keyframes: after.keyframes - before.keyframes,
+        chunks_per_tick: per_tick(after.chunks_delivered - before.chunks_delivered),
+        coalesced_chunks: after.coalesced_chunks - before.coalesced_chunks,
+        retargets: after.retargets - before.retargets,
+        fanout_charged_ms: fanout.as_ref().map_or(0.0, |f| f.charged_ms),
+        stats_dump: fanout.map(|fanout| report_table(&[&after as &dyn StatsReport, &fanout])),
     }
 }
 
@@ -308,31 +193,18 @@ fn mirror_equality(seed: u64) -> (u64, u64, bool) {
                 ..ReplicationConfig::default()
             });
         }
-        for site in border_construct_sites(&hybrid.cluster.shard_map().clone(), 40) {
-            hybrid.cluster.add_construct(place_across_east_seam(
-                &generators::wire_line(CONSTRUCT_WIRES),
-                site,
-                6,
-            ));
+        for blueprint in border_blueprints(&hybrid.cluster.shard_map().clone(), 40, Seam::Centred) {
+            hybrid.cluster.add_construct(blueprint);
         }
-        let mut fleet = PlayerFleet::new(
-            BehaviorKind::Bounded { radius: 24.0 },
-            SimRng::seed(seed ^ 0x5eed),
-        );
-        fleet.connect_all(24);
+        let mut fleet = bounded_fleet(seed, 24);
         let mut edits = EditStream::new(seed);
-        let mut skew = KeySkew::zipf(4, ZIPF_EXPONENT, SimRng::seed(seed));
-        let mut mover_rng = SimRng::seed(seed);
+        let window = scaled_secs(8);
         drive(
             &mut hybrid.cluster,
             &mut fleet,
             &mut edits,
-            scaled_secs(8),
-            &[],
-            0,
-            &mut skew,
-            &[],
-            &mut mover_rng,
+            window,
+            |_, _| {},
         );
         hybrid
     };
@@ -412,13 +284,13 @@ fn main() {
         table.row(vec![
             label.to_string(),
             run.subscribers.to_string(),
-            format!("{:.1}", run.mean_ms),
-            format!("{:.1}", run.p99_ms),
+            format!("{:.1}", run.window.mean_ms),
+            format!("{:.1}", run.window.p99_ms),
             format!("{:.0}", run.frames_per_tick),
             format!("{:.1}", run.bytes_per_tick / 1024.0),
             run.keyframes.to_string(),
             run.delta_frames.to_string(),
-            run.qos_ok.to_string(),
+            run.window.qos_ok.to_string(),
         ]);
     }
     emit(
@@ -435,67 +307,69 @@ fn main() {
     }
 
     let delta_ratio = keyframe.bytes_per_tick / delta.bytes_per_tick.max(1.0);
-    let p99_impact_ms = delta.p99_ms - control.p99_ms;
+    let p99_impact_ms = delta.window.p99_ms - control.window.p99_ms;
     let min_subscribers = ((100_000.0 * scale).round() as u64).clamp(1_000, 100_000);
     let met = delta.subscribers >= min_subscribers
         && delta_ratio >= 5.0
-        && delta.qos_ok
+        && delta.window.qos_ok
         && delta.delta_frames > 0
         && delta.coalesced_chunks > 0
         && mirror_match;
 
     let arm_json = |run: &ReplRun| {
-        format!(
-            "{{\"subscribers\": {}, \"ticks\": {}, \"mean_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"qos_ok\": {}, \"frames_per_tick\": {:.1}, \
-             \"bytes_per_tick\": {:.0}, \"delta_frames\": {}, \"keyframes\": {}, \
-             \"chunks_per_tick\": {:.1}, \"coalesced_chunks\": {}, \"retargets\": {}, \
-             \"fanout_charged_ms\": {:.3}}}",
-            run.subscribers,
-            run.ticks,
-            run.mean_ms,
-            run.p95_ms,
-            run.p99_ms,
-            run.qos_ok,
-            run.frames_per_tick,
-            run.bytes_per_tick,
-            run.delta_frames,
-            run.keyframes,
-            run.chunks_per_tick,
-            run.coalesced_chunks,
-            run.retargets,
-            run.fanout_charged_ms,
-        )
+        Object::new()
+            .display("subscribers", run.subscribers)
+            .display("ticks", run.ticks)
+            .fixed("mean_ms", run.window.mean_ms, 3)
+            .fixed("p95_ms", run.window.p95_ms, 3)
+            .fixed("p99_ms", run.window.p99_ms, 3)
+            .display("qos_ok", run.window.qos_ok)
+            .fixed("frames_per_tick", run.frames_per_tick, 1)
+            .fixed("bytes_per_tick", run.bytes_per_tick, 0)
+            .display("delta_frames", run.delta_frames)
+            .display("keyframes", run.keyframes)
+            .fixed("chunks_per_tick", run.chunks_per_tick, 1)
+            .display("coalesced_chunks", run.coalesced_chunks)
+            .display("retargets", run.retargets)
+            .fixed("fanout_charged_ms", run.fanout_charged_ms, 3)
     };
-    let json = format!(
-        "{{\n  \"experiment\": \"ablation_replication\",\n  \
-         \"workload\": {{\"players\": {PLAYERS}, \"border_constructs\": {CONSTRUCTS}, \
-         \"zones\": {ZONES}, \"radius\": {RADIUS}, \"cohorts\": {COHORTS}, \
-         \"zipf_exponent\": {ZIPF_EXPONENT}, \"retarget_fraction\": {RETARGET_FRACTION}}},\n  \
-         \"control\": {},\n  \
-         \"delta\": {},\n  \
-         \"keyframe\": {},\n  \
-         \"sweep\": {},\n  \
-         \"mirror\": {{\"legacy_messages\": {mirror_legacy_msgs}, \
-         \"subscription_messages\": {mirror_sub_msgs}, \"stats_match\": {mirror_match}}},\n  \
-         \"acceptance\": {{\"subscribers\": {}, \"min_subscribers\": {min_subscribers}, \
-         \"delta_ratio\": {delta_ratio:.3}, \"required_ratio\": 5.0, \
-         \"qos_ok\": {}, \"p99_impact_ms\": {p99_impact_ms:.3}, \
-         \"mirror_messages_match\": {mirror_match}, \"met\": {met}}}\n}}\n",
-        arm_json(&control),
-        arm_json(&delta),
-        arm_json(&keyframe),
-        arm_json(&sweep),
-        delta.subscribers,
-        delta.qos_ok,
-    );
-    let out_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .join("BENCH_replication.json");
-    std::fs::write(&out_path, &json).expect("BENCH_replication.json must be writable");
-    println!("[saved {}]", out_path.display());
+    let json = Object::new()
+        .text("experiment", "ablation_replication")
+        .object(
+            "workload",
+            Object::new()
+                .display("players", PLAYERS)
+                .display("border_constructs", CONSTRUCTS)
+                .display("zones", ZONES)
+                .display("radius", RADIUS)
+                .display("cohorts", COHORTS)
+                .display("zipf_exponent", ZIPF_EXPONENT)
+                .display("retarget_fraction", RETARGET_FRACTION),
+        )
+        .object("control", arm_json(&control))
+        .object("delta", arm_json(&delta))
+        .object("keyframe", arm_json(&keyframe))
+        .object("sweep", arm_json(&sweep))
+        .object(
+            "mirror",
+            Object::new()
+                .display("legacy_messages", mirror_legacy_msgs)
+                .display("subscription_messages", mirror_sub_msgs)
+                .display("stats_match", mirror_match),
+        )
+        .object(
+            "acceptance",
+            Object::new()
+                .display("subscribers", delta.subscribers)
+                .display("min_subscribers", min_subscribers)
+                .fixed("delta_ratio", delta_ratio, 3)
+                .fixed("required_ratio", 5.0, 1)
+                .display("qos_ok", delta.window.qos_ok)
+                .fixed("p99_impact_ms", p99_impact_ms, 3)
+                .display("mirror_messages_match", mirror_match)
+                .display("met", met),
+        );
+    write_artefact("BENCH_replication.json", &json);
     println!(
         "Delta broadcast serves {} subscribers at {:.0} KB/tick ({delta_ratio:.1}x below the \
          keyframe-only resync's {:.0} KB/tick), p99 {:.1} ms vs {:.1} ms control \
@@ -503,8 +377,8 @@ fn main() {
         delta.subscribers,
         delta.bytes_per_tick / 1024.0,
         keyframe.bytes_per_tick / 1024.0,
-        delta.p99_ms,
-        control.p99_ms,
+        delta.window.p99_ms,
+        control.window.p99_ms,
         if mirror_match {
             "matches"
         } else {

@@ -2,14 +2,23 @@
 //!
 //! Every table and figure in the paper's evaluation (Section IV) has a
 //! corresponding binary in `src/bin/`; this library holds the shared pieces:
-//! building the three systems under test (Servo, Opencraft, Minecraft),
-//! running capacity sweeps, and writing result tables.
+//!
+//! * building the three systems under test (Servo, Opencraft, Minecraft),
+//!   running capacity sweeps, and writing result tables ([`emit`]);
+//! * [`hybrid`] — the border-construct cluster workload the ablations
+//!   share: its constants, construct blueprints, player fleet, edit
+//!   stream, drive loop and [`hybrid::Window`] summary;
+//! * [`artefact`] — the one writer of the `BENCH_*.json` acceptance
+//!   artefacts at the workspace root.
 //!
 //! Experiment binaries accept the `SERVO_EXPERIMENT_SCALE` environment
 //! variable (default `1.0`): values below one shorten experiments for smoke
 //! testing, values above one lengthen them for tighter statistics.
 
 #![warn(missing_docs)]
+
+pub mod artefact;
+pub mod hybrid;
 
 use std::path::PathBuf;
 
@@ -281,5 +290,64 @@ mod tests {
             3,
         );
         assert!(ticks.len() >= 30);
+    }
+
+    #[test]
+    fn artefact_layout_is_byte_exact() {
+        use artefact::Object;
+        let json = Object::new()
+            .text("experiment", "golden")
+            .object(
+                "workload",
+                Object::new()
+                    .display("players", 60)
+                    .display("zipf", 1.1)
+                    .display("fraction", 2e-4),
+            )
+            .object(
+                "arms",
+                Object::multiline()
+                    .object(
+                        "a",
+                        Object::new()
+                            .fixed("mean_ms", 11.7414, 3)
+                            .fixed("rate", 1.0, 4)
+                            .fixed("bytes", 452_559_043.6, 0),
+                    )
+                    .object("b", Object::new().display("qos_ok", false)),
+            )
+            .fixed("required", 2.0, 1)
+            .display("met", true)
+            .render();
+        assert_eq!(
+            json,
+            "{\n  \"experiment\": \"golden\",\n  \
+             \"workload\": {\"players\": 60, \"zipf\": 1.1, \"fraction\": 0.0002},\n  \
+             \"arms\": {\n    \
+             \"a\": {\"mean_ms\": 11.741, \"rate\": 1.0000, \"bytes\": 452559044},\n    \
+             \"b\": {\"qos_ok\": false}\n  },\n  \
+             \"required\": 2.0,\n  \
+             \"met\": true\n}\n"
+        );
+    }
+
+    #[test]
+    fn edit_stream_is_pinned_for_seed_13() {
+        use servo_types::{BlockPos, PlayerId};
+        use servo_workload::PlayerEvent::{BlockBroken, BlockPlaced};
+        let mut stream = hybrid::EditStream::new(13);
+        let events: Vec<_> = (0..4).flat_map(|_| stream.next_events()).collect();
+        let expected = [
+            (54, BlockBroken(BlockPos::new(-15, 9, 15))),
+            (33, BlockPlaced(BlockPos::new(-17, 9, 30))),
+            (19, BlockPlaced(BlockPos::new(-19, 9, -28))),
+            (36, BlockBroken(BlockPos::new(34, 9, 10))),
+            (53, BlockBroken(BlockPos::new(-20, 9, 22))),
+            (6, BlockPlaced(BlockPos::new(38, 9, 9))),
+            (35, BlockPlaced(BlockPos::new(-31, 9, 29))),
+            (18, BlockBroken(BlockPos::new(-29, 9, 2))),
+        ]
+        .map(|(player, event)| (PlayerId::new(player), event));
+        assert_eq!(events, expected);
     }
 }

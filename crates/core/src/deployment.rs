@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use servo_faas::{FaasPlatform, FunctionConfig, PlatformConfig};
 use servo_pcg::generator_for;
 use servo_server::cluster::{BorderExchange, PersistenceBinding, ShardedGameCluster};
-use servo_server::multi::ClusterTick;
+use servo_server::ClusterTick;
 use servo_server::{GameServer, ServerConfig};
 use servo_simkit::SimRng;
 use servo_storage::{

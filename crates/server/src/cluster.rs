@@ -1,7 +1,6 @@
 //! Zoned multi-server clusters over real [`GameServer`] instances.
 //!
-//! The analytic [`ZonedCluster`](crate::multi::ZonedCluster) of
-//! [`crate::multi`] *models* zoning with a closed-form cost formula. This
+//! Zoning (paper Section II-B) partitions the world over servers. This
 //! module *runs* it: a [`ShardedGameCluster`] is `N` real game servers,
 //! each restricted ([`GameServer::restrict_to_zone`]) to a disjoint set of
 //! [`ShardedWorld`](servo_world::ShardedWorld) shards assigned by a
@@ -19,8 +18,7 @@
 //!    blocks span zones) exchanges state between its owner and the other
 //!    involved zones on each simulated tick;
 //! 4. charges each message to both endpoint servers and reports the
-//!    slowest member as the cluster's critical path, in the same
-//!    [`ClusterTick`] shape the analytic models emit.
+//!    slowest member as the cluster's critical path, as a [`ClusterTick`].
 //!
 //! The cluster is deterministic: routing, the border protocol and message
 //! accounting consume no randomness, zones tick in index order, and each
@@ -50,7 +48,6 @@ use servo_world::{
 };
 
 use crate::backends::{LocalGenerationBackend, LocalScBackend};
-use crate::multi::ClusterTick;
 use crate::server::{GameServer, ServerConfig, ServerStats, TickReport};
 
 /// Milliseconds charged to an endpoint server per cross-zone message it
@@ -424,6 +421,18 @@ pub struct ZoneTickBreakdown {
     pub duration: SimDuration,
     /// Cross-zone coordination charged to this server this tick.
     pub coordination: SimDuration,
+}
+
+/// The per-tick outcome of a multi-server cluster: the longest tick duration
+/// over all member servers (the cluster is only as fast as its slowest
+/// member) plus some bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClusterTick {
+    /// The slowest member's tick duration, which determines the cluster's
+    /// effective simulation latency.
+    pub critical_path: SimDuration,
+    /// Cross-server messages exchanged this tick.
+    pub cross_server_messages: u64,
 }
 
 /// A [`ClusterTick`] plus the per-zone detail behind it.

@@ -52,7 +52,6 @@
 pub mod backends;
 pub mod cluster;
 pub mod costs;
-pub mod multi;
 pub mod server;
 
 pub use backends::{
@@ -60,9 +59,8 @@ pub use backends::{
     ScResolution,
 };
 pub use cluster::{
-    BorderExchange, ClusterStats, ClusterTickDetail, PersistenceBinding, RecoveryStats,
-    ShardedGameCluster, ZoneTickBreakdown,
+    BorderExchange, ClusterStats, ClusterTick, ClusterTickDetail, PersistenceBinding,
+    RecoveryStats, ShardedGameCluster, ZoneTickBreakdown,
 };
 pub use costs::{CostModel, TickWork};
-pub use multi::{ClusterTick, ReplicatedCluster, ZonedCluster};
 pub use server::{GameServer, ServerConfig, ServerStats, TickReport};

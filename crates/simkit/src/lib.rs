@@ -5,8 +5,6 @@
 //! provides the building blocks:
 //!
 //! * [`SimClock`] — a monotonically advancing virtual clock;
-//! * [`EventQueue`] — a time-ordered queue of future events with stable
-//!   FIFO ordering for simultaneous events;
 //! * [`SimRng`] — a deterministic, seedable random-number generator with
 //!   named sub-streams so components do not perturb each other's randomness;
 //! * [`dist`] — latency distributions (normal, lognormal, exponential,
@@ -15,28 +13,24 @@
 //! # Example
 //!
 //! ```
-//! use servo_simkit::{EventQueue, SimClock};
+//! use servo_simkit::SimClock;
 //! use servo_types::{SimDuration, SimTime};
 //!
 //! let mut clock = SimClock::new();
-//! let mut queue: EventQueue<&str> = EventQueue::new();
-//! queue.schedule(SimTime::from_millis(100), "b");
-//! queue.schedule(SimTime::from_millis(50), "a");
-//!
-//! let (t, ev) = queue.pop().unwrap();
-//! clock.advance_to(t);
-//! assert_eq!(ev, "a");
-//! assert_eq!(clock.now(), SimTime::from_millis(50));
+//! clock.advance_to(SimTime::from_millis(50));
+//! clock.advance_by(SimDuration::from_millis(25));
+//! // Virtual time never runs backwards: an earlier target is a no-op.
+//! clock.advance_to(SimTime::from_millis(10));
+//! assert_eq!(clock.now(), SimTime::from_millis(75));
+//! assert_eq!(clock.current_tick(20).0, 1);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod clock;
 pub mod dist;
-pub mod events;
 pub mod rng;
 
 pub use clock::SimClock;
 pub use dist::{Distribution, LatencyModel};
-pub use events::EventQueue;
 pub use rng::SimRng;

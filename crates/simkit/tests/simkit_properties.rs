@@ -2,31 +2,10 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use servo_simkit::{dist, Distribution, EventQueue, LatencyModel, SimClock, SimRng};
+use servo_simkit::{dist, Distribution, LatencyModel, SimClock, SimRng};
 use servo_types::{SimDuration, SimTime};
 
 proptest! {
-    /// The event queue always pops events in non-decreasing time order,
-    /// regardless of insertion order, and FIFO for equal times.
-    #[test]
-    fn event_queue_orders_events(times in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(SimTime::from_micros(t), (t, i));
-        }
-        let mut previous: Option<(SimTime, usize)> = None;
-        while let Some((at, (t, seq))) = queue.pop() {
-            prop_assert_eq!(at, SimTime::from_micros(t));
-            if let Some((prev_at, prev_seq)) = previous {
-                prop_assert!(at >= prev_at);
-                if at == prev_at {
-                    prop_assert!(seq > prev_seq);
-                }
-            }
-            previous = Some((at, seq));
-        }
-    }
-
     /// The clock is monotone under any interleaving of advance operations.
     #[test]
     fn clock_is_monotone(ops in prop::collection::vec((any::<bool>(), 0u64..100_000), 1..200)) {

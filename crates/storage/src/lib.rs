@@ -29,7 +29,6 @@
 
 pub mod backend;
 pub mod cache;
-pub mod playerdata;
 pub mod service;
 pub mod wal;
 pub mod writeback;
@@ -40,7 +39,6 @@ pub use backend::{
 pub use cache::{
     chunk_key, CacheStats, CachedChunkStore, CachedRead, ChunkLocation, RetryPolicy, TryRead,
 };
-pub use playerdata::{PlayerDataStore, PlayerLoad, PlayerRecord};
 pub use service::{
     ChunkCompletion, ChunkOutcome, ChunkRequest, ChunkService, PipelinedChunkService, Priority,
     SyncChunkService, Ticket,
