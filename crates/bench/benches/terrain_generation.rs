@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use servo_pcg::{DefaultGenerator, FlatGenerator, Perlin, TerrainGenerator};
 use servo_types::{BlockPos, ChunkPos};
 use servo_world::{
-    missing_chunks, nearest_missing_distance_blocks, required_chunks, Block, ShardedWorld,
+    missing_chunks, nearest_missing_distance_blocks, required_chunks, Block, Chunk, ShardedWorld,
     ViewTracker,
 };
 
@@ -74,16 +74,35 @@ fn bench_noise(c: &mut Criterion) {
     });
 }
 
+/// The chunk shape the cluster's write-ahead log encodes most: a flat
+/// chunk with a 14-block wire line on the grass and stone scattered over
+/// y 4–6, all of it in section 0 (1 047 runs, one dense section).
+fn flat_edited_chunk() -> Chunk {
+    let mut chunk = FlatGenerator::default().generate(ChunkPos::new(3, 3));
+    for x in 1..15 {
+        chunk.set_local(x, 5, 8, Block::Wire).unwrap();
+    }
+    for i in 0..9 {
+        let (x, z) = ((i * 5 + 3) % 16, (i * 7 + 2) % 16);
+        chunk.set_local(x, 4 + i % 3, z, Block::Stone).unwrap();
+    }
+    chunk
+}
+
 fn bench_serialization(c: &mut Criterion) {
     let chunk = DefaultGenerator::new(7).generate(ChunkPos::new(3, 3));
     let bytes = chunk.to_bytes();
+    let flat_edited = flat_edited_chunk();
     let mut group = c.benchmark_group("chunk_serialization");
     group.bench_function("to_bytes", |b| b.iter(|| chunk.to_bytes()));
+    group.bench_function("to_bytes/flat_edited", |b| {
+        b.iter(|| black_box(&flat_edited).to_bytes())
+    });
     group.bench_function("serialized_size", |b| {
         b.iter(|| std::hint::black_box(&chunk).serialized_size())
     });
     group.bench_function("from_bytes", |b| {
-        b.iter(|| servo_world::Chunk::from_bytes(&bytes).unwrap())
+        b.iter(|| Chunk::from_bytes(&bytes).unwrap())
     });
     group.finish();
 }
@@ -98,7 +117,7 @@ fn bench_chunk_storage(c: &mut Criterion) {
     group.bench_function("chunk_clone", |b| b.iter(|| black_box(&chunk).clone()));
     group.bench_function("set_local/uniform_section_with_empty", |b| {
         b.iter(|| {
-            let mut fresh = servo_world::Chunk::empty(ChunkPos::new(3, 3));
+            let mut fresh = Chunk::empty(ChunkPos::new(3, 3));
             fresh.set_local(5, 200, 5, Block::Stone).unwrap();
             fresh
         })

@@ -15,6 +15,7 @@
 //! variable (default `1.0`): values below one shorten experiments for smoke
 //! testing, values above one lengthen them for tighter statistics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artefact;

@@ -42,6 +42,7 @@
 //! assert!(deployment.server.stats().sc_merged + deployment.server.stats().sc_replayed > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deployment;

@@ -31,6 +31,7 @@
 //! assert!(inv.cold_start); // first invocation is always cold
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod autoscaler;

@@ -17,6 +17,7 @@
 //! assert!(qos_satisfied(&ticks, SimDuration::from_millis(50), 0.05));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capacity;

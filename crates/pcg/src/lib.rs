@@ -23,6 +23,7 @@
 //! assert_eq!(chunk.to_bytes(), generator.generate(ChunkPos::new(3, -2)).to_bytes());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

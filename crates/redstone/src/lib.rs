@@ -31,6 +31,7 @@
 //! assert_ne!(before.hash(), construct.state().hash());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blueprint;

@@ -32,6 +32,7 @@
 //! border chunk — message-for-message identical to the bespoke mirror
 //! path it replaces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fanout;

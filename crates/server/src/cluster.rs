@@ -1662,18 +1662,13 @@ impl ShardedGameCluster {
             // block footprint per zone and migrate constructs towards the
             // zone owning the majority of their blocks. Shares the step's
             // migration budget — shard moves (and recovery above) come
-            // first, the traffic term only gets what is left.
-            let traffic_on = self
-                .rebalancer
-                .as_ref()
-                .map(|r| r.policy.config().border_traffic)
-                .unwrap_or(false);
-            if traffic_on && migration_budget > 0 {
-                let footprints = self.border_footprints();
-                let rebalancer = self.rebalancer.as_mut().expect("checked above");
+            // first, the traffic term only gets what is left. The policy
+            // builds the footprints only on the ticks it evaluates.
+            if migration_budget > 0 {
+                let rebalancer = self.rebalancer.as_ref().expect("checked above");
                 let proposed = rebalancer
                     .policy
-                    .observe_border_traffic(&footprints, migration_budget);
+                    .observe_border_traffic(|| self.border_footprints(), migration_budget);
                 if !proposed.is_empty() {
                     self.apply_construct_migrations(&proposed, &mut ledger);
                 }

@@ -47,6 +47,7 @@
 //! assert!(reports.len() >= 190 && reports.len() <= 200);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backends;

@@ -25,6 +25,7 @@
 //! assert_eq!(clock.current_tick(20).0, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -25,6 +25,7 @@
 //! assert!(r.latency.as_micros() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

@@ -22,6 +22,7 @@
 //! assert_eq!(t, Tick(20));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod consts;

@@ -24,6 +24,7 @@
 //! assert!(fleet.connected_players() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod avatar;

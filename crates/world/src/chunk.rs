@@ -90,6 +90,16 @@ impl Section {
     }
 }
 
+/// What every column of a chunk holds over a stretch of its height, as
+/// [`Chunk::to_bytes`] walks it.
+#[derive(Clone, Copy)]
+enum Piece<'a> {
+    /// One id over a whole number of sections: a stack of uniform sections.
+    Span(u16, u32),
+    /// A dense section: each column's 16 ids are a slice of its array.
+    Slices(&'a [u16; SECTION_BLOCKS]),
+}
+
 /// A 16 x 16 x 256 column of blocks, the unit of terrain generation, loading
 /// and storage in the paper (Section IV-D: "an area of 16x16x256 blocks").
 ///
@@ -467,31 +477,62 @@ impl Chunk {
     /// Layout: chunk x (i32 LE), chunk z (i32 LE), number of runs (u32 LE),
     /// then `(count: u32 LE, block id: u16 LE)` per run, the blocks taken
     /// in linear (x, z, y) order.
+    ///
+    /// The sections are first collapsed into at most sixteen pieces that
+    /// every column crosses alike: a stack of uniform sections of one id is
+    /// one span, a dense section gives each column a slice of 16 ids. A
+    /// span extends or closes the current run in O(1); a slice equal to 16
+    /// copies of the current run's id extends it in one array comparison,
+    /// and only a slice that is not is walked id by id. The buffer is sized
+    /// once from the maintained run count and each run is one 6-byte copy.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_size());
-        out.extend_from_slice(&self.pos.x.to_le_bytes());
-        out.extend_from_slice(&self.pos.z.to_le_bytes());
-        out.extend_from_slice(&self.runs.to_le_bytes());
+        let mut out = vec![0u8; self.serialized_size()];
+        out[0..4].copy_from_slice(&self.pos.x.to_le_bytes());
+        out[4..8].copy_from_slice(&self.pos.z.to_le_bytes());
+        out[8..12].copy_from_slice(&self.runs.to_le_bytes());
+        let mut at = 12;
         let mut run = |count: u32, id: u16| {
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&id.to_le_bytes());
+            let [c0, c1, c2, c3] = count.to_le_bytes();
+            let [i0, i1] = id.to_le_bytes();
+            out[at..at + 6].copy_from_slice(&[c0, c1, c2, c3, i0, i1]);
+            at += 6;
         };
+        let mut pieces = [Piece::Span(0, 0); SECTIONS];
+        let mut len = 0;
+        for section in &self.sections {
+            pieces[len] = match (section, len.checked_sub(1).map(|last| pieces[last])) {
+                (Section::Uniform(id), Some(Piece::Span(span, height))) if span == *id => {
+                    len -= 1;
+                    Piece::Span(span, height + SECTION_HEIGHT as u32)
+                }
+                (Section::Uniform(id), _) => Piece::Span(*id, SECTION_HEIGHT as u32),
+                (Section::Dense(blocks), _) => Piece::Slices(blocks),
+            };
+            len += 1;
+        }
+        let pieces = &pieces[..len];
         let mut id = self.id_at(0);
         let mut count = 0u32;
-        for column in 0..BLOCKS_PER_CHUNK >> HEIGHT_BITS {
-            let offset = column << SECTION_BITS;
-            for section in &self.sections {
-                match section {
-                    Section::Uniform(b) => {
-                        if *b != id {
+        for offset in (0..SECTION_BLOCKS).step_by(SECTION_HEIGHT) {
+            for piece in pieces {
+                match *piece {
+                    Piece::Span(b, height) => {
+                        if b != id {
                             run(count, id);
-                            id = *b;
+                            id = b;
                             count = 0;
                         }
-                        count += SECTION_HEIGHT as u32;
+                        count += height;
                     }
-                    Section::Dense(blocks) => {
-                        for &b in &blocks[offset..offset + SECTION_HEIGHT] {
+                    Piece::Slices(blocks) => {
+                        let slice: &[u16; SECTION_HEIGHT] = blocks[offset..offset + SECTION_HEIGHT]
+                            .try_into()
+                            .expect("a column of a section");
+                        if *slice == [id; SECTION_HEIGHT] {
+                            count += SECTION_HEIGHT as u32;
+                            continue;
+                        }
+                        for &b in slice {
                             if b != id {
                                 run(count, id);
                                 id = b;
@@ -504,7 +545,7 @@ impl Chunk {
             }
         }
         run(count, id);
-        debug_assert_eq!(out.len(), self.serialized_size(), "run count out of date");
+        debug_assert_eq!(at, out.len(), "run count out of date");
         out
     }
 

@@ -19,6 +19,7 @@
 //! assert_eq!(world.block(BlockPos::new(10, 5, 10)), Some(Block::Lamp));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -250,12 +250,7 @@ impl RebalancePolicy {
             self.cooldown_remaining -= 1;
             return Vec::new();
         }
-        if zone_count < 2
-            || self.ticks_observed < self.config.warmup_ticks
-            || !self
-                .ticks_observed
-                .is_multiple_of(self.config.evaluate_every)
-        {
+        if zone_count < 2 || !self.evaluating() {
             return Vec::new();
         }
 
@@ -332,6 +327,17 @@ impl RebalancePolicy {
         migrations
     }
 
+    /// Whether the latest observed tick is one the policy decides at: past
+    /// the warmup and on the `evaluate_every` cadence. The one gate both
+    /// [`RebalancePolicy::observe`] and
+    /// [`RebalancePolicy::observe_border_traffic`] pass through.
+    fn evaluating(&self) -> bool {
+        self.ticks_observed >= self.config.warmup_ticks
+            && self
+                .ticks_observed
+                .is_multiple_of(self.config.evaluate_every)
+    }
+
     /// The border-traffic term: proposes moving border constructs to the
     /// zone owning the majority of their block footprint, so their
     /// per-simulated-tick state exchange stops crossing that seam. Called
@@ -341,28 +347,25 @@ impl RebalancePolicy {
     /// are served first).
     ///
     /// Inert unless [`RebalanceConfig::border_traffic`] is set, and gated
-    /// on the same warmup and evaluation cadence as shard decisions. A
-    /// construct is proposed only when another zone owns *strictly more*
+    /// on the same warmup and evaluation cadence as shard decisions: the
+    /// `footprints` source is consulted only on a tick that passes both,
+    /// so a caller pays for building them one tick in `evaluate_every`.
+    /// A construct is proposed only when another zone owns *strictly more*
     /// of its blocks than the current owner — after the move the owner
     /// *is* the majority, so the term has built-in hysteresis and never
     /// ping-pongs a construct. Candidates are ordered by descending block
     /// advantage (ties towards the lowest registry index), deterministic
     /// like every other decision here.
     pub fn observe_border_traffic(
-        &mut self,
-        footprints: &[ConstructFootprint],
+        &self,
+        footprints: impl FnOnce() -> Vec<ConstructFootprint>,
         budget: usize,
     ) -> Vec<ConstructMigration> {
-        if !self.config.border_traffic
-            || self.ticks_observed < self.config.warmup_ticks
-            || !self
-                .ticks_observed
-                .is_multiple_of(self.config.evaluate_every)
-        {
+        if !self.config.border_traffic || !self.evaluating() {
             return Vec::new();
         }
         let mut candidates: Vec<(u32, ConstructMigration)> = Vec::new();
-        for footprint in footprints {
+        for footprint in &footprints() {
             let owned = footprint
                 .zone_blocks
                 .iter()
@@ -556,7 +559,7 @@ mod tests {
 
     #[test]
     fn traffic_term_moves_constructs_to_their_majority_zone() {
-        let mut policy = traffic_policy();
+        let policy = traffic_policy();
         let footprints = vec![
             // Majority elsewhere: proposed, towards zone 1.
             footprint(0, 0, &[(0, 6), (1, 8)]),
@@ -565,7 +568,7 @@ mod tests {
             // Exact tie: not strictly better anywhere, untouched.
             footprint(2, 0, &[(0, 7), (1, 7)]),
         ];
-        let proposed = policy.observe_border_traffic(&footprints, usize::MAX);
+        let proposed = policy.observe_border_traffic(|| footprints.clone(), usize::MAX);
         assert_eq!(
             proposed,
             vec![ConstructMigration {
@@ -578,21 +581,23 @@ mod tests {
 
     #[test]
     fn traffic_term_orders_by_advantage_and_respects_the_budget() {
-        let mut policy = traffic_policy();
+        let policy = traffic_policy();
         let footprints = vec![
             footprint(0, 0, &[(0, 6), (1, 8)]),  // advantage 2
             footprint(1, 0, &[(0, 2), (1, 12)]), // advantage 10
             footprint(2, 0, &[(0, 5), (1, 9)]),  // advantage 4
         ];
-        let proposed = policy.observe_border_traffic(&footprints, 2);
+        let proposed = policy.observe_border_traffic(|| footprints.clone(), 2);
         assert_eq!(proposed.len(), 2);
         assert_eq!(proposed[0].index, 1);
         assert_eq!(proposed[1].index, 2);
         // The shared storm bound caps the batch even with a huge budget.
         let capped = policy.observe_border_traffic(
-            &(0..10)
-                .map(|i| footprint(i, 0, &[(0, 2), (1, 12)]))
-                .collect::<Vec<_>>(),
+            || {
+                (0..10)
+                    .map(|i| footprint(i, 0, &[(0, 2), (1, 12)]))
+                    .collect()
+            },
             usize::MAX,
         );
         assert_eq!(
@@ -613,7 +618,7 @@ mod tests {
         });
         off.observe(&map, &[], &[], &[]);
         assert!(off
-            .observe_border_traffic(&footprints, usize::MAX)
+            .observe_border_traffic(|| footprints.clone(), usize::MAX)
             .is_empty());
         // Armed but still warming up: inert too.
         let cold = &mut RebalancePolicy::new(RebalanceConfig {
@@ -624,8 +629,35 @@ mod tests {
         });
         cold.observe(&map, &[], &[], &[]);
         assert!(cold
-            .observe_border_traffic(&footprints, usize::MAX)
+            .observe_border_traffic(|| footprints.clone(), usize::MAX)
             .is_empty());
+    }
+
+    #[test]
+    fn footprints_are_built_only_on_evaluating_ticks() {
+        let map = ShardMap::contiguous(16, 2);
+        for border_traffic in [false, true] {
+            let mut policy = RebalancePolicy::new(RebalanceConfig {
+                warmup_ticks: 4,
+                evaluate_every: 3,
+                border_traffic,
+                ..RebalanceConfig::default()
+            });
+            let mut consulted = Vec::new();
+            for tick in 1..=13u64 {
+                policy.observe(&map, &[], &[], &[]);
+                let proposed = policy.observe_border_traffic(
+                    || {
+                        consulted.push(tick);
+                        vec![footprint(0, 0, &[(0, 2), (1, 12)])]
+                    },
+                    usize::MAX,
+                );
+                assert_eq!(proposed.is_empty(), consulted.last() != Some(&tick));
+            }
+            let expected: &[u64] = if border_traffic { &[6, 9, 12] } else { &[] };
+            assert_eq!(consulted, expected, "border_traffic {border_traffic}");
+        }
     }
 
     #[test]

@@ -474,3 +474,128 @@ proptest! {
         prop_assert!(Chunk::from_runs(pos, extended.iter().copied()).is_err());
     }
 }
+
+/// Fills section `s` (`y` in `16s..16s + 16`) whole, which leaves it
+/// uniform.
+fn fill_section(chunk: &mut Chunk, s: i32, block: Block) {
+    let edge = CHUNK_SIZE - 1;
+    chunk
+        .fill_box((0, 16 * s, 0), (edge, 16 * s + 15, edge), block)
+        .unwrap();
+}
+
+/// Fills section `s` with `block` in two boxes, neither covering it whole,
+/// so a section that has an array keeps it.
+fn fill_section_in_place(chunk: &mut Chunk, s: i32, block: Block) {
+    let edge = CHUNK_SIZE - 1;
+    let (lo, hi) = (16 * s, 16 * s + 15);
+    chunk
+        .fill_box((0, lo, 0), (edge, hi, edge - 1), block)
+        .unwrap();
+    chunk
+        .fill_box((0, lo, edge), (edge, hi, edge), block)
+        .unwrap();
+}
+
+/// The shapes the encoder walks differently: spans of merged uniform
+/// sections, dense slices that match the run they continue, and runs that
+/// cross a column's end. Each chunk is encoded, checked against the
+/// reference encoder and the O(1) size, decoded, and checked again.
+#[test]
+fn encoder_edge_cases_match_the_reference() {
+    let pos = ChunkPos::new(-7, 12);
+    let ids = [Block::Stone, Block::Air, Block::Dirt, Block::Wire];
+    let mut cases: Vec<(&str, Chunk, usize)> = vec![("all air", Chunk::empty(pos), 0)];
+
+    // Uniform sections alternating between two ids (no two neighbours
+    // merge), and in pairs (each pair is one span).
+    let mut alternating = Chunk::empty(pos);
+    let mut pairs = Chunk::empty(pos);
+    for s in 0..16 {
+        fill_section(&mut alternating, s, ids[s as usize % 2]);
+        fill_section(&mut pairs, s, ids[s as usize / 2 % 3]);
+    }
+    cases.push(("alternating uniform sections", alternating, 0));
+    cases.push(("uniform sections in pairs", pairs, 0));
+
+    // Sections 0 to 2 stone, section 1 dense with one dirt block: every
+    // other column's slice of section 1 equals the stone run it continues.
+    let mut matching = Chunk::empty(pos);
+    for s in 0..3 {
+        fill_section(&mut matching, s, Block::Stone);
+    }
+    matching.set_local(5, 20, 9, Block::Dirt).unwrap();
+    cases.push((
+        "dense slices equal to the running id",
+        matching.clone(),
+        8192,
+    ));
+    // The same with the dirt block on the slice's first and last block, so
+    // the run changes on the slice's edges.
+    matching.set_local(5, 20, 9, Block::Stone).unwrap();
+    matching.set_local(0, 16, 0, Block::Dirt).unwrap();
+    matching.set_local(15, 31, 15, Block::Dirt).unwrap();
+    cases.push(("dense slices changing on their edges", matching, 8192));
+
+    // Section 15 dense, its top block stone in every column but one, and
+    // sections 0 to 14 stone: the top of each column's dense slice runs on
+    // into the next column's span.
+    let mut crossing = Chunk::empty(pos);
+    for s in 0..15 {
+        fill_section(&mut crossing, s, Block::Stone);
+    }
+    crossing
+        .fill_box(
+            (0, 255, 0),
+            (CHUNK_SIZE - 1, 255, CHUNK_SIZE - 1),
+            Block::Stone,
+        )
+        .unwrap();
+    crossing.set_local(3, 255, 4, Block::Wire).unwrap();
+    cases.push(("run crossing a column end into a span", crossing, 8192));
+
+    // A section promoted by a write and then given one id everywhere
+    // again: dense, but every slice is one id. Once in the id of the
+    // sections around it, once in another.
+    let mut same = Chunk::empty(pos);
+    same.set_local(4, 70, 4, Block::Stone).unwrap();
+    same.set_local(4, 70, 4, Block::Air).unwrap();
+    cases.push(("dense section of the surrounding id", same, 8192));
+    let mut other = Chunk::empty(pos);
+    other.set_local(4, 70, 4, Block::Stone).unwrap();
+    fill_section_in_place(&mut other, 4, Block::Dirt);
+    cases.push(("dense section of one other id", other, 8192));
+
+    // Every section dense: one block of each section differs, alternately
+    // at a column's bottom, its top and its middle.
+    let mut all_dense = Chunk::empty(pos);
+    for s in 0..16 {
+        let (x, z) = (s % CHUNK_SIZE, (s * 7) % CHUNK_SIZE);
+        all_dense
+            .set_local(
+                x,
+                16 * s + [0, 15, 7][s as usize % 3],
+                z,
+                ids[s as usize % 4],
+            )
+            .unwrap();
+        if ids[s as usize % 4] == Block::Air {
+            all_dense.set_local(x, 16 * s + 3, z, Block::Dirt).unwrap();
+        }
+    }
+    cases.push(("every section dense", all_dense, 16 * 8192));
+
+    for (name, chunk, heap) in cases {
+        assert_eq!(chunk.heap_bytes(), heap, "{name}: fixture shape");
+        let bytes = chunk.to_bytes();
+        assert_eq!(bytes, reference_to_bytes(&chunk), "{name}");
+        assert_eq!(bytes.len(), chunk.serialized_size(), "{name}");
+        let decoded = Chunk::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            reference_to_bytes(&decoded),
+            bytes,
+            "{name}: decoded blocks"
+        );
+        assert_eq!(decoded.to_bytes(), bytes, "{name}: re-encoded");
+    }
+}
