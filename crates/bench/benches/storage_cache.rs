@@ -1,11 +1,12 @@
 //! Real-CPU benchmark of the storage cache hot paths (Figure 13's code
-//! path: cache lookups, pre-fetch bookkeeping, serialization round trips).
+//! path: cache lookups, pre-fetch bookkeeping, serialization round trips)
+//! and of what one staging writes to the write-ahead log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use servo_simkit::SimRng;
-use servo_storage::{BlobStore, BlobTier, CachedChunkStore, ObjectStore};
+use servo_storage::{BlobStore, BlobTier, CachedChunkStore, DeltaWal, ObjectStore};
 use servo_types::{ChunkPos, SimTime};
-use servo_world::Chunk;
+use servo_world::{Block, Chunk, ShardedWorld};
 
 fn seeded_cache(chunks: i32) -> CachedChunkStore<BlobStore> {
     let mut remote = BlobStore::new(BlobTier::Standard, SimRng::seed(1));
@@ -56,5 +57,74 @@ fn bench_cache_reads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_reads);
+/// Stagings of one chunk between two write-backs, which truncate its
+/// records: the log stays as small as write-back keeps it.
+const STAGINGS_PER_FLUSH: u64 = 64;
+
+/// Writes `cluster_churn`'s typical change between two stagings: two
+/// blocks above a flat chunk's ground, stone on even calls and air again
+/// on odd ones.
+fn change_two_blocks(chunk: &mut Chunk, call: u64) {
+    let block = if call.is_multiple_of(2) {
+        Block::Stone
+    } else {
+        Block::Air
+    };
+    chunk.set_local(3, 5, 7, block).unwrap();
+    chunk.set_local(12, 6, 2, block).unwrap();
+}
+
+/// One staging of a chunk of `cluster_churn`'s shape (a flat chunk: one
+/// mixed section, ~1 000 runs) with two changed blocks, as the WAL logs
+/// it: a whole image and a fresh copy for the next diff, or the edits
+/// against that copy, which then takes them.
+fn bench_wal(c: &mut Criterion) {
+    let pos = ChunkPos::new(3, 5);
+    let world = ShardedWorld::flat(4);
+    world.ensure_chunk_at(pos);
+    let flat = world.read_chunk(pos, Chunk::clone).unwrap();
+    let mut group = c.benchmark_group("wal");
+    group.bench_function("stage_image", |b| {
+        let (mut chunk, mut shadow) = (flat.clone(), flat.clone());
+        let mut wal = DeltaWal::new(1);
+        let mut call = 0u64;
+        b.iter(|| {
+            change_two_blocks(&mut chunk, call);
+            let seq = wal.append(pos, chunk.to_bytes());
+            shadow = chunk.clone();
+            call += 1;
+            if call.is_multiple_of(STAGINGS_PER_FLUSH) {
+                wal.truncate(pos, seq);
+            }
+            seq
+        });
+        criterion::black_box(shadow);
+    });
+    group.bench_function("stage_edits", |b| {
+        let (mut chunk, mut shadow) = (flat.clone(), flat.clone());
+        let image = flat.to_bytes();
+        let mut wal = DeltaWal::new(1);
+        let mut seq = wal.append(pos, image.clone());
+        let mut call = 0u64;
+        b.iter(|| {
+            change_two_blocks(&mut chunk, call);
+            let edits = chunk.diff(&shadow);
+            seq = wal
+                .append_edits(pos, seq, &edits)
+                .expect("the chain is intact");
+            shadow.apply_edits(&edits);
+            call += 1;
+            // An even number of changes put the chunk back at `image`:
+            // start the next chain from it without timing an encode.
+            if call.is_multiple_of(STAGINGS_PER_FLUSH) {
+                wal.truncate(pos, seq);
+                seq = wal.append(pos, image.clone());
+            }
+            seq
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache_reads, bench_wal);
 criterion_main!(benches);

@@ -795,22 +795,26 @@ impl ShardedGameCluster {
                 if neighbors.is_empty() {
                     continue;
                 }
-                let chunk = self.servers[zone].world().read_chunk(pos, |c| c.clone());
-                let Some(chunk) = chunk else { continue };
-                for &neighbor in &neighbors {
-                    // A dead neighbour receives nothing: its replica
-                    // terrain dies with it, and recovery rebuilds owned
-                    // state only.
-                    if self.dead[neighbor] {
-                        continue;
+                // Read the owner's chunk once and copy it into each
+                // neighbour's replica in place. The worlds differ, so the
+                // owner's read lock never meets a neighbour's write lock.
+                self.servers[zone].world().read_chunk(pos, |chunk| {
+                    for &neighbor in &neighbors {
+                        // A dead neighbour receives nothing: its replica
+                        // terrain dies with it, and recovery rebuilds owned
+                        // state only.
+                        if self.dead[neighbor] {
+                            continue;
+                        }
+                        debug_assert_ne!(neighbor, zone, "a chunk's owner is no neighbour");
+                        self.servers[neighbor].world().copy_chunk(chunk);
+                        ledger.charge(zone, neighbor, 1);
+                        self.stats.border_chunk_updates += 1;
+                        if let Some(hub) = border_hub.as_mut() {
+                            hub.note_border_delivery();
+                        }
                     }
-                    self.servers[neighbor].world().insert_chunk(chunk.clone());
-                    ledger.charge(zone, neighbor, 1);
-                    self.stats.border_chunk_updates += 1;
-                    if let Some(hub) = border_hub.as_mut() {
-                        hub.note_border_delivery();
-                    }
-                }
+                });
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The game loop.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use servo_metrics::TimePoint;
@@ -11,7 +12,9 @@ use servo_types::consts;
 use servo_types::id::IdAllocator;
 use servo_types::{BlockPos, ChunkPos, ConstructId, PlayerId, SimDuration, SimTime, Tick};
 use servo_workload::{PlayerEvent, PlayerFleet};
-use servo_world::{required_chunks, ShardDelta, ShardMap, ShardedWorld, ViewTracker, WorldKind};
+use servo_world::{
+    required_chunks, FxBuildHasher, ShardDelta, ShardMap, ShardedWorld, ViewTracker, WorldKind,
+};
 
 use crate::backends::{ScBackend, ScResolution};
 use crate::costs::{CostModel, TickWork};
@@ -144,6 +147,8 @@ pub struct GameServer {
     /// their first block), in the order they were added — the order the
     /// tick resolves them in.
     constructs: Vec<(ConstructId, usize, Construct)>,
+    /// The constructs a block event at each position touches.
+    footprints: Footprints,
     /// Adopted constructs this zone simulates even though their home shard
     /// belongs to another zone — the product of ownership-aware construct
     /// migration, where a cluster moves a border construct to the zone
@@ -202,6 +207,7 @@ impl GameServer {
             world: Arc::new(world),
             ownership: None,
             constructs: Vec::new(),
+            footprints: Footprints::default(),
             pinned: std::collections::HashSet::new(),
             construct_ids: IdAllocator::new(),
             sc_backend,
@@ -321,8 +327,22 @@ impl GameServer {
             .first()
             .map(|&p| self.world.shard_of(ChunkPos::from(p)))
             .unwrap_or(0);
-        self.constructs.push((id, shard, Construct::new(blueprint)));
+        self.push_construct(id, shard, Construct::new(blueprint));
         id
+    }
+
+    /// Appends a construct and indexes its blocks.
+    fn push_construct(&mut self, id: ConstructId, shard: usize, construct: Construct) {
+        self.constructs.push((id, shard, construct));
+        self.index_footprint(self.constructs.len() - 1);
+    }
+
+    /// Adds construct `index` to the footprint of each of its blocks.
+    /// Indexing constructs in ascending order keeps every list ascending.
+    fn index_footprint(&mut self, index: usize) {
+        for &pos in self.constructs[index].2.blueprint().positions() {
+            self.footprints.insert(pos, index);
+        }
     }
 
     /// Adds `count` identical constructs built by `builder`.
@@ -340,6 +360,12 @@ impl GameServer {
     pub fn take_construct(&mut self, id: ConstructId) -> Option<Construct> {
         let index = self.constructs.iter().position(|(cid, _, _)| *cid == id)?;
         let (_, _, construct) = self.constructs.remove(index);
+        // Every later construct moved down one place: re-index them all
+        // (takes happen at migration rate, not per event).
+        self.footprints.clear();
+        for index in 0..self.constructs.len() {
+            self.index_footprint(index);
+        }
         self.pinned.remove(&id);
         self.sc_backend.release(id);
         Some(construct)
@@ -364,7 +390,7 @@ impl GameServer {
             .first()
             .map(|&p| self.world.shard_of(ChunkPos::from(p)))
             .unwrap_or(0);
-        self.constructs.push((id, shard, construct));
+        self.push_construct(id, shard, construct);
         self.pinned.insert(id);
         id
     }
@@ -504,10 +530,14 @@ impl GameServer {
                     // Ignore writes into unloaded terrain; clients cannot
                     // modify terrain they have not received.
                     let _ = self.world.set_block(*pos, block);
-                    for (_, _, construct) in &mut self.constructs {
-                        if construct.blueprint().index_of(*pos).is_some() {
-                            construct.apply_modification(*pos, None);
-                        }
+                    // One probe finds the constructs holding the block. The
+                    // modification only replaces a held block's kind, so
+                    // no footprint changes.
+                    for &index in self.footprints.get(*pos) {
+                        let construct = &mut self.constructs[index as usize].2;
+                        let blocks = construct.len();
+                        construct.apply_modification(*pos, None);
+                        debug_assert_eq!(construct.len(), blocks, "a footprint grew");
                     }
                 }
                 PlayerEvent::ChatMessage | PlayerEvent::InventoryChanged => {}
@@ -601,6 +631,61 @@ impl GameServer {
         required_chunks(positions, self.config.view_distance_blocks)
             .into_iter()
             .collect()
+    }
+}
+
+/// For every block some construct's blueprint holds, the indices into a
+/// server's constructs of those constructs, ascending. A block one
+/// construct holds, the common case, costs one map entry and no list.
+#[derive(Debug, Default)]
+struct Footprints {
+    /// Per block, the one construct holding it, or [`Footprints::SHARED`]
+    /// plus the place of its list in `shared`.
+    blocks: HashMap<BlockPos, u32, FxBuildHasher>,
+    /// The lists of the blocks more than one construct holds.
+    shared: Vec<Vec<u32>>,
+}
+
+impl Footprints {
+    /// Marks a value of `blocks` as a place in `shared`.
+    const SHARED: u32 = 1 << 31;
+
+    /// Adds construct `index`, which must be above every index `pos`
+    /// already lists.
+    fn insert(&mut self, pos: BlockPos, index: usize) {
+        assert!(index < Self::SHARED as usize, "fewer than 2^31 constructs");
+        let index = index as u32;
+        match self.blocks.entry(pos) {
+            Entry::Vacant(slot) => {
+                slot.insert(index);
+            }
+            Entry::Occupied(mut slot) if *slot.get() & Self::SHARED == 0 => {
+                let place = self.shared.len();
+                assert!(
+                    place < Self::SHARED as usize,
+                    "fewer than 2^31 shared blocks"
+                );
+                self.shared.push(vec![*slot.get(), index]);
+                slot.insert(Self::SHARED | place as u32);
+            }
+            Entry::Occupied(slot) => {
+                self.shared[(*slot.get() & !Self::SHARED) as usize].push(index)
+            }
+        }
+    }
+
+    /// The constructs holding `pos`, ascending.
+    fn get(&self, pos: BlockPos) -> &[u32] {
+        match self.blocks.get(&pos) {
+            None => &[],
+            Some(index) if index & Self::SHARED == 0 => std::slice::from_ref(index),
+            Some(place) => &self.shared[(place & !Self::SHARED) as usize],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.shared.clear();
     }
 }
 
@@ -799,5 +884,184 @@ mod tests {
             SimDuration::from_millis(50)
         );
         assert_eq!(ServerConfig::servo_base().name, "Servo");
+    }
+}
+
+#[cfg(test)]
+mod footprint_tests {
+    //! The footprint index against the scan it replaced: every construct
+    //! probed with `Blueprint::index_of` for every block event.
+
+    use super::*;
+    use crate::backends::{LocalGenerationBackend, LocalScBackend};
+    use proptest::prelude::*;
+    use servo_pcg::FlatGenerator;
+    use servo_redstone::CircuitBlock;
+
+    /// A block inside the small box every drawn blueprint and event shares,
+    /// so footprints overlap and most events hit something.
+    fn arb_block() -> impl Strategy<Value = BlockPos> {
+        (0i32..4, 5i32..7, 0i32..4).prop_map(|(x, y, z)| BlockPos::new(x, y, z))
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Adds a construct over these blocks.
+        Add(Vec<(BlockPos, CircuitBlock)>),
+        /// Takes the construct at this index (modulo the count).
+        Take(usize),
+        /// Adopts this construct of the taken ones (modulo their count), or
+        /// a fresh one-block construct when none was taken.
+        Adopt(usize),
+        /// Runs one tick with these block events.
+        Events(Vec<(BlockPos, bool)>),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let kind = prop::sample::select(vec![
+            CircuitBlock::PowerSource,
+            CircuitBlock::Wire,
+            CircuitBlock::Lamp,
+            CircuitBlock::Torch,
+        ]);
+        prop_oneof![
+            3 => prop::collection::vec((arb_block(), kind), 1..6).prop_map(Op::Add),
+            1 => (0usize..16).prop_map(Op::Take),
+            1 => (0usize..16).prop_map(Op::Adopt),
+            4 => prop::collection::vec((arb_block(), any::<bool>()), 0..5).prop_map(Op::Events),
+        ]
+    }
+
+    fn server() -> GameServer {
+        GameServer::new(
+            ServerConfig::opencraft(),
+            Box::new(LocalScBackend::every_tick()),
+            Box::new(LocalGenerationBackend::new(
+                Box::new(FlatGenerator::default()),
+                1,
+            )),
+            SimRng::seed(7),
+        )
+    }
+
+    /// The constructs holding `pos`, by scanning every construct.
+    fn scan(constructs: &[(ConstructId, Construct)], pos: BlockPos) -> Vec<usize> {
+        (0..constructs.len())
+            .filter(|&i| constructs[i].1.blueprint().index_of(pos).is_some())
+            .collect()
+    }
+
+    /// Applies `ops` to a server and to a scan-based reference of its
+    /// constructs (events applied by scanning, then every construct
+    /// stepped, as `LocalScBackend::every_tick` does), calling `check`
+    /// after each step.
+    fn drive(ops: &[Op], mut check: impl FnMut(&GameServer, &[(ConstructId, Construct)])) {
+        let mut server = server();
+        let mut reference: Vec<(ConstructId, Construct)> = Vec::new();
+        let mut taken: Vec<Construct> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Add(blocks) => {
+                    let mut blueprint = Blueprint::new();
+                    for &(pos, kind) in blocks {
+                        blueprint.add(pos, kind);
+                    }
+                    let id = server.add_construct(blueprint.clone());
+                    reference.push((id, Construct::new(blueprint)));
+                }
+                Op::Take(k) if !reference.is_empty() => {
+                    let (id, construct) = reference.remove(k % reference.len());
+                    assert_eq!(server.take_construct(id).as_ref(), Some(&construct));
+                    taken.push(construct);
+                }
+                Op::Take(_) => {}
+                Op::Adopt(k) => {
+                    let construct = if taken.is_empty() {
+                        let mut blueprint = Blueprint::new();
+                        blueprint.add(BlockPos::new(1, 5, 1), CircuitBlock::Wire);
+                        Construct::new(blueprint)
+                    } else {
+                        taken.remove(k % taken.len())
+                    };
+                    let id = server.adopt_construct(construct.clone());
+                    reference.push((id, construct));
+                }
+                Op::Events(events) => {
+                    let events: Vec<(PlayerId, PlayerEvent)> = events
+                        .iter()
+                        .map(|&(pos, placed)| {
+                            let event = if placed {
+                                PlayerEvent::BlockPlaced(pos)
+                            } else {
+                                PlayerEvent::BlockBroken(pos)
+                            };
+                            (PlayerId::new(0), event)
+                        })
+                        .collect();
+                    server.run_tick(&[], &events);
+                    for (_, event) in &events {
+                        let (PlayerEvent::BlockPlaced(pos) | PlayerEvent::BlockBroken(pos)) = event
+                        else {
+                            unreachable!("only block events are drawn");
+                        };
+                        for i in scan(&reference, *pos) {
+                            reference[i].1.apply_modification(*pos, None);
+                        }
+                    }
+                    for (_, construct) in &mut reference {
+                        construct.step();
+                    }
+                }
+            }
+            check(&server, &reference);
+        }
+    }
+
+    proptest! {
+        /// After every add, take, adopt and tick, the index lists for each
+        /// block exactly the constructs a scan finds holding it, in the
+        /// server's construct order, and indexes no other block.
+        #[test]
+        fn the_index_lists_what_a_scan_finds(ops in prop::collection::vec(arb_op(), 1..40)) {
+            drive(&ops, |server, _| {
+                let held: Vec<(ConstructId, Construct)> = server
+                    .constructs
+                    .iter()
+                    .map(|(id, _, construct)| (*id, construct.clone()))
+                    .collect();
+                for x in 0..4 {
+                    for z in 0..4 {
+                        for y in 4..8 {
+                            let pos = BlockPos::new(x, y, z);
+                            let hits: Vec<usize> =
+                                server.footprints.get(pos).iter().map(|&i| i as usize).collect();
+                            assert_eq!(hits, scan(&held, pos), "at {pos:?}");
+                        }
+                    }
+                }
+                let indexed: usize = server
+                    .footprints
+                    .blocks
+                    .keys()
+                    .map(|&pos| server.footprints.get(pos).len())
+                    .sum();
+                let blocks: usize = held.iter().map(|(_, c)| c.len()).sum();
+                assert_eq!(indexed, blocks);
+            });
+        }
+
+        /// A server applying block events through the index leaves every
+        /// construct, in the same order, in the state the scan gives.
+        #[test]
+        fn indexed_events_match_the_scan(ops in prop::collection::vec(arb_op(), 1..40)) {
+            drive(&ops, |server, reference| {
+                let ids: Vec<ConstructId> = server.constructs.iter().map(|(id, _, _)| *id).collect();
+                let expected: Vec<ConstructId> = reference.iter().map(|(id, _)| *id).collect();
+                assert_eq!(ids, expected);
+                for (id, construct) in reference {
+                    assert_eq!(server.construct(*id), Some(construct));
+                }
+            });
+        }
     }
 }

@@ -44,7 +44,7 @@ pub use service::{
     ChunkCompletion, ChunkOutcome, ChunkRequest, ChunkService, PipelinedChunkService, Priority,
     SyncChunkService, Ticket,
 };
-pub use wal::{DeltaWal, SharedWal, WalRecord};
+pub use wal::{DeltaWal, RecordKind, SharedWal, WalRecord};
 pub use writeback::{PersistenceStats, WriteBackDriver};
 // Re-exported so service consumers can name the dirty-delta type without a
 // direct `servo-world` dependency.

@@ -26,7 +26,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use servo_types::{ChunkPos, ServoError, SimDuration, SimTime};
-use servo_world::{shard_index, Chunk, ChunkSnapshot, ShardDelta, ShardedWorld};
+use servo_world::{shard_index, Chunk, ChunkSnapshot, FxBuildHasher, ShardDelta, ShardedWorld};
 
 use crate::backend::ObjectStore;
 use crate::cache::{CacheStats, CachedChunkStore, ChunkLocation, RetryPolicy, TryRead};
@@ -356,10 +356,22 @@ struct ServiceCore<R: ObjectStore> {
     waiting: HashMap<ChunkPos, Vec<Waiter>>,
     shard_count: usize,
     /// The zone's write-ahead delta log, when durability is enabled: every
-    /// staged position is appended here (with the chunk bytes captured from
-    /// the bound world at staging time) before the stage is acknowledged,
-    /// and truncated only once its write-back has durably landed.
+    /// staged position is appended here (with the chunk's blocks captured
+    /// from the bound world at staging time) before the stage is
+    /// acknowledged, and truncated only once its write-back has durably
+    /// landed.
     wal: Option<SharedWal>,
+    /// The chunk as last logged, with that record's sequence, for each
+    /// position this core logged whose records the WAL still holds: a
+    /// later staging logs only its edits against it.
+    shadows: HashMap<ChunkPos, Shadow, FxBuildHasher>,
+}
+
+/// The chunk a WAL record left a position at, and that record's `seq`.
+#[derive(Debug)]
+struct Shadow {
+    seq: u64,
+    chunk: Chunk,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -382,7 +394,15 @@ impl<R: ObjectStore> ServiceCore<R> {
             waiting: HashMap::new(),
             shard_count,
             wal: None,
+            shadows: HashMap::default(),
         }
+    }
+
+    /// Attaches (or detaches) the WAL. Shadows describe the old log's
+    /// records, so they go with it.
+    fn set_wal(&mut self, wal: Option<SharedWal>) {
+        self.wal = wal;
+        self.shadows.clear();
     }
 
     /// Stages one externally drained position for the next write-back,
@@ -392,17 +412,45 @@ impl<R: ObjectStore> ServiceCore<R> {
         self.staged[shard_index(pos, self.shard_count)].insert(pos);
     }
 
-    /// Appends `pos`'s current world bytes to the WAL. Every path that adds
-    /// a position to the staged set must come through here (or through
+    /// Logs `pos`'s current world chunk to the WAL. Every path that adds a
+    /// position to the staged set must come through here (or through
     /// [`ServiceCore::stage`]) so nothing enters the write-back working set
     /// without first being recoverable. Positions the bound world no longer
     /// holds are skipped — there are no bytes left to make durable.
+    ///
+    /// While the WAL still holds the record the position's shadow was left
+    /// by, the record is the chunk's edits against the shadow (empty when
+    /// nothing changed), and the shadow takes them. Otherwise it is an
+    /// image, and a copy of the chunk becomes the shadow.
     fn log_staged(&mut self, pos: ChunkPos) {
-        if let (Some(wal), Some(world)) = (&self.wal, &self.world) {
-            if let Some(bytes) = world.read_chunk(pos, Chunk::to_bytes) {
-                wal.append(pos, bytes);
+        let (Some(wal), Some(world)) = (&self.wal, &self.world) else {
+            return;
+        };
+        let shadows = &mut self.shadows;
+        world.read_chunk(pos, |chunk| {
+            if let Some(shadow) = shadows.get_mut(&pos) {
+                let edits = chunk.diff(&shadow.chunk);
+                if let Some(seq) = wal.append_edits(pos, shadow.seq, &edits) {
+                    shadow.chunk.apply_edits(&edits);
+                    shadow.seq = seq;
+                    return;
+                }
+            }
+            let seq = wal.append(pos, chunk.to_bytes());
+            let chunk = chunk.clone();
+            shadows.insert(pos, Shadow { seq, chunk });
+        });
+    }
+
+    /// Truncates every WAL record of `pos` — its write-back landed, or the
+    /// obligation moved to another pipeline — and drops its shadow.
+    fn truncate_logged(&mut self, pos: ChunkPos) {
+        if let Some(wal) = &self.wal {
+            if let Some(seq) = wal.latest_seq(pos) {
+                wal.truncate(pos, seq);
             }
         }
+        self.shadows.remove(&pos);
     }
 
     /// Takes the staged write-back set of one shard (the migration-handoff
@@ -606,12 +654,8 @@ impl<R: ObjectStore> ServiceCore<R> {
             // Every record of a flushed position is covered by the
             // snapshot that just landed: nothing appends during the flush.
             let flushed = self.cache.write_back(&positions, now);
-            if let Some(wal) = &self.wal {
-                for &pos in &flushed {
-                    if let Some(seq) = wal.latest_seq(pos) {
-                        wal.truncate(pos, seq);
-                    }
-                }
+            for &pos in &flushed {
+                self.truncate_logged(pos);
             }
             written += flushed.len();
         }
@@ -719,7 +763,7 @@ impl<R: ObjectStore> SyncChunkService<R> {
     /// durable write-back. Attach after binding the world — the log reads
     /// chunk bytes from it.
     pub fn with_wal(mut self, wal: SharedWal) -> Self {
-        self.core.wal = Some(wal);
+        self.core.set_wal(Some(wal));
         self
     }
 
@@ -920,7 +964,7 @@ impl<R: ObjectStore> PipelinedChunkService<R> {
     /// measure the data-loss window of).
     pub fn set_wal(&mut self, wal: Option<SharedWal>) {
         for core in &mut self.segments {
-            core.wal = wal.clone();
+            core.set_wal(wal.clone());
         }
         self.wal = wal;
     }
@@ -1004,7 +1048,7 @@ impl<R: ObjectStore> PipelinedChunkService<R> {
         );
         self.lanes = (0..shard_count).map(|_| Vec::new()).collect();
         for core in &mut self.segments {
-            core.wal = self.wal.clone();
+            core.set_wal(self.wal.clone());
             core.cache.set_retry(self.retry);
         }
     }
@@ -1082,12 +1126,8 @@ impl<R: ObjectStore> PipelinedChunkService<R> {
         // moves to whoever receives the handoff: drop this pipeline's WAL
         // records for the taken positions, or a later crash here would
         // replay chunks the zone no longer owns.
-        if let Some(wal) = &self.wal {
-            for &pos in &positions {
-                if let Some(seq) = wal.latest_seq(pos) {
-                    wal.truncate(pos, seq);
-                }
-            }
+        for &pos in &positions {
+            core.truncate_logged(pos);
         }
         positions
     }

@@ -5,24 +5,41 @@
 //! that crashes inside that window would silently lose every staged chunk —
 //! the modifications exist only in its memory. The [`DeltaWal`] closes the
 //! window: every position staged for write-back is appended here *with the
-//! chunk bytes captured at staging time*, and records are truncated only
-//! once the corresponding write-back has durably landed. The log models a
-//! durable device that survives the zone server (a replicated log service or
-//! attached journal volume), so crash recovery replays it to rebuild the
-//! staged-but-unflushed state.
+//! chunk's blocks as they were at staging time*, and records are truncated
+//! only once the corresponding write-back has durably landed. The log
+//! models a durable device that survives the zone server (a replicated log
+//! service or attached journal volume), so crash recovery replays it to
+//! rebuild the staged-but-unflushed state.
 //!
-//! Replay semantics are last-writer-wins per chunk: records carry a
-//! monotone sequence number, and [`DeltaWal::replay_shard`] keeps only the
-//! highest-sequence record per position. Replay is therefore idempotent and
-//! insensitive to record order — properties the `wal_semantics` proptest
-//! suite pins down.
+//! A record is an [`Image`](RecordKind::Image) of the whole chunk or the
+//! [`Edits`](RecordKind::Edits) since the position's previous record, so a
+//! chunk staged again and again costs its changed blocks, not its bytes.
+//! [`DeltaWal::append_edits`] accepts edits only on top of the record they
+//! were taken against, so no chain of edits lacks the image it starts from.
+//!
+//! Replay folds each position's records into one image: the last image,
+//! with the later edits applied in sequence order, stamped with the highest
+//! sequence — the image an image-per-staging log would have replayed.
+//! Replay is therefore idempotent and insensitive to the order in which
+//! images arrive — properties the `wal_semantics` proptest suite pins down.
 
 use std::sync::{Arc, Mutex};
 
 use servo_types::ChunkPos;
-use servo_world::{shard_index, ShardDelta};
+use servo_world::{shard_index, Block, BlockEdit, Chunk, ShardDelta};
 
-/// One logged staging event: the chunk's bytes as they were when the
+/// What a [`WalRecord`]'s bytes hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// The whole chunk, as [`Chunk::to_bytes`] encodes it.
+    Image,
+    /// The blocks changed since the position's previous record, 4 bytes
+    /// each: the block's linear index (u16 LE), then its id (u16 LE). A
+    /// staging that changed nothing is an empty record.
+    Edits,
+}
+
+/// One logged staging event: the chunk's blocks as they were when the
 /// position entered the write-back working set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
@@ -30,7 +47,9 @@ pub struct WalRecord {
     pub pos: ChunkPos,
     /// Monotone append sequence; higher wins on replay.
     pub seq: u64,
-    /// The chunk's serialized bytes at staging time.
+    /// Whether `bytes` is an image or edits.
+    pub kind: RecordKind,
+    /// The chunk's serialized bytes, or its edits, at staging time.
     pub bytes: Vec<u8>,
 }
 
@@ -64,13 +83,39 @@ impl DeltaWal {
         self.shard_count
     }
 
-    /// Appends a staging event for `pos`, stamping and returning its
-    /// sequence number.
+    /// Appends an image of `pos` (its [`Chunk::to_bytes`]), stamping and
+    /// returning its sequence number.
     pub fn append(&mut self, pos: ChunkPos, bytes: Vec<u8>) -> u64 {
+        self.push(pos, RecordKind::Image, bytes)
+    }
+
+    /// Appends the edits that turn `pos`'s chunk as of record `after` into
+    /// its chunk now, stamping and returning the sequence number. Returns
+    /// `None`, appending nothing, unless `after` is the newest surviving
+    /// record of `pos`: edits need the chain they were taken against, so
+    /// the caller appends an image instead.
+    pub fn append_edits(&mut self, pos: ChunkPos, after: u64, edits: &[BlockEdit]) -> Option<u64> {
+        if self.latest_seq(pos) != Some(after) {
+            return None;
+        }
+        let mut bytes = Vec::with_capacity(4 * edits.len());
+        for edit in edits {
+            bytes.extend_from_slice(&edit.index.to_le_bytes());
+            bytes.extend_from_slice(&edit.block.id().to_le_bytes());
+        }
+        Some(self.push(pos, RecordKind::Edits, bytes))
+    }
+
+    fn push(&mut self, pos: ChunkPos, kind: RecordKind, bytes: Vec<u8>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.appended += 1;
-        self.shards[shard_index(pos, self.shard_count)].push(WalRecord { pos, seq, bytes });
+        self.shards[shard_index(pos, self.shard_count)].push(WalRecord {
+            pos,
+            seq,
+            kind,
+            bytes,
+        });
         seq
     }
 
@@ -95,32 +140,53 @@ impl DeltaWal {
     /// write-back that made them durable has completed. Records appended
     /// *after* the flushed snapshot was taken keep their place: truncation
     /// never drops an unflushed delta. Returns how many records dropped.
+    ///
+    /// When the first record kept would be edits, the dropped records are
+    /// folded into one image at the highest dropped sequence instead, so
+    /// the kept edits still have the image they apply to.
     pub fn truncate(&mut self, pos: ChunkPos, through_seq: u64) -> usize {
         let shard = &mut self.shards[shard_index(pos, self.shard_count)];
+        let first_kept = shard
+            .iter()
+            .filter(|r| r.pos == pos && r.seq > through_seq)
+            .min_by_key(|r| r.seq);
+        let folded = match first_kept {
+            Some(record) if record.kind == RecordKind::Edits => fold(&chain(
+                shard
+                    .iter()
+                    .filter(|r| r.pos == pos && r.seq <= through_seq),
+            )),
+            _ => None,
+        };
         let before = shard.len();
         shard.retain(|r| r.pos != pos || r.seq > through_seq);
-        let dropped = before - shard.len();
+        let mut dropped = before - shard.len();
+        if let Some(image) = folded {
+            let at = shard
+                .iter()
+                .position(|r| r.pos == pos)
+                .unwrap_or(shard.len());
+            shard.insert(at, image);
+            dropped -= 1;
+        }
         self.truncated += dropped as u64;
         dropped
     }
 
-    /// Replays one shard's log: the surviving record per position with the
-    /// highest sequence number, sorted by `(x, z)`. Replaying a replay (or
-    /// any permutation of the same records) yields the same result.
+    /// Replays one shard's log: one image per position with surviving
+    /// records, folded as the module docs describe and stamped with the
+    /// position's highest sequence number, sorted by `(x, z)`. Replaying a
+    /// replay (or any permutation of the same images) yields the same
+    /// result.
     pub fn replay_shard(&self, shard: usize) -> Vec<WalRecord> {
-        let Some(records) = self.shards.get(shard) else {
-            return Vec::new();
-        };
-        let mut latest: std::collections::HashMap<ChunkPos, &WalRecord> = Default::default();
-        for record in records {
-            match latest.get(&record.pos) {
-                Some(existing) if existing.seq >= record.seq => {}
-                _ => {
-                    latest.insert(record.pos, record);
-                }
-            }
+        let mut by_pos: std::collections::HashMap<ChunkPos, Vec<&WalRecord>> = Default::default();
+        for record in self.records(shard) {
+            by_pos.entry(record.pos).or_default().push(record);
         }
-        let mut out: Vec<WalRecord> = latest.into_values().cloned().collect();
+        let mut out: Vec<WalRecord> = by_pos
+            .into_values()
+            .filter_map(|records| fold(&chain(records.into_iter())))
+            .collect();
         out.sort_by_key(|r| (r.pos.x, r.pos.z));
         out
     }
@@ -166,6 +232,55 @@ impl DeltaWal {
     }
 }
 
+/// One position's records in `seq` order (append order among equals).
+fn chain<'a>(records: impl Iterator<Item = &'a WalRecord>) -> Vec<&'a WalRecord> {
+    let mut chain: Vec<&WalRecord> = records.collect();
+    chain.sort_by_key(|r| r.seq);
+    chain
+}
+
+/// Folds one position's records, in `seq` order, into one image: the
+/// last image with the later edits applied, stamped with the last
+/// sequence. An image with no edits after it, or only empty ones, is
+/// passed on without decoding. `None` when the records hold no image, or
+/// one the fold needs cannot be decoded.
+fn fold(chain: &[&WalRecord]) -> Option<WalRecord> {
+    let start = chain.iter().rposition(|r| r.kind == RecordKind::Image)?;
+    let (image, edits) = (chain[start], &chain[start + 1..]);
+    let bytes = if edits.iter().all(|r| r.bytes.is_empty()) {
+        image.bytes.clone()
+    } else {
+        let mut chunk = Chunk::from_bytes(&image.bytes).ok()?;
+        for record in edits {
+            chunk.apply_edits(&decode_edits(&record.bytes)?);
+        }
+        chunk.to_bytes()
+    };
+    Some(WalRecord {
+        pos: image.pos,
+        seq: chain[chain.len() - 1].seq,
+        kind: RecordKind::Image,
+        bytes,
+    })
+}
+
+/// The edits an [`RecordKind::Edits`] record holds, or `None` if its
+/// length is not a whole number of edits or it names an unknown block.
+fn decode_edits(bytes: &[u8]) -> Option<Vec<BlockEdit>> {
+    if !bytes.len().is_multiple_of(4) {
+        return None;
+    }
+    bytes
+        .chunks_exact(4)
+        .map(|edit| {
+            Some(BlockEdit {
+                index: u16::from_le_bytes([edit[0], edit[1]]),
+                block: Block::from_id(u16::from_le_bytes([edit[2], edit[3]]))?,
+            })
+        })
+        .collect()
+}
+
 /// A cloneable handle sharing one [`DeltaWal`] between the per-shard
 /// segments of a `PipelinedChunkService` and the cluster that owns the
 /// zone: the cluster keeps a clone so the log outlives a crashed zone's
@@ -188,6 +303,11 @@ impl SharedWal {
     /// See [`DeltaWal::append`].
     pub fn append(&self, pos: ChunkPos, bytes: Vec<u8>) -> u64 {
         self.with(|wal| wal.append(pos, bytes))
+    }
+
+    /// See [`DeltaWal::append_edits`].
+    pub fn append_edits(&self, pos: ChunkPos, after: u64, edits: &[BlockEdit]) -> Option<u64> {
+        self.with(|wal| wal.append_edits(pos, after, edits))
     }
 
     /// See [`DeltaWal::latest_seq`].

@@ -1,17 +1,21 @@
 //! Property tests for the write-ahead delta log: replaying a
 //! [`DeltaWal`] is idempotent and order-insensitive (last-writer-wins by
-//! sequence number within each shard), and the truncation a write-back
+//! sequence number within each shard), the truncation a write-back
 //! performs never drops a delta that was staged after the flush snapshot
-//! was taken.
+//! was taken, and a service logging images and edits replays exactly what
+//! logging an image per staging would have.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use servo_simkit::SimRng;
-use servo_storage::{BlobStore, BlobTier, ChunkService, DeltaWal, SyncChunkService, WalRecord};
-use servo_types::{BlockPos, ChunkPos, SimTime};
-use servo_world::{shard_index, Block, ShardedWorld};
+use servo_storage::{
+    BlobStore, BlobTier, ChunkRequest, ChunkService, DeltaWal, PipelinedChunkService, RecordKind,
+    SharedWal, SyncChunkService, WalRecord,
+};
+use servo_types::{BlockPos, ChunkPos, SimDuration, SimTime};
+use servo_world::{shard_index, Block, Chunk, ShardDelta, ShardedWorld};
 
 const SHARDS: usize = 4;
 const GRID: u64 = 5;
@@ -230,4 +234,234 @@ fn truncation_through_a_stale_mark_keeps_the_racing_append() {
     let replayed = wal.replay_shard(shard);
     assert_eq!(replayed.len(), 1);
     assert_eq!(replayed[0].bytes, vec![2]);
+}
+
+/// The chunks the chain property edits, so stagings of one chunk
+/// interleave with the others'.
+const CHAIN_CHUNKS: [ChunkPos; 3] = [
+    ChunkPos::new(0, 0),
+    ChunkPos::new(1, 0),
+    ChunkPos::new(5, -3),
+];
+
+/// One step of the chain property.
+#[derive(Debug, Clone)]
+enum ChainOp {
+    /// Writes a block of a chunk. Three kinds, air the likeliest, over two
+    /// blocks of air: a write often changes nothing, or restores what an
+    /// earlier write replaced and what the chunk's image holds.
+    Edit(usize, (i32, i32, i32), Block),
+    /// Stages a chunk, which logs it.
+    Stage(usize),
+    /// Runs a write-back pass, which truncates every staged chunk.
+    Flush,
+    /// Hands off the staged chunks of a chunk's shard.
+    Handoff(usize),
+}
+
+fn arb_chain_op() -> impl Strategy<Value = ChainOp> {
+    let chunk = || 0..CHAIN_CHUNKS.len();
+    let block = prop::sample::select(vec![Block::Air, Block::Air, Block::Stone, Block::Lamp]);
+    prop_oneof![
+        8 => (chunk(), (0i32..2, 5i32..6, 0i32..1), block)
+            .prop_map(|(c, at, b)| ChainOp::Edit(c, at, b)),
+        6 => chunk().prop_map(ChainOp::Stage),
+        1 => Just(ChainOp::Flush),
+        1 => chunk().prop_map(ChainOp::Handoff),
+    ]
+}
+
+/// The image of every chunk in `wal`'s replay, by position.
+fn replayed(wal: &SharedWal, shards: usize) -> BTreeMap<ChunkPos, Vec<u8>> {
+    (0..shards)
+        .flat_map(|shard| wal.replay_shard(shard))
+        .map(|record| (record.pos, record.bytes))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A pipelined service bound to a world logs an image the first time
+    /// a chunk is staged and edits after that. After every step, the
+    /// replay holds, for each chunk staged and neither flushed nor handed
+    /// off since, exactly the bytes the chunk encoded to at its last
+    /// staging — what a log of one image per staging replays — and
+    /// nothing else. Every staging appends one record, an empty one
+    /// included.
+    #[test]
+    fn image_and_edit_chains_replay_every_staging(
+        ops in prop::collection::vec(arb_chain_op(), 1..100),
+    ) {
+        let world = Arc::new(ShardedWorld::flat(4));
+        for &pos in &CHAIN_CHUNKS {
+            world.ensure_chunk_at(pos);
+        }
+        let shards = world.shard_count();
+        let wal = SharedWal::new(shards);
+        let mut service =
+            PipelinedChunkService::new(BlobStore::new(BlobTier::Standard, SimRng::seed(3)), SimRng::seed(4), 1)
+                .with_world_shards(Arc::clone(&world), &[])
+                .with_wal(wal.clone());
+        let mut oracle: BTreeMap<ChunkPos, Vec<u8>> = BTreeMap::new();
+        let mut stagings = 0u64;
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                ChainOp::Edit(c, (x, y, z), block) => {
+                    let at = CHAIN_CHUNKS[c].min_block() + BlockPos::new(x, y, z);
+                    world.set_block(at, block).unwrap();
+                }
+                ChainOp::Stage(c) => {
+                    let pos = CHAIN_CHUNKS[c];
+                    service.stage_dirty(vec![ShardDelta {
+                        shard: world.shard_of(pos),
+                        epoch: 0,
+                        chunks: vec![pos],
+                    }]);
+                    stagings += 1;
+                    oracle.insert(pos, world.read_chunk(pos, Chunk::to_bytes).unwrap());
+                }
+                ChainOp::Flush => {
+                    now += SimDuration::from_secs(1);
+                    service.submit(ChunkRequest::write_back());
+                    service.poll(now);
+                    oracle.clear();
+                }
+                ChainOp::Handoff(c) => {
+                    for pos in service.take_staged_shard(world.shard_of(CHAIN_CHUNKS[c])) {
+                        prop_assert!(oracle.remove(&pos).is_some(), "{:?} was not staged", pos);
+                    }
+                }
+            }
+            prop_assert_eq!(&replayed(&wal, shards), &oracle, "after {:?}", op);
+            prop_assert_eq!(wal.with(|wal| wal.appended()), stagings);
+        }
+    }
+}
+
+/// A flat chunk's three stages: staged once, edited, edited again.
+fn three_versions(pos: ChunkPos) -> [Chunk; 3] {
+    let world = ShardedWorld::flat(4);
+    world.ensure_chunk_at(pos);
+    let base = pos.min_block();
+    let mut versions = Vec::new();
+    for (dy, block) in [(0, Block::Air), (10, Block::Lamp), (11, Block::Stone)] {
+        if dy > 0 {
+            world
+                .set_block(base + BlockPos::new(2, dy, 3), block)
+                .unwrap();
+        }
+        versions.push(world.read_chunk(pos, Chunk::clone).unwrap());
+    }
+    versions.try_into().unwrap()
+}
+
+/// Truncating through an edits record whose image goes with it would
+/// strand the later edits. The dropped records fold into one image at the
+/// last dropped sequence instead, and the replay still ends at the newest
+/// state.
+#[test]
+fn partial_truncation_folds_the_dropped_prefix_into_an_image() {
+    let pos = ChunkPos::new(2, 1);
+    let [v0, v1, v2] = three_versions(pos);
+    let mut wal = DeltaWal::new(SHARDS);
+    let image = wal.append(pos, v0.to_bytes());
+    let first = wal.append_edits(pos, image, &v1.diff(&v0)).unwrap();
+    let second = wal.append_edits(pos, first, &v2.diff(&v1)).unwrap();
+    let shard = shard_index(pos, SHARDS);
+
+    assert_eq!(wal.truncate(pos, first), 1, "two dropped, one image added");
+    let kept: Vec<(u64, RecordKind)> = wal.records(shard).iter().map(|r| (r.seq, r.kind)).collect();
+    assert_eq!(
+        kept,
+        vec![(first, RecordKind::Image), (second, RecordKind::Edits)]
+    );
+    assert_eq!(wal.records(shard)[0].bytes, v1.to_bytes());
+    let replay = wal.replay_shard(shard);
+    assert_eq!(replay.len(), 1);
+    assert_eq!((replay[0].seq, replay[0].kind), (second, RecordKind::Image));
+    assert_eq!(replay[0].bytes, v2.to_bytes());
+    let restored = Chunk::from_bytes(&replay[0].bytes).unwrap();
+    assert_eq!(restored.modifications(), 0);
+
+    // Truncating through the newest record drops the whole chain.
+    assert_eq!(wal.truncate(pos, second), 2);
+    assert!(wal.is_empty());
+    assert_eq!(wal.truncated(), 3);
+}
+
+/// Edits are accepted only on top of the newest surviving record of the
+/// position: with no record, or against an older one, nothing is appended.
+#[test]
+fn edits_need_the_record_they_were_taken_against() {
+    let pos = ChunkPos::new(-1, 4);
+    let [v0, v1, v2] = three_versions(pos);
+    let mut wal = DeltaWal::new(SHARDS);
+    assert_eq!(wal.append_edits(pos, 0, &v1.diff(&v0)), None);
+    let image = wal.append(pos, v0.to_bytes());
+    let edits = wal.append_edits(pos, image, &v1.diff(&v0)).unwrap();
+    assert_eq!(wal.append_edits(pos, image, &v2.diff(&v0)), None);
+    wal.truncate(pos, edits);
+    assert_eq!(wal.append_edits(pos, edits, &v2.diff(&v1)), None);
+    assert_eq!(wal.appended(), 2);
+}
+
+/// Staging a chunk that did not change since its last staging still
+/// appends a record, an empty edits one: `appended` counts stagings, and
+/// the chunk's newest sequence moves on.
+#[test]
+fn every_staging_appends_a_record_even_when_nothing_changed() {
+    let world = Arc::new(ShardedWorld::flat(4));
+    let pos = ChunkPos::new(3, 3);
+    world.ensure_chunk_at(pos);
+    let wal = SharedWal::new(world.shard_count());
+    let mut service = SyncChunkService::new(
+        BlobStore::new(BlobTier::Standard, SimRng::seed(5)),
+        SimRng::seed(6),
+    )
+    .with_world(Arc::clone(&world))
+    .with_wal(wal.clone());
+    let stage = |service: &mut SyncChunkService<BlobStore>| {
+        service.stage_dirty(vec![ShardDelta {
+            shard: world.shard_of(pos),
+            epoch: 0,
+            chunks: vec![pos],
+        }]);
+    };
+    let mut seqs = Vec::new();
+    for step in 0..4 {
+        if step == 2 {
+            world
+                .set_block(pos.min_block() + BlockPos::new(1, 8, 1), Block::Wire)
+                .unwrap();
+        }
+        stage(&mut service);
+        seqs.push(wal.latest_seq(pos).unwrap());
+    }
+    assert_eq!(wal.with(|wal| wal.appended()), 4);
+    assert!(seqs.windows(2).all(|pair| pair[0] < pair[1]));
+    let shard = world.shard_of(pos);
+    let kinds: Vec<(RecordKind, usize)> = wal.with(|wal| {
+        wal.records(shard)
+            .iter()
+            .map(|r| (r.kind, r.bytes.len()))
+            .collect()
+    });
+    let image = world.read_chunk(pos, Chunk::serialized_size).unwrap() - 2 * 6;
+    assert_eq!(
+        kinds,
+        vec![
+            (RecordKind::Image, image),
+            (RecordKind::Edits, 0),
+            (RecordKind::Edits, 4),
+            (RecordKind::Edits, 0),
+        ]
+    );
+    let replay = wal.replay_shard(shard);
+    assert_eq!(replay[0].seq, seqs[3]);
+    assert_eq!(
+        replay[0].bytes,
+        world.read_chunk(pos, Chunk::to_bytes).unwrap()
+    );
 }

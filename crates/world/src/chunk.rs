@@ -30,14 +30,36 @@ const SECTIONS: usize = CHUNK_HEIGHT as usize / SECTION_HEIGHT;
 /// Number of blocks in a section.
 const SECTION_BLOCKS: usize = BLOCKS_PER_CHUNK / SECTIONS;
 
+/// Number of blocks in one row of a section: the 16 columns of one `x`,
+/// which are consecutive in its array.
+const ROW_BLOCKS: usize = CHUNK_SIZE as usize * SECTION_HEIGHT;
+
 /// The blocks of one 16-high horizontal slab of a chunk.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Section {
     /// Every block of the section has this id. Owns no heap memory.
     Uniform(u16),
     /// Block ids in x-major, then z, then y order, like a chunk's linear
     /// index: `(x * CHUNK_SIZE + z) * SECTION_HEIGHT + y % SECTION_HEIGHT`.
     Dense(Box<[u16; SECTION_BLOCKS]>),
+}
+
+impl Clone for Section {
+    fn clone(&self) -> Self {
+        match self {
+            Section::Uniform(id) => Section::Uniform(*id),
+            Section::Dense(blocks) => Section::Dense(blocks.clone()),
+        }
+    }
+
+    /// Copies a dense array into the array `self` already owns, instead of
+    /// freeing it and allocating another.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Section::Dense(into), Section::Dense(from)) => **into = **from,
+            (this, _) => *this = source.clone(),
+        }
+    }
 }
 
 impl Section {
@@ -73,6 +95,18 @@ impl Section {
                 }
             }
             Section::Dense(blocks) => blocks.iter().filter(|&&id| pred(id)).count(),
+        }
+    }
+
+    /// The ids of the row starting at `offset`. `fill` is a row of the
+    /// section's first id: what a uniform section holds anywhere.
+    #[inline]
+    fn row<'a>(&'a self, fill: &'a [u16; ROW_BLOCKS], offset: usize) -> &'a [u16; ROW_BLOCKS] {
+        match self {
+            Section::Uniform(_) => fill,
+            Section::Dense(blocks) => blocks[offset..offset + ROW_BLOCKS]
+                .try_into()
+                .expect("a row of the section"),
         }
     }
 
@@ -131,7 +165,9 @@ enum Piece<'a> {
 ///
 /// Equality compares position, modification count and blocks, never the
 /// representation: a section filled whole equals the same section written
-/// block by block.
+/// block by block. [`Clone::clone_from`] copies into the dense arrays the
+/// target already owns, so refreshing a replica allocates nothing when
+/// both sides are mixed in the same sections.
 ///
 /// # Example
 ///
@@ -146,7 +182,7 @@ enum Piece<'a> {
 /// assert_eq!(chunk.non_air_blocks(), 1);
 /// assert_eq!(chunk.heap_bytes(), 8192);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Chunk {
     pos: ChunkPos,
     /// The chunk's blocks, section `s` holding `y` in `16s..16s + 16`.
@@ -158,6 +194,37 @@ pub struct Chunk {
     /// `y = 0` of the next and across section edges. Every writer keeps it
     /// exact; it is what makes [`Chunk::serialized_size`] O(1).
     runs: u32,
+}
+
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        Chunk {
+            pos: self.pos,
+            sections: self.sections.clone(),
+            modifications: self.modifications,
+            runs: self.runs,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.pos = source.pos;
+        for (into, from) in self.sections.iter_mut().zip(&source.sections) {
+            into.clone_from(from);
+        }
+        self.modifications = source.modifications;
+        self.runs = source.runs;
+    }
+}
+
+/// One block [`Chunk::diff`] found changed: its linear index in the chunk,
+/// `(x * 16 + z) * 256 + y` (a chunk has exactly 65 536 blocks, so the
+/// index fits 16 bits), and the block it holds now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockEdit {
+    /// The block's linear index.
+    pub index: u16,
+    /// The block's new kind.
+    pub block: Block,
 }
 
 impl PartialEq for Chunk {
@@ -330,7 +397,13 @@ impl Chunk {
         let idx = Self::index(x, y, z).ok_or_else(|| ServoError::OutOfBounds {
             what: format!("chunk-local ({x}, {y}, {z})"),
         })?;
-        let id = block.id();
+        self.set_id(idx, block.id());
+        Ok(())
+    }
+
+    /// Writes `id` at a linear index, counting a change as one
+    /// modification.
+    fn set_id(&mut self, idx: usize, id: u16) {
         let (section, offset) = Self::locate(idx);
         let old = self.sections[section].get(offset);
         if old != id {
@@ -344,7 +417,61 @@ impl Chunk {
             self.sections[section].dense_mut()[offset] = id;
             self.modifications += 1;
         }
-        Ok(())
+    }
+
+    /// The blocks where `self` differs from `base`, each with the block
+    /// `self` holds there: [`Chunk::apply_edits`] on `base` gives `self`'s
+    /// blocks. Listed section by section, then column by column, each
+    /// column bottom to top.
+    ///
+    /// Equal uniform sections and equal dense arrays are passed over with
+    /// one comparison each. Elsewhere the 256 ids of each `x` are compared
+    /// as one slice, then, where those differ, each column's 16 ids as one
+    /// slice, as [`Chunk::to_bytes`] walks them; only a column that
+    /// differs is walked id by id.
+    pub fn diff(&self, base: &Chunk) -> Vec<BlockEdit> {
+        let mut edits = Vec::new();
+        for (s, (now, was)) in self.sections.iter().zip(&base.sections).enumerate() {
+            match (now, was) {
+                (Section::Uniform(a), Section::Uniform(b)) if a == b => continue,
+                (Section::Dense(a), Section::Dense(b)) if a == b => continue,
+                _ => {}
+            }
+            let fills = ([now.get(0); ROW_BLOCKS], [was.get(0); ROW_BLOCKS]);
+            for row in (0..SECTION_BLOCKS).step_by(ROW_BLOCKS) {
+                let (ids, old) = (now.row(&fills.0, row), was.row(&fills.1, row));
+                if ids == old {
+                    continue;
+                }
+                let columns = ids
+                    .chunks_exact(SECTION_HEIGHT)
+                    .zip(old.chunks_exact(SECTION_HEIGHT));
+                for (offset, (ids, old)) in (row..).step_by(SECTION_HEIGHT).zip(columns) {
+                    if ids == old {
+                        continue;
+                    }
+                    let first = ((offset >> SECTION_BITS) << HEIGHT_BITS) | (s << SECTION_BITS);
+                    for (y, (&id, &old)) in ids.iter().zip(old).enumerate() {
+                        if id != old {
+                            edits.push(BlockEdit {
+                                index: (first | y) as u16,
+                                block: Block::from_id(id).expect("a chunk holds known blocks"),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        edits
+    }
+
+    /// Writes each edit's block at its linear index, as
+    /// [`Chunk::set_local`] would: a changed block counts as one
+    /// modification.
+    pub fn apply_edits(&mut self, edits: &[BlockEdit]) {
+        for edit in edits {
+            self.set_id(usize::from(edit.index), edit.block.id());
+        }
     }
 
     /// Fills every block of the horizontal layer at height `y`.

@@ -31,7 +31,7 @@ pub mod view;
 pub mod world;
 
 pub use block::Block;
-pub use chunk::{Chunk, ChunkSnapshot};
+pub use chunk::{BlockEdit, Chunk, ChunkSnapshot};
 pub use partition::ShardMap;
 pub use rebalance::{
     ConstructFootprint, ConstructMigration, RebalanceConfig, RebalancePolicy, ShardMigration,

@@ -458,6 +458,27 @@ impl ShardedWorld {
         }
     }
 
+    /// Copies `chunk` over the chunk held at its position, into the
+    /// arrays that chunk already owns ([`Chunk`]'s `clone_from`), or
+    /// inserts a copy when none is held. Counts a new chunk as
+    /// [`ShardedWorld::insert_chunk`] does and, like it, marks nothing
+    /// dirty: this is how a border replica follows its owner's chunk.
+    pub fn copy_chunk(&self, chunk: &Chunk) {
+        let inserted = match self.shard(chunk.pos()).write().entry(chunk.pos()) {
+            Entry::Occupied(mut held) => {
+                held.get_mut().clone_from(chunk);
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(chunk.clone());
+                true
+            }
+        };
+        if inserted {
+            self.loaded.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
     /// Inserts a batch of chunks, grouping them so each involved shard's
     /// write lock is taken once.
     pub fn insert_chunks<I: IntoIterator<Item = Chunk>>(&self, chunks: I) {

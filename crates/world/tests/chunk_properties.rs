@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::{BlockPos, ChunkPos};
-use servo_world::{Block, Chunk, World};
+use servo_world::{Block, BlockEdit, Chunk, World};
 
 fn arb_block() -> impl Strategy<Value = Block> {
     prop::sample::select(Block::ALL.to_vec())
@@ -79,6 +79,18 @@ fn arb_edge_coord() -> impl Strategy<Value = (i32, i32, i32)> {
             arb_edge_biased(CHUNK_SIZE),
         ),
     ]
+}
+
+/// Applies one write to `chunk`.
+fn write(chunk: &mut Chunk, op: &ChunkOp) {
+    match *op {
+        ChunkOp::Set((x, y, z), block) => chunk.set_local(x, y, z, block).unwrap(),
+        ChunkOp::FillBox(lo, hi, block) => {
+            chunk.fill_box(lo, hi, block).unwrap();
+        }
+        ChunkOp::FillLayer(y, block) => chunk.fill_layer(y, block).unwrap(),
+        ChunkOp::RoundTrip => *chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap(),
+    }
 }
 
 fn arb_chunk_op() -> impl Strategy<Value = ChunkOp> {
@@ -199,14 +211,7 @@ proptest! {
     ) {
         let mut chunk = Chunk::empty(ChunkPos::new(cx, cz));
         for op in ops {
-            match op.clone() {
-                ChunkOp::Set((x, y, z), block) => chunk.set_local(x, y, z, block).unwrap(),
-                ChunkOp::FillBox(lo, hi, block) => {
-                    chunk.fill_box(lo, hi, block).unwrap();
-                }
-                ChunkOp::FillLayer(y, block) => chunk.fill_layer(y, block).unwrap(),
-                ChunkOp::RoundTrip => chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap(),
-            }
+            write(&mut chunk, &op);
             let bytes = chunk.to_bytes();
             prop_assert_eq!(chunk.serialized_size(), bytes.len(), "after {:?}", op);
             prop_assert_eq!(bytes, reference_to_bytes(&chunk), "after {:?}", op);
@@ -226,17 +231,55 @@ proptest! {
         let mut chunk = Chunk::empty(ChunkPos::new(cx, cz));
         let mut model = DenseModel::new();
         for op in ops {
-            match op.clone() {
-                ChunkOp::Set((x, y, z), block) => chunk.set_local(x, y, z, block).unwrap(),
-                ChunkOp::FillBox(lo, hi, block) => {
-                    chunk.fill_box(lo, hi, block).unwrap();
-                }
-                ChunkOp::FillLayer(y, block) => chunk.fill_layer(y, block).unwrap(),
-                ChunkOp::RoundTrip => chunk = Chunk::from_bytes(&chunk.to_bytes()).unwrap(),
-            }
+            write(&mut chunk, &op);
             model.apply(&op);
             assert_matches_model(&chunk, &model);
         }
+    }
+
+    /// For any two chunks, the diff of one against the other patches the
+    /// other into its blocks: the patched chunk encodes like the target,
+    /// with a maintained run count. The diff lists each differing block
+    /// once, and a chunk's diff against itself is empty. Copying a chunk
+    /// over another with `clone_from` gives an equal chunk of the same
+    /// shape. The target is drawn as the base plus more writes, or alone.
+    #[test]
+    fn a_diff_patches_its_base_into_the_target(
+        base_ops in prop::collection::vec(arb_chunk_op(), 0..30),
+        target_ops in prop::collection::vec(arb_chunk_op(), 0..30),
+        from_base in any::<bool>(),
+    ) {
+        let pos = ChunkPos::new(2, -9);
+        let mut base = Chunk::empty(pos);
+        for op in &base_ops {
+            write(&mut base, op);
+        }
+        let mut target = if from_base { base.clone() } else { Chunk::empty(pos) };
+        for op in &target_ops {
+            write(&mut target, op);
+        }
+        prop_assert!(target.diff(&target).is_empty());
+        prop_assert!(base.diff(&base.clone()).is_empty());
+
+        let edits = target.diff(&base);
+        let differing = (0..CHUNK_SIZE)
+            .flat_map(|x| (0..CHUNK_SIZE).flat_map(move |z| (0..CHUNK_HEIGHT).map(move |y| (x, y, z))))
+            .filter(|&(x, y, z)| target.local(x, y, z) != base.local(x, y, z))
+            .count();
+        prop_assert_eq!(edits.len(), differing);
+        let mut patched = base.clone();
+        patched.apply_edits(&edits);
+        let bytes = patched.to_bytes();
+        prop_assert_eq!(patched.serialized_size(), bytes.len());
+        prop_assert_eq!(&bytes, &reference_to_bytes(&target));
+        prop_assert_eq!(bytes, target.to_bytes());
+        prop_assert!(target.diff(&patched).is_empty());
+
+        let mut replica = base.clone();
+        replica.clone_from(&target);
+        prop_assert_eq!(&replica, &target);
+        prop_assert_eq!(replica.heap_bytes(), target.heap_bytes());
+        prop_assert_eq!(replica.to_bytes(), target.to_bytes());
     }
 
     /// Any sequence of in-range writes is readable back, and serialization
@@ -598,4 +641,77 @@ fn encoder_edge_cases_match_the_reference() {
         );
         assert_eq!(decoded.to_bytes(), bytes, "{name}: re-encoded");
     }
+}
+
+/// The linear index of a chunk-local position, as [`BlockEdit`] holds it.
+fn linear(x: i32, y: i32, z: i32) -> u16 {
+    ((x * CHUNK_SIZE + z) * CHUNK_HEIGHT + y) as u16
+}
+
+/// The representation cases of `Chunk::diff`: a uniform section against a
+/// dense one and back, which compare column by column, and edits on the
+/// first and last block of a column, which sit on a section's edges.
+#[test]
+fn diff_fixed_cases() {
+    let pos = ChunkPos::new(1, 1);
+    let edge = CHUNK_SIZE - 1;
+
+    // Uniform stone against a dense section holding one wire.
+    let mut uniform = Chunk::empty(pos);
+    fill_section(&mut uniform, 2, Block::Stone);
+    let mut dense = uniform.clone();
+    dense.set_local(4, 37, 11, Block::Wire).unwrap();
+    assert_eq!((uniform.heap_bytes(), dense.heap_bytes()), (0, 8192));
+    let wire = BlockEdit {
+        index: linear(4, 37, 11),
+        block: Block::Wire,
+    };
+    assert_eq!(dense.diff(&uniform), vec![wire]);
+    let stone = BlockEdit {
+        block: Block::Stone,
+        ..wire
+    };
+    assert_eq!(uniform.diff(&dense), vec![stone]);
+    // Dense but all stone again: no block differs from the uniform section.
+    dense.set_local(4, 37, 11, Block::Stone).unwrap();
+    assert_eq!(dense.heap_bytes(), 8192);
+    assert!(dense.diff(&uniform).is_empty());
+    assert!(uniform.diff(&dense).is_empty());
+
+    // Two uniform sections of different ids differ in every block.
+    let mut dirt = uniform.clone();
+    fill_section(&mut dirt, 2, Block::Dirt);
+    let edits = dirt.diff(&uniform);
+    assert_eq!(edits.len(), 16 * 16 * 16);
+    assert!(edits.iter().all(|edit| edit.block == Block::Dirt));
+
+    // The first and last block of a column: y 0 and y 255, the chunk's
+    // first and last block included.
+    let base = Chunk::empty(pos);
+    let mut ends = base.clone();
+    for (x, y, z) in [
+        (0, 0, 0),
+        (0, 255, 0),
+        (7, 0, 3),
+        (7, 255, 3),
+        (edge, 255, edge),
+    ] {
+        ends.set_local(x, y, z, Block::Lamp).unwrap();
+    }
+    let mut indices: Vec<u16> = ends.diff(&base).iter().map(|edit| edit.index).collect();
+    indices.sort_unstable();
+    assert_eq!(
+        indices,
+        vec![
+            linear(0, 0, 0),
+            linear(0, 255, 0),
+            linear(7, 0, 3),
+            linear(7, 255, 3),
+            u16::MAX
+        ]
+    );
+    let mut patched = base.clone();
+    patched.apply_edits(&ends.diff(&base));
+    assert_eq!(patched.to_bytes(), ends.to_bytes());
+    assert_eq!(patched.serialized_size(), ends.serialized_size());
 }
