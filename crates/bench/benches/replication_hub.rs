@@ -1,6 +1,7 @@
 //! Real-CPU benchmark of the replication hub at the shape of the
 //! `replication_fanout` workload: 10 000 radius-2 subscribers, 8 flush
-//! cohorts, and per tick ~2 dirty chunks and ~160 construct/avatar events.
+//! cohorts, and per tick ~2 dirty chunks, ~160 construct/avatar events and
+//! 2 subscribers moving.
 //!
 //! Every row runs twice: with zipf-shared interests (the workload's
 //! shape: 10 000 subscribers over ~160 distinct interest centres) and with
@@ -10,7 +11,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use servo_replication::{Interest, ReplicationHub};
+use servo_replication::{Interest, ReplicationHub, SubscriberId};
 use servo_simkit::SimRng;
 use servo_types::ChunkPos;
 use servo_workload::KeySkew;
@@ -23,6 +24,7 @@ const COHORTS: u64 = 8;
 const SHARDS: usize = 16;
 const EVENTS_PER_TICK: usize = 160;
 const DIRTY_PER_TICK: usize = 2;
+const RETARGETS_PER_TICK: usize = 2;
 /// Ticks of pre-drawn dirt and events the rows cycle through.
 const TICKS: usize = 64;
 
@@ -101,6 +103,21 @@ fn bench_hub(c: &mut Criterion) {
             })
             .collect();
 
+        // Who moves where: a random subscriber to one of the shape's
+        // centres, as the workload's movers do.
+        let mut movers = SimRng::seed(7).substream("movers");
+        let moves: Vec<Vec<(SubscriberId, ChunkPos)>> = (0..TICKS)
+            .map(|_| {
+                (0..RETARGETS_PER_TICK)
+                    .map(|_| {
+                        let who = (movers.unit() * SUBSCRIBERS as f64) as usize % SUBSCRIBERS;
+                        let to = (movers.unit() * SUBSCRIBERS as f64) as usize % SUBSCRIBERS;
+                        (who as SubscriberId, shape.centers[to])
+                    })
+                    .collect()
+            })
+            .collect();
+
         let mut hub = hub(&shape.centers);
         let mut tick = 0;
         group.bench_function(format!("ingest_events_160/{}", shape.name), |b| {
@@ -123,6 +140,23 @@ fn bench_hub(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     tick = (tick + 1) % TICKS;
+                    hub.ingest(&dirt[tick]);
+                    hub.ingest_events(&events[tick]);
+                    hub.flush(COHORTS, |_| Some(4_096)).len()
+                })
+            },
+        );
+        // The same with the workload's two moves per tick first: movers owe
+        // keyframes, and the members they join sit at other `synced`
+        // clocks than their class's cohort, so a flush meets more groups.
+        group.bench_function(
+            format!("ingest_tick_retarget_2_then_flush_cohort/{}", shape.name),
+            |b| {
+                b.iter(|| {
+                    tick = (tick + 1) % TICKS;
+                    for &(who, center) in &moves[tick] {
+                        hub.retarget(who, center);
+                    }
                     hub.ingest(&dirt[tick]);
                     hub.ingest_events(&events[tick]);
                     hub.flush(COHORTS, |_| Some(4_096)).len()

@@ -5,7 +5,7 @@ use servo_faas::{Autoscaler, AutoscalerConfig, AutoscalerStats};
 use servo_metrics::StatsReport;
 use servo_types::{ChunkPos, SimTime};
 
-use crate::hub::ReplicationFrame;
+use crate::hub::Frames;
 
 /// Cost model of the fan-out stage. Encoding is charged to the tick of
 /// the zone owning the subscriber's terrain (the zone serialised the
@@ -88,14 +88,16 @@ impl FanoutStage {
 
     /// Charges one tick's frames: `zone_of` attributes each frame to the
     /// zone owning its subscriber's home chunk, and the returned vector is
-    /// the tick-visible fan-out cost per zone in milliseconds. With no
-    /// frames the stage is inert — zero cost, no autoscaler observation —
-    /// so a replication-free tick is byte-identical to a hub-less one.
+    /// the tick-visible fan-out cost per zone in milliseconds. A group of
+    /// `n` members is charged as `n` frames of its size, with one
+    /// `zone_of` call. With no frames the stage is inert — zero cost, no
+    /// autoscaler observation — so a replication-free tick is
+    /// byte-identical to a hub-less one.
     pub fn charge(
         &mut self,
         now: SimTime,
         zones: usize,
-        frames: &[ReplicationFrame],
+        frames: &Frames,
         mut zone_of: impl FnMut(ChunkPos) -> usize,
     ) -> Vec<f64> {
         let mut cost = vec![0.0; zones];
@@ -106,10 +108,11 @@ impl FanoutStage {
 
         let mut zone_frames = vec![0u64; zones];
         let mut zone_bytes = vec![0u64; zones];
-        for frame in frames {
-            let zone = zone_of(frame.home).min(zones.saturating_sub(1));
-            zone_frames[zone] += 1;
-            zone_bytes[zone] += frame.bytes;
+        for (group, members) in frames.groups() {
+            let zone = zone_of(group.home).min(zones.saturating_sub(1));
+            let n = members.len() as u64;
+            zone_frames[zone] += n;
+            zone_bytes[zone] += n * group.bytes;
         }
         for zone in 0..zones {
             let encode = zone_bytes[zone] as f64 / (1024.0 * 1024.0) * self.config.encode_ms_per_mb;
@@ -121,7 +124,7 @@ impl FanoutStage {
 
         self.stats.charges += 1;
         self.stats.frames += frames.len() as u64;
-        self.stats.bytes += frames.iter().map(|f| f.bytes).sum::<u64>();
+        self.stats.bytes += zone_bytes.iter().sum::<u64>();
         self.stats.peak_backlog = self.stats.peak_backlog.max(frames.len() as u64);
         self.stats.peak_workers = self.stats.peak_workers.max(workers as u64);
         cost

@@ -1,19 +1,24 @@
 //! The subscription index and the epoch-keyed delta encoder.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use servo_metrics::StatsReport;
 use servo_types::ChunkPos;
-use servo_world::{ShardDelta, ShardMap};
+use servo_world::{FxBuildHasher, ShardDelta, ShardMap};
 
 use crate::interest::{Interest, Subscription};
 
 /// Stable handle to a subscriber registered with a [`ReplicationHub`].
 pub type SubscriberId = u32;
 
-/// Epoch value meaning "this subscriber has never acknowledged the shard".
+/// Clock value meaning "none": no flush memo yet, or a fresh member that
+/// holds no synced clock.
 const NEVER: u64 = u64::MAX;
+
+/// The end of a class's chain of groups in the flush in progress.
+const NO_GROUP: u32 = u32::MAX;
 
 /// Tunables of the encoder's byte model. Keyframe bytes are *measured*
 /// (the owning zone's actual run-length-encoded chunk snapshot); delta
@@ -24,7 +29,7 @@ const NEVER: u64 = u64::MAX;
 pub struct HubConfig {
     /// Modelled wire size of one chunk's delta patch, in bytes.
     pub delta_bytes_per_chunk: u64,
-    /// Fixed framing overhead per [`ReplicationFrame`], in bytes.
+    /// Fixed framing overhead per frame, in bytes.
     pub frame_header_bytes: u64,
     /// Modelled wire size of one construct/avatar event, in bytes.
     pub event_bytes: u64,
@@ -62,22 +67,72 @@ pub enum FrameKind {
     },
 }
 
-/// One encoded update addressed to one subscriber.
+/// One flush's frames, one per due subscriber, grouped by content: every
+/// due member of an interest class that synced at the same clock is owed
+/// the same frame, so the frame is encoded once and shared by its
+/// [`FrameGroup`]'s members.
+#[derive(Debug, Clone, Default)]
+pub struct Frames {
+    groups: Vec<FrameGroup>,
+    /// Every group's members, one contiguous ascending run per group.
+    members: Vec<SubscriberId>,
+}
+
+impl Frames {
+    /// The number of frames: one per due subscriber, whatever the groups.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether no subscriber is owed a frame.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// Every frame as `(addressed subscriber, its group)`, group by group
+    /// and ascending within a group.
+    pub fn iter(&self) -> impl Iterator<Item = (SubscriberId, &FrameGroup)> {
+        self.groups()
+            .flat_map(|(group, members)| members.iter().map(move |&id| (id, group)))
+    }
+
+    /// Every group with its members, ascending, in the order the flush
+    /// first met each group.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = (&FrameGroup, &[SubscriberId])> {
+        self.groups.iter().map(|group| {
+            let members = &self.members[group.members.start as usize..group.members.end as usize];
+            (group, members)
+        })
+    }
+}
+
+/// One encoded frame and the subscribers it is addressed to: members of
+/// one interest class with the same kind of frame, the same `synced`
+/// clock and the same event count.
 #[derive(Debug, Clone)]
-pub struct ReplicationFrame {
-    /// The addressed subscriber.
-    pub subscriber: SubscriberId,
-    /// The subscriber's home chunk (its interest centre) — the owning zone
-    /// of this chunk is charged for the frame's fan-out cost.
+pub struct FrameGroup {
+    /// The class's interest centre, every member's home chunk — the owning
+    /// zone of this chunk is charged for the frames' fan-out cost.
     pub home: ChunkPos,
     /// Keyframe or coalesced delta.
     pub kind: FrameKind,
-    /// The chunks the frame carries, sorted by `(x, z)`.
-    pub chunks: Vec<ChunkPos>,
     /// Construct/avatar events piggybacked on the frame.
     pub events: u32,
-    /// Modelled wire size of the frame.
+    /// Modelled wire size of one member's frame.
     pub bytes: u64,
+    /// The chunks the frame carries, sorted by `(x, z)`; `None` when it
+    /// carries none, so an empty frame costs no reference count.
+    chunks: Option<Arc<[ChunkPos]>>,
+    /// The members' run in the flush's member buffer.
+    members: Range<u32>,
+}
+
+impl FrameGroup {
+    /// The chunks the frame carries, sorted by `(x, z)`. A class's
+    /// keyframe groups of one flush share one list.
+    pub fn chunks(&self) -> &[ChunkPos] {
+        self.chunks.as_deref().unwrap_or_default()
+    }
 }
 
 /// Counters of the subscription index and encoder.
@@ -200,12 +255,13 @@ struct ClassMemo {
     round: u64,
     /// Latest `touched` stamp over the class's cells.
     touched: u64,
+    /// Latest `dirty` stamp over the class's cells.
+    dirty: u64,
     /// Sum of the class's cell `events`.
     events: u64,
-    /// The `synced` clock `chunks` was derived for ([`NEVER`]: none).
-    since: u64,
-    /// The class's chunks dirtied after `since`, in row-major order.
-    chunks: Vec<ChunkPos>,
+    /// The class's latest group of the flush in progress, the head of a
+    /// chain through [`GroupKey::next`] ([`NO_GROUP`]: none yet).
+    groups: u32,
 }
 
 /// The state every area subscriber with the same [`Interest`] shares.
@@ -223,21 +279,41 @@ struct Class {
 
 impl Class {
     /// The class's latest `touched` stamp and event total, derived from
-    /// the cells on the first call of flush `round`.
+    /// the cells on the first call of flush `round`, which also starts the
+    /// class's group chain afresh.
     fn totals(&mut self, round: u64, cells: &[Cell]) -> (u64, u64) {
         if self.memo.round != round {
-            let (mut touched, mut events) = (0, 0);
+            let (mut touched, mut dirty, mut events) = (0, 0, 0);
             for &cell in self.cells.iter() {
                 let cell = &cells[cell as usize];
                 touched = touched.max(cell.touched);
+                dirty = dirty.max(cell.dirty);
                 events += cell.events;
             }
-            self.memo.round = round;
-            self.memo.touched = touched;
-            self.memo.events = events;
-            self.memo.since = NEVER;
+            self.memo = ClassMemo {
+                round,
+                touched,
+                dirty,
+                events,
+                groups: NO_GROUP,
+            };
         }
         (self.memo.touched, self.memo.events)
+    }
+
+    /// The class's chunks dirtied after clock `since`, ascending, into
+    /// `out`. Valid after [`Class::totals`] of the current flush.
+    fn dirty_since(&self, since: u64, cells: &[Cell], out: &mut Vec<ChunkPos>) {
+        out.clear();
+        if self.memo.dirty > since {
+            out.extend(
+                self.cells
+                    .iter()
+                    .map(|&cell| &cells[cell as usize])
+                    .filter(|cell| cell.dirty > since)
+                    .map(|cell| cell.pos),
+            );
+        }
     }
 
     /// The events ever carried to the class's cells.
@@ -248,35 +324,48 @@ impl Class {
             .sum()
     }
 
-    /// The class's chunks dirtied after clock `since`, ascending. Valid
-    /// after [`Class::totals`] of the current flush.
-    fn dirty_since(&mut self, since: u64, cells: &[Cell]) -> Vec<ChunkPos> {
-        if self.memo.since != since {
-            self.memo.since = since;
-            self.memo.chunks.clear();
-            self.memo.chunks.extend(
-                self.cells
-                    .iter()
-                    .map(|&cell| &cells[cell as usize])
-                    .filter(|cell| cell.dirty > since)
-                    .map(|cell| cell.pos),
-            );
-        }
-        self.memo.chunks.clone()
+    /// How many shard epochs members that acknowledged `acked` (every
+    /// shard's epoch) are behind, maximised over the class's shards; at
+    /// least 1.
+    fn epochs_behind(&self, acked: &[u64], shard_epochs: &[u64]) -> u64 {
+        self.shards
+            .iter()
+            .map(|&shard| shard_epochs[shard].saturating_sub(acked[shard]))
+            .max()
+            .unwrap_or(0)
+            .max(1)
     }
+}
+
+/// The shard epochs at a `synced` clock that some area subscriber, not
+/// fresh, sits at. Such a subscriber acknowledged every shard in the flush
+/// that synced it, and only `ingest` moves the epochs and the clock, so
+/// this record holds its acks: no subscriber carries acks of its own.
+struct Ack {
+    clock: u64,
+    /// Subscribers synced at `clock`. A record left with none is dropped at
+    /// the end of the next flush.
+    members: u32,
+    /// Every shard's epoch at `clock`.
+    epochs: Box<[u64]>,
+}
+
+/// Where in `acks`, ascending by clock, the record of `clock` is; a synced
+/// subscriber sits at `clock`.
+fn ack_at(acks: &[Ack], clock: u64) -> usize {
+    acks.binary_search_by_key(&clock, |ack| ack.clock)
+        .expect("a synced subscriber's clock has an ack record")
 }
 
 /// Per-subscriber encoder state of an area subscriber.
 struct Subscriber {
-    /// Last delivered epoch per entry of its class's `shards` ([`NEVER`]
-    /// = unsynced).
-    acked: Box<[u64]>,
     /// Chunks it was owed when it last retargeted, that its new interest
     /// still covers, ascending. Only a fresh subscriber carries any.
     carried: Box<[ChunkPos]>,
     /// The ingest clock at its last flush, subscribe or retarget. Its
     /// class's chunks dirtied after it are pending, and a cell touched
-    /// after it owes the subscriber a frame.
+    /// after it owes the subscriber a frame. Unless it is fresh, it sits
+    /// at the [`Ack`] record of this clock.
     synced: u64,
     /// Its class's event total at `synced`.
     event_base: u64,
@@ -285,6 +374,14 @@ struct Subscriber {
     carried_events: u32,
     /// A keyframe is owed (new subscriber, or retargeted into new terrain).
     fresh: bool,
+}
+
+impl Subscriber {
+    /// The clock of the [`Ack`] record it sits at (`None`: it is fresh
+    /// and sits at none).
+    fn record(&self) -> Option<u64> {
+        (!self.fresh).then_some(self.synced)
+    }
 }
 
 /// One subscriber id's entry.
@@ -297,9 +394,22 @@ enum Slot {
     Area(Subscriber),
 }
 
+/// What the flush in progress keeps about one group beside its frame.
+struct GroupKey {
+    /// The members' `synced` clock ([`NEVER`]: fresh members).
+    since: u64,
+    /// Where the members' [`Ack`] record is (`None`: they are fresh and
+    /// sit at none).
+    from: Option<u32>,
+    /// The class's previous group of this flush ([`NO_GROUP`]: none).
+    next: u32,
+    /// Members so far.
+    members: u32,
+}
+
 /// The area-of-interest subscription index over a sharded world, plus the
 /// per-tick delta encoder that turns drained dirty chunks and events into
-/// epoch-keyed [`ReplicationFrame`]s.
+/// epoch-keyed [`Frames`].
 ///
 /// Two kinds of subscriber share the index. *Area* subscribers (avatars /
 /// simulated clients) are grouped into interest classes: every subscriber
@@ -311,20 +421,25 @@ enum Slot {
 ///
 /// Ingest only stamps the touched chunk's cell, so it costs one lookup per
 /// dirty chunk or event whatever the number of subscribers. Flush *pulls*:
-/// it reads each due subscriber's pending chunks and events off its
-/// class's cells, through a per-flush class memo, so work shared by a
-/// class is done once per flush, not once per member.
+/// what a due subscriber is owed is a function of its class, its `synced`
+/// clock and whether it is fresh, so the flush encodes one [`FrameGroup`]
+/// per distinct such key and only adds each member to its group. The hub
+/// keeps the shard epochs once per clock its synced subscribers sit at,
+/// so subscribers carry no per-shard acks.
 ///
 /// # Memory
 ///
 /// On a 64-bit target:
-/// * per area subscriber: 64 B of slot, plus 8 B per shard of its class
-///   (`acked`) and 8 B per chunk it carries across a retarget;
-/// * per interest class: 104 B, plus 4 B per covered chunk, 8 B per shard
-///   and 8 B per memoised delta chunk, plus its class-index entry (16 B);
-/// * per covered chunk (cell): 40 B, plus its cell-index entry (12 B).
+/// * per area subscriber: 48 B of slot, plus 8 B per chunk it carries
+///   across a retarget, and nothing per shard;
+/// * per interest class: 88 B, plus 4 B per covered chunk and 8 B per
+///   shard, plus its class-index entry (16 B);
+/// * per covered chunk (cell): 40 B, plus its cell-index entry (12 B);
+/// * per distinct `synced` clock of the subscribers that are not fresh:
+///   one ack record of 32 B plus 8 B per shard of the partition — about
+///   one per flush cohort in steady state, for all subscribers together.
 ///
-/// A radius-2 class over 16 shards is thus ~350 B, shared by all of its
+/// A radius-2 class over 16 shards is thus ~330 B, shared by all of its
 /// members. Border subscribers hold only their slot and a 16 B entry.
 /// Hash-index entries are counted without the tables' spare capacity.
 ///
@@ -332,44 +447,55 @@ enum Slot {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use servo_replication::{Interest, ReplicationHub};
+/// use servo_replication::{FrameKind, Interest, ReplicationHub};
 /// use servo_types::ChunkPos;
 /// use servo_world::{ShardDelta, ShardMap};
 ///
 /// let map = Arc::new(ShardMap::contiguous(16, 1));
 /// let mut hub = ReplicationHub::new(Arc::clone(&map));
-/// let id = hub.subscribe(Interest::new(ChunkPos::new(0, 0), 1));
+/// let a = hub.subscribe(Interest::new(ChunkPos::new(0, 0), 1));
+/// let b = hub.subscribe(Interest::new(ChunkPos::new(0, 0), 1));
 ///
-/// // The fresh subscriber owes a keyframe; no loaded chunks yet, so it is
-/// // an empty one.
+/// // Both fresh subscribers owe a keyframe of the same interest: two
+/// // frames, one shared group.
 /// let frames = hub.flush(1, |_| Some(64));
-/// assert_eq!(frames.len(), 1);
+/// assert_eq!(frames.len(), 2);
+/// assert_eq!(frames.groups().len(), 1);
 ///
-/// // A dirty chunk inside the interest produces a delta frame.
+/// // A dirty chunk inside the interest produces a delta frame for each.
 /// hub.ingest(&[ShardDelta { shard: 0, epoch: 1, chunks: vec![ChunkPos::new(1, 1)] }]);
 /// let frames = hub.flush(1, |_| Some(64));
-/// assert_eq!(frames.len(), 1);
-/// assert_eq!(frames[0].chunks, vec![ChunkPos::new(1, 1)]);
-/// let _ = id;
+/// let (group, members) = frames.groups().next().unwrap();
+/// assert_eq!(members, &[a, b]);
+/// assert_eq!(group.kind, FrameKind::Delta { epochs_behind: 1 });
+/// assert_eq!(group.chunks(), &[ChunkPos::new(1, 1)]);
 /// ```
 pub struct ReplicationHub {
     map: Arc<ShardMap>,
     config: HubConfig,
     subs: Arena<Slot>,
     classes: Arena<Class>,
-    class_index: HashMap<Interest, u32>,
+    class_index: HashMap<Interest, u32, FxBuildHasher>,
     cells: Arena<Cell>,
-    cell_index: HashMap<ChunkPos, u32>,
+    cell_index: HashMap<ChunkPos, u32, FxBuildHasher>,
     /// Border subscribers, ascending by zone.
     border: Vec<(usize, SubscriberId)>,
     /// Current epoch per shard, updated from ingested deltas.
     shard_epochs: Vec<u64>,
+    /// The shard epochs synced area subscribers acknowledged, one record
+    /// per clock they sit at, ascending.
+    acks: Vec<Ack>,
     /// Ingest calls so far: the clock cell stamps are taken on.
     clock: u64,
     /// The partition version last seen by [`ReplicationHub::sync_partition`].
     map_version: u64,
     /// Flush counter, drives cohort selection.
     flushes: u64,
+    /// Flush scratch, kept to reuse its capacity: the groups' keys, every
+    /// frame as `(group, subscriber)`, and a chunk list being gathered.
+    keys: Vec<GroupKey>,
+    assigned: Vec<(u32, SubscriberId)>,
+    gathered: Vec<ChunkPos>,
     stats: ReplicationStats,
 }
 
@@ -398,14 +524,18 @@ impl ReplicationHub {
             config,
             subs: Arena::new(),
             classes: Arena::new(),
-            class_index: HashMap::new(),
+            class_index: HashMap::default(),
             cells: Arena::new(),
-            cell_index: HashMap::new(),
+            cell_index: HashMap::default(),
             border: Vec::new(),
             shard_epochs: vec![0; shard_count],
+            acks: Vec::new(),
             clock: 0,
             map_version,
             flushes: 0,
+            keys: Vec::new(),
+            assigned: Vec::new(),
+            gathered: Vec::new(),
             stats: ReplicationStats::default(),
         }
     }
@@ -436,7 +566,7 @@ impl ReplicationHub {
         match std::mem::replace(slot, Slot::Vacant) {
             Slot::Vacant => return,
             Slot::Border => self.border.retain(|&(_, other)| other != id),
-            Slot::Area(sub) => self.leave(sub.class),
+            Slot::Area(sub) => self.depart(sub.class, sub.record()),
         }
         self.subs.free.push(id);
         self.stats.subscribers -= 1;
@@ -461,9 +591,9 @@ impl ReplicationHub {
         self.stats.dropped_on_move += (before - carried.len()) as u64;
         self.stats.retargets += 1;
 
-        let old_class = sub.class;
+        let (old_class, record) = (sub.class, sub.record());
         let class = self.join(interest);
-        self.leave(old_class);
+        self.depart(old_class, record);
         let sub = self.synced_member(class, carried.into(), events);
         self.subs.items[id as usize] = Slot::Area(sub);
     }
@@ -535,8 +665,8 @@ impl ReplicationHub {
         self.stats.border_chunk_deliveries += 1;
     }
 
-    /// Encodes and returns the frames due this tick, in ascending
-    /// subscriber order.
+    /// Encodes the frames due this tick, one per due subscriber, grouped
+    /// by content.
     ///
     /// Subscribers are flushed in `cohorts` round-robin groups (cohort =
     /// `id % cohorts`); a subscriber in a slower cohort accumulates
@@ -547,11 +677,18 @@ impl ReplicationHub {
     /// instead: `sizer` maps a chunk position to its current snapshot size
     /// in bytes, or `None` when the chunk is not loaded (or its owner is
     /// dead) — such chunks are skipped and re-offered once they exist.
+    /// `sizer` is asked once per chunk of a class per flush, so it must
+    /// answer the same within one flush.
+    ///
+    /// A frame is a function of its subscriber's class, its `synced` clock
+    /// (or freshness) and its event count, so each distinct such key is
+    /// encoded once, as one [`FrameGroup`], and its members are counted in
+    /// `n ×` per group.
     pub fn flush(
         &mut self,
         cohorts: u64,
         mut sizer: impl FnMut(ChunkPos) -> Option<u64>,
-    ) -> Vec<ReplicationFrame> {
+    ) -> Frames {
         let cohorts = cohorts.max(1);
         let round = self.flushes;
         self.flushes += 1;
@@ -561,13 +698,23 @@ impl ReplicationHub {
             classes,
             cells,
             shard_epochs,
+            acks,
             clock,
+            keys,
+            assigned,
+            gathered,
             stats,
             ..
         } = self;
         let cells = &cells.items;
+        let clock = *clock;
+        // The last flush's group count is a fair guess at this one's.
+        let mut groups: Vec<FrameGroup> = Vec::with_capacity(keys.len());
+        keys.clear();
+        assigned.clear();
+        // This flush's record in `acks`, once a subscriber syncs.
+        let mut synced_at = None;
 
-        let mut frames = Vec::new();
         let first = usize::try_from(round % cohorts).unwrap_or(usize::MAX);
         let step = usize::try_from(cohorts).unwrap_or(usize::MAX);
         for (id, slot) in subs.items.iter_mut().enumerate().skip(first).step_by(step) {
@@ -580,75 +727,133 @@ impl ReplicationHub {
                 continue;
             }
             let events = sub.carried_events + (class_events - sub.event_base) as u32;
+            let since = if sub.fresh { NEVER } else { sub.synced };
 
-            let (kind, chunks, bytes) = if sub.fresh || config.keyframe_only {
-                let mut bytes = config.frame_header_bytes;
-                let mut chunks = Vec::new();
-                for &cell in class.cells.iter() {
-                    let pos = cells[cell as usize].pos;
-                    if let Some(size) = sizer(pos) {
-                        bytes += size;
-                        chunks.push(pos);
-                    }
+            // The class's group with this key, or the keyframe it already
+            // sized this flush.
+            let (mut group, mut keyframe) = (class.memo.groups, None);
+            while group != NO_GROUP {
+                let (key, frame) = (&keys[group as usize], &groups[group as usize]);
+                if key.since == since && frame.events == events {
+                    break;
                 }
-                (FrameKind::Keyframe, chunks, bytes)
-            } else {
-                // Only a fresh subscriber carries chunks, so a delta is
-                // exactly the class's dirt since the subscriber synced.
-                let chunks = class.dirty_since(sub.synced, cells);
-                let epochs_behind = class
-                    .shards
-                    .iter()
-                    .zip(sub.acked.iter())
-                    .map(|(&shard, &acked)| shard_epochs[shard].saturating_sub(acked))
-                    .max()
-                    .unwrap_or(0)
-                    .max(1);
-                let bytes = config.frame_header_bytes
-                    + chunks.len() as u64 * config.delta_bytes_per_chunk
-                    + u64::from(events) * config.event_bytes;
-                (FrameKind::Delta { epochs_behind }, chunks, bytes)
-            };
-
-            // Acknowledge: the subscriber is now current on every shard it
-            // resolves to, and on every stamp so far.
-            for (acked, &shard) in sub.acked.iter_mut().zip(class.shards.iter()) {
-                *acked = shard_epochs[shard];
+                if frame.kind == FrameKind::Keyframe {
+                    keyframe = Some(group);
+                }
+                group = key.next;
             }
+            if group == NO_GROUP {
+                let from = sub.record().map(|clock| ack_at(acks, clock));
+                let (kind, chunks, bytes) = if since == NEVER || config.keyframe_only {
+                    let (chunks, bytes) = match keyframe {
+                        Some(other) => {
+                            let other = &groups[other as usize];
+                            (other.chunks.clone(), other.bytes)
+                        }
+                        None => {
+                            gathered.clear();
+                            let mut bytes = config.frame_header_bytes;
+                            for &cell in class.cells.iter() {
+                                let pos = cells[cell as usize].pos;
+                                if let Some(size) = sizer(pos) {
+                                    bytes += size;
+                                    gathered.push(pos);
+                                }
+                            }
+                            (shared(gathered), bytes)
+                        }
+                    };
+                    (FrameKind::Keyframe, chunks, bytes)
+                } else {
+                    // Only a fresh subscriber carries chunks, so a delta is
+                    // exactly the class's dirt since the members synced.
+                    let from = from.expect("a synced member sits at an ack record");
+                    let epochs_behind = class.epochs_behind(&acks[from].epochs, shard_epochs);
+                    class.dirty_since(since, cells, gathered);
+                    let bytes = config.frame_header_bytes
+                        + gathered.len() as u64 * config.delta_bytes_per_chunk
+                        + u64::from(events) * config.event_bytes;
+                    let kind = FrameKind::Delta { epochs_behind };
+                    (kind, shared(gathered), bytes)
+                };
+                group = groups.len() as u32;
+                groups.push(FrameGroup {
+                    home: class.interest.center,
+                    kind,
+                    chunks,
+                    events,
+                    bytes,
+                    members: 0..0,
+                });
+                keys.push(GroupKey {
+                    since,
+                    from: from.map(|record| record as u32),
+                    next: class.memo.groups,
+                    members: 0,
+                });
+                class.memo.groups = group;
+            }
+            let key = &mut keys[group as usize];
+            key.members += 1;
+            assigned.push((group, id as SubscriberId));
+
+            // Acknowledge: the subscriber is now current on every stamp and
+            // every shard epoch so far, so it moves to this clock's record.
+            if let Some(from) = key.from {
+                acks[from as usize].members -= 1;
+            }
+            let to = *synced_at.get_or_insert_with(|| {
+                if acks.last().map(|ack| ack.clock) != Some(clock) {
+                    acks.push(Ack {
+                        clock,
+                        members: 0,
+                        epochs: shard_epochs.as_slice().into(),
+                    });
+                }
+                acks.len() - 1
+            });
+            acks[to].members += 1;
             sub.fresh = false;
             sub.carried = Box::default();
             sub.carried_events = 0;
-            sub.synced = *clock;
+            sub.synced = clock;
             sub.event_base = class_events;
+        }
 
-            stats.frames += 1;
-            stats.chunks_delivered += chunks.len() as u64;
-            stats.events_delivered += u64::from(events);
-            stats.bytes_sent += bytes;
-            match kind {
+        // Count each group's frames, and lay its members out in one run.
+        let mut start = 0;
+        for (frame, key) in groups.iter_mut().zip(keys.iter()) {
+            frame.members = start..start;
+            start += key.members;
+
+            let n = u64::from(key.members);
+            let chunks = frame.chunks().len() as u64;
+            stats.frames += n;
+            stats.chunks_delivered += n * chunks;
+            stats.events_delivered += n * u64::from(frame.events);
+            stats.bytes_sent += n * frame.bytes;
+            match frame.kind {
                 FrameKind::Keyframe => {
-                    stats.keyframes += 1;
-                    stats.keyframe_bytes += bytes;
+                    stats.keyframes += n;
+                    stats.keyframe_bytes += n * frame.bytes;
                 }
                 FrameKind::Delta { epochs_behind } => {
-                    stats.delta_frames += 1;
-                    stats.delta_bytes += bytes;
+                    stats.delta_frames += n;
+                    stats.delta_bytes += n * frame.bytes;
                     if epochs_behind > 1 {
-                        stats.coalesced_chunks += chunks.len() as u64;
+                        stats.coalesced_chunks += n * chunks;
                     }
                 }
             }
-
-            frames.push(ReplicationFrame {
-                subscriber: id as SubscriberId,
-                home: class.interest.center,
-                kind,
-                chunks,
-                events,
-                bytes,
-            });
         }
-        frames
+        let mut members = vec![0; assigned.len()];
+        for &(group, id) in assigned.iter() {
+            let run = &mut groups[group as usize].members;
+            members[run.end as usize] = id;
+            run.end += 1;
+        }
+        acks.retain(|ack| ack.members > 0);
+        Frames { groups, members }
     }
 
     /// Current counters.
@@ -676,7 +881,6 @@ impl ReplicationHub {
     ) -> Subscriber {
         let entry = &self.classes.items[class as usize];
         Subscriber {
-            acked: vec![NEVER; entry.shards.len()].into(),
             carried,
             synced: self.clock,
             event_base: entry.event_total(&self.cells.items),
@@ -743,13 +947,23 @@ impl ReplicationHub {
             memo: ClassMemo {
                 round: NEVER,
                 touched: 0,
+                dirty: 0,
                 events: 0,
-                since: NEVER,
-                chunks: Vec::new(),
+                groups: NO_GROUP,
             },
         });
         self.class_index.insert(interest, class);
         class
+    }
+
+    /// Takes a departing member out of `class`: off the [`Ack`] record of
+    /// clock `record`, if it sits at one, then out of the class itself.
+    fn depart(&mut self, class: u32, record: Option<u64>) {
+        if let Some(clock) = record {
+            let at = ack_at(&self.acks, clock);
+            self.acks[at].members -= 1;
+        }
+        self.leave(class);
     }
 
     /// Removes a member from `class`, freeing the class (and the cells no
@@ -771,21 +985,109 @@ impl ReplicationHub {
         }
         entry.cells = Box::default();
         entry.shards = Box::default();
-        entry.memo.chunks = Vec::new();
         self.classes.free.push(class);
     }
+}
+
+/// `list` as a shared chunk list, `None` when it is empty.
+fn shared(list: &[ChunkPos]) -> Option<Arc<[ChunkPos]>> {
+    (!list.is_empty()).then(|| Arc::from(list))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The per-entry budget the type docs state.
+    use std::collections::BTreeMap;
+
+    use servo_simkit::SimRng;
+    use servo_world::sharded::shard_index;
+
+    /// The per-entry budget the type docs state. A subscriber's slot holds
+    /// no per-shard state, so nothing else grows with the subscribers.
     #[test]
     fn memory_budget_holds() {
-        assert!(std::mem::size_of::<Slot>() <= 64);
-        assert!(std::mem::size_of::<Class>() <= 104);
+        assert!(std::mem::size_of::<Slot>() <= 48);
+        assert!(std::mem::size_of::<Class>() <= 88);
         assert!(std::mem::size_of::<Cell>() <= 40);
+        assert!(std::mem::size_of::<Ack>() <= 32);
+    }
+
+    /// Asserts that the hub's ack records with subscribers are exactly one
+    /// per distinct `synced` clock of its synced subscribers, each counting
+    /// the subscribers at that clock. Returns how many records it holds.
+    fn assert_acks_match_subscribers(hub: &ReplicationHub) -> usize {
+        let mut clocks: BTreeMap<u64, u32> = BTreeMap::new();
+        for slot in &hub.subs.items {
+            if let Slot::Area(sub) = slot {
+                if let Some(clock) = sub.record() {
+                    *clocks.entry(clock).or_default() += 1;
+                }
+            }
+        }
+        let acks = &hub.acks;
+        assert!(acks.windows(2).all(|w| w[0].clock < w[1].clock));
+        let live: BTreeMap<u64, u32> = acks
+            .iter()
+            .filter(|ack| ack.members > 0)
+            .map(|ack| (ack.clock, ack.members))
+            .collect();
+        assert_eq!(live, clocks);
+        acks.len()
+    }
+
+    /// The ack records never outnumber the distinct clocks of the synced
+    /// subscribers, through flushes over several cohorts, retargets away
+    /// and back, unsubscribes and reused ids: a record left without
+    /// subscribers goes at the end of the next flush.
+    #[test]
+    fn ack_records_track_the_subscribers_clocks() {
+        let mut hub = ReplicationHub::new(Arc::new(ShardMap::contiguous(16, 4)));
+        let mut rng = SimRng::seed(11);
+        let mut pick = |n: usize| (rng.unit() * n as f64) as usize % n;
+        let centres = [(0, 0), (1, 0), (4, 4), (-3, 2)];
+        let mut ids: Vec<SubscriberId> = (0..48)
+            .map(|i| {
+                let (x, z) = centres[i % centres.len()];
+                hub.subscribe(Interest::new(ChunkPos::new(x, z), 1))
+            })
+            .collect();
+        for epoch in 1..400u64 {
+            let pos = ChunkPos::new(pick(9) as i32 - 4, pick(9) as i32 - 2);
+            hub.ingest(&[ShardDelta {
+                shard: shard_index(pos, 16),
+                epoch,
+                chunks: vec![pos],
+            }]);
+            match pick(10) {
+                0..=3 => {
+                    let (x, z) = centres[pick(centres.len())];
+                    hub.retarget(ids[pick(ids.len())], ChunkPos::new(x, z));
+                }
+                4 => {
+                    let at = pick(ids.len());
+                    hub.unsubscribe(ids[at]);
+                    let (x, z) = centres[pick(centres.len())];
+                    ids[at] = hub.subscribe(Interest::new(ChunkPos::new(x, z), 1));
+                }
+                _ => {}
+            }
+            assert_acks_match_subscribers(&hub);
+            hub.flush(1 + epoch % 4, |_| Some(8));
+            let records = assert_acks_match_subscribers(&hub);
+            assert!(hub.acks.iter().all(|ack| ack.members > 0));
+            assert!(records <= ids.len());
+        }
+        let synced = hub.stats().delta_frames;
+        assert!(synced > 1_000, "the script exercised deltas: {synced}");
+
+        for id in ids {
+            hub.unsubscribe(id);
+            assert_acks_match_subscribers(&hub);
+        }
+        assert_eq!(hub.classes.free.len(), hub.classes.items.len());
+        hub.flush(1, |_| Some(8));
+        assert!(hub.acks.is_empty());
     }
 
     /// Subscribers with the same interest share one class, and the classes

@@ -15,15 +15,18 @@
 //! * [`ReplicationHub`] — the index plus the encoder. Ingesting drained
 //!   per-shard dirty deltas and construct/avatar events only stamps the
 //!   touched chunks, whatever the number of subscribers. Each flush pulls
-//!   a due subscriber's dirt off those stamps, through the interest class
-//!   it shares with every subscriber of the same [`Interest`], into one
-//!   epoch-keyed [`ReplicationFrame`]: a subscriber behind N shard epochs
-//!   gets one coalesced diff, a fresh subscriber gets a keyframe of its
-//!   loaded interest.
+//!   the due subscribers' dirt off those stamps, through the interest
+//!   class every subscriber of the same [`Interest`] shares, into
+//!   epoch-keyed [`Frames`]: a subscriber behind N shard epochs gets one
+//!   coalesced diff, a fresh subscriber gets a keyframe of its loaded
+//!   interest. Members of a class that synced at the same clock are owed
+//!   the same frame, so it is encoded once, as a [`FrameGroup`] they
+//!   share, and the class, not each subscriber, keeps the shard epochs
+//!   they last acknowledged.
 //! * [`FanoutStage`] — pushes encoded frames through an autoscaled worker
 //!   pool ([`servo_faas::Autoscaler`]) and reports the tick-visible cost
 //!   per owning zone, so replication load shows up in QoS like
-//!   simulation work does.
+//!   simulation work does. It charges a group's `n` frames in one step.
 //!
 //! The zoned cluster (`servo-server`) builds its border mirroring on the
 //! same API: each zone is registered via
@@ -41,7 +44,7 @@ pub mod interest;
 
 pub use fanout::{FanoutConfig, FanoutStage, FanoutStats};
 pub use hub::{
-    FrameKind, HubConfig, ReplicationFrame, ReplicationHub, ReplicationStats, SubscriberId,
+    FrameGroup, FrameKind, Frames, HubConfig, ReplicationHub, ReplicationStats, SubscriberId,
 };
 pub use interest::{Interest, Subscription};
 

@@ -13,7 +13,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use servo_replication::{FrameKind, HubConfig, Interest, ReplicationHub};
+use servo_replication::{
+    FrameGroup, FrameKind, Frames, HubConfig, Interest, ReplicationHub, SubscriberId,
+};
 use servo_types::ChunkPos;
 use servo_world::sharded::shard_index;
 use servo_world::{ShardDelta, ShardMap};
@@ -72,6 +74,12 @@ fn drain(chunks: &[(i32, i32)], epoch: u64) -> Vec<ShardDelta> {
         delta.chunks.sort();
     }
     deltas
+}
+
+/// The one frame of a flush that owed exactly one.
+fn only(frames: &Frames) -> (SubscriberId, &FrameGroup) {
+    assert_eq!(frames.len(), 1);
+    frames.iter().next().unwrap()
 }
 
 proptest! {
@@ -142,8 +150,8 @@ proptest! {
             // A subscriber is flushed exactly once, and exactly when the
             // model owes it something.
             let mut seen: Vec<bool> = vec![false; interests.len()];
-            for frame in &frames {
-                let i = frame.subscriber as usize;
+            for (id, frame) in frames.iter() {
+                let i = id as usize;
                 prop_assert!(!seen[i], "subscriber {} flushed twice in one tick", i);
                 seen[i] = true;
 
@@ -152,14 +160,14 @@ proptest! {
                         prop_assert!(fresh[i], "unexpected keyframe for subscriber {}", i);
                         // Every chunk in the region is "loaded" under this
                         // sizer, so the keyframe is the full region.
-                        prop_assert_eq!(&frame.chunks, &interests[i].chunks());
+                        prop_assert_eq!(frame.chunks().to_vec(), interests[i].chunks());
                         fresh[i] = false;
                     }
                     FrameKind::Delta { .. } => {
                         prop_assert!(!fresh[i], "fresh subscriber {} got a delta", i);
                         let expected: Vec<ChunkPos> = pending[i].iter().copied().collect();
                         prop_assert_eq!(
-                            &frame.chunks, &expected,
+                            frame.chunks().to_vec(), expected,
                             "delta for subscriber {} at step {}", i, step
                         );
                     }
@@ -183,11 +191,11 @@ fn keyframe_then_delta_transition() {
     let id = hub.subscribe(Interest::new(ChunkPos::new(0, 0), 1));
 
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].kind, FrameKind::Keyframe);
-    assert_eq!(frames[0].chunks.len(), 9);
+    let (_, frame) = only(&frames);
+    assert_eq!(frame.kind, FrameKind::Keyframe);
+    assert_eq!(frame.chunks().len(), 9);
     // 24-byte header + nine 40-byte snapshots.
-    assert_eq!(frames[0].bytes, 24 + 9 * 40);
+    assert_eq!(frame.bytes, 24 + 9 * 40);
 
     hub.ingest(&[ShardDelta {
         shard: shard_index(ChunkPos::new(1, 0), SHARDS),
@@ -195,10 +203,10 @@ fn keyframe_then_delta_transition() {
         chunks: vec![ChunkPos::new(1, 0)],
     }]);
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].subscriber, id);
-    assert_eq!(frames[0].kind, FrameKind::Delta { epochs_behind: 1 });
-    assert_eq!(frames[0].chunks, vec![ChunkPos::new(1, 0)]);
+    let (subscriber, frame) = only(&frames);
+    assert_eq!(subscriber, id);
+    assert_eq!(frame.kind, FrameKind::Delta { epochs_behind: 1 });
+    assert_eq!(frame.chunks(), &[ChunkPos::new(1, 0)]);
 
     // Nothing pending: the next flush is empty, not a zero-chunk frame.
     assert!(hub.flush(1, |_| Some(40)).is_empty());
@@ -229,9 +237,9 @@ fn slow_cohort_receives_one_coalesced_delta() {
     assert!(hub.flush(4, |_| Some(40)).is_empty()); // cohort 2
     assert!(hub.flush(4, |_| Some(40)).is_empty()); // cohort 3
     let frames = hub.flush(4, |_| Some(40)); // cohort 0: due
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].subscriber, id);
-    match frames[0].kind {
+    let (subscriber, frame) = only(&frames);
+    assert_eq!(subscriber, id);
+    match frame.kind {
         FrameKind::Delta { epochs_behind } => assert!(
             epochs_behind > 1,
             "coalesced frame should report the epoch gap, got {}",
@@ -239,7 +247,7 @@ fn slow_cohort_receives_one_coalesced_delta() {
         ),
         other => panic!("expected a coalesced delta, got {:?}", other),
     }
-    let mut chunks = frames[0].chunks.clone();
+    let mut chunks = frame.chunks().to_vec();
     chunks.sort();
     let mut expected = vec![a, b];
     expected.sort();
@@ -267,10 +275,10 @@ fn retarget_drops_departed_pending_and_owes_a_keyframe() {
     assert_eq!(hub.stats().retargets, 1);
 
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].kind, FrameKind::Keyframe);
+    let (_, frame) = only(&frames);
+    assert_eq!(frame.kind, FrameKind::Keyframe);
     assert_eq!(
-        frames[0].chunks,
+        frame.chunks().to_vec(),
         Interest::new(ChunkPos::new(50, 50), 1).chunks()
     );
 
@@ -282,8 +290,7 @@ fn retarget_drops_departed_pending_and_owes_a_keyframe() {
         chunks: vec![moved],
     }]);
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].chunks, vec![moved]);
+    assert_eq!(only(&frames).1.chunks(), &[moved]);
 }
 
 #[test]
@@ -304,9 +311,9 @@ fn keyframe_only_mode_resends_the_full_region_every_flush() {
         chunks: vec![pos],
     }]);
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].kind, FrameKind::Keyframe);
-    assert_eq!(frames[0].chunks.len(), 9);
+    let (_, frame) = only(&frames);
+    assert_eq!(frame.kind, FrameKind::Keyframe);
+    assert_eq!(frame.chunks().len(), 9);
     assert_eq!(hub.stats().delta_frames, 0);
 }
 
@@ -365,8 +372,7 @@ fn unsubscribe_stops_delivery_and_frees_the_cell_index() {
         chunks: vec![pos],
     }]);
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].subscriber, b);
+    assert_eq!(only(&frames).0, b);
 }
 
 /// An id unsubscribed while still queued and then reused is flushed once:
@@ -379,7 +385,68 @@ fn reused_id_of_a_queued_subscriber_gets_one_frame() {
     let b = hub.subscribe(Interest::new(ChunkPos::new(3, 3), 1));
     assert_eq!(a, b);
     let frames = hub.flush(1, |_| Some(40));
-    assert_eq!(frames.len(), 1);
-    assert_eq!(frames[0].kind, FrameKind::Keyframe);
+    assert_eq!(only(&frames).1.kind, FrameKind::Keyframe);
     assert_eq!(hub.stats().delta_frames, 0);
+}
+
+/// One class with delta members at three `synced` clocks in one flush: an
+/// early subscriber, a late joiner, and a member that retargeted in. Each
+/// clock is its own group, with its own epoch gap; once all three are
+/// synced together they share one group again.
+#[test]
+fn members_synced_at_different_clocks_get_separate_groups() {
+    let mut hub = ReplicationHub::new(Arc::new(ShardMap::contiguous(SHARDS, 1)));
+    let home = ChunkPos::new(0, 0);
+    let dirt = ChunkPos::new(1, 0);
+    let shard = shard_index(dirt, SHARDS);
+    // Advances `shard` to `epoch`; with no chunks no cell is stamped, so
+    // only the ingest clock and the shard epoch move.
+    let advance = |hub: &mut ReplicationHub, epoch: u64, chunks: Vec<ChunkPos>| {
+        hub.ingest(&[ShardDelta {
+            shard,
+            epoch,
+            chunks,
+        }]);
+    };
+
+    let early = hub.subscribe(Interest::new(home, 1));
+    let mover = hub.subscribe(Interest::new(ChunkPos::new(40, 40), 1));
+    assert_eq!(hub.flush(1, |_| Some(40)).len(), 2); // two keyframes
+    advance(&mut hub, 1, vec![dirt]);
+    assert_eq!(only(&hub.flush(1, |_| Some(40))).0, early); // synced at epoch 1
+
+    let late = hub.subscribe(Interest::new(home, 1));
+    advance(&mut hub, 2, vec![]);
+    assert_eq!(only(&hub.flush(1, |_| Some(40))).0, late); // keyframe at epoch 2
+
+    hub.retarget(mover, home);
+    advance(&mut hub, 3, vec![]);
+    assert_eq!(only(&hub.flush(1, |_| Some(40))).0, mover); // keyframe at epoch 3
+
+    advance(&mut hub, 4, vec![dirt]);
+    let frames = hub.flush(1, |_| Some(40));
+    assert_eq!(frames.len(), 3);
+    let mut groups: Vec<(Vec<SubscriberId>, FrameKind, Vec<ChunkPos>)> = frames
+        .groups()
+        .map(|(group, members)| (members.to_vec(), group.kind, group.chunks().to_vec()))
+        .collect();
+    groups.sort_by_key(|group| group.0.clone());
+    let delta = |epochs_behind| FrameKind::Delta { epochs_behind };
+    assert_eq!(
+        groups,
+        vec![
+            (vec![early], delta(3), vec![dirt]),
+            (vec![mover], delta(1), vec![dirt]),
+            (vec![late], delta(2), vec![dirt]),
+        ]
+    );
+    assert_eq!(hub.stats().coalesced_chunks, 2);
+
+    // Synced at one clock now: one shared group.
+    advance(&mut hub, 5, vec![dirt]);
+    let frames = hub.flush(1, |_| Some(40));
+    let (group, members) = frames.groups().next().unwrap();
+    assert_eq!(frames.groups().len(), 1);
+    assert_eq!(members, &[early, mover, late]);
+    assert_eq!(group.kind, delta(1));
 }

@@ -2,25 +2,27 @@
 //! push-per-subscriber hub it replaced (`support::push_hub`).
 //!
 //! Both hubs are driven with the same seeded op sequences: subscribe
-//! (ids are reused after unsubscribe), border subscribe, unsubscribe,
+//! (ids are reused after unsubscribe; a few shared centres make classes of
+//! many members), border subscribe, unsubscribe,
 //! retarget (in place, and several times between flushes), chunk ingest,
 //! event ingest (repeated positions, count 0), partition migration, and
 //! flushes over 1..=8 cohorts, with `keyframe_only` on and off. After
-//! every op the counters are equal; after every flush the frames, sorted
-//! by subscriber, are equal field for field.
+//! every op the counters are equal; after every flush the frames, one per
+//! subscriber and sorted by subscriber, are equal field for field, and the
+//! pull hub's groups are well formed: no subscriber twice, members
+//! ascending within a group, and as many frames as members and as the
+//! increase in `stats.frames`.
 
 mod support;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use servo_replication::{
-    FrameKind, HubConfig, Interest, ReplicationFrame, ReplicationHub, SubscriberId,
-};
+use servo_replication::{FrameKind, Frames, HubConfig, Interest, ReplicationHub, SubscriberId};
 use servo_types::ChunkPos;
 use servo_world::sharded::shard_index;
 use servo_world::{ShardDelta, ShardMap};
-use support::push_hub::ReplicationHub as PushHub;
+use support::push_hub::{ReplicationFrame, ReplicationHub as PushHub};
 
 const SHARDS: usize = 16;
 const ZONES: usize = 4;
@@ -52,10 +54,19 @@ fn chunk_strategy() -> impl Strategy<Value = (i32, i32)> {
     (-6i32..6, -6i32..6)
 }
 
+/// Radius-1 centres many subscribers share, so that one class holds
+/// members at several `synced` clocks and frame groups of several members.
+fn shared_center_strategy() -> impl Strategy<Value = (i32, i32)> {
+    (0i32..2, 0i32..2)
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (chunk_strategy(), 0i32..3)
             .prop_map(|(center, radius)| Op::Subscribe { center, radius }),
+        2 => shared_center_strategy().prop_map(|center| Op::Subscribe { center, radius: 1 }),
+        2 => (0usize..16, shared_center_strategy())
+            .prop_map(|(index, center)| Op::Retarget { index, center }),
         1 => (0usize..ZONES).prop_map(|zone| Op::SubscribeBorder { zone }),
         2 => (0usize..16).prop_map(|index| Op::Unsubscribe { index }),
         3 => (0usize..16, chunk_strategy())
@@ -105,6 +116,38 @@ fn fields(mut frames: Vec<ReplicationFrame>) -> Vec<FrameFields> {
         .into_iter()
         .map(|f| (f.subscriber, f.home, f.kind, f.chunks, f.events, f.bytes))
         .collect()
+}
+
+/// The pull hub's frames, one per subscriber, sorted by subscriber.
+fn grouped_fields(frames: &Frames) -> Vec<FrameFields> {
+    let mut fields: Vec<FrameFields> = frames
+        .iter()
+        .map(|(id, g)| (id, g.home, g.kind, g.chunks().to_vec(), g.events, g.bytes))
+        .collect();
+    fields.sort_by_key(|fields| fields.0);
+    fields
+}
+
+/// The group invariants of one flush that raised `stats.frames` by
+/// `counted`: no subscriber appears twice, members ascend within a group,
+/// and `len()` is both the member total and `counted`.
+fn assert_groups_well_formed(frames: &Frames, counted: u64) {
+    let mut seen = std::collections::HashSet::new();
+    let mut members = 0;
+    for (_, ids) in frames.groups() {
+        assert!(!ids.is_empty(), "a group without members");
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "unsorted group {ids:?}"
+        );
+        for &id in ids {
+            assert!(seen.insert(id), "subscriber {id} in two groups");
+        }
+        members += ids.len();
+    }
+    assert_eq!(frames.len(), members);
+    assert_eq!(frames.is_empty(), members == 0);
+    assert_eq!(frames.len() as u64, counted);
 }
 
 /// Runs `ops` against both hubs and asserts they agree throughout.
@@ -206,7 +249,10 @@ fn run_both(ops: &[Op], keyframe_only: bool) -> u64 {
                 }
             }
             Op::Flush { cohorts } => {
-                let pulled = fields(pull.flush(*cohorts, sizer));
+                let before = pull.stats().frames;
+                let grouped = pull.flush(*cohorts, sizer);
+                assert_groups_well_formed(&grouped, pull.stats().frames - before);
+                let pulled = grouped_fields(&grouped);
                 let pushed = fields(push.flush(*cohorts, sizer));
                 assert_eq!(pulled, pushed, "frames diverged at step {step}: {op:?}");
                 frames += pulled.len() as u64;

@@ -3,20 +3,40 @@
 //! the differential test (`tests/hub_differential.rs`). Ingest walks every
 //! covering subscriber of a chunk and pushes the chunk into its sorted
 //! pending set; flush drains the queue of touched subscribers in
-//! first-touched order. Only the imports, the doc example and two unused
-//! accessors differ from the hub as it was.
+//! first-touched order. Only the imports, the doc example, two unused
+//! accessors and the frame type differ from the hub as it was: the hub it
+//! is compared with returns frames grouped by content, so the frame type
+//! this hub returns one of per subscriber lives here.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use servo_replication::{
-    FrameKind, HubConfig, Interest, ReplicationFrame, ReplicationStats, SubscriberId, Subscription,
+    FrameKind, HubConfig, Interest, ReplicationStats, SubscriberId, Subscription,
 };
 use servo_types::ChunkPos;
 use servo_world::{ShardDelta, ShardMap};
 
 /// Epoch value meaning "this subscriber has never acknowledged the shard".
 const NEVER: u64 = u64::MAX;
+
+/// One encoded update addressed to one subscriber.
+#[derive(Debug, Clone)]
+pub struct ReplicationFrame {
+    /// The addressed subscriber.
+    pub subscriber: SubscriberId,
+    /// The subscriber's home chunk (its interest centre) — the owning zone
+    /// of this chunk is charged for the frame's fan-out cost.
+    pub home: ChunkPos,
+    /// Keyframe or coalesced delta.
+    pub kind: FrameKind,
+    /// The chunks the frame carries, sorted by `(x, z)`.
+    pub chunks: Vec<ChunkPos>,
+    /// Construct/avatar events piggybacked on the frame.
+    pub events: u32,
+    /// Modelled wire size of the frame.
+    pub bytes: u64,
+}
 
 /// Per-subscriber encoder state.
 struct SubscriberState {
