@@ -163,6 +163,22 @@ fn bench_hub(c: &mut Criterion) {
                 })
             },
         );
+        // The same tick, flushed with a cohort count other than the last
+        // flush's, so that every flush first re-bands every subscriber.
+        let mut cohorts = COHORTS;
+        group.bench_function(format!("flush_after_cohort_change/{}", shape.name), |b| {
+            b.iter(|| {
+                tick = (tick + 1) % TICKS;
+                cohorts = if cohorts == COHORTS {
+                    COHORTS - 1
+                } else {
+                    COHORTS
+                };
+                hub.ingest(&dirt[tick]);
+                hub.ingest_events(&events[tick]);
+                hub.flush(cohorts, |_| Some(4_096)).len()
+            })
+        });
     }
     group.finish();
 }

@@ -13,12 +13,11 @@ use crate::interest::{Interest, Subscription};
 /// Stable handle to a subscriber registered with a [`ReplicationHub`].
 pub type SubscriberId = u32;
 
-/// Clock value meaning "none": no flush memo yet, or a fresh member that
-/// holds no synced clock.
+/// Flush round meaning "none": no flush memo yet.
 const NEVER: u64 = u64::MAX;
 
-/// The end of a class's chain of groups in the flush in progress.
-const NO_GROUP: u32 = u32::MAX;
+/// Index meaning "none yet" in a class's flush memo.
+const NONE: u32 = u32::MAX;
 
 /// Tunables of the encoder's byte model. Keyframe bytes are *measured*
 /// (the owning zone's actual run-length-encoded chunk snapshot); delta
@@ -96,8 +95,9 @@ impl Frames {
             .flat_map(|(group, members)| members.iter().map(move |&id| (id, group)))
     }
 
-    /// Every group with its members, ascending, in the order the flush
-    /// first met each group.
+    /// Every group with its members, ascending: first the flushed
+    /// cohort's bands in the hub's roster order, then its fresh members'
+    /// groups.
     pub fn groups(&self) -> impl ExactSizeIterator<Item = (&FrameGroup, &[SubscriberId])> {
         self.groups.iter().map(|group| {
             let members = &self.members[group.members.start as usize..group.members.end as usize];
@@ -106,9 +106,9 @@ impl Frames {
     }
 }
 
-/// One encoded frame and the subscribers it is addressed to: members of
-/// one interest class with the same kind of frame, the same `synced`
-/// clock and the same event count.
+/// One encoded frame and the subscribers it is addressed to: the due
+/// members of one band, or the fresh members of one interest class that
+/// are owed the same event count.
 #[derive(Debug, Clone)]
 pub struct FrameGroup {
     /// The class's interest centre, every member's home chunk — the owning
@@ -259,9 +259,12 @@ struct ClassMemo {
     dirty: u64,
     /// Sum of the class's cell `events`.
     events: u64,
-    /// The class's latest group of the flush in progress, the head of a
-    /// chain through [`GroupKey::next`] ([`NO_GROUP`]: none yet).
-    groups: u32,
+    /// The class's band at the flush's clock in the flushed cohort, as an
+    /// index into that cohort's roster ([`NONE`]: none yet).
+    band: u32,
+    /// The class's first keyframe group of the flush, whose chunk list
+    /// and bytes its later keyframe groups share ([`NONE`]: none yet).
+    keyframe: u32,
 }
 
 /// The state every area subscriber with the same [`Interest`] shares.
@@ -279,8 +282,8 @@ struct Class {
 
 impl Class {
     /// The class's latest `touched` stamp and event total, derived from
-    /// the cells on the first call of flush `round`, which also starts the
-    /// class's group chain afresh.
+    /// the cells on the first call of flush `round`, which also clears the
+    /// memo's band and keyframe.
     fn totals(&mut self, round: u64, cells: &[Cell]) -> (u64, u64) {
         if self.memo.round != round {
             let (mut touched, mut dirty, mut events) = (0, 0, 0);
@@ -295,7 +298,8 @@ impl Class {
                 touched,
                 dirty,
                 events,
-                groups: NO_GROUP,
+                band: NONE,
+                keyframe: NONE,
             };
         }
         (self.memo.touched, self.memo.events)
@@ -337,10 +341,10 @@ impl Class {
     }
 }
 
-/// The shard epochs at a `synced` clock that some area subscriber, not
-/// fresh, sits at. Such a subscriber acknowledged every shard in the flush
-/// that synced it, and only `ingest` moves the epochs and the clock, so
-/// this record holds its acks: no subscriber carries acks of its own.
+/// The shard epochs at a `synced` clock that some band sits at. Its
+/// members acknowledged every shard in the flush that synced them, and
+/// only `ingest` moves the epochs and the clock, so this record holds
+/// their acks: no subscriber or band carries acks of its own.
 struct Ack {
     clock: u64,
     /// Subscribers synced at `clock`. A record left with none is dropped at
@@ -350,38 +354,55 @@ struct Ack {
     epochs: Box<[u64]>,
 }
 
-/// Where in `acks`, ascending by clock, the record of `clock` is; a synced
-/// subscriber sits at `clock`.
+/// Where in `acks`, ascending by clock, the record of `clock` is; a band
+/// sits at `clock`.
 fn ack_at(acks: &[Ack], clock: u64) -> usize {
     acks.binary_search_by_key(&clock, |ack| ack.clock)
-        .expect("a synced subscriber's clock has an ack record")
+        .expect("a band's clock has an ack record")
 }
 
-/// Per-subscriber encoder state of an area subscriber.
-struct Subscriber {
-    /// Chunks it was owed when it last retargeted, that its new interest
-    /// still covers, ascending. Only a fresh subscriber carries any.
-    carried: Box<[ChunkPos]>,
-    /// The ingest clock at its last flush, subscribe or retarget. Its
+/// Where in `acks` the record of `clock` is, made from the current
+/// `shard_epochs` if there is none. No record is later than `clock`.
+fn record_at(acks: &mut Vec<Ack>, clock: u64, shard_epochs: &[u64]) -> usize {
+    if acks.last().map(|ack| ack.clock) != Some(clock) {
+        acks.push(Ack {
+            clock,
+            members: 0,
+            epochs: shard_epochs.into(),
+        });
+    }
+    acks.len() - 1
+}
+
+/// The synced area subscribers of one interest class and one flush cohort
+/// that sit at one `synced` clock. They are owed one and the same frame,
+/// so a flush encodes it once and copies the member list.
+struct Band {
+    /// The ingest clock at the flush that last synced the members. The
     /// class's chunks dirtied after it are pending, and a cell touched
-    /// after it owes the subscriber a frame. Unless it is fresh, it sits
-    /// at the [`Ack`] record of this clock.
+    /// after it owes the members a frame. Their acks are the [`Ack`]
+    /// record of this clock.
+    clock: u64,
+    /// The class's event total at `clock`.
+    event_base: u64,
+    class: u32,
+    /// The members, ascending; never empty.
+    members: Vec<SubscriberId>,
+}
+
+/// An area subscriber that owes a keyframe: new, or retargeted since its
+/// cohort's last flush.
+struct Fresh {
+    id: SubscriberId,
+    /// Events it was owed when it last retargeted.
+    carried_events: u32,
+    /// The ingest clock at its subscribe or last retarget.
     synced: u64,
     /// Its class's event total at `synced`.
     event_base: u64,
-    class: u32,
-    /// Events it was owed when it last retargeted.
-    carried_events: u32,
-    /// A keyframe is owed (new subscriber, or retargeted into new terrain).
-    fresh: bool,
-}
-
-impl Subscriber {
-    /// The clock of the [`Ack`] record it sits at (`None`: it is fresh
-    /// and sits at none).
-    fn record(&self) -> Option<u64> {
-        (!self.fresh).then_some(self.synced)
-    }
+    /// Chunks it was owed when it last retargeted, that its new interest
+    /// still covers, ascending.
+    carried: Box<[ChunkPos]>,
 }
 
 /// One subscriber id's entry.
@@ -390,21 +411,120 @@ enum Slot {
     Vacant,
     /// A border subscriber: served by the mirror protocol, never flushed.
     Border,
-    /// An area subscriber.
-    Area(Subscriber),
+    /// An area subscriber of the given class. Its encoder state is in the
+    /// hub's fresh list or in one of its class's bands.
+    Area { class: u32 },
 }
 
-/// What the flush in progress keeps about one group beside its frame.
-struct GroupKey {
-    /// The members' `synced` clock ([`NEVER`]: fresh members).
-    since: u64,
-    /// Where the members' [`Ack`] record is (`None`: they are fresh and
-    /// sit at none).
-    from: Option<u32>,
-    /// The class's previous group of this flush ([`NO_GROUP`]: none).
-    next: u32,
-    /// Members so far.
-    members: u32,
+/// Where an area subscriber's encoder state is.
+enum Standing {
+    /// In the hub's fresh list, at this index.
+    Fresh(usize),
+    /// In band `band` of cohort `cohort`'s roster, at `members[at]`.
+    Banded {
+        cohort: usize,
+        band: usize,
+        at: usize,
+    },
+}
+
+/// One flush's groups as they are encoded, and what encoding needs.
+struct Encoder<'a, S> {
+    config: HubConfig,
+    cells: &'a [Cell],
+    shard_epochs: &'a [u64],
+    /// A chunk list being gathered.
+    gathered: &'a mut Vec<ChunkPos>,
+    stats: &'a mut ReplicationStats,
+    sizer: S,
+    frames: Frames,
+}
+
+impl<S: FnMut(ChunkPos) -> Option<u64>> Encoder<'_, S> {
+    /// Adds and counts the group of `members`, members of `class` owed
+    /// `events` events. `delta` is the clock they synced at and the shard
+    /// epochs they acknowledged then; without it, or with `keyframe_only`
+    /// set, they get a keyframe, which the class's keyframe groups of one
+    /// flush share.
+    fn group(
+        &mut self,
+        class: &mut Class,
+        delta: Option<(u64, &[u64])>,
+        events: u32,
+        members: impl IntoIterator<Item = SubscriberId>,
+    ) {
+        let config = &self.config;
+        let (kind, chunks, bytes) = match delta {
+            Some((since, acked)) if !config.keyframe_only => {
+                let epochs_behind = class.epochs_behind(acked, self.shard_epochs);
+                class.dirty_since(since, self.cells, self.gathered);
+                let bytes = config.frame_header_bytes
+                    + self.gathered.len() as u64 * config.delta_bytes_per_chunk
+                    + u64::from(events) * config.event_bytes;
+                let kind = FrameKind::Delta { epochs_behind };
+                (kind, shared(self.gathered), bytes)
+            }
+            _ => {
+                let (chunks, bytes) = match class.memo.keyframe {
+                    NONE => {
+                        class.memo.keyframe = self.frames.groups.len() as u32;
+                        self.gathered.clear();
+                        let mut bytes = config.frame_header_bytes;
+                        for &cell in class.cells.iter() {
+                            let pos = self.cells[cell as usize].pos;
+                            if let Some(size) = (self.sizer)(pos) {
+                                bytes += size;
+                                self.gathered.push(pos);
+                            }
+                        }
+                        (shared(self.gathered), bytes)
+                    }
+                    other => {
+                        let other = &self.frames.groups[other as usize];
+                        (other.chunks.clone(), other.bytes)
+                    }
+                };
+                (FrameKind::Keyframe, chunks, bytes)
+            }
+        };
+        let start = self.frames.members.len() as u32;
+        self.frames.members.extend(members);
+        let group = FrameGroup {
+            home: class.interest.center,
+            kind,
+            events,
+            bytes,
+            chunks,
+            members: start..self.frames.members.len() as u32,
+        };
+        self.stats.count(&group);
+        self.frames.groups.push(group);
+    }
+}
+
+impl ReplicationStats {
+    /// Counts the frames of `group`, one per member.
+    fn count(&mut self, group: &FrameGroup) {
+        let n = u64::from(group.members.end - group.members.start);
+        let chunks = group.chunks().len() as u64;
+        self.frames += n;
+        self.chunks_delivered += n * chunks;
+        self.events_delivered += n * u64::from(group.events);
+        self.bytes_sent += n * group.bytes;
+        match group.kind {
+            FrameKind::Keyframe => {
+                self.keyframes += n;
+                self.keyframe_bytes += n * group.bytes;
+            }
+            FrameKind::Delta { epochs_behind } => {
+                self.delta_frames += n;
+                self.delta_bytes += n * group.bytes;
+                if epochs_behind > 1 {
+                    self.coalesced_chunks += n * chunks;
+                }
+            }
+        }
+    }
 }
 
 /// The area-of-interest subscription index over a sharded world, plus the
@@ -422,26 +542,31 @@ struct GroupKey {
 /// Ingest only stamps the touched chunk's cell, so it costs one lookup per
 /// dirty chunk or event whatever the number of subscribers. Flush *pulls*:
 /// what a due subscriber is owed is a function of its class, its `synced`
-/// clock and whether it is fresh, so the flush encodes one [`FrameGroup`]
-/// per distinct such key and only adds each member to its group. The hub
-/// keeps the shard epochs once per clock its synced subscribers sit at,
-/// so subscribers carry no per-shard acks.
+/// clock and whether it is fresh. The hub keeps the synced members of each
+/// class per flush cohort in *bands*, one per `synced` clock, so a flush
+/// encodes one [`FrameGroup`] per due band and copies its member list,
+/// without visiting the members. Only fresh subscribers, which owe a
+/// keyframe, are kept one by one. The hub keeps the shard epochs once per
+/// clock its bands sit at, so subscribers carry no per-shard acks.
 ///
 /// # Memory
 ///
 /// On a 64-bit target:
-/// * per area subscriber: 48 B of slot, plus 8 B per chunk it carries
-///   across a retarget, and nothing per shard;
+/// * per area subscriber: 8 B of slot and 4 B in its band, and nothing
+///   per shard; while it owes a keyframe, a 40 B fresh entry instead of
+///   the band entry, plus 8 B per chunk it carries across a retarget;
+/// * per band: 48 B. A class has one band per flush cohort per `synced`
+///   clock of its members, about one per cohort in steady state;
 /// * per interest class: 88 B, plus 4 B per covered chunk and 8 B per
 ///   shard, plus its class-index entry (16 B);
 /// * per covered chunk (cell): 40 B, plus its cell-index entry (12 B);
-/// * per distinct `synced` clock of the subscribers that are not fresh:
-///   one ack record of 32 B plus 8 B per shard of the partition — about
-///   one per flush cohort in steady state, for all subscribers together.
+/// * per distinct band clock: one ack record of 32 B plus 8 B per shard of
+///   the partition — about one per flush cohort in steady state, for all
+///   subscribers together.
 ///
 /// A radius-2 class over 16 shards is thus ~330 B, shared by all of its
 /// members. Border subscribers hold only their slot and a 16 B entry.
-/// Hash-index entries are counted without the tables' spare capacity.
+/// Hash-index entries and vectors are counted without spare capacity.
 ///
 /// # Example
 ///
@@ -480,10 +605,17 @@ pub struct ReplicationHub {
     cell_index: HashMap<ChunkPos, u32, FxBuildHasher>,
     /// Border subscribers, ascending by zone.
     border: Vec<(usize, SubscriberId)>,
+    /// Per flush cohort, the bands of its synced members. A cohort that
+    /// never held a band may have no roster.
+    rosters: Vec<Vec<Band>>,
+    /// The cohort count the rosters are laid out for: the latest flush's.
+    cohorts: u64,
+    /// Area subscribers that owe a keyframe, ascending by id.
+    fresh: Vec<Fresh>,
     /// Current epoch per shard, updated from ingested deltas.
     shard_epochs: Vec<u64>,
-    /// The shard epochs synced area subscribers acknowledged, one record
-    /// per clock they sit at, ascending.
+    /// The shard epochs the bands' members acknowledged, one record per
+    /// clock bands sit at, ascending.
     acks: Vec<Ack>,
     /// Ingest calls so far: the clock cell stamps are taken on.
     clock: u64,
@@ -491,10 +623,9 @@ pub struct ReplicationHub {
     map_version: u64,
     /// Flush counter, drives cohort selection.
     flushes: u64,
-    /// Flush scratch, kept to reuse its capacity: the groups' keys, every
-    /// frame as `(group, subscriber)`, and a chunk list being gathered.
-    keys: Vec<GroupKey>,
-    assigned: Vec<(u32, SubscriberId)>,
+    /// Flush scratch, kept to reuse its capacity: the due fresh members as
+    /// `(class, events, id)`, and a chunk list being gathered.
+    joining: Vec<(u32, u32, SubscriberId)>,
     gathered: Vec<ChunkPos>,
     stats: ReplicationStats,
 }
@@ -528,13 +659,15 @@ impl ReplicationHub {
             cells: Arena::new(),
             cell_index: HashMap::default(),
             border: Vec::new(),
+            rosters: Vec::new(),
+            cohorts: 1,
+            fresh: Vec::new(),
             shard_epochs: vec![0; shard_count],
             acks: Vec::new(),
             clock: 0,
             map_version,
             flushes: 0,
-            keys: Vec::new(),
-            assigned: Vec::new(),
+            joining: Vec::new(),
             gathered: Vec::new(),
             stats: ReplicationStats::default(),
         }
@@ -544,8 +677,9 @@ impl ReplicationHub {
     /// of its cohort sends it one.
     pub fn subscribe(&mut self, interest: Interest) -> SubscriberId {
         let class = self.join(interest);
-        let sub = self.synced_member(class, Box::default(), 0);
-        self.insert(Slot::Area(sub))
+        let id = self.insert(Slot::Area { class });
+        self.add_fresh(id, class, Box::default(), 0);
+        id
     }
 
     /// Registers a neighbour zone as a border subscriber. Border
@@ -566,7 +700,10 @@ impl ReplicationHub {
         match std::mem::replace(slot, Slot::Vacant) {
             Slot::Vacant => return,
             Slot::Border => self.border.retain(|&(_, other)| other != id),
-            Slot::Area(sub) => self.depart(sub.class, sub.record()),
+            Slot::Area { class } => {
+                let standing = self.standing(id, class);
+                self.depart(class, standing);
+            }
         }
         self.subs.free.push(id);
         self.stats.subscribers -= 1;
@@ -577,25 +714,25 @@ impl ReplicationHub {
     /// dropped, and the freshly entered terrain is owed a keyframe. No-op
     /// for border subscribers and unknown ids.
     pub fn retarget(&mut self, id: SubscriberId, center: ChunkPos) {
-        let Some(Slot::Area(sub)) = self.subs.items.get(id as usize) else {
+        let Some(&Slot::Area { class: old_class }) = self.subs.items.get(id as usize) else {
             return;
         };
-        let old = self.classes.items[sub.class as usize].interest;
+        let old = self.classes.items[old_class as usize].interest;
         if old.center == center {
             return;
         }
         let interest = Interest::new(center, old.radius);
-        let (mut carried, events) = self.owed(sub);
+        let standing = self.standing(id, old_class);
+        let (mut carried, events) = self.owed(old_class, &standing);
         let before = carried.len();
         carried.retain(|&pos| interest.covers(pos));
         self.stats.dropped_on_move += (before - carried.len()) as u64;
         self.stats.retargets += 1;
 
-        let (old_class, record) = (sub.class, sub.record());
         let class = self.join(interest);
-        self.depart(old_class, record);
-        let sub = self.synced_member(class, carried.into(), events);
-        self.subs.items[id as usize] = Slot::Area(sub);
+        self.depart(old_class, standing);
+        self.subs.items[id as usize] = Slot::Area { class };
+        self.add_fresh(id, class, carried.into(), events);
     }
 
     /// Stamps drained per-shard dirty deltas on the cells of the chunks
@@ -680,180 +817,158 @@ impl ReplicationHub {
     /// `sizer` is asked once per chunk of a class per flush, so it must
     /// answer the same within one flush.
     ///
-    /// A frame is a function of its subscriber's class, its `synced` clock
-    /// (or freshness) and its event count, so each distinct such key is
-    /// encoded once, as one [`FrameGroup`], and its members are counted in
-    /// `n ×` per group.
-    pub fn flush(
-        &mut self,
-        cohorts: u64,
-        mut sizer: impl FnMut(ChunkPos) -> Option<u64>,
-    ) -> Frames {
+    /// The flush walks only the cohort's bands: each due band is one
+    /// [`FrameGroup`], whose members are copied in one go. The cohort's
+    /// fresh members are grouped by class and event count. Everyone synced
+    /// ends in one band per class at this flush's clock. The bands are laid
+    /// out for the latest flush's `cohorts`; a flush with another count
+    /// first re-bands every synced subscriber, once.
+    pub fn flush(&mut self, cohorts: u64, sizer: impl FnMut(ChunkPos) -> Option<u64>) -> Frames {
         let cohorts = cohorts.max(1);
+        if cohorts != self.cohorts {
+            self.reband(cohorts);
+        }
         let round = self.flushes;
         self.flushes += 1;
+        let cohort = round % cohorts;
+        let index = usize::try_from(cohort).unwrap_or(usize::MAX);
         let ReplicationHub {
             config,
             subs,
             classes,
             cells,
+            rosters,
+            fresh,
             shard_epochs,
             acks,
             clock,
-            keys,
-            assigned,
+            joining,
             gathered,
             stats,
             ..
         } = self;
         let cells = &cells.items;
+        let shard_epochs: &[u64] = shard_epochs;
         let clock = *clock;
-        // The last flush's group count is a fair guess at this one's.
-        let mut groups: Vec<FrameGroup> = Vec::with_capacity(keys.len());
-        keys.clear();
-        assigned.clear();
-        // This flush's record in `acks`, once a subscriber syncs.
+
+        // The cohort's fresh members, to be grouped by class and event
+        // count once the bands are done.
+        joining.clear();
+        for member in fresh
+            .iter()
+            .filter(|member| u64::from(member.id) % cohorts == cohort)
+        {
+            let Slot::Area { class } = subs.items[member.id as usize] else {
+                unreachable!("a fresh subscriber is an area subscriber");
+            };
+            let (_, class_events) = classes.items[class as usize].totals(round, cells);
+            let events = member.carried_events + (class_events - member.event_base) as u32;
+            joining.push((class, events, member.id));
+        }
+        let (bands, banded) = rosters.get(index).map_or((0, 0), |roster| {
+            let banded = roster.iter().map(|band| band.members.len()).sum();
+            (roster.len(), banded)
+        });
+        let mut encoder = Encoder {
+            config: *config,
+            cells,
+            shard_epochs,
+            gathered,
+            stats,
+            sizer,
+            frames: Frames {
+                groups: Vec::with_capacity(bands + joining.len()),
+                members: Vec::with_capacity(banded + joining.len()),
+            },
+        };
+        // This flush's record in `acks`, once a member syncs.
         let mut synced_at = None;
 
-        let first = usize::try_from(round % cohorts).unwrap_or(usize::MAX);
-        let step = usize::try_from(cohorts).unwrap_or(usize::MAX);
-        for (id, slot) in subs.items.iter_mut().enumerate().skip(first).step_by(step) {
-            let Slot::Area(sub) = slot else {
-                continue;
-            };
-            let class = &mut classes.items[sub.class as usize];
-            let (touched, class_events) = class.totals(round, cells);
-            if !sub.fresh && touched <= sub.synced {
-                continue;
-            }
-            let events = sub.carried_events + (class_events - sub.event_base) as u32;
-            let since = if sub.fresh { NEVER } else { sub.synced };
-
-            // The class's group with this key, or the keyframe it already
-            // sized this flush.
-            let (mut group, mut keyframe) = (class.memo.groups, None);
-            while group != NO_GROUP {
-                let (key, frame) = (&keys[group as usize], &groups[group as usize]);
-                if key.since == since && frame.events == events {
-                    break;
-                }
-                if frame.kind == FrameKind::Keyframe {
-                    keyframe = Some(group);
-                }
-                group = key.next;
-            }
-            if group == NO_GROUP {
-                let from = sub.record().map(|clock| ack_at(acks, clock));
-                let (kind, chunks, bytes) = if since == NEVER || config.keyframe_only {
-                    let (chunks, bytes) = match keyframe {
-                        Some(other) => {
-                            let other = &groups[other as usize];
-                            (other.chunks.clone(), other.bytes)
-                        }
-                        None => {
-                            gathered.clear();
-                            let mut bytes = config.frame_header_bytes;
-                            for &cell in class.cells.iter() {
-                                let pos = cells[cell as usize].pos;
-                                if let Some(size) = sizer(pos) {
-                                    bytes += size;
-                                    gathered.push(pos);
-                                }
-                            }
-                            (shared(gathered), bytes)
-                        }
+        // Each due band is one group. A band that ends at this clock joins
+        // the class's first such band, so that one band per class is left.
+        let mut merged = false;
+        if let Some(roster) = rosters.get_mut(index) {
+            // The last ack record looked up, as `(clock, index)`; a record
+            // made by this flush goes at the end, so indices stay valid.
+            let mut last = None;
+            for at in 0..roster.len() {
+                let band = &mut roster[at];
+                let class = &mut classes.items[band.class as usize];
+                let (touched, class_events) = class.totals(round, cells);
+                if touched > band.clock {
+                    // Most bands of a cohort sit at its last flush's clock.
+                    let from = match last {
+                        Some((synced, record)) if synced == band.clock => record,
+                        _ => ack_at(acks, band.clock),
                     };
-                    (FrameKind::Keyframe, chunks, bytes)
-                } else {
-                    // Only a fresh subscriber carries chunks, so a delta is
-                    // exactly the class's dirt since the members synced.
-                    let from = from.expect("a synced member sits at an ack record");
-                    let epochs_behind = class.epochs_behind(&acks[from].epochs, shard_epochs);
-                    class.dirty_since(since, cells, gathered);
-                    let bytes = config.frame_header_bytes
-                        + gathered.len() as u64 * config.delta_bytes_per_chunk
-                        + u64::from(events) * config.event_bytes;
-                    let kind = FrameKind::Delta { epochs_behind };
-                    (kind, shared(gathered), bytes)
-                };
-                group = groups.len() as u32;
-                groups.push(FrameGroup {
-                    home: class.interest.center,
-                    kind,
-                    chunks,
-                    events,
-                    bytes,
-                    members: 0..0,
-                });
-                keys.push(GroupKey {
-                    since,
-                    from: from.map(|record| record as u32),
-                    next: class.memo.groups,
-                    members: 0,
-                });
-                class.memo.groups = group;
-            }
-            let key = &mut keys[group as usize];
-            key.members += 1;
-            assigned.push((group, id as SubscriberId));
-
-            // Acknowledge: the subscriber is now current on every stamp and
-            // every shard epoch so far, so it moves to this clock's record.
-            if let Some(from) = key.from {
-                acks[from as usize].members -= 1;
-            }
-            let to = *synced_at.get_or_insert_with(|| {
-                if acks.last().map(|ack| ack.clock) != Some(clock) {
-                    acks.push(Ack {
-                        clock,
-                        members: 0,
-                        epochs: shard_epochs.as_slice().into(),
-                    });
+                    last = Some((band.clock, from));
+                    let events = (class_events - band.event_base) as u32;
+                    let delta = Some((band.clock, &*acks[from].epochs));
+                    encoder.group(class, delta, events, band.members.iter().copied());
+                    // Acknowledge: the members are now current on every
+                    // stamp and shard epoch so far.
+                    let to = *synced_at.get_or_insert_with(|| record_at(acks, clock, shard_epochs));
+                    let n = band.members.len() as u32;
+                    acks[from].members -= n;
+                    acks[to].members += n;
+                    band.clock = clock;
+                    band.event_base = class_events;
                 }
-                acks.len() - 1
-            });
-            acks[to].members += 1;
-            sub.fresh = false;
-            sub.carried = Box::default();
-            sub.carried_events = 0;
-            sub.synced = clock;
-            sub.event_base = class_events;
-        }
-
-        // Count each group's frames, and lay its members out in one run.
-        let mut start = 0;
-        for (frame, key) in groups.iter_mut().zip(keys.iter()) {
-            frame.members = start..start;
-            start += key.members;
-
-            let n = u64::from(key.members);
-            let chunks = frame.chunks().len() as u64;
-            stats.frames += n;
-            stats.chunks_delivered += n * chunks;
-            stats.events_delivered += n * u64::from(frame.events);
-            stats.bytes_sent += n * frame.bytes;
-            match frame.kind {
-                FrameKind::Keyframe => {
-                    stats.keyframes += n;
-                    stats.keyframe_bytes += n * frame.bytes;
+                if band.clock == clock {
+                    if class.memo.band == NONE {
+                        class.memo.band = at as u32;
+                    } else {
+                        let moved = std::mem::take(&mut band.members);
+                        roster[class.memo.band as usize].members.extend(moved);
+                        merged = true;
+                    }
                 }
-                FrameKind::Delta { epochs_behind } => {
-                    stats.delta_frames += n;
-                    stats.delta_bytes += n * frame.bytes;
-                    if epochs_behind > 1 {
-                        stats.coalesced_chunks += n * chunks;
+            }
+            if merged {
+                for band in roster.iter_mut() {
+                    if !band.members.is_sorted() {
+                        band.members.sort_unstable();
                     }
                 }
             }
         }
-        let mut members = vec![0; assigned.len()];
-        for &(group, id) in assigned.iter() {
-            let run = &mut groups[group as usize].members;
-            members[run.end as usize] = id;
-            run.end += 1;
+
+        // The fresh members: one group per class and event count, and each
+        // joins its class's band at this clock.
+        if !joining.is_empty() {
+            joining.sort_unstable();
+            let to = *synced_at.get_or_insert_with(|| record_at(acks, clock, shard_epochs));
+            acks[to].members += joining.len() as u32;
+            if rosters.len() <= index {
+                rosters.resize_with(index + 1, Vec::new);
+            }
+            let roster = &mut rosters[index];
+            for run in joining.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                let (class_id, events, _) = run[0];
+                let class = &mut classes.items[class_id as usize];
+                encoder.group(class, None, events, run.iter().map(|&(.., member)| member));
+                if class.memo.band == NONE {
+                    class.memo.band = roster.len() as u32;
+                    roster.push(Band {
+                        clock,
+                        event_base: class.memo.events,
+                        class: class_id,
+                        members: Vec::new(),
+                    });
+                }
+                let members = &mut roster[class.memo.band as usize].members;
+                for &(.., member) in run {
+                    let at = members.partition_point(|&other| other < member);
+                    members.insert(at, member);
+                }
+            }
+            fresh.retain(|member| u64::from(member.id) % cohorts != cohort);
+        }
+        if merged {
+            rosters[index].retain(|band| !band.members.is_empty());
         }
         acks.retain(|ack| ack.members > 0);
-        Frames { groups, members }
+        encoder.frames
     }
 
     /// Current counters.
@@ -871,44 +986,115 @@ impl ReplicationHub {
         self.subs.insert(slot)
     }
 
-    /// A new member of `class`, synced to the current clock, owing a
-    /// keyframe and carrying `carried` chunks and `carried_events`.
-    fn synced_member(
-        &self,
+    /// Lays the bands out for `cohorts` cohorts: the members of all bands
+    /// of one class and clock are dealt out by their new cohort. Costs
+    /// O(subscribers), plus a sort of the bands by class and clock.
+    fn reband(&mut self, cohorts: u64) {
+        let mut bands: Vec<Band> = self.rosters.drain(..).flatten().collect();
+        bands.sort_unstable_by_key(|band| (band.class, band.clock));
+        // Per new cohort, the members dealt to it; `dealt` lists the
+        // cohorts that received any.
+        let mut hands: Vec<Vec<SubscriberId>> = Vec::new();
+        let mut dealt = Vec::new();
+        for run in bands.chunk_by(|a, b| (a.class, a.clock) == (b.class, b.clock)) {
+            for &id in run.iter().flat_map(|band| &band.members) {
+                let cohort = (u64::from(id) % cohorts) as usize;
+                if hands.len() <= cohort {
+                    hands.resize_with(cohort + 1, Vec::new);
+                }
+                if hands[cohort].is_empty() {
+                    dealt.push(cohort);
+                }
+                hands[cohort].push(id);
+            }
+            for cohort in dealt.drain(..) {
+                let mut members = std::mem::take(&mut hands[cohort]);
+                if run.len() > 1 {
+                    members.sort_unstable();
+                }
+                if self.rosters.len() <= cohort {
+                    self.rosters.resize_with(cohort + 1, Vec::new);
+                }
+                self.rosters[cohort].push(Band { members, ..run[0] });
+            }
+        }
+        self.cohorts = cohorts;
+    }
+
+    /// Where the encoder state of area subscriber `id`, of `class`, is.
+    fn standing(&self, id: SubscriberId, class: u32) -> Standing {
+        if let Ok(at) = self.fresh.binary_search_by_key(&id, |member| member.id) {
+            return Standing::Fresh(at);
+        }
+        let cohort = (u64::from(id) % self.cohorts) as usize;
+        self.rosters[cohort]
+            .iter()
+            .enumerate()
+            .filter(|(_, entry)| entry.class == class)
+            .find_map(|(band, entry)| {
+                let at = entry.members.binary_search(&id).ok()?;
+                Some(Standing::Banded { cohort, band, at })
+            })
+            .expect("a synced subscriber is in a band of its class and cohort")
+    }
+
+    /// A new fresh entry for area subscriber `id` of `class`, synced to
+    /// the current clock and carrying `carried` chunks and
+    /// `carried_events`.
+    fn add_fresh(
+        &mut self,
+        id: SubscriberId,
         class: u32,
         carried: Box<[ChunkPos]>,
         carried_events: u32,
-    ) -> Subscriber {
+    ) {
         let entry = &self.classes.items[class as usize];
-        Subscriber {
-            carried,
+        let member = Fresh {
+            id,
+            carried_events,
             synced: self.clock,
             event_base: entry.event_total(&self.cells.items),
-            class,
-            carried_events,
-            fresh: true,
-        }
+            carried,
+        };
+        let at = self.fresh.partition_point(|other| other.id < id);
+        self.fresh.insert(at, member);
     }
 
-    /// What `sub` is owed right now: its pending chunks, ascending, and
-    /// its pending event count.
-    fn owed(&self, sub: &Subscriber) -> (Vec<ChunkPos>, u32) {
-        let class = &self.classes.items[sub.class as usize];
+    /// What a member of `class` standing at `standing` is owed right now:
+    /// its pending chunks, ascending, and its pending event count.
+    fn owed(&self, class: u32, standing: &Standing) -> (Vec<ChunkPos>, u32) {
+        let (synced, event_base, carried, carried_events) = match *standing {
+            Standing::Fresh(at) => {
+                let member = &self.fresh[at];
+                let carried: &[ChunkPos] = &member.carried;
+                (
+                    member.synced,
+                    member.event_base,
+                    carried,
+                    member.carried_events,
+                )
+            }
+            Standing::Banded { cohort, band, .. } => {
+                let band = &self.rosters[cohort][band];
+                (band.clock, band.event_base, &[][..], 0)
+            }
+        };
+        let class = &self.classes.items[class as usize];
         let cells = &self.cells.items;
         let mut chunks: Vec<ChunkPos> = class
             .cells
             .iter()
             .map(|&cell| &cells[cell as usize])
-            .filter(|cell| cell.dirty > sub.synced)
+            .filter(|cell| cell.dirty > synced)
             .map(|cell| cell.pos)
             .collect();
-        if !sub.carried.is_empty() {
-            chunks.extend_from_slice(&sub.carried);
+        if !carried.is_empty() {
+            chunks.extend_from_slice(carried);
             chunks.sort_unstable();
             chunks.dedup();
         }
-        let events = class.event_total(cells) - sub.event_base;
-        (chunks, sub.carried_events + events as u32)
+        let events = class.event_total(cells) - event_base;
+        (chunks, carried_events + events as u32)
     }
 
     /// Adds a member to the class of `interest`, making the class (and the
@@ -949,19 +1135,32 @@ impl ReplicationHub {
                 touched: 0,
                 dirty: 0,
                 events: 0,
-                groups: NO_GROUP,
+                band: NONE,
+                keyframe: NONE,
             },
         });
         self.class_index.insert(interest, class);
         class
     }
 
-    /// Takes a departing member out of `class`: off the [`Ack`] record of
-    /// clock `record`, if it sits at one, then out of the class itself.
-    fn depart(&mut self, class: u32, record: Option<u64>) {
-        if let Some(clock) = record {
-            let at = ack_at(&self.acks, clock);
-            self.acks[at].members -= 1;
+    /// Takes a departing member of `class` out of where it stands — the
+    /// fresh list, or its band and the band's [`Ack`] record, dropping the
+    /// band if it empties — then out of the class itself.
+    fn depart(&mut self, class: u32, standing: Standing) {
+        match standing {
+            Standing::Fresh(at) => {
+                self.fresh.remove(at);
+            }
+            Standing::Banded { cohort, band, at } => {
+                let roster = &mut self.rosters[cohort];
+                let entry = &mut roster[band];
+                entry.members.remove(at);
+                let record = ack_at(&self.acks, entry.clock);
+                self.acks[record].members -= 1;
+                if entry.members.is_empty() {
+                    roster.swap_remove(band);
+                }
+            }
         }
         self.leave(class);
     }
@@ -1004,10 +1203,12 @@ mod tests {
     use servo_world::sharded::shard_index;
 
     /// The per-entry budget the type docs state. A subscriber's slot holds
-    /// no per-shard state, so nothing else grows with the subscribers.
+    /// only its class, and nothing grows per shard with the subscribers.
     #[test]
     fn memory_budget_holds() {
-        assert!(std::mem::size_of::<Slot>() <= 48);
+        assert!(std::mem::size_of::<Slot>() <= 8);
+        assert!(std::mem::size_of::<Band>() <= 48);
+        assert!(std::mem::size_of::<Fresh>() <= 40);
         assert!(std::mem::size_of::<Class>() <= 88);
         assert!(std::mem::size_of::<Cell>() <= 40);
         assert!(std::mem::size_of::<Ack>() <= 32);
@@ -1015,13 +1216,15 @@ mod tests {
 
     /// Asserts that the hub's ack records with subscribers are exactly one
     /// per distinct `synced` clock of its synced subscribers, each counting
-    /// the subscribers at that clock. Returns how many records it holds.
+    /// the subscribers at that clock, read from each one's band. Returns
+    /// how many records it holds.
     fn assert_acks_match_subscribers(hub: &ReplicationHub) -> usize {
         let mut clocks: BTreeMap<u64, u32> = BTreeMap::new();
-        for slot in &hub.subs.items {
-            if let Slot::Area(sub) = slot {
-                if let Some(clock) = sub.record() {
-                    *clocks.entry(clock).or_default() += 1;
+        for (id, slot) in hub.subs.items.iter().enumerate() {
+            if let Slot::Area { class } = *slot {
+                let standing = hub.standing(id as SubscriberId, class);
+                if let Standing::Banded { cohort, band, .. } = standing {
+                    *clocks.entry(hub.rosters[cohort][band].clock).or_default() += 1;
                 }
             }
         }
@@ -1034,6 +1237,133 @@ mod tests {
             .collect();
         assert_eq!(live, clocks);
         acks.len()
+    }
+
+    /// Asserts the band invariants: every area subscriber is either fresh
+    /// or in exactly one band, and that band is of its class and in the
+    /// roster of its cohort; a band's members ascend (so are unique) and
+    /// are never none; a roster holds one band per class and clock; every
+    /// band clock has an ack record; the fresh list ascends. Returns how
+    /// many bands the hub holds.
+    fn assert_bands_track_subscribers(hub: &ReplicationHub) -> usize {
+        let mut banded: BTreeMap<SubscriberId, u32> = BTreeMap::new();
+        let mut bands = 0;
+        for (cohort, roster) in hub.rosters.iter().enumerate() {
+            let mut keys = std::collections::BTreeSet::new();
+            for band in roster {
+                assert!(!band.members.is_empty(), "an empty band");
+                assert!(
+                    band.members.windows(2).all(|w| w[0] < w[1]),
+                    "unsorted band {:?}",
+                    band.members
+                );
+                assert!(
+                    keys.insert((band.class, band.clock)),
+                    "two bands of class {} at clock {} in cohort {cohort}",
+                    band.class,
+                    band.clock
+                );
+                assert!(hub
+                    .acks
+                    .binary_search_by_key(&band.clock, |ack| ack.clock)
+                    .is_ok());
+                for &id in &band.members {
+                    assert_eq!(u64::from(id) % hub.cohorts, cohort as u64);
+                    assert!(
+                        matches!(hub.subs.items[id as usize], Slot::Area { class } if class == band.class),
+                        "subscriber {id} in a band of another class"
+                    );
+                    *banded.entry(id).or_default() += 1;
+                }
+                bands += 1;
+            }
+        }
+        assert!(hub.fresh.windows(2).all(|w| w[0].id < w[1].id));
+        let fresh: Vec<SubscriberId> = hub.fresh.iter().map(|member| member.id).collect();
+        for (id, slot) in hub.subs.items.iter().enumerate() {
+            let id = id as SubscriberId;
+            let is_fresh = fresh.binary_search(&id).is_ok();
+            let in_bands = banded.get(&id).copied().unwrap_or(0);
+            match slot {
+                Slot::Area { .. } => assert_eq!(
+                    (is_fresh, in_bands),
+                    if is_fresh { (true, 0) } else { (false, 1) },
+                    "subscriber {id} is fresh {is_fresh} and in {in_bands} bands"
+                ),
+                _ => assert_eq!((is_fresh, in_bands), (false, 0)),
+            }
+        }
+        bands
+    }
+
+    /// The bands stay exactly the synced subscribers through a seeded
+    /// script of subscribes, retargets away and back home, unsubscribes
+    /// with id reuse, ingests, and flushes at one cohort count, then at
+    /// another, which re-bands everyone once.
+    #[test]
+    fn bands_track_the_synced_subscribers() {
+        let mut hub = ReplicationHub::new(Arc::new(ShardMap::contiguous(16, 4)));
+        let mut rng = SimRng::seed(23);
+        let mut pick = |n: usize| (rng.unit() * n as f64) as usize % n;
+        let centres = [(0, 0), (1, 0), (4, 4), (-3, 2), (2, -5)];
+        let at = |(x, z): (i32, i32)| ChunkPos::new(x, z);
+        // Each subscriber with its home centre and whether it is away.
+        let mut members: Vec<(SubscriberId, (i32, i32), bool)> = (0..36)
+            .map(|i| {
+                let home = centres[i % centres.len()];
+                (hub.subscribe(Interest::new(at(home), 1)), home, false)
+            })
+            .collect();
+        let (mut epoch, mut flushes, mut most_bands) = (0u64, 0, 0);
+        for step in 0..900 {
+            let cohorts = if step < 600 { 3 } else { 5 };
+            match pick(10) {
+                0 | 1 => {
+                    epoch += 1;
+                    let pos = ChunkPos::new(pick(11) as i32 - 5, pick(11) as i32 - 6);
+                    hub.ingest(&[ShardDelta {
+                        shard: shard_index(pos, 16),
+                        epoch,
+                        chunks: vec![pos],
+                    }]);
+                }
+                2 => {
+                    let pos = ChunkPos::new(pick(11) as i32 - 5, pick(11) as i32 - 6);
+                    hub.ingest_events(&[(pos, pick(3) as u32)]);
+                }
+                3 | 4 => {
+                    let member = pick(members.len());
+                    let member = &mut members[member];
+                    let to = if member.2 {
+                        member.1
+                    } else {
+                        centres[pick(centres.len())]
+                    };
+                    hub.retarget(member.0, at(to));
+                    member.2 = to != member.1;
+                }
+                5 => {
+                    let member = pick(members.len());
+                    let member = &mut members[member];
+                    hub.unsubscribe(member.0);
+                    let home = centres[pick(centres.len())];
+                    let id = hub.subscribe(Interest::new(at(home), 1));
+                    assert_eq!(id, member.0, "the freed id is reused");
+                    *member = (id, home, false);
+                }
+                _ => {
+                    hub.flush(cohorts, |_| Some(8));
+                    flushes += 1;
+                }
+            }
+            most_bands = most_bands.max(assert_bands_track_subscribers(&hub));
+            assert_acks_match_subscribers(&hub);
+        }
+        assert_eq!(hub.cohorts, 5);
+        assert!(flushes > 200, "the script flushed: {flushes}");
+        assert!(most_bands > centres.len() * 3, "bands met: {most_bands}");
+        let synced = hub.stats().delta_frames;
+        assert!(synced > 400, "the script exercised deltas: {synced}");
     }
 
     /// The ack records never outnumber the distinct clocks of the synced

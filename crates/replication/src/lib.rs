@@ -20,9 +20,11 @@
 //!   epoch-keyed [`Frames`]: a subscriber behind N shard epochs gets one
 //!   coalesced diff, a fresh subscriber gets a keyframe of its loaded
 //!   interest. Members of a class that synced at the same clock are owed
-//!   the same frame, so it is encoded once, as a [`FrameGroup`] they
-//!   share, and the class, not each subscriber, keeps the shard epochs
-//!   they last acknowledged.
+//!   the same frame, so the hub keeps them together, in one *band* per
+//!   class, flush cohort and clock: a flush encodes each due band's frame
+//!   once, as a [`FrameGroup`] its members share, without visiting them
+//!   one by one. The shard epochs they acknowledged are kept once per
+//!   clock, not per subscriber.
 //! * [`FanoutStage`] — pushes encoded frames through an autoscaled worker
 //!   pool ([`servo_faas::Autoscaler`]) and reports the tick-visible cost
 //!   per owning zone, so replication load shows up in QoS like

@@ -6,7 +6,8 @@
 //! many members), border subscribe, unsubscribe,
 //! retarget (in place, and several times between flushes), chunk ingest,
 //! event ingest (repeated positions, count 0), partition migration, and
-//! flushes over 1..=8 cohorts, with `keyframe_only` on and off. After
+//! flushes over 1..=8 cohorts (drawn afresh at every flush, or once per
+//! case as the cluster does), with `keyframe_only` on and off. After
 //! every op the counters are equal; after every flush the frames, one per
 //! subscriber and sorted by subscriber, are equal field for field, and the
 //! pull hub's groups are well formed: no subscriber twice, members
@@ -274,6 +275,30 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..120),
         keyframe_only in any::<bool>(),
     ) {
+        run_both(&ops, keyframe_only);
+    }
+
+    /// The path the cluster takes: one cohort count for every flush of a
+    /// case, so the hub lays its bands out once and then flushes them in
+    /// steady state, over the script and then two full rounds of cohorts
+    /// with dirt before each flush.
+    #[test]
+    fn steady_cohorts_match_the_push_hub(
+        ops in prop::collection::vec(op_strategy(), 1..120),
+        rounds in prop::collection::vec(prop::collection::vec(chunk_strategy(), 0..4), 16..17),
+        cohorts in 1u64..9,
+        keyframe_only in any::<bool>(),
+    ) {
+        let mut ops = ops;
+        for op in &mut ops {
+            if let Op::Flush { cohorts: count } = op {
+                *count = cohorts;
+            }
+        }
+        for dirt in rounds.iter().take(2 * cohorts as usize) {
+            ops.push(Op::Dirty(dirt.clone()));
+            ops.push(Op::Flush { cohorts });
+        }
         run_both(&ops, keyframe_only);
     }
 }
