@@ -2,10 +2,16 @@
 //! path: cache lookups, pre-fetch bookkeeping, serialization round trips)
 //! and of what one staging writes to the write-ahead log.
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use servo_simkit::SimRng;
-use servo_storage::{BlobStore, BlobTier, CachedChunkStore, DeltaWal, ObjectStore};
-use servo_types::{ChunkPos, SimTime};
+use servo_storage::{
+    BlobStore, BlobTier, CachedChunkStore, ChunkRequest, ChunkService, DeltaWal, ObjectStore,
+    PipelinedChunkService, ShardDelta, SharedWal,
+};
+use servo_types::{BlockPos, ChunkPos, SimDuration, SimTime};
 use servo_world::{Block, Chunk, ShardedWorld};
 
 fn seeded_cache(chunks: i32) -> CachedChunkStore<BlobStore> {
@@ -121,6 +127,51 @@ fn bench_wal(c: &mut Criterion) {
                 seq = wal.append(pos, image.clone());
             }
             seq
+        });
+    });
+    // The first staging after a landed write-back, as a persistence
+    // pipeline logs it. Each iteration stages the chunk, writes it back and
+    // changes two blocks untimed, then times the staging that follows.
+    group.bench_function("stage_after_flush", |b| {
+        let world = Arc::new(ShardedWorld::flat(4));
+        world.ensure_chunk_at(pos);
+        let mut service = PipelinedChunkService::new(
+            BlobStore::new(BlobTier::Standard, SimRng::seed(3)),
+            SimRng::seed(4),
+            1,
+        )
+        .with_world_shards(Arc::clone(&world), &[])
+        .with_wal(SharedWal::new(world.shard_count()));
+        let staging = || {
+            vec![ShardDelta {
+                shard: world.shard_of(pos),
+                epoch: 0,
+                chunks: vec![pos],
+            }]
+        };
+        let (mut call, mut now) = (0u64, SimTime::ZERO);
+        b.iter_custom(|iters| {
+            let mut timed = Duration::ZERO;
+            for _ in 0..iters {
+                service.stage_dirty(staging());
+                service.submit(ChunkRequest::write_back());
+                now += SimDuration::from_secs(1);
+                service.poll(now);
+                let block = if call.is_multiple_of(2) {
+                    Block::Stone
+                } else {
+                    Block::Air
+                };
+                for at in [BlockPos::new(3, 5, 7), BlockPos::new(12, 6, 2)] {
+                    world.set_block(pos.min_block() + at, block).unwrap();
+                }
+                call += 1;
+                let deltas = staging();
+                let start = Instant::now();
+                service.stage_dirty(deltas);
+                timed += start.elapsed();
+            }
+            timed
         });
     });
     group.finish();

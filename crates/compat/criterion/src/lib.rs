@@ -104,6 +104,24 @@ impl Bencher {
         }
     }
 
+    /// Calls `routine` with an iteration count and records the time it
+    /// reports for that many iterations: the routine times only the part
+    /// of each iteration it means to measure.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        let mut n: u64 = 1;
+        loop {
+            let elapsed = routine(n);
+            if elapsed >= self.measurement || n >= 1 << 20 {
+                self.ns_per_iter = elapsed.as_nanos() as f64 / n as f64;
+                self.iters = n;
+                return;
+            }
+            let target = self.measurement.as_nanos() as f64;
+            let scale = (target / elapsed.as_nanos().max(1) as f64).clamp(2.0, 100.0);
+            n = ((n as f64) * scale) as u64;
+        }
+    }
+
     /// Runs `routine` on fresh inputs from `setup`, timing only `routine`.
     pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
     where

@@ -963,6 +963,11 @@ impl ReplicationHub {
                 }
             }
             fresh.retain(|member| u64::from(member.id) % cohorts != cohort);
+            // A subscribe wave leaves the list as large as the wave; once
+            // every member is banded, give that memory back.
+            if fresh.is_empty() {
+                *fresh = Vec::new();
+            }
         }
         if merged {
             rosters[index].retain(|band| !band.members.is_empty());

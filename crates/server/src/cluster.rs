@@ -1379,8 +1379,7 @@ impl ShardedGameCluster {
                     let covered = persistence
                         .wal
                         .as_ref()
-                        .and_then(|wal| wal.latest_seq(pos))
-                        .is_some();
+                        .is_some_and(|wal| wal.with(|wal| wal.covers(pos)));
                     if !covered {
                         lost += 1;
                     }
@@ -1496,8 +1495,10 @@ impl ShardedGameCluster {
             // 2. Replay the write-ahead log over the restored terrain:
             //    WAL records carry the staged-but-unflushed bytes the
             //    remote store never received, so they win over whatever
-            //    step 1 restored. Replayed records are truncated — the
-            //    durability obligation moves to the adopter.
+            //    step 1 restored. A chain re-rooted on the last flush
+            //    replays only if edits followed the root; a lone root is
+            //    what step 1 restored. Replayed records are truncated —
+            //    the durability obligation moves to the adopter.
             let mut replayed: Vec<ChunkPos> = Vec::new();
             let wal = self.persistence[from].as_ref().and_then(|p| p.wal.clone());
             if let Some(wal) = &wal {
@@ -1511,6 +1512,13 @@ impl ShardedGameCluster {
                     wal.truncate(record.pos, record.seq);
                     replayed.push(record.pos);
                 }
+                // What is left of the shard's chains are lone roots: the
+                // store holds their bytes, so they protect nothing now.
+                wal.with(|wal| {
+                    for &pos in &positions {
+                        wal.release_root(pos);
+                    }
+                });
             }
 
             // 3. Flip ownership: the adopter simulates, routes, and

@@ -8,7 +8,7 @@
 use servo_server::cluster::ShardedGameCluster;
 use servo_server::{PersistenceBinding, RecoveryStats, ServerConfig};
 use servo_simkit::SimRng;
-use servo_storage::{BlobStore, BlobTier, ObjectStore};
+use servo_storage::{BlobStore, BlobTier, FaultProfile, ObjectStore};
 use servo_types::{BlockPos, ChunkPos, SimDuration};
 use servo_workload::{BehaviorKind, PlayerFleet};
 
@@ -363,4 +363,186 @@ fn mid_interval_crash_without_a_checkpoint_is_a_function_of_the_seed() {
     for again in 1..20 {
         assert!(first == run(), "run {again} of one seed differs");
     }
+}
+
+/// The seed, the crash ticks and the cluster ticks a crash may take to be
+/// adopted in [`crash_at_any_tick_of_two_cadences_loses_no_chunk`].
+const SWEEP_SEED: u64 = 211;
+const SWEEP_TICKS: std::ops::Range<u64> = 10..30;
+const ADOPTION_TICKS: u64 = 20;
+
+/// The sweep's workload: a random fleet, plus six block placements a tick
+/// spread over all four zones.
+struct SweepLoad {
+    fleet: PlayerFleet,
+    edits: SimRng,
+}
+
+impl SweepLoad {
+    fn new() -> Self {
+        SweepLoad {
+            fleet: random_fleet(12, SWEEP_SEED + 1),
+            edits: SimRng::seed(SWEEP_SEED + 2),
+        }
+    }
+
+    fn tick(&mut self, cluster: &mut ShardedGameCluster) {
+        use servo_types::PlayerId;
+        use servo_workload::PlayerEvent;
+
+        let mut events = self.fleet.tick(cluster.now(), SimDuration::from_millis(50));
+        events.extend((0..6).map(|_| {
+            let x = (self.edits.unit() * 81.0) as i32 - 40;
+            let z = (self.edits.unit() * 81.0) as i32 - 40;
+            let event = PlayerEvent::BlockPlaced(BlockPos::new(x, 9, z));
+            (PlayerId::new(0), event)
+        }));
+        cluster.run_tick(&self.fleet.positions(), &events);
+    }
+}
+
+/// The bytes of the chunks one zone owns, by position.
+type OwnedChunks = Vec<(ChunkPos, Vec<u8>)>;
+
+/// The bytes of every chunk `zone` owns, by position.
+fn owned_chunks(cluster: &ShardedGameCluster, zone: usize) -> OwnedChunks {
+    let world = cluster.server(zone).world();
+    let mut positions = world.loaded_positions();
+    positions.retain(|&pos| cluster.shard_map().zone_of_chunk(pos) == zone);
+    positions.sort_by_key(|p| (p.x, p.z));
+    positions
+        .into_iter()
+        .filter_map(|pos| Some((pos, world.read_chunk(pos, |c| c.to_bytes())?)))
+        .collect()
+}
+
+/// Runs the crash sweep over clusters `build` makes and returns how many
+/// chunks reached their adopter from the dead store and the log, from the
+/// adopter's own replica, and not at all because nobody changed them. A
+/// reference run with no crash records the bytes of every chunk each zone
+/// owns before every tick of [`SWEEP_TICKS`]. Then, for every such tick
+/// `t` and every zone `z`, the same seed runs with `z` crashing at `t`;
+/// events stop there, and event-free ticks drive the adoption home. Every
+/// chunk `z` owned at `t` must reach its adopter byte-equal to the
+/// reference, a chunk the adopter lacks must be one nobody changed, which
+/// the adopter regenerates byte-equal on demand, and the dead zone's log
+/// must hold nothing once its shards are adopted.
+fn crash_sweep(build: impl Fn() -> ShardedGameCluster) -> (usize, usize, usize) {
+    let mut reference = build();
+    let mut load = SweepLoad::new();
+    let mut owned: Vec<Vec<OwnedChunks>> = Vec::new();
+    for t in 0..SWEEP_TICKS.end {
+        if SWEEP_TICKS.contains(&t) {
+            owned.push((0..4).map(|zone| owned_chunks(&reference, zone)).collect());
+        }
+        load.tick(&mut reference);
+    }
+    let generator = servo_pcg::generator_for(reference.server(0).config().world_kind, SWEEP_SEED);
+
+    let (mut restored, mut replicas, mut regenerable) = (0usize, 0usize, 0usize);
+    for (t, owned_at_t) in SWEEP_TICKS.zip(&owned) {
+        for (zone, chunks) in owned_at_t.iter().enumerate() {
+            let mut cluster = build();
+            cluster.crash_zone(zone, t);
+            let mut load = SweepLoad::new();
+            for _ in 0..t {
+                load.tick(&mut cluster);
+            }
+            assert!(!cluster.zone_is_dead(zone));
+            // Which zones hold a replica of each chunk when `zone` dies.
+            let holders: Vec<Vec<bool>> = chunks
+                .iter()
+                .map(|&(pos, _)| {
+                    (0..4)
+                        .map(|other| other != zone && cluster.server(other).world().is_loaded(pos))
+                        .collect()
+                })
+                .collect();
+            let positions = load.fleet.positions();
+            for _ in 0..ADOPTION_TICKS {
+                cluster.run_tick(&positions, &[]);
+                if cluster.pending_adoption_count() == 0 {
+                    break;
+                }
+            }
+            assert!(cluster.zone_is_dead(zone), "t={t} zone={zone}");
+            assert_eq!(cluster.pending_adoption_count(), 0, "t={t} zone={zone}");
+            assert_eq!(cluster.recovery_stats().chunks_lost, 0, "t={t} zone={zone}");
+            let dead_log = cluster
+                .persistence_wal(zone)
+                .map(|wal| wal.with(|wal| wal.len()));
+            assert_eq!(
+                dead_log,
+                Some(0),
+                "t={t} zone={zone}: the dead log kept records"
+            );
+            for ((pos, bytes), held) in chunks.iter().zip(&holders) {
+                let adopter = cluster.shard_map().zone_of_chunk(*pos);
+                assert_ne!(adopter, zone, "t={t}: {pos} stayed with the dead zone");
+                match cluster
+                    .server(adopter)
+                    .world()
+                    .read_chunk(*pos, |c| c.to_bytes())
+                {
+                    Some(adopted) => {
+                        assert!(
+                            adopted == *bytes,
+                            "t={t} zone={zone}: {pos} reached zone {adopter} changed"
+                        );
+                        if held[adopter] {
+                            replicas += 1;
+                        } else {
+                            restored += 1;
+                        }
+                    }
+                    None => {
+                        assert!(
+                            generator.generate(*pos).to_bytes() == *bytes,
+                            "t={t} zone={zone}: changed chunk {pos} never reached zone {adopter}"
+                        );
+                        regenerable += 1;
+                    }
+                }
+            }
+        }
+    }
+    (restored, replicas, regenerable)
+}
+
+/// Crash anywhere, over two write-back cadences with the pass of tick 19
+/// between them: every chunk a dead zone owned reaches its adopter as the
+/// zone last held it — restored from the dead store and replayed from the
+/// log, whether the chain was rooted on an image or on the last flush, or,
+/// for a border chunk, kept from the adopter's replica, whose restore is
+/// skipped. The second sweep rejects a third of the remote writes, so some
+/// chains outlive a failed flush on their old root.
+#[test]
+fn crash_at_any_tick_of_two_cadences_loses_no_chunk() {
+    let (restored, replicas, regenerable) = crash_sweep(|| persistent_cluster(SWEEP_SEED));
+    assert!(
+        restored > 0 && replicas > 0 && regenerable > 0,
+        "{restored} restored, {replicas} replicas, {regenerable} regenerable"
+    );
+    let flaky = || {
+        let mut cluster = ShardedGameCluster::baseline(flat_config(), 4, SWEEP_SEED);
+        for zone in 0..4 {
+            let seed = 500 + zone as u64;
+            let faults = FaultProfile {
+                read_fail_rate: 0.0,
+                write_fail_rate: 0.3,
+            };
+            cluster.bind_persistence(
+                zone,
+                PersistenceBinding::new(
+                    BlobStore::new(BlobTier::Standard, SimRng::seed(seed))
+                        .with_faults(faults, SimRng::seed(seed).substream("faults")),
+                    SimRng::seed(600 + zone as u64),
+                )
+                .write_back_interval(10),
+            );
+        }
+        cluster
+    };
+    let (restored, _, _) = crash_sweep(flaky);
+    assert!(restored > 0, "{restored} restored");
 }

@@ -1,6 +1,7 @@
 //! Object-store backends and their latency models.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use servo_simkit::{Distribution, LatencyModel, SimRng};
 use servo_types::{ServoError, SimDuration, SimTime};
@@ -39,12 +40,20 @@ pub trait ObjectStore {
     /// [`ServoError::StorageFailed`] on injected faults.
     fn read(&mut self, key: &str, now: SimTime) -> Result<ReadResult, ServoError>;
 
-    /// Writes `data` at `key`, starting at instant `now`.
+    /// Writes `data` at `key`, starting at instant `now`. Stored objects
+    /// are immutable, so a store keeps the shared bytes it is handed: a
+    /// caller passing an `Arc<[u8]>` it also holds elsewhere (the cache's
+    /// memory tier, the write-ahead log's root record) copies nothing.
     ///
     /// # Errors
     ///
     /// Returns [`ServoError::StorageFailed`] on injected faults.
-    fn write(&mut self, key: &str, data: Vec<u8>, now: SimTime) -> Result<WriteResult, ServoError>;
+    fn write(
+        &mut self,
+        key: &str,
+        data: impl Into<Arc<[u8]>>,
+        now: SimTime,
+    ) -> Result<WriteResult, ServoError>;
 
     /// Whether an object exists at `key` (no latency accounted).
     fn contains(&self, key: &str) -> bool;
@@ -66,7 +75,7 @@ pub trait ObjectStore {
 /// during boot).
 #[derive(Debug, Clone)]
 pub struct LocalDiskStore {
-    objects: HashMap<String, Vec<u8>>,
+    objects: HashMap<String, Arc<[u8]>>,
     rng: SimRng,
     latency: LatencyModel,
     boot_latency: LatencyModel,
@@ -109,7 +118,7 @@ impl ObjectStore for LocalDiskStore {
         let data = self
             .objects
             .get(key)
-            .cloned()
+            .map(|data| data.to_vec())
             .ok_or_else(|| ServoError::not_found(format!("object {key}")))?;
         self.reads += 1;
         let model = if self.reads <= self.boot_reads {
@@ -125,11 +134,16 @@ impl ObjectStore for LocalDiskStore {
         })
     }
 
-    fn write(&mut self, key: &str, data: Vec<u8>, now: SimTime) -> Result<WriteResult, ServoError> {
+    fn write(
+        &mut self,
+        key: &str,
+        data: impl Into<Arc<[u8]>>,
+        now: SimTime,
+    ) -> Result<WriteResult, ServoError> {
         if let Some(reason) = self.fail_next.take() {
             return Err(ServoError::storage_failed(reason));
         }
-        self.objects.insert(key.to_string(), data);
+        self.objects.insert(key.to_string(), data.into());
         let latency = self.latency.sample(&mut self.rng);
         Ok(WriteResult {
             latency,
@@ -192,7 +206,7 @@ pub enum BlobTier {
 /// milliseconds on the Standard tier — the contrast shown in Figure 3.
 #[derive(Debug, Clone)]
 pub struct BlobStore {
-    objects: HashMap<String, Vec<u8>>,
+    objects: HashMap<String, Arc<[u8]>>,
     rng: SimRng,
     tier: BlobTier,
     base_latency: LatencyModel,
@@ -308,7 +322,7 @@ impl ObjectStore for BlobStore {
         let data = self
             .objects
             .get(key)
-            .cloned()
+            .map(|data| data.to_vec())
             .ok_or_else(|| ServoError::not_found(format!("object {key}")))?;
         self.reads += 1;
         let latency = self.base_latency.sample(&mut self.rng) + self.transfer_time(data.len());
@@ -319,7 +333,12 @@ impl ObjectStore for BlobStore {
         })
     }
 
-    fn write(&mut self, key: &str, data: Vec<u8>, now: SimTime) -> Result<WriteResult, ServoError> {
+    fn write(
+        &mut self,
+        key: &str,
+        data: impl Into<Arc<[u8]>>,
+        now: SimTime,
+    ) -> Result<WriteResult, ServoError> {
         if let Some(reason) = self.fail_next.take() {
             return Err(ServoError::storage_failed(reason));
         }
@@ -327,6 +346,7 @@ impl ObjectStore for BlobStore {
             return Err(ServoError::storage_failed("transient blob write fault"));
         }
         self.writes += 1;
+        let data = data.into();
         let latency = self.base_latency.sample(&mut self.rng) + self.transfer_time(data.len());
         self.objects.insert(key.to_string(), data);
         Ok(WriteResult {

@@ -13,10 +13,11 @@
 //! scanning the full resident map.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use servo_types::consts::TICK_BUDGET;
 use servo_types::{ChunkPos, ServoError, SimDuration, SimTime};
-use servo_world::{shard_index, ChunkSnapshot, ShardDelta, ShardedWorld, DEFAULT_SHARDS};
+use servo_world::{shard_index, ChunkSnapshot, ShardDelta, DEFAULT_SHARDS};
 
 use crate::backend::{LocalDiskStore, ObjectStore, ReadResult, WriteResult};
 
@@ -272,19 +273,21 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     }
 
     /// Writes `key` to the remote store with the same bounded retry policy
-    /// as [`CachedChunkStore::remote_read_retrying`].
+    /// as [`CachedChunkStore::remote_read_retrying`]. Every attempt hands
+    /// the store the same shared bytes.
     fn remote_write_retrying(
         &mut self,
         key: &str,
-        data: Vec<u8>,
+        data: &Arc<[u8]>,
         now: SimTime,
     ) -> Result<WriteResult, ServoError> {
         let mut attempt: u32 = 0;
         loop {
-            match self
-                .remote
-                .write(key, data.clone(), now + self.retry.backoff * attempt as u64)
-            {
+            match self.remote.write(
+                key,
+                Arc::clone(data),
+                now + self.retry.backoff * attempt as u64,
+            ) {
                 Ok(write) => return Ok(write),
                 Err(err) => {
                     if attempt >= self.retry.attempts {
@@ -301,8 +304,9 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     }
 
     /// Sets the shard count used for grouping batch operations, returning
-    /// the modified store. Use the owning [`ShardedWorld::shard_count`] so
-    /// cache batches align with world shards.
+    /// the modified store. Use the owning
+    /// [`servo_world::ShardedWorld::shard_count`] so cache batches align
+    /// with world shards.
     pub fn with_shard_batching(mut self, shard_count: usize) -> Self {
         self.set_shard_batching(shard_count);
         self
@@ -390,7 +394,7 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     /// be written.
     pub fn put(&mut self, snapshot: ChunkSnapshot, now: SimTime) -> Result<(), ServoError> {
         self.local
-            .write(&Self::key(snapshot.pos), snapshot.bytes.clone(), now)?;
+            .write(&Self::key(snapshot.pos), Arc::clone(&snapshot.bytes), now)?;
         let shard = self.shard_of(snapshot.pos);
         self.dirty[shard].insert(snapshot.pos);
         self.dirty_epochs[shard] += 1;
@@ -424,11 +428,11 @@ impl<R: ObjectStore> CachedChunkStore<R> {
                 Ok(read) => {
                     let snapshot = ChunkSnapshot {
                         pos,
-                        bytes: read.data,
+                        bytes: read.data.into(),
                     };
                     let _ = self
                         .local
-                        .write(&Self::key(pos), snapshot.bytes.clone(), now);
+                        .write(&Self::key(pos), Arc::clone(&snapshot.bytes), now);
                     self.memory.insert(pos, snapshot);
                     self.touch(pos);
                     arrived.push(pos);
@@ -454,12 +458,9 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     /// is not already resident, cached locally on disk, or in flight,
     /// grouping the requests by the world shard that will receive the data.
     ///
-    /// Shard grouping keeps each batch's arrivals clustered on one shard,
-    /// so [`CachedChunkStore::integrate_arrived`] takes each shard's write
-    /// lock once per poll instead of bouncing between shards; it also makes
-    /// the issue order (and therefore the latency stream consumed from the
-    /// RNG) deterministic regardless of the iteration order of the caller's
-    /// set type.
+    /// Shard grouping makes the issue order (and therefore the latency
+    /// stream consumed from the RNG) deterministic regardless of the
+    /// iteration order of the caller's set type.
     pub fn prefetch<I: IntoIterator<Item = ChunkPos>>(&mut self, positions: I, now: SimTime) {
         let mut by_shard: Vec<Vec<ChunkPos>> = (0..self.shard_count).map(|_| Vec::new()).collect();
         for pos in positions {
@@ -537,7 +538,7 @@ impl<R: ObjectStore> CachedChunkStore<R> {
             self.stats.disk_hits += 1;
             let snapshot = ChunkSnapshot {
                 pos,
-                bytes: read.data,
+                bytes: read.data.into(),
             };
             self.memory.insert(pos, snapshot.clone());
             self.touch(pos);
@@ -552,9 +553,9 @@ impl<R: ObjectStore> CachedChunkStore<R> {
         self.stats.remote_misses += 1;
         let snapshot = ChunkSnapshot {
             pos,
-            bytes: read.data,
+            bytes: read.data.into(),
         };
-        let _ = self.local.write(&key, snapshot.bytes.clone(), now);
+        let _ = self.local.write(&key, Arc::clone(&snapshot.bytes), now);
         self.memory.insert(pos, snapshot.clone());
         self.touch(pos);
         Ok(CachedRead {
@@ -601,7 +602,7 @@ impl<R: ObjectStore> CachedChunkStore<R> {
             self.stats.disk_hits += 1;
             let snapshot = ChunkSnapshot {
                 pos,
-                bytes: read.data,
+                bytes: read.data.into(),
             };
             self.memory.insert(pos, snapshot.clone());
             self.touch(pos);
@@ -656,8 +657,8 @@ impl<R: ObjectStore> CachedChunkStore<R> {
                 }
                 if self.dirty[shard].remove(&pos) {
                     if let Some(snapshot) = self.memory.get(&pos) {
-                        let bytes = snapshot.bytes.clone();
-                        let _ = self.remote_write_retrying(&Self::key(pos), bytes, now);
+                        let bytes = Arc::clone(&snapshot.bytes);
+                        let _ = self.remote_write_retrying(&Self::key(pos), &bytes, now);
                         self.stats.write_backs += 1;
                     }
                 }
@@ -689,9 +690,9 @@ impl<R: ObjectStore> CachedChunkStore<R> {
             for i in 0..self.write_back_scratch.len() {
                 let pos = self.write_back_scratch[i];
                 if let Some(snapshot) = self.memory.get(&pos) {
-                    let bytes = snapshot.bytes.clone();
+                    let bytes = Arc::clone(&snapshot.bytes);
                     if self
-                        .remote_write_retrying(&Self::key(pos), bytes, now)
+                        .remote_write_retrying(&Self::key(pos), &bytes, now)
                         .is_ok()
                     {
                         written += 1;
@@ -710,20 +711,20 @@ impl<R: ObjectStore> CachedChunkStore<R> {
     /// not resident in memory), clearing their dirty flags on success and
     /// re-marking them on failure. The chunk services drive this with the
     /// per-shard deltas from [`CachedChunkStore::take_dirty_deltas`] and
-    /// [`ShardedWorld::drain_dirty`]. Returns the positions actually
-    /// written — the caller's signal for which durability obligations (WAL
-    /// records, staged sets) may now be discharged; a failed position is
-    /// re-marked dirty and must stay recoverable.
+    /// [`servo_world::ShardedWorld::drain_dirty`]. Returns the positions
+    /// actually written — the caller's signal for which durability
+    /// obligations (WAL records, staged sets) may now be discharged; a
+    /// failed position is re-marked dirty and must stay recoverable.
     pub fn write_back(&mut self, positions: &[ChunkPos], now: SimTime) -> Vec<ChunkPos> {
         let mut written = Vec::with_capacity(positions.len());
         for &pos in positions {
             let Some(snapshot) = self.memory.get(&pos) else {
                 continue;
             };
-            let bytes = snapshot.bytes.clone();
+            let bytes = Arc::clone(&snapshot.bytes);
             let shard = shard_index(pos, self.shard_count);
             if self
-                .remote_write_retrying(&Self::key(pos), bytes, now)
+                .remote_write_retrying(&Self::key(pos), &bytes, now)
                 .is_ok()
             {
                 written.push(pos);
@@ -755,42 +756,6 @@ impl<R: ObjectStore> CachedChunkStore<R> {
             });
         }
         deltas
-    }
-
-    /// Completes arrived pre-fetches like [`CachedChunkStore::poll`] and
-    /// additionally integrates the chunks that arrived *in this call*
-    /// straight into `world`, as one shard-grouped batch insert. Returns
-    /// the number of chunks integrated.
-    ///
-    /// Only this call's arrivals are integrated — chunks that are merely
-    /// resident in the cache are left alone, so a chunk the caller
-    /// deliberately unloaded with `ShardedWorld::remove_chunk` is not
-    /// resurrected.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServoError::CorruptData`] if an arrived snapshot cannot be
-    /// decoded (all arrivals stay resident in the cache either way).
-    pub fn integrate_arrived(
-        &mut self,
-        world: &ShardedWorld,
-        now: SimTime,
-    ) -> Result<usize, ServoError> {
-        let arrived = self.poll_arrived(now);
-        let mut chunks = Vec::with_capacity(arrived.len());
-        for pos in arrived {
-            if world.is_loaded(pos) {
-                continue;
-            }
-            let snapshot = self
-                .memory
-                .get(&pos)
-                .expect("poll_arrived materialised this position");
-            chunks.push(snapshot.restore()?);
-        }
-        let integrated = chunks.len();
-        world.insert_chunks(chunks);
-        Ok(integrated)
     }
 }
 
@@ -983,32 +948,6 @@ mod tests {
         assert!(store.take_dirty_deltas().is_empty());
         assert_eq!(store.write_back(&[pos], SimTime::ZERO), vec![pos]);
         assert_eq!(store.remote_mut().len(), 1);
-    }
-
-    #[test]
-    fn integrate_arrived_moves_chunks_into_sharded_world() {
-        use servo_world::ShardedWorld;
-        let mut store = store_with_remote_chunks(3);
-        let world = ShardedWorld::new();
-        let targets: Vec<ChunkPos> = (0..3)
-            .flat_map(|x| (0..3).map(move |z| ChunkPos::new(x, z)))
-            .collect();
-        store.prefetch(targets.clone(), SimTime::ZERO);
-        let integrated = store
-            .integrate_arrived(&world, SimTime::from_secs(10))
-            .unwrap();
-        assert_eq!(integrated, 9);
-        assert_eq!(world.loaded_chunks(), 9);
-        for pos in &targets {
-            assert!(world.is_loaded(*pos));
-        }
-        // Re-integrating is a no-op: everything is already loaded.
-        assert_eq!(
-            store
-                .integrate_arrived(&world, SimTime::from_secs(11))
-                .unwrap(),
-            0
-        );
     }
 
     #[test]

@@ -26,7 +26,9 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use servo_types::{ChunkPos, ServoError, SimDuration, SimTime};
-use servo_world::{shard_index, Chunk, ChunkSnapshot, FxBuildHasher, ShardDelta, ShardedWorld};
+use servo_world::{
+    shard_index, BlockEdit, Chunk, ChunkSnapshot, FxBuildHasher, ShardDelta, ShardedWorld,
+};
 
 use crate::backend::ObjectStore;
 use crate::cache::{CacheStats, CachedChunkStore, ChunkLocation, RetryPolicy, TryRead};
@@ -316,7 +318,7 @@ impl<R: ObjectStore> ObjectStore for SharedRemote<R> {
     fn write(
         &mut self,
         key: &str,
-        data: Vec<u8>,
+        data: impl Into<Arc<[u8]>>,
         now: SimTime,
     ) -> Result<crate::backend::WriteResult, ServoError> {
         self.lock().write(key, data, now)
@@ -358,12 +360,12 @@ struct ServiceCore<R: ObjectStore> {
     /// The zone's write-ahead delta log, when durability is enabled: every
     /// staged position is appended here (with the chunk's blocks captured
     /// from the bound world at staging time) before the stage is
-    /// acknowledged, and truncated only once its write-back has durably
-    /// landed.
+    /// acknowledged, and re-rooted on the flushed bytes once its
+    /// write-back has durably landed.
     wal: Option<SharedWal>,
-    /// The chunk as last logged, with that record's sequence, for each
-    /// position this core logged whose records the WAL still holds: a
-    /// later staging logs only its edits against it.
+    /// The chunk as its newest record leaves it, with that record's
+    /// sequence, for each position this core logged whose records the WAL
+    /// still holds: a later staging logs only its edits against it.
     shadows: HashMap<ChunkPos, Shadow, FxBuildHasher>,
 }
 
@@ -372,6 +374,11 @@ struct ServiceCore<R: ObjectStore> {
 struct Shadow {
     seq: u64,
     chunk: Chunk,
+    /// Whether the position was staged since the core's previous
+    /// write-back pass. A pass drops the shadows, and lone roots, of the
+    /// positions that were not: a root outlives its flush only while its
+    /// chunk stays hot.
+    staged: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -419,9 +426,10 @@ impl<R: ObjectStore> ServiceCore<R> {
     /// holds are skipped — there are no bytes left to make durable.
     ///
     /// While the WAL still holds the record the position's shadow was left
-    /// by, the record is the chunk's edits against the shadow (empty when
-    /// nothing changed), and the shadow takes them. Otherwise it is an
-    /// image, and a copy of the chunk becomes the shadow.
+    /// by — a staging, or the root its last write-back left — the record
+    /// is the chunk's edits against the shadow (empty when nothing
+    /// changed), and the shadow takes them. Otherwise it is an image, and a
+    /// copy of the chunk becomes the shadow.
     fn log_staged(&mut self, pos: ChunkPos) {
         let (Some(wal), Some(world)) = (&self.wal, &self.world) else {
             return;
@@ -433,17 +441,26 @@ impl<R: ObjectStore> ServiceCore<R> {
                 if let Some(seq) = wal.append_edits(pos, shadow.seq, &edits) {
                     shadow.chunk.apply_edits(&edits);
                     shadow.seq = seq;
+                    shadow.staged = true;
                     return;
                 }
             }
-            let seq = wal.append(pos, chunk.to_bytes());
+            let seq = wal.append(pos, chunk.snapshot().bytes);
             let chunk = chunk.clone();
-            shadows.insert(pos, Shadow { seq, chunk });
+            shadows.insert(
+                pos,
+                Shadow {
+                    seq,
+                    chunk,
+                    staged: true,
+                },
+            );
         });
     }
 
-    /// Truncates every WAL record of `pos` — its write-back landed, or the
-    /// obligation moved to another pipeline — and drops its shadow.
+    /// Truncates every WAL record of `pos` — the obligation moved to
+    /// another pipeline, or a write-back landed that the shadow cannot
+    /// follow — and drops its shadow.
     fn truncate_logged(&mut self, pos: ChunkPos) {
         if let Some(wal) = &self.wal {
             if let Some(seq) = wal.latest_seq(pos) {
@@ -451,6 +468,40 @@ impl<R: ObjectStore> ServiceCore<R> {
             }
         }
         self.shadows.remove(&pos);
+    }
+
+    /// Discharges the records of `pos`, whose write-back just landed: the
+    /// chain re-roots on the bytes the remote store received, and the
+    /// shadow takes `edits` — its difference from the chunk those bytes
+    /// encode, taken when the pass snapshotted the world — so root and
+    /// shadow are one chunk and the next staging appends edits.
+    fn reroot_logged(&mut self, pos: ChunkPos, edits: &[BlockEdit]) {
+        let (Some(wal), Some(snapshot)) = (&self.wal, self.cache.snapshot(pos)) else {
+            return self.truncate_logged(pos);
+        };
+        let rerooted = wal.with(|wal| wal.reroot(pos, snapshot.bytes));
+        let (Some(shadow), Some(seq)) = (self.shadows.get_mut(&pos), rerooted) else {
+            return self.truncate_logged(pos);
+        };
+        shadow.chunk.apply_edits(edits);
+        shadow.seq = seq;
+    }
+
+    /// Ends a write-back pass: drops the shadow of every position not
+    /// staged since the previous pass, and its chain when that is a lone
+    /// root. This one-pass rule bounds what re-rooting retains to the
+    /// chunks that are still being edited.
+    fn release_cold(&mut self) {
+        let wal = self.wal.as_ref();
+        self.shadows.retain(|&pos, shadow| {
+            if std::mem::take(&mut shadow.staged) {
+                return true;
+            }
+            if let Some(wal) = wal {
+                wal.with(|wal| wal.release_root(pos));
+            }
+            false
+        });
     }
 
     /// Takes the staged write-back set of one shard (the migration-handoff
@@ -633,11 +684,19 @@ impl<R: ObjectStore> ServiceCore<R> {
                 .into_iter()
                 .collect();
             // A chunk edited in the bound world may have a stale (or no)
-            // snapshot in the cache: refresh from the world first.
+            // snapshot in the cache: refresh from the world first. A
+            // logged position also notes how its shadow differs from the
+            // snapshot, for the re-root once the write lands.
+            let mut resyncs: HashMap<ChunkPos, Vec<BlockEdit>, FxBuildHasher> = HashMap::default();
             if let Some(world) = self.world.clone() {
                 for &pos in &positions {
-                    if let Some(snapshot) = world.read_chunk(pos, Chunk::snapshot) {
+                    let shadow = self.shadows.get(&pos);
+                    let refreshed = world.read_chunk(pos, |chunk| {
+                        (chunk.snapshot(), shadow.map(|s| chunk.diff(&s.chunk)))
+                    });
+                    if let Some((snapshot, resync)) = refreshed {
                         let _ = self.cache.put(snapshot, now);
+                        resyncs.extend(resync.map(|edits| (pos, edits)));
                     }
                 }
                 // The refresh re-marked these chunks dirty in the cache;
@@ -653,12 +712,17 @@ impl<R: ObjectStore> ServiceCore<R> {
             }
             // Every record of a flushed position is covered by the
             // snapshot that just landed: nothing appends during the flush.
+            // A failed write leaves the chain and the shadow as they were.
             let flushed = self.cache.write_back(&positions, now);
             for &pos in &flushed {
-                self.truncate_logged(pos);
+                match resyncs.get(&pos) {
+                    Some(edits) => self.reroot_logged(pos, edits),
+                    None => self.truncate_logged(pos),
+                }
             }
             written += flushed.len();
         }
+        self.release_cold();
         written
     }
 
@@ -759,9 +823,9 @@ impl<R: ObjectStore> SyncChunkService<R> {
     }
 
     /// Attaches a write-ahead delta log: staged positions are logged (with
-    /// their world bytes) before the stage is acknowledged and truncated on
-    /// durable write-back. Attach after binding the world — the log reads
-    /// chunk bytes from it.
+    /// their world bytes) before the stage is acknowledged, and a durable
+    /// write-back re-roots their chains on the flushed bytes. Attach after
+    /// binding the world — the log reads chunk bytes from it.
     pub fn with_wal(mut self, wal: SharedWal) -> Self {
         self.core.set_wal(Some(wal));
         self
@@ -944,10 +1008,11 @@ impl<R: ObjectStore> PipelinedChunkService<R> {
 
     /// Attaches a write-ahead delta log shared by every shard segment:
     /// staged positions are logged (with the chunk bytes read from the
-    /// bound world) before the stage is acknowledged, and truncated once
-    /// their write-back durably lands. The caller keeps a clone of the
-    /// handle — the log models a durable device that outlives this
-    /// pipeline, which is what crash recovery replays.
+    /// bound world) before the stage is acknowledged, and their chains are
+    /// re-rooted on the flushed bytes once their write-back durably lands.
+    /// The caller keeps a clone of the handle — the log models a durable
+    /// device that outlives this pipeline, which is what crash recovery
+    /// replays.
     pub fn with_wal(mut self, wal: SharedWal) -> Self {
         self.set_wal(Some(wal));
         self

@@ -5,23 +5,36 @@
 //! that crashes inside that window would silently lose every staged chunk —
 //! the modifications exist only in its memory. The [`DeltaWal`] closes the
 //! window: every position staged for write-back is appended here *with the
-//! chunk's blocks as they were at staging time*, and records are truncated
-//! only once the corresponding write-back has durably landed. The log
-//! models a durable device that survives the zone server (a replicated log
-//! service or attached journal volume), so crash recovery replays it to
-//! rebuild the staged-but-unflushed state.
+//! chunk's blocks as they were at staging time*, and its records are
+//! discharged only once the corresponding write-back has durably landed.
+//! The log models a durable device that survives the zone server (a
+//! replicated log service or attached journal volume), so crash recovery
+//! replays it to rebuild the staged-but-unflushed state.
 //!
-//! A record is an [`Image`](RecordKind::Image) of the whole chunk or the
-//! [`Edits`](RecordKind::Edits) since the position's previous record, so a
-//! chunk staged again and again costs its changed blocks, not its bytes.
-//! [`DeltaWal::append_edits`] accepts edits only on top of the record they
-//! were taken against, so no chain of edits lacks the image it starts from.
+//! A staging record is an [`Image`](RecordKind::Image) of the whole chunk
+//! or the [`Edits`](RecordKind::Edits) since the position's previous
+//! record, so a chunk staged again and again costs its changed blocks, not
+//! its bytes. [`DeltaWal::append_edits`] accepts edits only on top of the
+//! record they were taken against, so no chain of edits lacks the base it
+//! starts from.
 //!
-//! Replay folds each position's records into one image: the last image,
-//! with the later edits applied in sequence order, stamped with the highest
-//! sequence — the image an image-per-staging log would have replayed.
-//! Replay is therefore idempotent and insensitive to the order in which
-//! images arrive — properties the `wal_semantics` proptest suite pins down.
+//! A landed write-back *re-roots* the chain instead of ending it:
+//! [`DeltaWal::reroot`] replaces the position's records with one
+//! [`Root`](RecordKind::Root) holding the bytes the remote store received
+//! (the same shared allocation), at the newest replaced sequence. The next
+//! staging appends edits against the root, so a hot chunk is encoded whole
+//! once per write-back cadence — by the flush — and not again by the log. A
+//! root is not a staging: it counts in neither [`DeltaWal::appended`] nor
+//! [`DeltaWal::truncated`], a chain that is only a root replays nothing
+//! (the remote store already holds those bytes), and
+//! [`DeltaWal::release_root`] drops it once its position goes cold.
+//!
+//! Replay folds each position's records into one image: the last image or
+//! root, with the later edits applied in sequence order, stamped with the
+//! highest sequence — the image an image-per-staging log would have
+//! replayed. Replay is therefore idempotent and insensitive to the order in
+//! which images arrive — properties the `wal_semantics` proptest suite pins
+//! down.
 
 use std::sync::{Arc, Mutex};
 
@@ -33,24 +46,29 @@ use servo_world::{shard_index, Block, BlockEdit, Chunk, ShardDelta};
 pub enum RecordKind {
     /// The whole chunk, as [`Chunk::to_bytes`] encodes it.
     Image,
+    /// The whole chunk as its last landed write-back stored it remotely:
+    /// the base later edits apply to, not a staging of its own.
+    Root,
     /// The blocks changed since the position's previous record, 4 bytes
     /// each: the block's linear index (u16 LE), then its id (u16 LE). A
     /// staging that changed nothing is an empty record.
     Edits,
 }
 
-/// One logged staging event: the chunk's blocks as they were when the
-/// position entered the write-back working set.
+/// One logged staging event — the chunk's blocks as they were when the
+/// position entered the write-back working set — or the root a landed
+/// write-back left its chain on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecord {
     /// The chunk's position.
     pub pos: ChunkPos,
     /// Monotone append sequence; higher wins on replay.
     pub seq: u64,
-    /// Whether `bytes` is an image or edits.
+    /// Whether `bytes` is an image, a root or edits.
     pub kind: RecordKind,
-    /// The chunk's serialized bytes, or its edits, at staging time.
-    pub bytes: Vec<u8>,
+    /// The chunk's serialized bytes, or its edits, at staging time; a
+    /// root shares the bytes its write-back stored.
+    pub bytes: Arc<[u8]>,
 }
 
 /// The per-zone write-ahead delta log. See the module docs for semantics.
@@ -85,8 +103,8 @@ impl DeltaWal {
 
     /// Appends an image of `pos` (its [`Chunk::to_bytes`]), stamping and
     /// returning its sequence number.
-    pub fn append(&mut self, pos: ChunkPos, bytes: Vec<u8>) -> u64 {
-        self.push(pos, RecordKind::Image, bytes)
+    pub fn append(&mut self, pos: ChunkPos, bytes: impl Into<Arc<[u8]>>) -> u64 {
+        self.push(pos, RecordKind::Image, bytes.into())
     }
 
     /// Appends the edits that turn `pos`'s chunk as of record `after` into
@@ -103,10 +121,10 @@ impl DeltaWal {
             bytes.extend_from_slice(&edit.index.to_le_bytes());
             bytes.extend_from_slice(&edit.block.id().to_le_bytes());
         }
-        Some(self.push(pos, RecordKind::Edits, bytes))
+        Some(self.push(pos, RecordKind::Edits, bytes.into()))
     }
 
-    fn push(&mut self, pos: ChunkPos, kind: RecordKind, bytes: Vec<u8>) -> u64 {
+    fn push(&mut self, pos: ChunkPos, kind: RecordKind, bytes: Arc<[u8]>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.appended += 1;
@@ -127,7 +145,8 @@ impl DeltaWal {
         self.shards[shard_index(record.pos, self.shard_count)].push(record);
     }
 
-    /// The highest sequence number logged for `pos`, if any record remains.
+    /// The highest sequence number logged for `pos`, if any record remains
+    /// (a root included).
     pub fn latest_seq(&self, pos: ChunkPos) -> Option<u64> {
         self.shards[shard_index(pos, self.shard_count)]
             .iter()
@@ -136,14 +155,62 @@ impl DeltaWal {
             .max()
     }
 
+    /// Whether a staging record of `pos` survives. A lone root does not
+    /// count: it covers nothing the remote store lacks.
+    pub fn covers(&self, pos: ChunkPos) -> bool {
+        self.shards[shard_index(pos, self.shard_count)]
+            .iter()
+            .any(|r| r.pos == pos && r.kind != RecordKind::Root)
+    }
+
+    /// Replaces every record of `pos` with one root holding `bytes` — the
+    /// bytes a write-back that covered all of them just stored remotely —
+    /// at the newest replaced sequence, so edits taken against that record
+    /// still chain onto the root. Returns that sequence, or `None`,
+    /// changing nothing, when `pos` has no record.
+    pub fn reroot(&mut self, pos: ChunkPos, bytes: Arc<[u8]>) -> Option<u64> {
+        let seq = self.latest_seq(pos)?;
+        let shard = &mut self.shards[shard_index(pos, self.shard_count)];
+        let mut staged = 0;
+        shard.retain(|r| {
+            let keep = r.pos != pos;
+            staged += usize::from(!keep && r.kind != RecordKind::Root);
+            keep
+        });
+        shard.push(WalRecord {
+            pos,
+            seq,
+            kind: RecordKind::Root,
+            bytes,
+        });
+        self.truncated += staged as u64;
+        Some(seq)
+    }
+
+    /// Drops `pos`'s chain if it is only a root, returning whether it did.
+    /// A chain with staging records is left alone.
+    pub fn release_root(&mut self, pos: ChunkPos) -> bool {
+        let shard = &mut self.shards[shard_index(pos, self.shard_count)];
+        let mut records = shard.iter().enumerate().filter(|(_, r)| r.pos == pos);
+        match (records.next(), records.next()) {
+            (Some((at, root)), None) if root.kind == RecordKind::Root => {
+                shard.remove(at);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Truncates `pos`'s records with sequence `<= through_seq` — the
     /// write-back that made them durable has completed. Records appended
     /// *after* the flushed snapshot was taken keep their place: truncation
     /// never drops an unflushed delta. Returns how many records dropped.
     ///
     /// When the first record kept would be edits, the dropped records are
-    /// folded into one image at the highest dropped sequence instead, so
-    /// the kept edits still have the image they apply to.
+    /// folded into one record at the highest dropped sequence instead, so
+    /// the kept edits still have the base they apply to: an image, or the
+    /// root itself when the root was all that dropped. Only staging
+    /// records count towards [`DeltaWal::truncated`].
     pub fn truncate(&mut self, pos: ChunkPos, through_seq: u64) -> usize {
         let shard = &mut self.shards[shard_index(pos, self.shard_count)];
         let first_kept = shard
@@ -159,25 +226,31 @@ impl DeltaWal {
             _ => None,
         };
         let before = shard.len();
-        shard.retain(|r| r.pos != pos || r.seq > through_seq);
+        let mut staged = 0;
+        shard.retain(|r| {
+            let keep = r.pos != pos || r.seq > through_seq;
+            staged += usize::from(!keep && r.kind != RecordKind::Root);
+            keep
+        });
         let mut dropped = before - shard.len();
-        if let Some(image) = folded {
+        if let Some(base) = folded {
+            staged -= usize::from(base.kind != RecordKind::Root);
             let at = shard
                 .iter()
                 .position(|r| r.pos == pos)
                 .unwrap_or(shard.len());
-            shard.insert(at, image);
+            shard.insert(at, base);
             dropped -= 1;
         }
-        self.truncated += dropped as u64;
+        self.truncated += staged as u64;
         dropped
     }
 
     /// Replays one shard's log: one image per position with surviving
-    /// records, folded as the module docs describe and stamped with the
-    /// position's highest sequence number, sorted by `(x, z)`. Replaying a
-    /// replay (or any permutation of the same images) yields the same
-    /// result.
+    /// staging records, folded as the module docs describe and stamped with
+    /// the position's highest sequence number, sorted by `(x, z)`. A lone
+    /// root replays nothing. Replaying a replay (or any permutation of the
+    /// same images) yields the same result.
     pub fn replay_shard(&self, shard: usize) -> Vec<WalRecord> {
         let mut by_pos: std::collections::HashMap<ChunkPos, Vec<&WalRecord>> = Default::default();
         for record in self.records(shard) {
@@ -186,14 +259,15 @@ impl DeltaWal {
         let mut out: Vec<WalRecord> = by_pos
             .into_values()
             .filter_map(|records| fold(&chain(records.into_iter())))
+            .filter(|record| record.kind != RecordKind::Root)
             .collect();
         out.sort_by_key(|r| (r.pos.x, r.pos.z));
         out
     }
 
-    /// The recoverable delta for `shard`: every position with a surviving
-    /// record, as one [`ShardDelta`] whose epoch is the highest surviving
-    /// sequence. `None` when the shard's log is empty.
+    /// The recoverable delta for `shard`: every position its replay
+    /// rebuilds, as one [`ShardDelta`] whose epoch is the highest replayed
+    /// sequence. `None` when the replay is empty.
     pub fn delta(&self, shard: usize) -> Option<ShardDelta> {
         let replay = self.replay_shard(shard);
         if replay.is_empty() {
@@ -211,7 +285,7 @@ impl DeltaWal {
         self.shards.get(shard).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Total surviving records across all shards.
+    /// Total surviving records across all shards, roots included.
     pub fn len(&self) -> usize {
         self.shards.iter().map(Vec::len).sum()
     }
@@ -221,12 +295,15 @@ impl DeltaWal {
         self.len() == 0
     }
 
-    /// Lifetime number of records appended (including ingested ones).
+    /// Lifetime number of staging records appended (including ingested
+    /// ones).
     pub fn appended(&self) -> u64 {
         self.appended
     }
 
-    /// Lifetime number of records truncated after durable write-back.
+    /// Lifetime number of staging records discharged — truncated, or
+    /// replaced by a root — net of the images partial truncations fold
+    /// in.
     pub fn truncated(&self) -> u64 {
         self.truncated
     }
@@ -240,24 +317,28 @@ fn chain<'a>(records: impl Iterator<Item = &'a WalRecord>) -> Vec<&'a WalRecord>
 }
 
 /// Folds one position's records, in `seq` order, into one image: the
-/// last image with the later edits applied, stamped with the last
-/// sequence. An image with no edits after it, or only empty ones, is
-/// passed on without decoding. `None` when the records hold no image, or
-/// one the fold needs cannot be decoded.
+/// last image or root with the later edits applied, stamped with the last
+/// sequence. A base with no records after it is passed on as it is (a lone
+/// root stays a root); with only empty edits after it, its bytes are
+/// shared without decoding. `None` when the records hold no base, or one
+/// the fold needs cannot be decoded.
 fn fold(chain: &[&WalRecord]) -> Option<WalRecord> {
-    let start = chain.iter().rposition(|r| r.kind == RecordKind::Image)?;
-    let (image, edits) = (chain[start], &chain[start + 1..]);
+    let start = chain.iter().rposition(|r| r.kind != RecordKind::Edits)?;
+    let (base, edits) = (chain[start], &chain[start + 1..]);
+    if edits.is_empty() {
+        return Some(base.clone());
+    }
     let bytes = if edits.iter().all(|r| r.bytes.is_empty()) {
-        image.bytes.clone()
+        Arc::clone(&base.bytes)
     } else {
-        let mut chunk = Chunk::from_bytes(&image.bytes).ok()?;
+        let mut chunk = Chunk::from_bytes(&base.bytes).ok()?;
         for record in edits {
             chunk.apply_edits(&decode_edits(&record.bytes)?);
         }
-        chunk.to_bytes()
+        chunk.to_bytes().into()
     };
     Some(WalRecord {
-        pos: image.pos,
+        pos: base.pos,
         seq: chain[chain.len() - 1].seq,
         kind: RecordKind::Image,
         bytes,
@@ -301,7 +382,8 @@ impl SharedWal {
     }
 
     /// See [`DeltaWal::append`].
-    pub fn append(&self, pos: ChunkPos, bytes: Vec<u8>) -> u64 {
+    pub fn append(&self, pos: ChunkPos, bytes: impl Into<Arc<[u8]>>) -> u64 {
+        let bytes = bytes.into();
         self.with(|wal| wal.append(pos, bytes))
     }
 
@@ -358,7 +440,7 @@ mod tests {
         let replay = wal.replay_shard(0);
         assert_eq!(replay.len(), 2);
         let winner = replay.iter().find(|r| r.pos == pos(0, 0)).unwrap();
-        assert_eq!(winner.bytes, vec![2]);
+        assert_eq!(*winner.bytes, [2]);
     }
 
     #[test]
@@ -370,7 +452,38 @@ mod tests {
         assert_eq!(wal.latest_seq(pos(0, 0)), Some(later));
         let replay = wal.replay_shard(0);
         assert_eq!(replay.len(), 1);
-        assert_eq!(replay[0].bytes, vec![2]);
+        assert_eq!(*replay[0].bytes, [2]);
+    }
+
+    #[test]
+    fn reroot_shares_the_flushed_bytes_and_replays_nothing() {
+        let mut wal = DeltaWal::new(1);
+        let image = wal.append(pos(0, 0), vec![1]);
+        let root: Arc<[u8]> = Arc::from(vec![7]);
+        assert_eq!(wal.reroot(pos(0, 0), Arc::clone(&root)), Some(image));
+        assert_eq!(wal.latest_seq(pos(0, 0)), Some(image));
+        assert!(Arc::ptr_eq(&wal.records(0)[0].bytes, &root));
+        assert!(!wal.covers(pos(0, 0)));
+        assert!(wal.replay_shard(0).is_empty());
+        assert!(wal.delta(0).is_none());
+        assert_eq!((wal.appended(), wal.truncated()), (1, 1));
+        assert_eq!(wal.reroot(pos(1, 0), root), None, "no chain to re-root");
+        assert!(wal.release_root(pos(0, 0)));
+        assert!(wal.is_empty());
+    }
+
+    #[test]
+    fn a_root_with_edits_replays_and_is_not_released() {
+        let mut wal = DeltaWal::new(1);
+        let seq = wal.append(pos(0, 0), vec![1]);
+        wal.reroot(pos(0, 0), Arc::from(vec![7]));
+        let edits = wal.append_edits(pos(0, 0), seq, &[]).unwrap();
+        assert!(wal.covers(pos(0, 0)));
+        assert!(!wal.release_root(pos(0, 0)));
+        let replay = wal.replay_shard(0);
+        assert_eq!(replay.len(), 1);
+        assert_eq!((replay[0].seq, replay[0].kind), (edits, RecordKind::Image));
+        assert_eq!(*replay[0].bytes, [7]);
     }
 
     #[test]

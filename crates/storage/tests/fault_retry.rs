@@ -104,7 +104,7 @@ fn failed_write_backs_keep_the_chunk_dirty_until_a_retry_lands() {
     let pos = ChunkPos::new(1, 1);
     let snapshot = ChunkSnapshot {
         pos,
-        bytes: flat_chunk(pos).to_bytes(),
+        bytes: flat_chunk(pos).to_bytes().into(),
     };
     cache
         .put(snapshot.clone(), SimTime::from_millis(10))

@@ -2,10 +2,11 @@
 //! [`DeltaWal`] is idempotent and order-insensitive (last-writer-wins by
 //! sequence number within each shard), the truncation a write-back
 //! performs never drops a delta that was staged after the flush snapshot
-//! was taken, and a service logging images and edits replays exactly what
+//! was taken, and a service logging images and edits — and re-rooting a
+//! chain on the bytes each landed write-back stored — replays exactly what
 //! logging an image per staging would have.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -51,7 +52,7 @@ fn apply_lww(state: &mut BTreeMap<ChunkPos, (u64, Vec<u8>)>, records: &[WalRecor
         match state.get(&record.pos) {
             Some((seq, _)) if *seq > record.seq => {}
             _ => {
-                state.insert(record.pos, (record.seq, record.bytes.clone()));
+                state.insert(record.pos, (record.seq, record.bytes.to_vec()));
             }
         }
     }
@@ -85,7 +86,7 @@ proptest! {
         for shard in 0..SHARDS {
             for record in wal.replay_shard(shard) {
                 prop_assert_eq!(shard_index(record.pos, SHARDS), shard);
-                prop_assert!(replayed.insert(record.pos, record.bytes).is_none(),
+                prop_assert!(replayed.insert(record.pos, record.bytes.to_vec()).is_none(),
                     "replay emitted a chunk twice");
             }
         }
@@ -203,16 +204,20 @@ fn truncation_after_write_back_never_drops_an_unflushed_delta() {
     assert_eq!(replayed[0].seq, second_seq);
     let expected = world.read_chunk(target, |c| c.to_bytes()).unwrap();
     assert_eq!(
-        replayed[0].bytes, expected,
+        *replayed[0].bytes, *expected,
         "replay carries the second edit's bytes"
     );
 
-    // A second write-back flushes it and empties the log for that chunk.
+    // A second write-back flushes it: the chain is re-rooted on the
+    // flushed bytes, which replay nothing.
     service.submit(servo_storage::ChunkRequest::write_back());
     service.poll(SimTime::from_secs(200));
+    let chain: Vec<(u64, RecordKind)> =
+        wal.with(|wal| wal.records(shard).iter().map(|r| (r.seq, r.kind)).collect());
+    assert_eq!(chain, vec![(second_seq, RecordKind::Root)]);
     assert!(
-        wal.latest_seq(target).is_none(),
-        "flushed delta is truncated"
+        !wal.with(|wal| wal.covers(target)),
+        "flushed delta is discharged"
     );
     assert!(service.recover(shard).is_empty());
 }
@@ -233,7 +238,7 @@ fn truncation_through_a_stale_mark_keeps_the_racing_append() {
     let shard = shard_index(pos, SHARDS);
     let replayed = wal.replay_shard(shard);
     assert_eq!(replayed.len(), 1);
-    assert_eq!(replayed[0].bytes, vec![2]);
+    assert_eq!(*replayed[0].bytes, [2]);
 }
 
 /// The chunks the chain property edits, so stagings of one chunk
@@ -253,8 +258,10 @@ enum ChainOp {
     Edit(usize, (i32, i32, i32), Block),
     /// Stages a chunk, which logs it.
     Stage(usize),
-    /// Runs a write-back pass, which truncates every staged chunk.
+    /// Runs a write-back pass, which re-roots every chunk it writes.
     Flush,
+    /// Runs a write-back pass whose first remote write fails.
+    FailedFlush,
     /// Hands off the staged chunks of a chunk's shard.
     Handoff(usize),
 }
@@ -267,6 +274,7 @@ fn arb_chain_op() -> impl Strategy<Value = ChainOp> {
             .prop_map(|(c, at, b)| ChainOp::Edit(c, at, b)),
         6 => chunk().prop_map(ChainOp::Stage),
         1 => Just(ChainOp::Flush),
+        1 => Just(ChainOp::FailedFlush),
         1 => chunk().prop_map(ChainOp::Handoff),
     ]
 }
@@ -275,20 +283,34 @@ fn arb_chain_op() -> impl Strategy<Value = ChainOp> {
 fn replayed(wal: &SharedWal, shards: usize) -> BTreeMap<ChunkPos, Vec<u8>> {
     (0..shards)
         .flat_map(|shard| wal.replay_shard(shard))
-        .map(|record| (record.pos, record.bytes))
+        .map(|record| (record.pos, record.bytes.to_vec()))
         .collect()
+}
+
+/// The `(seq, kind)` of every record of `pos`, in log order.
+fn chain_of(wal: &SharedWal, pos: ChunkPos) -> Vec<(u64, RecordKind)> {
+    wal.with(|wal| {
+        wal.records(shard_index(pos, wal.shard_count()))
+            .iter()
+            .filter(|r| r.pos == pos)
+            .map(|r| (r.seq, r.kind))
+            .collect()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A pipelined service bound to a world logs an image the first time
-    /// a chunk is staged and edits after that. After every step, the
-    /// replay holds, for each chunk staged and neither flushed nor handed
-    /// off since, exactly the bytes the chunk encoded to at its last
-    /// staging — what a log of one image per staging replays — and
-    /// nothing else. Every staging appends one record, an empty one
-    /// included.
+    /// a chunk is staged and edits after that; a landed write-back
+    /// re-roots the chain on the flushed bytes, so the next staging
+    /// appends edits again, while a failed one leaves the chain on its old
+    /// root; a pass drops the roots and shadows of chunks not staged since
+    /// the pass before. After every step, the replay holds, for each chunk
+    /// staged and neither flushed nor handed off since, exactly the bytes
+    /// the chunk encoded to at its last staging — what a log of one image
+    /// per staging replays — and nothing else. Every staging appends one
+    /// record, an empty one included, and a root counts as none.
     #[test]
     fn image_and_edit_chains_replay_every_staging(
         ops in prop::collection::vec(arb_chain_op(), 1..100),
@@ -306,6 +328,15 @@ proptest! {
         let mut oracle: BTreeMap<ChunkPos, Vec<u8>> = BTreeMap::new();
         let mut stagings = 0u64;
         let mut now = SimTime::ZERO;
+        // The service's staged set; the chunks whose write failed, which
+        // the next pass stages again from the cache's dirty set; the
+        // chunks with a shadow; those staged since the last pass; and
+        // whether an injected failure still waits for a remote write.
+        let mut staged: BTreeSet<ChunkPos> = BTreeSet::new();
+        let mut failed: BTreeSet<ChunkPos> = BTreeSet::new();
+        let mut shadowed: BTreeSet<ChunkPos> = BTreeSet::new();
+        let mut hot: BTreeSet<ChunkPos> = BTreeSet::new();
+        let mut armed = false;
         for op in ops {
             match op {
                 ChainOp::Edit(c, (x, y, z), block) => {
@@ -321,16 +352,71 @@ proptest! {
                     }]);
                     stagings += 1;
                     oracle.insert(pos, world.read_chunk(pos, Chunk::to_bytes).unwrap());
+                    let kind = chain_of(&wal, pos).last().map(|&(_, kind)| kind);
+                    let expected = if shadowed.contains(&pos) {
+                        RecordKind::Edits
+                    } else {
+                        RecordKind::Image
+                    };
+                    prop_assert_eq!(kind, Some(expected), "staging {:?}", pos);
+                    staged.insert(pos);
+                    shadowed.insert(pos);
+                    hot.insert(pos);
                 }
-                ChainOp::Flush => {
+                ChainOp::Flush | ChainOp::FailedFlush => {
+                    if matches!(op, ChainOp::FailedFlush) {
+                        service.with_remote(|remote| remote.inject_failure("write rejected"));
+                        armed = true;
+                    }
+                    // The pass stages the failed chunks again, then writes
+                    // every staged chunk, segment by segment, in order.
+                    for &pos in &failed {
+                        stagings += 1;
+                        oracle.insert(pos, world.read_chunk(pos, Chunk::to_bytes).unwrap());
+                        shadowed.insert(pos);
+                        hot.insert(pos);
+                    }
+                    staged.append(&mut failed);
+                    let mut order: Vec<ChunkPos> = std::mem::take(&mut staged).into_iter().collect();
+                    order.sort_by_key(|&pos| (shard_index(pos, shards), pos));
+                    let fails = if armed && !order.is_empty() {
+                        armed = false;
+                        Some(order[0])
+                    } else {
+                        None
+                    };
+                    let before = fails.map(|pos| chain_of(&wal, pos));
                     now += SimDuration::from_secs(1);
                     service.submit(ChunkRequest::write_back());
                     service.poll(now);
-                    oracle.clear();
+                    for pos in order {
+                        if Some(pos) == fails {
+                            let (before, after) = (before.clone().unwrap(), chain_of(&wal, pos));
+                            // At most the pass's own re-staging is appended.
+                            prop_assert!(after.starts_with(&before) && after.len() <= before.len() + 1,
+                                "a failed write moved {:?} off its root: {:?} -> {:?}", pos, before, after);
+                            failed.insert(pos);
+                            continue;
+                        }
+                        oracle.remove(&pos);
+                        let root = world.read_chunk(pos, Chunk::to_bytes).unwrap();
+                        let chain = wal.with(|wal| {
+                            wal.records(shard_index(pos, shards))
+                                .iter()
+                                .filter(|r| r.pos == pos)
+                                .map(|r| (r.kind, r.bytes.to_vec()))
+                                .collect::<Vec<_>>()
+                        });
+                        prop_assert_eq!(chain, vec![(RecordKind::Root, root)], "flushed {:?}", pos);
+                    }
+                    shadowed.retain(|pos| hot.contains(pos));
+                    hot.clear();
                 }
                 ChainOp::Handoff(c) => {
                     for pos in service.take_staged_shard(world.shard_of(CHAIN_CHUNKS[c])) {
-                        prop_assert!(oracle.remove(&pos).is_some(), "{:?} was not staged", pos);
+                        prop_assert!(staged.remove(&pos), "{:?} was not staged", pos);
+                        prop_assert!(oracle.remove(&pos).is_some(), "{:?} was not logged", pos);
+                        shadowed.remove(&pos);
                     }
                 }
             }
@@ -377,11 +463,11 @@ fn partial_truncation_folds_the_dropped_prefix_into_an_image() {
         kept,
         vec![(first, RecordKind::Image), (second, RecordKind::Edits)]
     );
-    assert_eq!(wal.records(shard)[0].bytes, v1.to_bytes());
+    assert_eq!(*wal.records(shard)[0].bytes, *v1.to_bytes());
     let replay = wal.replay_shard(shard);
     assert_eq!(replay.len(), 1);
     assert_eq!((replay[0].seq, replay[0].kind), (second, RecordKind::Image));
-    assert_eq!(replay[0].bytes, v2.to_bytes());
+    assert_eq!(*replay[0].bytes, *v2.to_bytes());
     let restored = Chunk::from_bytes(&replay[0].bytes).unwrap();
     assert_eq!(restored.modifications(), 0);
 
@@ -461,7 +547,7 @@ fn every_staging_appends_a_record_even_when_nothing_changed() {
     let replay = wal.replay_shard(shard);
     assert_eq!(replay[0].seq, seqs[3]);
     assert_eq!(
-        replay[0].bytes,
-        world.read_chunk(pos, Chunk::to_bytes).unwrap()
+        *replay[0].bytes,
+        *world.read_chunk(pos, Chunk::to_bytes).unwrap()
     );
 }

@@ -1,6 +1,8 @@
 //! The chunk container: a 16 x 16 x 256 column of blocks, stored as sixteen
 //! 16-high sections.
 
+use std::sync::Arc;
+
 use servo_types::consts::{CHUNK_HEIGHT, CHUNK_SIZE};
 use servo_types::{ChunkPos, ServoError};
 
@@ -614,6 +616,13 @@ impl Chunk {
     /// once from the maintained run count and each run is one 6-byte copy.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.serialized_size()];
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Writes [`Chunk::to_bytes`]'s layout into `out`, which holds exactly
+    /// [`Chunk::serialized_size`] bytes.
+    fn encode_into(&self, out: &mut [u8]) {
         out[0..4].copy_from_slice(&self.pos.x.to_le_bytes());
         out[4..8].copy_from_slice(&self.pos.z.to_le_bytes());
         out[8..12].copy_from_slice(&self.runs.to_le_bytes());
@@ -673,7 +682,6 @@ impl Chunk {
         }
         run(count, id);
         debug_assert_eq!(at, out.len(), "run count out of date");
-        out
     }
 
     /// Deserializes a chunk produced by [`Chunk::to_bytes`]. A section whose
@@ -834,10 +842,13 @@ impl Chunk {
 
     /// Takes an immutable snapshot of the chunk suitable for handing to a
     /// remote component (a generation function or the storage layer).
+    /// The bytes are encoded straight into their shared allocation.
     pub fn snapshot(&self) -> ChunkSnapshot {
+        let mut bytes: Arc<[u8]> = std::iter::repeat_n(0, self.serialized_size()).collect();
+        self.encode_into(Arc::get_mut(&mut bytes).expect("a new allocation has one owner"));
         ChunkSnapshot {
             pos: self.pos,
-            bytes: self.to_bytes(),
+            bytes,
         }
     }
 }
@@ -848,13 +859,15 @@ fn corrupt(reason: &str) -> ServoError {
     }
 }
 
-/// An immutable serialized copy of a chunk.
+/// An immutable serialized copy of a chunk. Its bytes are shared: a clone
+/// costs a reference count, so the storage tiers a flushed chunk passes
+/// through all hold one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkSnapshot {
     /// Position of the chunk.
     pub pos: ChunkPos,
     /// Serialized chunk contents ([`Chunk::to_bytes`] layout).
-    pub bytes: Vec<u8>,
+    pub bytes: Arc<[u8]>,
 }
 
 impl ChunkSnapshot {

@@ -116,7 +116,7 @@ proptest! {
         }
         for (pos, bytes) in expected {
             let read = cache.read(pos, SimTime::from_secs(1)).unwrap();
-            prop_assert_eq!(read.snapshot.bytes, bytes);
+            prop_assert_eq!(&*read.snapshot.bytes, &bytes[..]);
         }
     }
 
