@@ -49,7 +49,8 @@ fn bench_compile(c: &mut Criterion) {
 
 fn bench_simulate_sequence(c: &mut Criterion) {
     let mut group = c.benchmark_group("sc_simulate_100_steps");
-    for blocks in [252usize, 484] {
+    // 64 blocks is the construct size of the `sc_offload` benchmark.
+    for blocks in [64usize, 252, 484] {
         group.bench_with_input(
             BenchmarkId::from_parameter(blocks),
             &blocks,

@@ -1,5 +1,7 @@
-//! Real-CPU benchmark of Servo's speculative execution unit and of the full
-//! game-loop tick for the three systems under a construct-heavy workload.
+//! Real-CPU benchmark of Servo's speculative execution unit, for one
+//! looping construct and for `sc_offload`'s 200-construct fleet, and of the
+//! full game-loop tick for the three systems under a construct-heavy
+//! workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use servo_bench::{build_system, ExperimentWorld, SystemKind};
@@ -28,6 +30,34 @@ fn bench_resolve(c: &mut Criterion) {
                 Tick(tick),
                 SimTime::from_millis(tick * 50),
             )
+        });
+    });
+}
+
+/// One tick of resolves over `sc_offload`'s fleet: 200 constructs of 64
+/// blocks, loop detection off, so every construct is served from its
+/// speculative sequence or re-invokes.
+fn bench_resolve_fleet(c: &mut Criterion) {
+    c.bench_function("speculative_resolve_200sc_no_loops_per_tick", |b| {
+        let platform = FaasPlatform::new(
+            FunctionConfig::aws_like(MemoryMb::new(2048)),
+            SimRng::seed(1),
+        );
+        let config = SpeculationConfig {
+            loop_detection: false,
+            ..SpeculationConfig::default()
+        };
+        let mut backend = SpeculativeScBackend::new(config, platform);
+        let mut constructs: Vec<Construct> = (0..200)
+            .map(|_| Construct::new(generators::dense_circuit(64)))
+            .collect();
+        let mut tick = 0u64;
+        b.iter(|| {
+            tick += 1;
+            let now = SimTime::from_millis(tick * 50);
+            for (i, construct) in constructs.iter_mut().enumerate() {
+                backend.resolve(ConstructId::new(i as u64), construct, Tick(tick), now);
+            }
         });
     });
 }
@@ -61,5 +91,10 @@ fn bench_server_tick(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_resolve, bench_server_tick);
+criterion_group!(
+    benches,
+    bench_resolve,
+    bench_resolve_fleet,
+    bench_server_tick
+);
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //!
 //! The game loop resolves its constructs one at a time, in server order,
 //! through [`ScBackend::resolve`]. One call advances one construct from
-//! its slot in a plain per-construct map, records the statistics, and —
-//! when a new invocation is due — invokes the FaaS platform, so the
+//! its slot in an Fx-hashed per-construct map, records the statistics,
+//! and — when a new invocation is due — invokes the FaaS platform, so the
 //! platform's RNG stream is consumed in construct order and a seed alone
 //! decides every outcome. The remote function's engine work is a pure
 //! simulation of the construct; it runs only once the platform accepted
@@ -25,9 +25,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use servo_faas::FaasPlatform;
-use servo_redstone::{simulate_sequence, Construct, SimulationOutcome};
+use servo_redstone::{
+    simulate_sequence, simulate_steps, Construct, ConstructState, SimulationOutcome,
+};
 use servo_server::{PublishedSequence, ScBackend, ScResolution};
 use servo_types::{ConstructId, SimDuration, SimTime, Tick};
+use servo_world::FxBuildHasher;
 
 /// A FaaS platform shared between several [`SpeculativeScBackend`]s (the
 /// zone servers of a hybrid cluster offload to one platform, preserving
@@ -280,7 +283,7 @@ struct ConstructSlot {
 /// platform's RNG seed and the order the game loop resolves constructs in.
 pub struct SpeculativeScBackend {
     config: SpeculationConfig,
-    slots: HashMap<ConstructId, ConstructSlot>,
+    slots: HashMap<ConstructId, ConstructSlot, FxBuildHasher>,
     platform: SharedScPlatform,
     stats: Arc<Mutex<SpeculationStats>>,
 }
@@ -307,7 +310,7 @@ impl SpeculativeScBackend {
     pub fn over(config: SpeculationConfig, platform: SharedScPlatform) -> Self {
         SpeculativeScBackend {
             config,
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             platform,
             stats: Arc::new(Mutex::new(SpeculationStats::default())),
         }
@@ -363,10 +366,10 @@ impl SpeculativeScBackend {
                     return None;
                 }
                 let offset = (target_step - available.start_step) as usize;
+                let steps = available.outcome.simulated_steps();
                 available.outcome.state_at(offset).map(|state| {
-                    let replaying = available.outcome.loop_info.is_some()
-                        && offset > available.outcome.simulated_steps;
-                    let remaining = available.outcome.simulated_steps.saturating_sub(offset) as u64;
+                    let replaying = available.outcome.loop_info.is_some() && offset > steps;
+                    let remaining = steps.saturating_sub(offset) as u64;
                     let refresh_base = if !replaying
                         && available.outcome.loop_info.is_none()
                         && remaining <= config.tick_lead
@@ -374,9 +377,15 @@ impl SpeculativeScBackend {
                     {
                         // Tick lead: speculate onward from the *end* of the
                         // current sequence, a state the server has not
-                        // reached yet (Figure 6 of the paper).
-                        available.outcome.states.last().map(|last| {
-                            Construct::with_state(construct.blueprint().clone(), last.clone())
+                        // reached yet (Figure 6 of the paper): its last
+                        // row, at its last step, under its stamp.
+                        available.outcome.state_at(steps).map(|last| {
+                            let last = ConstructState::from_powers(
+                                last.to_vec(),
+                                available.start_step + steps as u64,
+                                available.stamp,
+                            );
+                            Construct::with_state(construct.blueprint().clone(), last)
                         })
                     } else {
                         None
@@ -428,7 +437,7 @@ impl SpeculativeScBackend {
                         // loops: a looping sequence serves *every* later
                         // tick by replay, so its usable steps are never
                         // exhausted by the wait.
-                        let total = pending.outcome.simulated_steps.max(1) as f64;
+                        let total = pending.outcome.simulated_steps().max(1) as f64;
                         let already_local =
                             construct.state().step().saturating_sub(pending.start_step) as f64;
                         let wasted = match pending.outcome.loop_info {
@@ -465,12 +474,7 @@ impl SpeculativeScBackend {
         if config.loop_detection {
             simulate_sequence(&mut remote, config.simulation_steps)
         } else {
-            let states = remote.step_many(config.simulation_steps);
-            SimulationOutcome {
-                simulated_steps: states.len(),
-                states,
-                loop_info: None,
-            }
+            simulate_steps(&mut remote, config.simulation_steps)
         }
     }
 }
@@ -555,7 +559,7 @@ impl ScBackend for SpeculativeScBackend {
             // served from the stored states.
             u64::MAX
         } else {
-            available.start_step + available.outcome.simulated_steps as u64
+            available.start_step + available.outcome.simulated_steps() as u64
         };
         Some(PublishedSequence {
             stamp: available.stamp,

@@ -113,15 +113,18 @@ fn drive(seed: u64, ticks: u64, backend: Box<dyn ScBackend>) -> (Vec<Vec<u64>>, 
     (hashes, server.stats())
 }
 
-/// The workload on `SpeculativeScBackend`, offloading to a platform whose
-/// concurrency limit is `max_concurrency`.
-pub fn speculative(seed: u64, ticks: u64, max_concurrency: Option<usize>) -> Run {
+/// The workload on `SpeculativeScBackend` configured by `config`,
+/// offloading to a platform whose concurrency limit is `max_concurrency`.
+pub fn speculative(
+    seed: u64,
+    ticks: u64,
+    config: SpeculationConfig,
+    max_concurrency: Option<usize>,
+) -> Run {
     let mut function = FunctionConfig::aws_like(MemoryMb::new(2048));
     function.max_concurrency = max_concurrency;
-    let backend = SpeculativeScBackend::new(
-        SpeculationConfig::default(),
-        FaasPlatform::new(function, SimRng::seed(seed)),
-    );
+    let backend =
+        SpeculativeScBackend::new(config, FaasPlatform::new(function, SimRng::seed(seed)));
     let handle = backend.handle();
     let (hashes, server_stats) = drive(seed, ticks, Box::new(backend));
     Run {
@@ -132,29 +135,47 @@ pub fn speculative(seed: u64, ticks: u64, max_concurrency: Option<usize>) -> Run
     }
 }
 
-/// Asserts the transparency contract for one seed: speculation leaves
-/// every construct in the state local stepping leaves it in, after every
-/// tick; it genuinely offloaded; and a second run of the seed agrees on
-/// every statistic and on billing. Returns the speculative run.
-pub fn assert_transparent(seed: u64, ticks: u64, max_concurrency: Option<usize>) -> Run {
+/// The speculation configurations the contract is checked under: the
+/// default, which detects loops and replays them, and the one the
+/// `sc_offload` benchmark runs, which does not and refreshes each sequence
+/// from its last state a tick lead before it runs out.
+pub fn configs() -> [SpeculationConfig; 2] {
+    [true, false].map(|loop_detection| SpeculationConfig {
+        loop_detection,
+        ..SpeculationConfig::default()
+    })
+}
+
+/// Asserts the transparency contract for one seed under `config`:
+/// speculation leaves every construct in the state local stepping leaves
+/// it in, after every tick; it genuinely offloaded; and a second run of the
+/// seed agrees on every statistic and on billing. Returns the speculative
+/// run.
+pub fn assert_transparent(
+    seed: u64,
+    ticks: u64,
+    config: SpeculationConfig,
+    max_concurrency: Option<usize>,
+) -> Run {
     let (reference, _) = drive(seed, ticks, Box::new(LocalScBackend::every_tick()));
-    let run = speculative(seed, ticks, max_concurrency);
+    let run = speculative(seed, ticks, config, max_concurrency);
+    let detection = config.loop_detection;
     for (tick, (got, want)) in run.hashes.iter().zip(&reference).enumerate() {
         assert_eq!(
             got, want,
-            "seed {seed}: construct states diverged at tick {tick}"
+            "seed {seed}, loop detection {detection}: construct states diverged at tick {tick}"
         );
     }
     assert_eq!(run.hashes.len(), reference.len());
     assert!(
         run.stats.invocations > 0,
-        "seed {seed}: nothing was offloaded"
+        "seed {seed}, loop detection {detection}: nothing was offloaded"
     );
     assert!(
         run.server_stats.sc_merged + run.server_stats.sc_replayed > 0,
-        "seed {seed}: no construct advanced from an offloaded state"
+        "seed {seed}, loop detection {detection}: no construct advanced from an offloaded state"
     );
-    let again = speculative(seed, ticks, max_concurrency);
+    let again = speculative(seed, ticks, config, max_concurrency);
     assert_eq!(run.stats, again.stats, "seed {seed}: speculation stats");
     assert_eq!(run.billing, again.billing, "seed {seed}: billing");
     assert_eq!(run.server_stats, again.server_stats, "seed {seed}: server");

@@ -39,7 +39,7 @@ use crate::state::{ConstructState, MAX_POWER};
 /// // Wire propagation is instantaneous: the lamp is lit after one step.
 /// assert!(c.state().powers()[2] > 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Construct {
     blueprint: Blueprint,
     state: ConstructState,
@@ -49,6 +49,19 @@ pub struct Construct {
     /// Where a step writes the next powers before swapping them into the
     /// state, so stepping allocates nothing.
     next: Vec<u8>,
+}
+
+impl Clone for Construct {
+    /// Clones the blueprint (a reference-count bump) and the state. The
+    /// step scratch buffer is not copied: it holds no state.
+    fn clone(&self) -> Self {
+        Construct {
+            blueprint: self.blueprint.clone(),
+            state: self.state.clone(),
+            modification_counter: self.modification_counter,
+            next: Vec::new(),
+        }
+    }
 }
 
 impl PartialEq for Construct {
@@ -142,8 +155,9 @@ impl Construct {
     }
 
     /// Advances the construct by `n` steps and returns the state after each
-    /// step — the "speculative state sequence" a serverless function returns
-    /// to the execution unit.
+    /// step, each one a separately allocated [`ConstructState`]. Speculative
+    /// sequences use [`simulate_steps`](crate::simulate_steps) instead, which
+    /// stores the rows in one buffer.
     pub fn step_many(&mut self, n: usize) -> Vec<ConstructState> {
         let mut states = Vec::with_capacity(n);
         for _ in 0..n {
@@ -181,25 +195,25 @@ impl Construct {
         self.modification_counter
     }
 
-    /// Copies the powers of an externally computed state (e.g. a
-    /// speculative state received from a serverless function) into the
-    /// construct and makes `step` its current step. The construct keeps its
-    /// own modification stamp: replayed loop states repeat circuit values,
-    /// not timestamps.
+    /// Copies externally computed powers (e.g. a row of a speculative
+    /// sequence received from a serverless function) into the construct and
+    /// makes `step` its current step. The construct keeps its own
+    /// modification stamp: replayed loop states repeat circuit values, not
+    /// timestamps.
     ///
-    /// The caller is responsible for having validated the state's
+    /// The caller is responsible for having validated the sequence's
     /// modification stamp; the engine only checks the block count.
     ///
     /// # Panics
     ///
-    /// Panics if the state's block count does not match the blueprint.
-    pub fn apply_state(&mut self, state: &ConstructState, step: u64) {
+    /// Panics if the block count of `powers` does not match the blueprint.
+    pub fn apply_state(&mut self, powers: &[u8], step: u64) {
         assert_eq!(
-            state.len(),
+            powers.len(),
             self.blueprint.len(),
             "state block count must match blueprint"
         );
-        self.state.powers_mut().copy_from_slice(state.powers());
+        self.state.powers_mut().copy_from_slice(powers);
         self.state.set_step(step);
     }
 }
@@ -302,7 +316,7 @@ mod tests {
     #[should_panic(expected = "state block count")]
     fn apply_state_rejects_mismatched_size() {
         let mut c = line_construct();
-        c.apply_state(&ConstructState::initial(1), 1);
+        c.apply_state(&[0], 1);
     }
 
     #[test]
@@ -333,7 +347,7 @@ mod tests {
         c.apply_modification(BlockPos::new(3, 0, 0), None);
         let mut source = line_construct();
         let states = source.step_many(4);
-        c.apply_state(&states[1], 17);
+        c.apply_state(states[1].powers(), 17);
         assert_eq!(c.state().powers(), states[1].powers());
         assert_eq!(c.state().step(), 17);
         assert_eq!(c.state().modification_stamp(), 1);

@@ -16,7 +16,10 @@
 //! * [`generators`] — parameterised construct builders, including the
 //!   252- and 484-block constructs evaluated in Section IV-G;
 //! * [`LoopDetector`] / [`simulate_sequence`] — the state-hashing loop
-//!   detection used by Servo's cost optimization (Section III-C1).
+//!   detection used by Servo's cost optimization (Section III-C1);
+//!   [`simulate_steps`] is the same work without it. Both return a
+//!   [`SimulationOutcome`]: one flat buffer holding a row of powers per
+//!   simulated step.
 //!
 //! # Example
 //!
@@ -42,5 +45,5 @@ pub mod state;
 
 pub use blueprint::{Blueprint, Circuit, CircuitBlock};
 pub use engine::Construct;
-pub use loopdetect::{simulate_sequence, LoopDetector, SimulationOutcome};
+pub use loopdetect::{simulate_sequence, simulate_steps, LoopDetector, SimulationOutcome};
 pub use state::ConstructState;

@@ -8,9 +8,11 @@
 //! functions.
 
 use std::collections::HashMap;
+use std::hash::Hasher;
+
+use servo_world::{FxBuildHasher, FxHasher};
 
 use crate::engine::Construct;
-use crate::state::ConstructState;
 
 /// Information about a detected state cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +25,10 @@ pub struct LoopInfo {
 }
 
 /// Detects cycles in a stream of state hashes.
+///
+/// A hash match alone is only as good as the hash: [`simulate_sequence`]
+/// uses the detector to find a candidate and confirms it against the
+/// stored powers.
 ///
 /// # Example
 ///
@@ -38,7 +44,7 @@ pub struct LoopInfo {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LoopDetector {
-    seen: HashMap<u64, usize>,
+    seen: HashMap<u64, usize, FxBuildHasher>,
 }
 
 impl LoopDetector {
@@ -68,36 +74,49 @@ impl LoopDetector {
     }
 }
 
-/// The result of running the remote simulation function's work loop.
+/// The result of running the remote simulation function's work loop: a
+/// speculative state sequence.
+///
+/// The sequence is one flat buffer of `simulated_steps × blocks` powers.
+/// Row `i` holds the `blocks` power levels of the state after step `i + 1`
+/// (step 0, the start state, is the request's, not the reply's). The buffer
+/// is sized exactly: a loop-truncated sequence keeps only the rows it
+/// computed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
-    /// The computed speculative states, in step order. When a loop was
-    /// detected the sequence is truncated to end at the last state of the
-    /// first complete cycle.
-    pub states: Vec<ConstructState>,
-    /// Cycle information, if the construct entered a state cycle.
+    /// The rows, one after the other.
+    powers: Vec<u8>,
+    /// Blocks per row.
+    blocks: usize,
+    /// Number of rows.
+    steps: usize,
+    /// Cycle information, if the construct entered a state cycle. The
+    /// sequence then ends at the last state of the first complete cycle.
     pub loop_info: Option<LoopInfo>,
-    /// Number of steps actually simulated (may be fewer than requested when
-    /// a loop is found).
-    pub simulated_steps: usize,
 }
 
 impl SimulationOutcome {
+    /// Number of steps actually simulated (may be fewer than requested when
+    /// a loop is found).
+    pub fn simulated_steps(&self) -> usize {
+        self.steps
+    }
+
     /// Whether the outcome allows the server to replay states indefinitely
     /// without further function invocations.
     pub fn is_replayable(&self) -> bool {
         self.loop_info.is_some()
     }
 
-    /// The state to apply at `offset` steps after the start of this
-    /// sequence, replaying the detected loop if needed. Returns `None` when
-    /// no loop was detected and `offset` runs past the computed states.
-    pub fn state_at(&self, offset: usize) -> Option<&ConstructState> {
+    /// The powers to apply `offset` steps after the start of this sequence,
+    /// replaying the detected loop if needed. Returns `None` when no loop
+    /// was detected and `offset` runs past the computed states.
+    pub fn state_at(&self, offset: usize) -> Option<&[u8]> {
         if offset == 0 {
             return None;
         }
-        if offset <= self.states.len() {
-            return Some(&self.states[offset - 1]);
+        if offset <= self.steps {
+            return self.row(offset - 1);
         }
         let info = self.loop_info?;
         if info.length == 0 {
@@ -105,14 +124,18 @@ impl SimulationOutcome {
         }
         // Steps past the end wrap around inside the cycle. `info.start` and
         // the offsets here are in step space (step 0 is the initial state,
-        // step `s` is `states[s - 1]`).
+        // step `s` is row `s - 1`).
         let mut equivalent_step = info.start + (offset - info.start) % info.length;
         if equivalent_step == 0 {
-            // The cycle includes the initial state, which is not stored in
-            // `states`; step `length` has the same circuit state.
+            // The cycle includes the initial state, which is not stored as
+            // a row; step `length` has the same circuit state.
             equivalent_step = info.length;
         }
-        self.states.get(equivalent_step - 1)
+        self.row(equivalent_step - 1)
+    }
+
+    fn row(&self, i: usize) -> Option<&[u8]> {
+        self.powers.get(i * self.blocks..(i + 1) * self.blocks)
     }
 }
 
@@ -121,28 +144,88 @@ impl SimulationOutcome {
 ///
 /// This is exactly the work a Servo SC-offload function performs on the FaaS
 /// platform; it is exposed here so both the serverless function model and
-/// the benchmarks share one implementation.
+/// the benchmarks share one implementation. Each step appends its powers
+/// as one row of the returned [`SimulationOutcome`]'s buffer, trimmed to the
+/// rows simulated. A recurring hash declares a loop only once the recurring
+/// state's powers equal an earlier state's byte for byte, so a hash
+/// collision cannot replay a wrong state.
 pub fn simulate_sequence(construct: &mut Construct, max_steps: usize) -> SimulationOutcome {
-    let mut detector = LoopDetector::new();
-    // Include the starting state so a cycle back to it is detected.
-    detector.observe(construct.state().hash(), 0);
-    let mut states = Vec::new();
-    for i in 1..=max_steps {
+    simulate_with(construct, max_steps, row_hash)
+}
+
+/// The hash [`simulate_sequence`] looks rows up by. Rows are compared byte
+/// for byte once their hashes match, so it only needs to be fast and
+/// spread well: Fx over whole words.
+fn row_hash(row: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(row);
+    hasher.finish()
+}
+
+/// [`simulate_sequence`] over a given state hash.
+fn simulate_with(
+    construct: &mut Construct,
+    max_steps: usize,
+    hash: fn(&[u8]) -> u64,
+) -> SimulationOutcome {
+    let blocks = construct.len();
+    // While simulating, row `s` of `powers` is the state at step `s`: the
+    // start state is kept as row 0 so a cycle back to it is confirmed too,
+    // and dropped before returning. Most constructs settle within a few
+    // steps, so the buffer grows as rows arrive instead of reserving
+    // `max_steps` rows, and is trimmed to its rows at the end.
+    let mut powers = Vec::with_capacity(2 * blocks);
+    powers.extend_from_slice(construct.state().powers());
+    let mut detector = LoopDetector::default();
+    detector.observe(hash(&powers), 0);
+    let mut steps = 0;
+    let mut loop_info = None;
+    while steps < max_steps {
         construct.step();
-        let state = construct.state().clone();
-        let hash = state.hash();
-        states.push(state);
-        if let Some(info) = detector.observe(hash, i) {
-            return SimulationOutcome {
-                simulated_steps: states.len(),
-                states,
-                loop_info: Some(info),
-            };
+        steps += 1;
+        let state = construct.state().powers();
+        powers.extend_from_slice(state);
+        let Some(candidate) = detector.observe(hash(state), steps) else {
+            continue;
+        };
+        // The first state seen with this hash is the likely match; only a
+        // collision makes the other earlier states worth comparing.
+        let row = |s: usize| &powers[s * blocks..(s + 1) * blocks];
+        let start = std::iter::once(candidate.start)
+            .chain(0..steps)
+            .find(|&s| row(s) == state);
+        if let Some(start) = start {
+            loop_info = Some(LoopInfo {
+                start,
+                length: steps - start,
+            });
+            break;
         }
     }
+    powers.drain(..blocks);
+    powers.shrink_to_fit();
     SimulationOutcome {
-        simulated_steps: states.len(),
-        states,
+        powers,
+        blocks,
+        steps,
+        loop_info,
+    }
+}
+
+/// Simulates `construct` for exactly `steps` steps, without loop detection:
+/// the work of an SC-offload function that does not look for cycles. The
+/// rows go into one buffer of exactly `steps × blocks` powers.
+pub fn simulate_steps(construct: &mut Construct, steps: usize) -> SimulationOutcome {
+    let blocks = construct.len();
+    let mut powers = Vec::with_capacity(steps * blocks);
+    for _ in 0..steps {
+        construct.step();
+        powers.extend_from_slice(construct.state().powers());
+    }
+    SimulationOutcome {
+        powers,
+        blocks,
+        steps,
         loop_info: None,
     }
 }
@@ -169,7 +252,7 @@ mod tests {
         let mut c = Construct::new(generators::clock(4));
         let outcome = simulate_sequence(&mut c, 200);
         assert!(outcome.is_replayable());
-        assert!(outcome.simulated_steps < 200);
+        assert!(outcome.simulated_steps() < 200);
         let info = outcome.loop_info.unwrap();
         assert!(info.length >= 1);
     }
@@ -180,8 +263,9 @@ mod tests {
         // so use very few steps to observe a non-looping prefix.
         let mut c = Construct::new(generators::wire_line(10));
         let outcome = simulate_sequence(&mut c, 1);
-        assert_eq!(outcome.simulated_steps, 1);
-        assert_eq!(outcome.states.len(), 1);
+        assert_eq!(outcome.simulated_steps(), 1);
+        assert_eq!(outcome.state_at(1), Some(c.state().powers()));
+        assert_eq!(outcome.state_at(2), None);
     }
 
     #[test]
@@ -190,7 +274,7 @@ mod tests {
         let outcome = simulate_sequence(&mut c, 100);
         let info = outcome.loop_info.expect("steady state must be detected");
         assert_eq!(info.length, 1);
-        assert!(outcome.simulated_steps < 100);
+        assert!(outcome.simulated_steps() < 100);
     }
 
     #[test]
@@ -201,22 +285,16 @@ mod tests {
         // Replay far past the computed sequence and check periodicity.
         let a = outcome.state_at(info.start + 1 + 10 * info.length).unwrap();
         let b = outcome.state_at(info.start + 1).unwrap();
-        assert_eq!(a.hash(), b.hash());
+        assert_eq!(a, b);
         // Offset zero is "no state yet".
         assert!(outcome.state_at(0).is_none());
     }
 
     #[test]
     fn state_at_without_loop_is_bounded() {
-        let outcome = SimulationOutcome {
-            states: {
-                let mut cc = Construct::new(generators::wire_line(10));
-                cc.step_many(5)
-            },
-            loop_info: None,
-            simulated_steps: 5,
-        };
-        assert!(outcome.state_at(5).is_some());
+        let mut cc = Construct::new(generators::wire_line(10));
+        let outcome = simulate_steps(&mut cc, 5);
+        assert_eq!(outcome.state_at(5), Some(cc.state().powers()));
         assert!(outcome.state_at(6).is_none());
     }
 
@@ -230,7 +308,60 @@ mod tests {
         for offset in 1..100usize {
             live.step();
             let replayed = outcome.state_at(offset).expect("replayable");
-            assert_eq!(replayed.hash(), live.state().hash(), "offset {offset}");
+            assert_eq!(replayed, live.state().powers(), "offset {offset}");
         }
+    }
+
+    #[test]
+    fn rows_are_the_states_step_by_step_and_sized_exactly() {
+        let blueprint = generators::dense_circuit(64);
+        let mut live = Construct::new(blueprint.clone());
+        let states = live.step_many(100);
+        let without = simulate_steps(&mut Construct::new(blueprint.clone()), 100);
+        let with = simulate_sequence(&mut Construct::new(blueprint), 100);
+        for outcome in [&without, &with] {
+            let steps = outcome.simulated_steps();
+            assert_eq!(outcome.powers.len(), steps * 64);
+            assert_eq!(outcome.powers.capacity(), steps * 64);
+            for (i, state) in states.iter().take(steps).enumerate() {
+                assert_eq!(outcome.state_at(i + 1), Some(state.powers()));
+            }
+        }
+        assert_eq!(without.simulated_steps(), 100);
+    }
+
+    #[test]
+    fn colliding_hashes_find_no_bogus_loop() {
+        // Every state hashes to 0, so from step 1 on every state collides
+        // with the start state. Only byte-equal rows may declare a loop, so
+        // the outcome must be the one the real hash gives.
+        for blueprint in [
+            generators::dense_circuit(64),
+            generators::dense_circuit(100),
+            generators::clock(5),
+            generators::wire_line(8),
+        ] {
+            for steps in [1, 7, 100] {
+                let honest = simulate_sequence(&mut Construct::new(blueprint.clone()), steps);
+                let colliding = simulate_with(&mut Construct::new(blueprint.clone()), steps, |_| 0);
+                assert_eq!(
+                    colliding,
+                    honest,
+                    "{} blocks, {steps} steps",
+                    blueprint.len()
+                );
+            }
+        }
+        // The dense circuit settles a few steps in: hashes alone would have
+        // declared step 1 a loop back to the start state.
+        let settled = simulate_with(
+            &mut Construct::new(generators::dense_circuit(64)),
+            100,
+            |_| 0,
+        );
+        let info = settled
+            .loop_info
+            .expect("the circuit reaches a fixed point");
+        assert!(info.start > 0, "{info:?}");
     }
 }

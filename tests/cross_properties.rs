@@ -161,18 +161,20 @@ proptest! {
     }
 }
 
-/// One fixed-seed mixed schedule (single writes, batches, fills, loads,
-/// unloads) leaves the sharded world and the plain `World` with the same
-/// outcomes, counters, loaded set and chunk bytes.
 /// The same property inside the game loop, on one fixed seed: a server
 /// on the speculative backend matches one stepping every construct
 /// locally, tick for tick, through a mixed construct fleet with player
-/// modifications mid-run.
+/// modifications mid-run, with loop detection on and off.
 #[test]
 fn speculation_is_transparent_in_the_game_loop() {
-    speculative_workload::assert_transparent(77, 300, None);
+    for config in speculative_workload::configs() {
+        speculative_workload::assert_transparent(77, 300, config, None);
+    }
 }
 
+/// One fixed-seed mixed schedule (single writes, batches, fills, loads,
+/// unloads) leaves the sharded world and the plain `World` with the same
+/// outcomes, counters, loaded set and chunk bytes.
 #[test]
 fn sharded_world_matches_plain_world_on_a_fixed_seed() {
     let mut rng = SimRng::seed(0x5ead);
