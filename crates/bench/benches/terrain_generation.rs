@@ -42,6 +42,24 @@ fn bench_generators(c: &mut Criterion) {
             resident.push(default_gen.generate(ChunkPos::new(i, -i)));
         })
     });
+    // The chunk build alone: `from_columns` on layers the generator
+    // worked out beforehand, for 64 chunks in turn.
+    let columns: Vec<_> = (0..64)
+        .map(|i| {
+            (
+                ChunkPos::new(i, -i),
+                default_gen.columns(ChunkPos::new(i, -i)),
+            )
+        })
+        .collect();
+    group.bench_function("default_world_build", |b| {
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % columns.len();
+            let (pos, layers) = &columns[i];
+            Chunk::from_columns(*pos, layers).unwrap()
+        })
+    });
     group.bench_function("flat_world", |b| {
         let mut i = 0i32;
         b.iter(|| {

@@ -1,7 +1,7 @@
 //! The seeded game-loop workload of the speculation transparency check:
-//! a mixed fleet of aperiodic circuits, looping clocks and wire lines on
-//! one `GameServer`, with players breaking construct blocks mid-run. The
-//! same workload runs on `SpeculativeScBackend` and on
+//! a mixed fleet of aperiodic circuits, looping clocks, wire lines and a
+//! repeater chain on one `GameServer`, with players breaking construct
+//! blocks mid-run. The same workload runs on `SpeculativeScBackend` and on
 //! `LocalScBackend::every_tick()`, the construct states are recorded after
 //! every tick, and the two runs must agree on all of them.
 //!
@@ -12,7 +12,7 @@
 use servo_core::{SpeculationConfig, SpeculationStats, SpeculativeScBackend};
 use servo_faas::{BillingMeter, FaasPlatform, FunctionConfig};
 use servo_pcg::FlatGenerator;
-use servo_redstone::{generators, Blueprint};
+use servo_redstone::{generators, Blueprint, CircuitBlock};
 use servo_server::{
     GameServer, LocalGenerationBackend, LocalScBackend, ScBackend, ServerConfig, ServerStats,
 };
@@ -28,8 +28,29 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Repeaters in the fleet's chain: more than the 100 steps of one
+/// speculative sequence.
+const CHAIN_REPEATERS: i32 = 112;
+
+/// A power source feeding a line of repeaters. Its signal moves one
+/// repeater a step, so its state changes every step for 112 steps: a
+/// sequence from it neither settles nor loops, and each one ends in a
+/// tick-lead refresh, with loop detection on or off. It lies on a row of
+/// its own (`z = -4`), so a break aimed at another construct, all of which
+/// start at the origin, does not cut it short.
+fn repeater_chain() -> Blueprint {
+    let mut chain = Blueprint::new();
+    chain.add(BlockPos::new(0, 0, -4), CircuitBlock::PowerSource);
+    for x in 1..=CHAIN_REPEATERS {
+        chain.add(BlockPos::new(x, 0, -4), CircuitBlock::Repeater);
+    }
+    chain
+}
+
 /// The construct fleet of one generated workload: a deterministic mix of
-/// aperiodic circuits, looping clocks, and wire lines.
+/// aperiodic circuits, looping clocks, and wire lines, plus one repeater
+/// chain. Most of the mix settles or loops within one sequence, where a
+/// state labelled one step off still matches; the chain does not.
 fn fleet_blueprints(seed: u64) -> Vec<Blueprint> {
     let mut state = seed ^ 0xb1e0;
     (0..8)
@@ -41,6 +62,7 @@ fn fleet_blueprints(seed: u64) -> Vec<Blueprint> {
                 _ => generators::wire_line(6 + (r >> 8) as usize % 10),
             }
         })
+        .chain([repeater_chain()])
         .collect()
 }
 

@@ -54,22 +54,7 @@ impl Default for FlatGenerator {
 
 impl TerrainGenerator for FlatGenerator {
     fn generate(&self, pos: ChunkPos) -> Chunk {
-        let mut chunk = Chunk::empty(pos);
-        chunk
-            .fill_layer(0, Block::Bedrock)
-            .expect("layer 0 in range");
-        if self.ground_height > 1 {
-            // One box for the whole dirt body: the chunk updates its run
-            // count once per column, not once per column and layer.
-            let edge = CHUNK_SIZE - 1;
-            chunk
-                .fill_box((0, 1, 0), (edge, self.ground_height - 1, edge), Block::Dirt)
-                .expect("dirt in range");
-        }
-        chunk
-            .fill_layer(self.ground_height, Block::Grass)
-            .expect("ground in range");
-        chunk
+        Chunk::flat(pos, self.ground_height)
     }
 
     fn cost(&self) -> GenerationCost {
@@ -127,6 +112,27 @@ impl DefaultGenerator {
         )
     }
 
+    /// The layers of the chunk at `pos`, column by column in the chunk's
+    /// linear order (`x * 16 + z`), each bottom to top: what
+    /// [`TerrainGenerator::generate`] builds the chunk from with
+    /// [`Chunk::from_columns`]. Both noises are evaluated over the chunk's
+    /// 16 x 16 columns at once.
+    pub fn columns(&self, pos: ChunkPos) -> [[(u32, Block); 6]; SIDE * SIDE] {
+        let base = pos.min_block();
+        let xs: [f64; SIDE] = std::array::from_fn(|i| (base.x + i as i32) as f64);
+        let zs: [f64; SIDE] = std::array::from_fn(|i| (base.z + i as i32) as f64);
+        let broad = self
+            .height_noise
+            .fbm_grid(&xs, &zs, BROAD_OCTAVES, BROAD_FREQUENCY);
+        let detail = self
+            .detail_noise
+            .fbm_grid(&xs, &zs, DETAIL_OCTAVES, DETAIL_FREQUENCY);
+        std::array::from_fn(|c| {
+            let (i, j) = (c / SIDE, c % SIDE);
+            self.column_layers(self.height(broad[i][j], detail[i][j]))
+        })
+    }
+
     /// The surface height of a column from its two noise values: broad
     /// mountains plus fine detail around sea level.
     fn height(&self, broad: f64, detail: f64) -> i32 {
@@ -134,10 +140,10 @@ impl DefaultGenerator {
         (height.round() as i32).clamp(1, CHUNK_HEIGHT - 2)
     }
 
-    /// The runs of a column whose surface is at `surface`, from the
+    /// The layers of a column whose surface is at `surface`, from the
     /// bottom: bedrock, stone, three blocks of dirt, the surface block,
-    /// water up to sea level, air. Shallow columns have empty runs.
-    fn column_runs(&self, surface: i32) -> [(u32, Block); 6] {
+    /// water up to sea level, air. Shallow columns have empty layers.
+    fn column_layers(&self, surface: i32) -> [(u32, Block); 6] {
         let top = if surface <= self.sea_level + 1 {
             Block::Sand
         } else if surface > self.sea_level + 38 {
@@ -172,26 +178,7 @@ const SIDE: usize = CHUNK_SIZE as usize;
 
 impl TerrainGenerator for DefaultGenerator {
     fn generate(&self, pos: ChunkPos) -> Chunk {
-        // Both noises over the chunk's 16 x 16 columns, x-major like the
-        // chunk's linear order; then each column's runs, bottom to top,
-        // laid down in that order in one pass.
-        let base = pos.min_block();
-        let xs: [f64; SIDE] = std::array::from_fn(|i| (base.x + i as i32) as f64);
-        let zs: [f64; SIDE] = std::array::from_fn(|i| (base.z + i as i32) as f64);
-        let broad = self
-            .height_noise
-            .fbm_grid(&xs, &zs, BROAD_OCTAVES, BROAD_FREQUENCY);
-        let detail = self
-            .detail_noise
-            .fbm_grid(&xs, &zs, DETAIL_OCTAVES, DETAIL_FREQUENCY);
-        let surfaces: [[i32; SIDE]; SIDE] = std::array::from_fn(|i| {
-            std::array::from_fn(|j| self.height(broad[i][j], detail[i][j]))
-        });
-        let runs = surfaces
-            .as_flattened()
-            .iter()
-            .flat_map(|&surface| self.column_runs(surface));
-        Chunk::from_runs(pos, runs).expect("every column's runs fill it")
+        Chunk::from_columns(pos, &self.columns(pos)).expect("every column's layers fill it")
     }
 
     fn cost(&self) -> GenerationCost {
@@ -250,9 +237,8 @@ mod tests {
         assert_ne!(a.generate(pos).to_bytes(), b.generate(pos).to_bytes());
     }
 
-    /// `DefaultGenerator::generate` as it was before it built chunks from
-    /// runs: one `surface_height` per column, one `set_local` per block.
-    /// Kept as the reference.
+    /// The default world written block by block: one `surface_height` per
+    /// column, one `set_local` per block. Kept as the reference.
     fn generate_per_block(g: &DefaultGenerator, pos: ChunkPos) -> Chunk {
         let mut chunk = Chunk::empty(pos);
         let base = pos.min_block();

@@ -32,6 +32,9 @@ const SECTIONS: usize = CHUNK_HEIGHT as usize / SECTION_HEIGHT;
 /// Number of blocks in a section.
 const SECTION_BLOCKS: usize = BLOCKS_PER_CHUNK / SECTIONS;
 
+/// Number of columns in a chunk.
+const COLUMNS: usize = BLOCKS_PER_CHUNK / CHUNK_HEIGHT as usize;
+
 /// Number of blocks in one row of a section: the 16 columns of one `x`,
 /// which are consecutive in its array.
 const ROW_BLOCKS: usize = CHUNK_SIZE as usize * SECTION_HEIGHT;
@@ -149,9 +152,9 @@ enum Piece<'a> {
 /// owns no heap memory; a mixed section owns one 8 KiB array of 2-byte ids.
 /// A section is promoted by the first write that makes it mixed and is
 /// never demoted by a write. Uniform sections come from [`Chunk::empty`],
-/// from the run decoder behind [`Chunk::from_runs`] (which the default
-/// world's generator and [`Chunk::from_bytes`] build through, and which
-/// allocates only the sections it leaves mixed), and from a
+/// from [`Chunk::from_columns`] (which the generators and [`Chunk::flat`]
+/// build through) and the run decoder behind [`Chunk::from_bytes`] (both
+/// allocate only the sections they leave mixed), and from a
 /// [`Chunk::fill_box`] covering a whole section.
 /// [`Chunk::heap_bytes`] reports the heap part:
 ///
@@ -687,9 +690,10 @@ impl Chunk {
     /// Deserializes a chunk produced by [`Chunk::to_bytes`]. A section whose
     /// blocks are all equal comes back uniform.
     ///
-    /// The buffer is checked whole first; its runs are then laid down by
-    /// the decoder behind [`Chunk::from_runs`]. The chunk comes back with
-    /// no modifications.
+    /// The buffer is checked whole first; its runs are then laid down in
+    /// pieces of one column within one section: a section's first piece,
+    /// in column 0, makes it uniform, and a later piece in another id gives
+    /// it an array. The chunk comes back with no modifications.
     ///
     /// # Errors
     ///
@@ -727,24 +731,31 @@ impl Chunk {
         if body.len() != 6 * run_count {
             return Err(corrupt("trailing bytes after last run"));
         }
-        let mut chunk = Self::decode(ChunkPos::new(x, z), runs)?;
-        chunk.modifications = 0;
-        Ok(chunk)
+        Self::decode(ChunkPos::new(x, z), runs)
     }
 
-    /// Builds the chunk at `pos` from its runs: `(count, block)` pairs that
-    /// cover the blocks in linear (x, z, y) order, as [`Chunk::to_bytes`]
-    /// lists them. Runs may be empty, and two runs of one block may follow
-    /// each other (across a column's end or not); the chunk merges them.
+    /// Builds the chunk at `pos` from its columns, in linear order (column
+    /// `x * 16 + z`), each listing `K` layers `(count, block)` from the
+    /// bottom up. Layers may be empty, and neighbouring layers may hold one
+    /// block; the chunk merges them.
     ///
-    /// The result is the chunk that writing the runs into an empty chunk
-    /// makes: only the sections the runs leave mixed allocate, and every
-    /// block that is not air counts as one modification.
+    /// The result is the chunk that writing the layers into an empty chunk
+    /// makes: only the sections whose blocks end up mixed allocate, and
+    /// every block that is not air counts as one modification.
+    ///
+    /// One pass over the layers counts the runs and the non-air blocks and
+    /// finds, for each layer index, the highest start, the lowest end and
+    /// whether every column holds the same block there. A section that lies
+    /// inside such a common layer in every column is uniform without a
+    /// look at its blocks. Each column's ids are then laid out only across
+    /// the sections left, 16 ids per store, and copied into their arrays as
+    /// 16-id slices; an array that still holds one id throughout becomes
+    /// uniform.
     ///
     /// # Errors
     ///
-    /// Returns [`ServoError::CorruptData`] if the runs stop short of the
-    /// chunk's last block or run past it.
+    /// Returns [`ServoError::CorruptData`] if a column's layers do not add
+    /// up to exactly 256 blocks.
     ///
     /// # Example
     ///
@@ -754,31 +765,129 @@ impl Chunk {
     ///
     /// // Every column: bedrock, 63 blocks of stone, then air.
     /// let column = [(1, Block::Bedrock), (63, Block::Stone), (192, Block::Air)];
-    /// let runs = (0..256).flat_map(|_| column);
-    /// let chunk = Chunk::from_runs(ChunkPos::new(0, 0), runs).unwrap();
+    /// let chunk = Chunk::from_columns(ChunkPos::new(0, 0), &[column; 256]).unwrap();
     /// assert_eq!(chunk.local(4, 0, 9), Some(Block::Bedrock));
     /// assert_eq!(chunk.height_at(4, 9), Some(63));
     /// assert_eq!(chunk.modifications(), 256 * 64);
+    /// // Stone fills sections 1 to 3 and air 4 to 15: only section 0 is mixed.
     /// assert_eq!(chunk.heap_bytes(), 8192);
     /// ```
-    pub fn from_runs(
+    pub fn from_columns<const K: usize>(
         pos: ChunkPos,
-        runs: impl IntoIterator<Item = (u32, Block)>,
+        columns: &[[(u32, Block); K]; COLUMNS],
     ) -> Result<Chunk, ServoError> {
-        Self::decode(
+        let air = Block::Air.id();
+        let height = CHUNK_HEIGHT as u32;
+        let mut highest_start = [0u32; K];
+        let mut lowest_end = [height; K];
+        let mut shared = [true; K];
+        let mut runs = 0u32;
+        let mut modifications = 0u64;
+        // No block has this id, so the chunk's first layer starts a run.
+        let mut last = u32::MAX;
+        for column in columns {
+            let mut at = 0u32;
+            for (k, &(count, block)) in column.iter().enumerate() {
+                highest_start[k] = highest_start[k].max(at);
+                at = at.saturating_add(count);
+                lowest_end[k] = lowest_end[k].min(at);
+                shared[k] &= block == columns[0][k].1;
+                if count > 0 {
+                    let id = block.id();
+                    runs += u32::from(last != u32::from(id));
+                    last = u32::from(id);
+                    if id != air {
+                        modifications += u64::from(count);
+                    }
+                }
+            }
+            if at != height {
+                return Err(corrupt("column layers do not add up to its height"));
+            }
+        }
+        let mut sections: [Section; SECTIONS] = std::array::from_fn(|s| {
+            let (bottom, top) = (
+                (s * SECTION_HEIGHT) as u32,
+                ((s + 1) * SECTION_HEIGHT) as u32,
+            );
+            match (0..K).find(|&k| shared[k] && highest_start[k] <= bottom && lowest_end[k] >= top)
+            {
+                Some(k) => Section::Uniform(columns[0][k].1.id()),
+                None => Section::Dense(Box::new([0; SECTION_BLOCKS])),
+            }
+        });
+        let dense = |section: &Section| matches!(section, Section::Dense(_));
+        if let (Some(first), Some(last)) = (
+            sections.iter().position(dense),
+            sections.iter().rposition(dense),
+        ) {
+            let (lo, hi) = (first * SECTION_HEIGHT, (last + 1) * SECTION_HEIGHT);
+            // A column's ids over the window `lo..hi`, with room for the
+            // last store to run 16 ids past its end.
+            let mut ids = [0u16; CHUNK_HEIGHT as usize + SECTION_HEIGHT];
+            for (c, column) in columns.iter().enumerate() {
+                let mut at = 0usize;
+                for &(count, block) in column {
+                    let (start, end) = (at.max(lo), (at + count as usize).min(hi));
+                    at += count as usize;
+                    // Fixed 16-id stores, running on past the layer's end
+                    // into blocks the next layer then rewrites from its own
+                    // start: the layers come in order.
+                    let fill = [block.id(); SECTION_HEIGHT];
+                    let mut y = start;
+                    while y < end {
+                        ids[y..y + SECTION_HEIGHT].copy_from_slice(&fill);
+                        y += SECTION_HEIGHT;
+                    }
+                }
+                let offset = c << SECTION_BITS;
+                for (s, section) in (first..).zip(&mut sections[first..=last]) {
+                    if let Section::Dense(blocks) = section {
+                        blocks[offset..offset + SECTION_HEIGHT]
+                            .copy_from_slice(&ids[s * SECTION_HEIGHT..(s + 1) * SECTION_HEIGHT]);
+                    }
+                }
+            }
+            for section in &mut sections[first..=last] {
+                if let Section::Dense(blocks) = section {
+                    let id = blocks[0];
+                    // An OR over the whole array, which vectorises, where a
+                    // short-circuiting search would not.
+                    if blocks.iter().fold(0, |differ, &b| differ | (b ^ id)) == 0 {
+                        *section = Section::Uniform(id);
+                    }
+                }
+            }
+        }
+        Ok(Chunk {
             pos,
-            runs.into_iter().map(|(count, block)| (count, block.id())),
-        )
+            sections,
+            modifications,
+            runs,
+        })
     }
 
-    /// The run decoder of [`Chunk::from_runs`] and [`Chunk::from_bytes`],
-    /// over ids the caller has checked: the one place runs are laid into
-    /// sections. Counts the runs and (as modifications) the non-air blocks.
+    /// The flat world's chunk at `pos`: bedrock at `y = 0`, dirt above it
+    /// and a grass surface at `ground_height` (clamped to `1..=255`), air
+    /// above that. Only section 0 is mixed for a surface below `y = 15`.
+    pub fn flat(pos: ChunkPos, ground_height: i32) -> Chunk {
+        let ground = ground_height.clamp(1, CHUNK_HEIGHT - 1) as u32;
+        let column = [
+            (1, Block::Bedrock),
+            (ground - 1, Block::Dirt),
+            (1, Block::Grass),
+            (CHUNK_HEIGHT as u32 - 1 - ground, Block::Air),
+        ];
+        Self::from_columns(pos, &[column; COLUMNS]).expect("a flat column is 256 blocks high")
+    }
+
+    /// The run decoder of [`Chunk::from_bytes`], over ids it has checked:
+    /// runs may be empty, and two runs of one block may follow each other.
+    /// Counts the runs from the ids it lays.
     fn decode(
         pos: ChunkPos,
         runs: impl IntoIterator<Item = (u32, u16)>,
     ) -> Result<Chunk, ServoError> {
-        let air = Block::Air.id();
         let mut chunk = Chunk::empty(pos);
         // Counted from the laid blocks: a run list may carry empty runs or
         // split one run in two.
@@ -796,9 +905,6 @@ impl Chunk {
             if last != Some(id) {
                 chunk.runs += 1;
                 last = Some(id);
-            }
-            if id != air {
-                chunk.modifications += count as u64;
             }
             // Lay the run down in pieces of one column inside one section.
             // A section's first piece (in column 0) makes it uniform in its

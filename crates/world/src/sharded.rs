@@ -522,36 +522,6 @@ impl ShardedWorld {
         removed
     }
 
-    fn build_chunk(&self, pos: ChunkPos) -> Chunk {
-        let mut chunk = Chunk::empty(pos);
-        if self.kind == WorldKind::Flat {
-            chunk
-                .fill_box(
-                    (0, 0, 0),
-                    (CHUNK_SIZE - 1, 0, CHUNK_SIZE - 1),
-                    Block::Bedrock,
-                )
-                .expect("layer 0 is in range");
-            if self.flat_ground_height > 1 {
-                chunk
-                    .fill_box(
-                        (0, 1, 0),
-                        (CHUNK_SIZE - 1, self.flat_ground_height - 1, CHUNK_SIZE - 1),
-                        Block::Dirt,
-                    )
-                    .expect("dirt body in range");
-            }
-            chunk
-                .fill_box(
-                    (0, self.flat_ground_height, 0),
-                    (CHUNK_SIZE - 1, self.flat_ground_height, CHUNK_SIZE - 1),
-                    Block::Grass,
-                )
-                .expect("ground layer in range");
-        }
-        chunk
-    }
-
     /// Ensures a chunk exists at `pos`, creating a default one if missing
     /// (pre-filled terrain for flat worlds, empty otherwise — the same rule
     /// as [`World::ensure_chunk_at`]).
@@ -562,7 +532,7 @@ impl ShardedWorld {
         }
         // Build outside any lock; racing creators build identical chunks
         // and the vacancy check under the write lock keeps the first one.
-        let chunk = self.build_chunk(pos);
+        let chunk = self.kind.new_chunk(pos, self.flat_ground_height);
         let created = match shard.write().entry(pos) {
             Entry::Vacant(slot) => {
                 slot.insert(chunk);

@@ -34,6 +34,19 @@ pub enum WorldKind {
     Flat,
 }
 
+impl WorldKind {
+    /// The chunk a world of this kind creates at `pos` when asked for one
+    /// that is not loaded: the flat world's terrain with its surface at
+    /// `flat_ground`, or air for the default world, whose terrain comes
+    /// from a generator.
+    pub(crate) fn new_chunk(self, pos: ChunkPos, flat_ground: i32) -> Chunk {
+        match self {
+            WorldKind::Flat => Chunk::flat(pos, flat_ground),
+            WorldKind::Default => Chunk::empty(pos),
+        }
+    }
+}
+
 /// The in-memory game world: loaded chunks plus bookkeeping about
 /// modifications, used by both the baseline servers and Servo.
 ///
@@ -147,21 +160,9 @@ impl World {
     pub fn ensure_chunk_at(&mut self, pos: ChunkPos) -> &mut Chunk {
         let ground = self.flat_ground_height;
         let kind = self.kind;
-        self.chunks.entry(pos).or_insert_with(|| {
-            let mut chunk = Chunk::empty(pos);
-            if kind == WorldKind::Flat {
-                chunk
-                    .fill_layer(0, Block::Bedrock)
-                    .expect("layer 0 is in range");
-                for y in 1..ground {
-                    chunk.fill_layer(y, Block::Dirt).expect("layer in range");
-                }
-                chunk
-                    .fill_layer(ground, Block::Grass)
-                    .expect("ground layer in range");
-            }
-            chunk
-        })
+        self.chunks
+            .entry(pos)
+            .or_insert_with(|| kind.new_chunk(pos, ground))
     }
 
     /// Combined lookup: the chunk containing `pos` plus the chunk-local

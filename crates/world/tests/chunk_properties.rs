@@ -427,13 +427,12 @@ fn arb_runs() -> impl Strategy<Value = Vec<(u32, Block)>> {
     })
 }
 
-/// The runs laid out as a dense model; `from_runs` counts every non-air
-/// block as a modification.
-fn model_of_runs(runs: &[(u32, Block)]) -> DenseModel {
+/// The blocks laid out as a dense model, every non-air block counted as
+/// a modification, as `from_columns` counts them.
+fn model_of_blocks(blocks: impl Iterator<Item = (u32, Block)>) -> DenseModel {
     let mut model = DenseModel::new();
-    model.blocks = runs
-        .iter()
-        .flat_map(|&(count, block)| std::iter::repeat_n(block.id(), count as usize))
+    model.blocks = blocks
+        .flat_map(|(count, block)| std::iter::repeat_n(block.id(), count as usize))
         .collect();
     model.modifications = model.count(|b| !b.is_air()) as u64;
     model
@@ -468,35 +467,166 @@ fn runs_to_bytes(pos: ChunkPos, runs: &[(u32, Block)]) -> Vec<u8> {
     bytes
 }
 
+/// Layers of each drawn column.
+const LAYERS: usize = 5;
+
+/// One column as `from_columns` takes it: layers from the bottom up.
+type Column = [(u32, Block); LAYERS];
+
+/// Where one layer ends and the next starts: often on or next to a section
+/// edge or at either end of the column.
+fn arb_cut() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        1 => Just(0u32),
+        1 => Just(CHUNK_HEIGHT as u32),
+        2 => (0u32..17).prop_map(|k| 16 * k),
+        2 => (1u32..16, any::<bool>()).prop_map(|(k, up)| if up { 16 * k + 1 } else { 16 * k - 1 }),
+        2 => 0u32..CHUNK_HEIGHT as u32 + 1,
+    ]
+}
+
+/// The column whose layers end at the sorted `cuts` (equal cuts make
+/// empty layers) and hold `ids`.
+fn column(mut cuts: [u32; LAYERS - 1], ids: [Block; LAYERS]) -> Column {
+    cuts.sort_unstable();
+    let mut below = 0;
+    std::array::from_fn(|k| {
+        let top = cuts.get(k).copied().unwrap_or(CHUNK_HEIGHT as u32);
+        let layer = (top - below, ids[k]);
+        below = top;
+        layer
+    })
+}
+
+/// How the chunk's columns relate to one drawn template column.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Every column is the template.
+    Same,
+    /// Every layer of every column holds one id.
+    OneId,
+    /// Columns move one of the template's cuts or change one of its ids.
+    Varied,
+    /// Every cut inside section `s`, and columns vary only there: at most
+    /// that one section is mixed.
+    OneSection(u32),
+    /// Every column drawn on its own.
+    Independent,
+}
+
+/// The 256 columns of a chunk: a template column, with empty layers and
+/// (four ids) often equal neighbours, varied per column by the shape.
+fn arb_columns() -> impl Strategy<Value = Vec<Column>> {
+    let block = || prop::sample::select(vec![Block::Air, Block::Stone, Block::Dirt, Block::Wire]);
+    let cuts =
+        || (arb_cut(), arb_cut(), arb_cut(), arb_cut()).prop_map(|(a, b, c, d)| [a, b, c, d]);
+    let ids = || {
+        (block(), block(), block(), block(), block()).prop_map(|(a, b, c, d, e)| [a, b, c, d, e])
+    };
+    let shape = prop_oneof![
+        2 => Just(Shape::Same),
+        1 => Just(Shape::OneId),
+        3 => Just(Shape::Varied),
+        2 => (0u32..16).prop_map(Shape::OneSection),
+        1 => Just(Shape::Independent),
+    ];
+    // Per column: keep the template (0), move a cut (1) or change an id
+    // (2); which one, by how much or to what; and its own layers.
+    let change = (0u8..3, 0usize..LAYERS, -3i32..4, block(), cuts(), ids());
+    let changes = prop::collection::vec(change, COLUMNS..COLUMNS + 1);
+    (cuts(), ids(), shape, changes).prop_map(|(cuts, ids, shape, changes)| {
+        let (cuts, ids, (lo, hi), inner) = match shape {
+            Shape::OneId => (cuts, [ids[0]; LAYERS], (0, CHUNK_HEIGHT as u32), 0..LAYERS),
+            // The first and last layer reach into the other sections.
+            Shape::OneSection(s) => (
+                cuts.map(|c| 16 * s + c % 17),
+                ids,
+                (16 * s, 16 * s + 16),
+                1..LAYERS - 1,
+            ),
+            _ => (cuts, ids, (0, CHUNK_HEIGHT as u32), 0..LAYERS),
+        };
+        changes
+            .into_iter()
+            .map(
+                |(kind, k, delta, block, own_cuts, own_ids)| match (shape, kind) {
+                    (Shape::Independent, _) => column(own_cuts, own_ids),
+                    (Shape::Same | Shape::OneId, _) | (_, 0) => column(cuts, ids),
+                    (_, 1) => {
+                        let mut cuts = cuts;
+                        let cut = &mut cuts[k % (LAYERS - 1)];
+                        *cut = cut.saturating_add_signed(delta).clamp(lo, hi);
+                        column(cuts, ids)
+                    }
+                    _ => {
+                        let mut ids = ids;
+                        ids[inner.start + k % inner.len()] = block;
+                        column(cuts, ids)
+                    }
+                },
+            )
+            .collect()
+    })
+}
+
+/// Columns in a chunk.
+const COLUMNS: usize = (CHUNK_SIZE * CHUNK_SIZE) as usize;
+
 proptest! {
-    /// The run decoder lays any run list exactly: the chunk reads like the
-    /// dense model of the runs (every block, the heights, the counts, the
-    /// O(1) size and the canonical encoding), and only its mixed sections
-    /// own an array. `from_bytes` of the same runs, passed through the
-    /// same decoder, gives the same chunk with no modifications.
+    /// The chunk built from any columns reads like the dense model of their
+    /// layers (every block, the heights, the counts, the O(1) size and the
+    /// canonical encoding), and exactly its mixed sections own an array.
+    /// Decoding its bytes gives the same chunk with no modifications, and so
+    /// does decoding the layers themselves as a run list, empty and split
+    /// runs included.
     #[test]
-    fn from_runs_matches_a_dense_model(
+    fn from_columns_matches_a_dense_model(
+        columns in arb_columns(),
+        cx in -1000i32..1000,
+        cz in -1000i32..1000,
+    ) {
+        let pos = ChunkPos::new(cx, cz);
+        let columns: [Column; COLUMNS] = columns.try_into().unwrap();
+        let chunk = Chunk::from_columns(pos, &columns).unwrap();
+        let mut model = model_of_blocks(columns.iter().flatten().copied());
+        assert_matches_model(&chunk, &model);
+        prop_assert_eq!(chunk.heap_bytes(), 8192 * mixed_sections(&model));
+
+        model.modifications = 0;
+        let restored = Chunk::from_bytes(&chunk.to_bytes()).unwrap();
+        assert_matches_model(&restored, &model);
+        prop_assert_eq!(restored.heap_bytes(), chunk.heap_bytes());
+        let layers: Vec<(u32, Block)> = columns.iter().flatten().copied().collect();
+        let decoded = Chunk::from_bytes(&runs_to_bytes(pos, &layers)).unwrap();
+        assert_matches_model(&decoded, &model);
+        prop_assert_eq!(decoded.heap_bytes(), chunk.heap_bytes());
+    }
+
+    /// The run decoder behind `from_bytes` lays any run list exactly, runs
+    /// across column ends included: the chunk reads like the dense model
+    /// of the runs, with no modifications, and only its mixed sections own
+    /// an array.
+    #[test]
+    fn from_bytes_matches_a_dense_model(
         runs in arb_runs(),
         cx in -1000i32..1000,
         cz in -1000i32..1000,
     ) {
         let pos = ChunkPos::new(cx, cz);
-        let chunk = Chunk::from_runs(pos, runs.iter().copied()).unwrap();
-        let mut model = model_of_runs(&runs);
-        assert_matches_model(&chunk, &model);
-        prop_assert_eq!(chunk.heap_bytes(), 8192 * mixed_sections(&model));
-
         let decoded = Chunk::from_bytes(&runs_to_bytes(pos, &runs)).unwrap();
+        let mut model = model_of_blocks(runs.iter().copied());
         model.modifications = 0;
         assert_matches_model(&decoded, &model);
-        prop_assert_eq!(decoded.heap_bytes(), chunk.heap_bytes());
+        prop_assert_eq!(decoded.heap_bytes(), 8192 * mixed_sections(&model));
     }
 
-    /// A run list that stops short of the chunk's end or runs past it is
-    /// an error, never a panic, through both entry points.
+    /// A column whose layers stop short of its top or run past it, and a
+    /// run list that stops short of the chunk's end or runs past it, is an
+    /// error, never a panic.
     #[test]
     fn short_and_overflowing_run_lists_are_errors(
         runs in arb_runs(),
+        columns in arb_columns(),
         pick in any::<usize>(),
         extra in prop_oneof![1 => 1u32..300, 1 => Just(u32::MAX)],
     ) {
@@ -504,17 +634,24 @@ proptest! {
         let mut short = runs.clone();
         let (count, _) = short.pop().unwrap();
         if count > 0 {
-            prop_assert!(Chunk::from_runs(pos, short.iter().copied()).is_err());
             prop_assert!(Chunk::from_bytes(&runs_to_bytes(pos, &short)).is_err());
         }
-        let mut long = runs.clone();
+        let mut long = runs;
         let at = pick % long.len();
         long[at].0 = long[at].0.saturating_add(extra);
-        prop_assert!(Chunk::from_runs(pos, long.iter().copied()).is_err());
         prop_assert!(Chunk::from_bytes(&runs_to_bytes(pos, &long)).is_err());
-        let mut extended = runs;
-        extended.push((extra, Block::Stone));
-        prop_assert!(Chunk::from_runs(pos, extended.iter().copied()).is_err());
+
+        let columns: [Column; COLUMNS] = columns.try_into().unwrap();
+        let (c, k) = (pick % COLUMNS, pick / COLUMNS % LAYERS);
+        let mut long = columns;
+        long[c][k].0 = long[c][k].0.saturating_add(extra);
+        prop_assert!(Chunk::from_columns(pos, &long).is_err());
+        // The first non-empty layer of the column, one block or all of it
+        // shorter.
+        let mut short = columns;
+        let layer = short[c].iter_mut().find(|(count, _)| *count > 0).unwrap();
+        layer.0 -= if extra % 2 == 0 { 1 } else { layer.0 };
+        prop_assert!(Chunk::from_columns(pos, &short).is_err());
     }
 }
 
