@@ -154,10 +154,25 @@ impl Construct {
         self.state.set_step(step);
     }
 
+    /// Advances one step, as [`step`](Self::step) does, and returns whether
+    /// the powers came out unchanged. A step reads only the circuit and the
+    /// previous powers, so a construct that settles stays settled.
+    pub(crate) fn step_settles(&mut self) -> bool {
+        self.step();
+        // `step` swapped the previous powers into the scratch buffer.
+        self.state.powers() == self.next.as_slice()
+    }
+
+    /// Moves the step counter to `step` without stepping: what a settled
+    /// construct's remaining steps would leave behind.
+    pub(crate) fn skip_to_step(&mut self, step: u64) {
+        self.state.set_step(step);
+    }
+
     /// Advances the construct by `n` steps and returns the state after each
     /// step, each one a separately allocated [`ConstructState`]. Speculative
     /// sequences use [`simulate_steps`](crate::simulate_steps) instead, which
-    /// stores the rows in one buffer.
+    /// stores the rows in one buffer and stops at a fixed point.
     pub fn step_many(&mut self, n: usize) -> Vec<ConstructState> {
         let mut states = Vec::with_capacity(n);
         for _ in 0..n {

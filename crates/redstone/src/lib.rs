@@ -19,7 +19,8 @@
 //!   detection used by Servo's cost optimization (Section III-C1);
 //!   [`simulate_steps`] is the same work without it. Both return a
 //!   [`SimulationOutcome`]: one flat buffer holding a row of powers per
-//!   simulated step.
+//!   simulated step, up to the end of the first cycle (with loop detection)
+//!   or up to the first fixed point (without).
 //!
 //! # Example
 //!

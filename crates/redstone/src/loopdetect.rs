@@ -77,27 +77,34 @@ impl LoopDetector {
 /// The result of running the remote simulation function's work loop: a
 /// speculative state sequence.
 ///
-/// The sequence is one flat buffer of `simulated_steps × blocks` powers.
-/// Row `i` holds the `blocks` power levels of the state after step `i + 1`
-/// (step 0, the start state, is the request's, not the reply's). The buffer
-/// is sized exactly: a loop-truncated sequence keeps only the rows it
-/// computed.
+/// The sequence is one flat buffer of `rows × blocks` powers. Row `i`
+/// holds the `blocks` power levels of the state after step `i + 1` (step 0,
+/// the start state, is the request's, not the reply's). The buffer is sized
+/// exactly. A loop-truncated sequence keeps only the rows it computed, so
+/// `rows` equals `simulated_steps`. A [`simulate_steps`] sequence that
+/// reached a fixed point keeps its rows up to the first copy of the fixed
+/// row, and that row stands for every later step up to `simulated_steps`.
+/// It always stops at the first repeat, so equal sequences compare equal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
     /// The rows, one after the other.
     powers: Vec<u8>,
     /// Blocks per row.
     blocks: usize,
-    /// Number of rows.
+    /// Number of steps the sequence covers.
     steps: usize,
+    /// Number of rows stored: `steps`, or fewer when the last one is a
+    /// fixed point.
+    rows: usize,
     /// Cycle information, if the construct entered a state cycle. The
     /// sequence then ends at the last state of the first complete cycle.
     pub loop_info: Option<LoopInfo>,
 }
 
 impl SimulationOutcome {
-    /// Number of steps actually simulated (may be fewer than requested when
-    /// a loop is found).
+    /// Number of steps the sequence covers (may be fewer than requested
+    /// when a loop is found). A settled sequence covers, and the function
+    /// is billed for, every step requested, though fewer rows are stored.
     pub fn simulated_steps(&self) -> usize {
         self.steps
     }
@@ -110,13 +117,17 @@ impl SimulationOutcome {
 
     /// The powers to apply `offset` steps after the start of this sequence,
     /// replaying the detected loop if needed. Returns `None` when no loop
-    /// was detected and `offset` runs past the computed states.
+    /// was detected and `offset` runs past the covered steps.
     pub fn state_at(&self, offset: usize) -> Option<&[u8]> {
         if offset == 0 {
             return None;
         }
-        if offset <= self.steps {
+        if offset <= self.rows {
             return self.row(offset - 1);
+        }
+        if offset <= self.steps {
+            // Past the stored rows of a settled sequence: the fixed row.
+            return self.row(self.rows - 1);
         }
         let info = self.loop_info?;
         if info.length == 0 {
@@ -208,24 +219,45 @@ fn simulate_with(
         powers,
         blocks,
         steps,
+        rows: steps,
         loop_info,
     }
 }
 
-/// Simulates `construct` for exactly `steps` steps, without loop detection:
-/// the work of an SC-offload function that does not look for cycles. The
-/// rows go into one buffer of exactly `steps × blocks` powers.
+/// Simulates `construct` for `steps` steps, without loop detection: the
+/// work of an SC-offload function that does not look for cycles.
+///
+/// A step reads only the circuit and the previous powers, so once a step
+/// leaves the powers unchanged every later step does too. The simulation
+/// stops there and stores the rows up to one copy of the fixed row (the
+/// start state, if it is already fixed). The returned
+/// [`SimulationOutcome`] still covers `steps` steps, and `construct` is
+/// left as `steps` steps would leave it: the same powers, and its step
+/// counter `steps` further on.
 pub fn simulate_steps(construct: &mut Construct, steps: usize) -> SimulationOutcome {
     let blocks = construct.len();
+    let end = construct.state().step() + steps as u64;
     let mut powers = Vec::with_capacity(steps * blocks);
-    for _ in 0..steps {
-        construct.step();
+    let mut rows = 0;
+    while rows < steps {
+        let settled = construct.step_settles();
+        if settled && rows > 0 {
+            // The last stored row is the fixed row.
+            break;
+        }
         powers.extend_from_slice(construct.state().powers());
+        rows += 1;
+        if settled {
+            break;
+        }
     }
+    construct.skip_to_step(end);
+    powers.shrink_to_fit();
     SimulationOutcome {
         powers,
         blocks,
         steps,
+        rows,
         loop_info: None,
     }
 }
@@ -313,21 +345,30 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_the_states_step_by_step_and_sized_exactly() {
-        let blueprint = generators::dense_circuit(64);
-        let mut live = Construct::new(blueprint.clone());
-        let states = live.step_many(100);
-        let without = simulate_steps(&mut Construct::new(blueprint.clone()), 100);
-        let with = simulate_sequence(&mut Construct::new(blueprint), 100);
-        for outcome in [&without, &with] {
-            let steps = outcome.simulated_steps();
-            assert_eq!(outcome.powers.len(), steps * 64);
-            assert_eq!(outcome.powers.capacity(), steps * 64);
-            for (i, state) in states.iter().take(steps).enumerate() {
-                assert_eq!(outcome.state_at(i + 1), Some(state.powers()));
+    fn rows_stop_at_the_fixed_point() {
+        // The dense circuit settles three steps in and the clock never
+        // does. Without loop detection both sequences cover all 100 steps;
+        // with it, a sequence stores exactly the rows it computed.
+        for (blueprint, rows) in [
+            (generators::dense_circuit(64), 3),
+            (generators::clock(5), 100),
+        ] {
+            let blocks = blueprint.len();
+            let states = Construct::new(blueprint.clone()).step_many(100);
+            let without = simulate_steps(&mut Construct::new(blueprint.clone()), 100);
+            let with = simulate_sequence(&mut Construct::new(blueprint), 100);
+            assert_eq!(without.rows, rows, "{blocks} blocks");
+            assert_eq!(without.simulated_steps(), 100);
+            assert_eq!(with.rows, with.simulated_steps());
+            for outcome in [&without, &with] {
+                assert_eq!(outcome.powers.len(), outcome.rows * blocks);
+                assert_eq!(outcome.powers.capacity(), outcome.rows * blocks);
+                for (i, state) in states.iter().take(outcome.simulated_steps()).enumerate() {
+                    assert_eq!(outcome.state_at(i + 1), Some(state.powers()));
+                }
             }
+            assert_eq!(without.state_at(101), None);
         }
-        assert_eq!(without.simulated_steps(), 100);
     }
 
     #[test]

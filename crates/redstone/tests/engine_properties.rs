@@ -1,7 +1,9 @@
 //! Property-based tests for the simulated-construct engine.
 
 use proptest::prelude::*;
-use servo_redstone::{generators, simulate_sequence, Blueprint, CircuitBlock, Construct};
+use servo_redstone::{
+    generators, simulate_sequence, simulate_steps, Blueprint, CircuitBlock, Construct,
+};
 use servo_types::BlockPos;
 
 fn arb_circuit_block() -> impl Strategy<Value = CircuitBlock> {
@@ -25,6 +27,64 @@ fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
             blueprint
         },
     )
+}
+
+/// A power source feeding `repeaters` repeaters in a line: its signal moves
+/// one repeater a step, so it settles only once the last one is lit.
+fn repeater_chain(repeaters: i32) -> Blueprint {
+    let mut chain = Blueprint::new();
+    chain.add(BlockPos::new(0, 0, 0), CircuitBlock::PowerSource);
+    for x in 1..=repeaters {
+        chain.add(BlockPos::new(x, 0, 0), CircuitBlock::Repeater);
+    }
+    chain
+}
+
+/// Wires and lamps only: nothing ever powers them, so the start state is
+/// already a fixed point.
+fn passive_blueprint(blocks: i32) -> Blueprint {
+    let mut blueprint = Blueprint::new();
+    for x in 0..blocks {
+        let kind = if x % 3 == 2 {
+            CircuitBlock::Lamp
+        } else {
+            CircuitBlock::Wire
+        };
+        blueprint.add(BlockPos::new(x, 0, 0), kind);
+    }
+    blueprint
+}
+
+/// Blueprints for a sequence without loop detection: arbitrary ones mixed
+/// with clocks that never settle, chains longer than a signal's 15 hops
+/// that settle late or not within the sequence, dense circuits that settle
+/// after a few steps, and passive ones settled from the start.
+fn arb_sequence_blueprint() -> impl Strategy<Value = Blueprint> {
+    prop_oneof![
+        3 => arb_blueprint(),
+        1 => (3usize..20).prop_map(generators::clock),
+        1 => (16i32..140).prop_map(repeater_chain),
+        1 => (16usize..40).prop_map(generators::wire_line),
+        1 => (24usize..120).prop_map(generators::dense_circuit),
+        1 => (1i32..30).prop_map(passive_blueprint),
+    ]
+}
+
+/// An optional player modification inside the blueprints' grid: a block
+/// placed, replaced or broken.
+fn arb_modification() -> impl Strategy<Value = Option<(BlockPos, Option<CircuitBlock>)>> {
+    prop_oneof![
+        Just(None),
+        (
+            (0i32..8, 0i32..2, 0i32..8),
+            arb_circuit_block(),
+            any::<bool>()
+        )
+            .prop_map(|((x, y, z), kind, broken)| Some((
+                BlockPos::new(x, y, z),
+                (!broken).then_some(kind)
+            ))),
+    ]
 }
 
 proptest! {
@@ -82,6 +142,34 @@ proptest! {
                 prop_assert!(step > outcome.simulated_steps());
             }
         }
+    }
+
+    /// A sequence without loop detection stops stepping at a fixed point,
+    /// yet serves the powers live stepping gives at every step it covers,
+    /// runs out after them, and leaves the construct where live stepping
+    /// does: same powers, same step counter.
+    #[test]
+    fn simulated_steps_match_live_stepping(
+        blueprint in arb_sequence_blueprint(),
+        phase in 0usize..40,
+        modification in arb_modification(),
+        steps in 1usize..120,
+    ) {
+        let mut live = Construct::new(blueprint);
+        live.step_many(phase);
+        if let Some((pos, kind)) = modification {
+            live.apply_modification(pos, kind);
+        }
+        let mut offloaded = live.clone();
+        let outcome = simulate_steps(&mut offloaded, steps);
+        prop_assert_eq!(outcome.simulated_steps(), steps);
+        prop_assert!(outcome.loop_info.is_none());
+        for step in 1..=steps {
+            live.step();
+            prop_assert_eq!(outcome.state_at(step), Some(live.state().powers()), "step {}", step);
+        }
+        prop_assert_eq!(outcome.state_at(steps + 1), None);
+        prop_assert_eq!(offloaded, live);
     }
 
     /// Resuming from a snapshot is equivalent to continuous simulation.
